@@ -16,16 +16,14 @@ import numpy as np
 
 from mdcl import __version__
 from mdcl.activities import activity
+from mdcl.artifacts import read_corners, write_heatmap
 from mdcl.config import ConfigError, PipelineConfig, load_config
-from mdcl.corners import Corner, CornerSet, extract_corners, fuse_pc_rd
-from mdcl.echo import EchoFrame, synth_frame
-from mdcl.fileio import axis_sidecar, read_matrix, write_csv, write_matrix, write_pgm
-from mdcl.maps import AxisSpec, ProfileMap
+from mdcl.fileio import read_matrix, write_csv
+from mdcl.maps import normalize
 from mdcl.metrics import verify_mncp
 from mdcl.motion import curve_models
-from mdcl.pipeline import (StageError, detector_config, evaluate_activity,
-                           run_pipeline, square_maps, sweep_noise, sweep_summary)
-from mdcl.preprocess import preprocess_frame
+from mdcl.pipeline import (STAGES, StageError, run_pipeline, run_stage,
+                           sweep_noise, sweep_summary)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,12 +48,8 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--activity", default="S8",
                            help="activity label S1..S12 (default S8)")
 
-    common(sub.add_parser("simulate", help="synthesize an echo frame"))
-    common(sub.add_parser("preprocess", help="echo -> RTM and DTM"))
-    common(sub.add_parser("square", help="RTM/DTM -> squared-axis maps"))
-    common(sub.add_parser("extract", help="detect 30 corners per squared map"))
-    common(sub.add_parser("fuse", help="fuse PC-R and PC-D into PC-RD"))
-    common(sub.add_parser("evaluate", help="score corners against ground truth"))
+    for stage in STAGES:
+        common(sub.add_parser(stage.name, help=stage.fn.__doc__))
 
     p = sub.add_parser("mncp-verify", help="verify curve reconstruction counts")
     common(p, activity_flag=False)
@@ -91,137 +85,6 @@ def _load(args) -> tuple[PipelineConfig, Path]:
     return cfg, out
 
 
-def _activity_dir(out: Path, label: str) -> Path:
-    d = out / label
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _write_map(outdir: Path, name: str, pm: ProfileMap) -> None:
-    write_matrix(outdir / f"{name}.mdcm", pm.data)
-    axis_sidecar(outdir / f"{name}.axis.txt", pm.axis.kind, pm.rows, pm.cols,
-                 pm.axis.lo, pm.axis.hi, pm.window)
-
-
-def _read_map(outdir: Path, name: str, axis: AxisSpec, window: float) -> ProfileMap:
-    data = read_matrix(outdir / f"{name}.mdcm")
-    return ProfileMap(np.real(data), axis, window)
-
-
-def _squared_axes(cfg: PipelineConfig) -> tuple[AxisSpec, AxisSpec]:
-    radar = cfg.radar_config()
-    n_keep = min(int(np.floor(radar.max_range / radar.range_bin)) + 1,
-                 radar.fast_samples)
-    rows = cfg.detector.render_rows
-    r2 = AxisSpec("range_sq", 0.0, (n_keep * radar.range_bin) ** 2, rows)
-    fs = radar.slow_samples / radar.window
-    d2 = AxisSpec("doppler_sq", -((fs / 2) ** 2), (fs / 2) ** 2, rows)
-    return r2, d2
-
-
-def _read_corners(path: Path, shape: tuple[int, int]) -> CornerSet:
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    corners = []
-    map_id = ""
-    for line in lines[1:]:
-        map_id, row, col, u, v, resp, padded = line.split(",")
-        corners.append(Corner(int(row), int(col), float(resp), float(u),
-                              float(v), bool(int(padded))))
-    return CornerSet(tuple(corners), map_id, shape)
-
-
-# ---------------------------------------------------------------------------
-# subcommand bodies
-# ---------------------------------------------------------------------------
-
-def _cmd_simulate(cfg: PipelineConfig, out: Path, label: str) -> None:
-    idx = cfg.activity_list().index(label) if label in cfg.activity_list() else 0
-    frame = synth_frame(cfg.scene_params(), activity(label), cfg.radar_config(),
-                        cfg.noise_config(idx))
-    outdir = _activity_dir(out, label)
-    write_matrix(outdir / "echo.mdcm", frame.data.astype(np.complex64))
-    print(f"wrote {outdir / 'echo.mdcm'}")
-
-
-def _cmd_preprocess(cfg: PipelineConfig, out: Path, label: str) -> None:
-    outdir = _activity_dir(out, label)
-    radar = cfg.radar_config()
-    frame = EchoFrame(read_matrix(outdir / "echo.mdcm"), radar)
-    rtm, dtm = preprocess_frame(frame, sum_mode=cfg.preprocessing.dtm_sum_mode,
-                                emd_params=cfg.preprocessing.emd_params())
-    _write_map(outdir, "rtm", rtm)
-    _write_map(outdir, "dtm", dtm)
-    print(f"wrote {outdir / 'rtm.mdcm'} and {outdir / 'dtm.mdcm'}")
-
-
-def _native_axes(cfg: PipelineConfig) -> tuple[AxisSpec, AxisSpec]:
-    radar = cfg.radar_config()
-    n_keep = min(int(np.floor(radar.max_range / radar.range_bin)) + 1,
-                 radar.fast_samples)
-    range_axis = AxisSpec("range", 0.0, n_keep * radar.range_bin, n_keep)
-    fs = radar.slow_samples / radar.window
-    dop_axis = AxisSpec("doppler", -fs / 2, fs / 2, cfg.preprocessing.stft_size)
-    return range_axis, dop_axis
-
-
-def _cmd_square(cfg: PipelineConfig, out: Path, label: str) -> None:
-    outdir = _activity_dir(out, label)
-    radar = cfg.radar_config()
-    range_axis, dop_axis = _native_axes(cfg)
-    rtm = _read_map(outdir, "rtm", range_axis, radar.window)
-    dtm = _read_map(outdir, "dtm", dop_axis, radar.window)
-    r2, d2 = square_maps(cfg, rtm, dtm)
-    _write_map(outdir, "r2tm", r2)
-    _write_map(outdir, "d2tm", d2)
-    print(f"wrote {outdir / 'r2tm.mdcm'} and {outdir / 'd2tm.mdcm'}")
-
-
-def _load_squared(cfg, outdir) -> tuple[ProfileMap, ProfileMap]:
-    r2_axis, d2_axis = _squared_axes(cfg)
-    radar = cfg.radar_config()
-    return (_read_map(outdir, "r2tm", r2_axis, radar.window),
-            _read_map(outdir, "d2tm", d2_axis, radar.window))
-
-
-def _cmd_extract(cfg: PipelineConfig, out: Path, label: str) -> None:
-    outdir = _activity_dir(out, label)
-    r2tm, d2tm = _load_squared(cfg, outdir)
-    det = detector_config(cfg)
-    header = ["map_id", "row", "col", "u", "v", "response", "padded"]
-    for name, pm in (("pc_r", r2tm), ("pc_d", d2tm)):
-        cs = extract_corners(pm, f"{label}/{name}", det)
-        write_csv(outdir / f"{name}.csv", header,
-                  [[cs.map_id, c.row, c.col, c.u, c.v, c.response, int(c.padded)]
-                   for c in cs.corners])
-    print(f"wrote {outdir / 'pc_r.csv'} and {outdir / 'pc_d.csv'}")
-
-
-def _cmd_fuse(cfg: PipelineConfig, out: Path, label: str) -> None:
-    outdir = _activity_dir(out, label)
-    r2tm, d2tm = _load_squared(cfg, outdir)
-    pc_r = _read_corners(outdir / "pc_r.csv", r2tm.data.shape)
-    pc_d = _read_corners(outdir / "pc_d.csv", d2tm.data.shape)
-    cloud = fuse_pc_rd(pc_r, pc_d, r2tm, d2tm)
-    write_csv(outdir / "pc_rd.csv", ["index", "u", "v", "w", "source"],
-              [[i, *map(float, row), src] for i, (row, src) in
-               enumerate(zip(cloud.points, cloud.source))])
-    print(f"wrote {outdir / 'pc_rd.csv'}")
-
-
-def _cmd_evaluate(cfg: PipelineConfig, out: Path, label: str) -> None:
-    outdir = _activity_dir(out, label)
-    r2tm, d2tm = _load_squared(cfg, outdir)
-    pc_r = _read_corners(outdir / "pc_r.csv", r2tm.data.shape)
-    pc_d = _read_corners(outdir / "pc_d.csv", d2tm.data.shape)
-    range_axis, dop_axis = _native_axes(cfg)
-    _, _, _, metrics = evaluate_activity(cfg, label, range_axis, dop_axis,
-                                         r2tm, d2tm, pc_r, pc_d)
-    write_csv(outdir / "metrics.csv", ["activity", "metric", "value", "seed"],
-              [[label, k, float(v), ""] for k, v in sorted(metrics.items())])
-    for k, v in sorted(metrics.items()):
-        print(f"{label} {k} = {v:.4f}")
-
-
 def _cmd_mncp_verify(cfg: PipelineConfig) -> int:
     models = curve_models(cfg.scene_params())
     failures = 0
@@ -251,14 +114,10 @@ def _cmd_sweep(cfg: PipelineConfig, out: Path) -> None:
 
 def _cmd_render(args) -> None:
     data = read_matrix(args.matrix)
-    img = np.abs(data) if np.iscomplexobj(data) else data
-    lo, hi = img.min(), img.max()
-    img = (img - lo) / (hi - lo) if hi > lo else np.zeros_like(img)
-    corners = None
-    if args.corners is not None:
-        cs = _read_corners(args.corners, img.shape)
-        corners = [(img.shape[0] - 1 - c.row, c.col) for c in cs.corners]
-    write_pgm(args.output, np.flipud(img), corners)
+    img = normalize(np.abs(data) if np.iscomplexobj(data) else data)
+    corners = (read_corners(args.corners, img.shape).corners
+               if args.corners is not None else ())
+    write_heatmap(args.output, img, corners)
     print(f"wrote {args.output}")
 
 
@@ -280,20 +139,13 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         label = args.activity
         activity(label)     # validate the label before touching files
-        dispatch = {
-            "simulate": _cmd_simulate,
-            "preprocess": _cmd_preprocess,
-            "square": _cmd_square,
-            "extract": _cmd_extract,
-            "fuse": _cmd_fuse,
-            "evaluate": _cmd_evaluate,
-        }
-        dispatch[args.command](cfg, out, label)
+        values, written = run_stage(cfg, out, label, args.command)
+        for path in written:
+            print(f"wrote {path}")
+        for k, v in sorted(values.get("metrics", {}).items()):
+            print(f"{label} {k} = {v:.4f}")
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except KeyError as exc:
+    except (ConfigError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (StageError, OSError, ValueError) as exc:

@@ -69,9 +69,6 @@ class NoiseSection:
 
 @dataclass
 class PreprocessingSection:
-    stft_window: int = 128
-    stft_hop: int = 4
-    stft_size: int = 256
     dtm_sum_mode: str = "complex"
     predecimate_rows: int = 128
     emd_max_imfs: int = 8

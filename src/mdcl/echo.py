@@ -101,7 +101,6 @@ class EchoFrame:
 
     data: np.ndarray
     config: RadarConfig
-    seed: int | None = None
 
     def __post_init__(self):
         m, n = self.data.shape
@@ -179,12 +178,10 @@ def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     """Full frame: node echoes + wall clutter + noise at the target SNR."""
     signal = _node_sum(p, act, cfg)
     data = signal + wall_clutter(cfg, p)[None, :]
-    seed = None
     if noise is not None and noise.target_snr is not None:
-        seed = noise.seed
         p_sig = float(np.mean(np.abs(signal) ** 2))
         reference = p_sig if p_sig > 0 else 1.0
         p_noise = reference * 10.0 ** (-noise.target_snr / 10.0)
         data = data + np.sqrt(p_noise) * _noise_matrix(
             cfg.slow_samples, cfg.fast_samples, noise.seed)
-    return EchoFrame(data=data, config=cfg, seed=seed)
+    return EchoFrame(data=data, config=cfg)

@@ -31,13 +31,7 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
     rows, cols = a.shape
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, flags, rows, cols))
-        if complex_payload:
-            inter = np.empty((rows, 2 * cols), dtype="<f4")
-            inter[:, 0::2] = a.real
-            inter[:, 1::2] = a.imag
-            f.write(inter.tobytes())
-        else:
-            f.write(a.astype("<f4").tobytes())
+        f.write(a.astype("<c8" if complex_payload else "<f4").tobytes())
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -54,24 +48,8 @@ def read_matrix(path: str | Path) -> np.ndarray:
     if payload.size != n_floats:
         raise MatrixFormatError(f"{path}: payload size mismatch")
     if flags & FLAG_COMPLEX:
-        payload = payload.reshape(rows, 2 * cols)
-        return (payload[:, 0::2] + 1j * payload[:, 1::2]).astype(complex)
+        return payload.view("<c8").reshape(rows, cols).astype(complex)
     return payload.reshape(rows, cols).astype(float)
-
-
-def axis_sidecar(path: str | Path, kind: str, rows: int, cols: int,
-                 lo: float, hi: float, window: float) -> None:
-    """Text header describing a map's axis next to its matrix file."""
-    lines = [
-        f"kind = {kind}",
-        f"rows = {rows}",
-        f"cols = {cols}",
-        f"value_lo = {lo!r}",
-        f"value_hi = {hi!r}",
-        f"window_s = {window!r}",
-        "",
-    ]
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

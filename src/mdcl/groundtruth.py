@@ -108,7 +108,7 @@ def rasterize_rtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
             for rows, weights in ((lo, 1.0 - w_hi), (lo + 1, w_hi)):
                 ok = (rows >= 0) & (rows < range_axis.n)
                 np.maximum.at(img, (rows[ok], cols[ok]), (amp * weights)[ok])
-    return ProfileMap(normalize(img), range_axis, p.window, normalized=True)
+    return ProfileMap(normalize(img), range_axis, p.window)
 
 
 def rasterize_dtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
@@ -139,4 +139,4 @@ def rasterize_dtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
             for rows, weights in ((lo, 1.0 - w_hi), (lo + 1, w_hi)):
                 ok = (rows >= 0) & (rows < doppler_axis.n)
                 np.maximum.at(img, (rows[ok], cols[ok]), (amp * weights)[ok])
-    return ProfileMap(normalize(img), doppler_axis, p.window, normalized=True)
+    return ProfileMap(normalize(img), doppler_axis, p.window)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class ProfileMap:
     data: np.ndarray
     axis: AxisSpec
     window: float            # slow-time extent, seconds
-    normalized: bool = False
 
     def __post_init__(self):
         if self.data.ndim != 2:
@@ -55,9 +54,6 @@ class ProfileMap:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def normalized_copy(self) -> "ProfileMap":
-        return replace(self, data=normalize(self.data), normalized=True)
 
 
 def normalize(a: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """End-to-end orchestration: simulate -> preprocess -> square -> extract ->
 fuse -> evaluate, artifact persistence, and the noise-robustness sweep.
 
-Activities run in a small worker pool (bounded by MDCL_THREADS); each
-activity's stage chain is sequential and owns its output files, and the
-manifest is assembled deterministically after all workers join.
+``STAGES`` defines the chain once: ``run_activity`` folds an activity over
+it in memory and ``run_stage`` (the staged commands) runs one stage between
+artifact files; both pass each output on as its file holds it.  Activities
+run in a small worker pool (bounded by MDCL_THREADS); each activity's chain
+is sequential and owns its output files, and the manifest is assembled
+deterministically after all workers join.
 """
 
 from __future__ import annotations
@@ -11,23 +14,24 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from mdcl import __version__
 from mdcl.activities import activity
+from mdcl.artifacts import ARTIFACTS, ActivityDir
 from mdcl.config import PipelineConfig, config_digest, serialize_config
-from mdcl.corners import (CornerSet, DetectorConfig, PointCloudRD,
-                          extract_corners, fuse_pc_rd)
-from mdcl.echo import EchoFrame, synth_frame
-from mdcl.fileio import axis_sidecar, write_csv, write_matrix, write_pgm
-from mdcl.groundtruth import GroundTruth, groundtruth_corners, rasterize_dtm, rasterize_rtm
-from mdcl.maps import ProfileMap
+from mdcl.corners import CornerSet, DetectorConfig, extract_corners, fuse_pc_rd
+from mdcl.echo import synth_frame
+from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
+from mdcl.maps import ProfileMap, normalize
 from mdcl.metrics import add_image_noise, emd_distance, psnr
-from mdcl.motion import KeyPoint
 from mdcl.preprocess import preprocess_frame
 from mdcl.squaring import decimate_rows, resample_rows, square_doppler_axis, square_range_axis
 
@@ -39,22 +43,9 @@ class StageError(RuntimeError):
         self.activity_label = activity_label
 
 
-@dataclass
-class ActivityResult:
-    label: str
-    frame: EchoFrame
-    rtm: ProfileMap
-    dtm: ProfileMap
-    r2tm: ProfileMap
-    d2tm: ProfileMap
-    pc_r: CornerSet
-    pc_d: CornerSet
-    pc_rd: PointCloudRD
-    truth: GroundTruth
-    gt_r2tm: ProfileMap
-    gt_d2tm: ProfileMap
-    metrics: dict[str, float]
-    timings: dict[str, float] = field(default_factory=dict)
+class ActivityResult(SimpleNamespace):
+    """One activity's ``label``, per-stage ``timings`` and every stage
+    output as an attribute named as in ``STAGES`` (``res.r2tm``)."""
 
 
 def detector_config(cfg: PipelineConfig) -> DetectorConfig:
@@ -62,39 +53,6 @@ def detector_config(cfg: PipelineConfig) -> DetectorConfig:
     return DetectorConfig(orientations=d.orientations, sigma=d.sigma_px,
                           anisotropy=d.anisotropy, nms_radius=d.nms_radius_px,
                           corners=d.corners)
-
-
-def run_activity(cfg: PipelineConfig, label: str,
-                 activity_index: int) -> ActivityResult:
-    """Full stage chain for one activity, kept in memory."""
-    scene = cfg.scene_params()
-    radar = cfg.radar_config()
-    act = activity(label)
-    det = detector_config(cfg)
-    timings: dict[str, float] = {}
-
-    def staged(stage, fn):
-        start = time.perf_counter()
-        try:
-            out = fn()
-        except Exception as exc:
-            raise StageError(stage, label, exc) from exc
-        timings[stage] = time.perf_counter() - start
-        return out
-
-    frame = staged("simulate", lambda: synth_frame(
-        scene, act, radar, cfg.noise_config(activity_index)))
-    rtm, dtm = staged("preprocess", lambda: preprocess_frame(
-        frame, sum_mode=cfg.preprocessing.dtm_sum_mode,
-        emd_params=cfg.preprocessing.emd_params()))
-    r2tm, d2tm = staged("square", lambda: square_maps(cfg, rtm, dtm))
-    pc_r = staged("extract_r", lambda: extract_corners(r2tm, f"{label}/r2tm", det))
-    pc_d = staged("extract_d", lambda: extract_corners(d2tm, f"{label}/d2tm", det))
-    pc_rd = staged("fuse", lambda: fuse_pc_rd(pc_r, pc_d, r2tm, d2tm))
-    truth, gt_r2, gt_d2, metrics = staged("evaluate", lambda: evaluate_activity(
-        cfg, label, rtm.axis, dtm.axis, r2tm, d2tm, pc_r, pc_d))
-    return ActivityResult(label, frame, rtm, dtm, r2tm, d2tm, pc_r, pc_d,
-                          pc_rd, truth, gt_r2, gt_d2, metrics, timings)
 
 
 def square_maps(cfg: PipelineConfig, rtm: ProfileMap,
@@ -130,85 +88,130 @@ def evaluate_activity(cfg: PipelineConfig, label: str,
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# the stage table
 # ---------------------------------------------------------------------------
 
-def _map_files(outdir: Path, name: str, pm: ProfileMap) -> list[Path]:
-    mat = outdir / f"{name}.mdcm"
-    write_matrix(mat, pm.data)
-    sidecar = outdir / f"{name}.axis.txt"
-    axis_sidecar(sidecar, pm.axis.kind, pm.rows, pm.cols,
-                 pm.axis.lo, pm.axis.hi, pm.window)
-    return [mat, sidecar]
+class Job(NamedTuple):
+    cfg: PipelineConfig
+    label: str
+    index: int          # position in the run's activity list (noise seed)
 
 
-def _corner_rows(cs: CornerSet) -> list[list]:
-    return [[cs.map_id, c.row, c.col, c.u, c.v, c.response, int(c.padded)]
-            for c in cs.corners]
+@dataclass(frozen=True)
+class Stage:
+    """Inputs and outputs are artifact names; ``fn(job, *input_values)``
+    returns the output values in order; its docstring is the CLI help."""
+
+    name: str
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    fn: Callable[..., tuple]
 
 
-def _keypoint_rows(points: tuple[KeyPoint, ...], kind: str) -> list[list]:
-    return [[kp.node.value, kp.t, kp.value, kind] for kp in points]
+def _simulate(job: Job):
+    """synthesize an echo frame"""
+    cfg = job.cfg
+    return (synth_frame(cfg.scene_params(), activity(job.label),
+                        cfg.radar_config(), cfg.noise_config(job.index)),)
+
+
+def _preprocess(job: Job, echo):
+    """echo -> RTM and DTM"""
+    pre = job.cfg.preprocessing
+    return preprocess_frame(echo, sum_mode=pre.dtm_sum_mode,
+                            emd_params=pre.emd_params())
+
+
+def _square(job: Job, rtm, dtm):
+    """RTM/DTM -> squared-axis maps"""
+    return square_maps(job.cfg, rtm, dtm)
+
+
+def _extract(job: Job, r2tm, d2tm):
+    """detect 30 corners per squared map"""
+    det = detector_config(job.cfg)
+    return (extract_corners(r2tm, f"{job.label}/r2tm", det),
+            extract_corners(d2tm, f"{job.label}/d2tm", det))
+
+
+def _fuse(job: Job, r2tm, d2tm, pc_r, pc_d):
+    """fuse PC-R and PC-D into PC-RD"""
+    return (fuse_pc_rd(pc_r, pc_d, r2tm, d2tm),)
+
+
+def _evaluate(job: Job, rtm, dtm, r2tm, d2tm, pc_r, pc_d):
+    """score corners against ground truth"""
+    return evaluate_activity(job.cfg, job.label, rtm.axis, dtm.axis,
+                             r2tm, d2tm, pc_r, pc_d)
+
+
+STAGES = (
+    Stage("simulate", (), ("echo",), _simulate),
+    Stage("preprocess", ("echo",), ("rtm", "dtm"), _preprocess),
+    Stage("square", ("rtm", "dtm"), ("r2tm", "d2tm"), _square),
+    Stage("extract", ("r2tm", "d2tm"), ("pc_r", "pc_d"), _extract),
+    Stage("fuse", ("r2tm", "d2tm", "pc_r", "pc_d"), ("pc_rd",), _fuse),
+    Stage("evaluate", ("rtm", "dtm", "r2tm", "d2tm", "pc_r", "pc_d"),
+          ("truth", "gt_r2tm", "gt_d2tm", "metrics"), _evaluate),
+)
+
+
+def _apply(stage: Stage, job: Job, values: dict) -> dict:
+    """A stage's outputs, each as its artifact file holds it."""
+    try:
+        outs = stage.fn(job, *(values[name] for name in stage.inputs))
+        return {name: ARTIFACTS[name].stored(value)
+                for name, value in zip(stage.outputs, outs, strict=True)}
+    except Exception as exc:
+        raise StageError(stage.name, job.label, exc) from exc
+
+
+def run_activity(cfg: PipelineConfig, label: str,
+                 activity_index: int) -> ActivityResult:
+    """Full stage chain for one activity, kept in memory."""
+    job = Job(cfg, label, activity_index)
+    values: dict = {}
+    timings: dict[str, float] = {}
+    for stage in STAGES:
+        start = time.perf_counter()
+        values.update(_apply(stage, job, values))
+        timings[stage.name] = time.perf_counter() - start
+    return ActivityResult(label=label, timings=timings, **values)
+
+
+def run_stage(cfg: PipelineConfig, out: Path, label: str,
+              name: str) -> tuple[dict, list[Path]]:
+    """One stage of one activity, from and to ``out/<label>``.
+
+    Inputs come through the artifact readers and outputs go through the
+    writers ``run`` uses.  Returns the stage's values and written files.
+    """
+    stage = next(s for s in STAGES if s.name == name)
+    root = Path(out) / label
+    labels = cfg.activity_list()
+    job = Job(cfg, label, labels.index(label) if label in labels else 0)
+    values = {n: ARTIFACTS[n].read(root, n, cfg) for n in stage.inputs}
+    values.update(_apply(stage, job, values))
+    d = ActivityDir(root, label, cfg.run.stage_dump)
+    for name in stage.outputs:
+        ARTIFACTS[name].write(d, name, values)
+    return values, d.written
 
 
 def write_activity_artifacts(outdir: Path, res: ActivityResult,
-                             stage_dump: bool = False) -> list[Path]:
-    outdir.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
+                             stage_dump: bool = False,
+                             written: list[Path] | None = None) -> list[Path]:
+    """Every stage's outputs through their writers.
 
-    echo_path = outdir / "echo.mdcm"
-    write_matrix(echo_path, res.frame.data.astype(np.complex64))
-    files.append(echo_path)
-
-    for name, pm in (("rtm", res.rtm), ("dtm", res.dtm),
-                     ("r2tm", res.r2tm), ("d2tm", res.d2tm),
-                     ("gt_r2tm", res.gt_r2tm), ("gt_d2tm", res.gt_d2tm)):
-        files += _map_files(outdir, name, pm)
-
-    header = ["map_id", "row", "col", "u", "v", "response", "padded"]
-    for name, cs in (("pc_r", res.pc_r), ("pc_d", res.pc_d)):
-        path = outdir / f"{name}.csv"
-        write_csv(path, header, _corner_rows(cs))
-        files.append(path)
-
-    rd_path = outdir / "pc_rd.csv"
-    write_csv(rd_path, ["index", "u", "v", "w", "source"],
-              [[i, *map(float, row), src] for i, (row, src) in
-               enumerate(zip(res.pc_rd.points, res.pc_rd.source))])
-    files.append(rd_path)
-
-    gt_path = outdir / "gt_corners.csv"
-    gt_rows = [["r2", *map(float, row)] for row in res.truth.cloud_r]
-    gt_rows += [["d2", *map(float, row)] for row in res.truth.cloud_d]
-    write_csv(gt_path, ["map", "u", "v"], gt_rows)
-    files.append(gt_path)
-
-    kp_path = outdir / "gt_keypoints.csv"
-    write_csv(kp_path, ["node", "t_seconds", "value", "map"],
-              _keypoint_rows(res.truth.keypoints_r, "r2")
-              + _keypoint_rows(res.truth.keypoints_d, "d2"))
-    files.append(kp_path)
-
-    metrics_path = outdir / "metrics.csv"
-    write_csv(metrics_path, ["activity", "metric", "value", "seed"],
-              [[res.label, k, float(v), ""] for k, v in sorted(res.metrics.items())])
-    files.append(metrics_path)
-
-    overlay_r = outdir / "r2tm_corners.pgm"
-    write_pgm(overlay_r, np.flipud(res.r2tm.data),
-              [(res.r2tm.rows - 1 - c.row, c.col) for c in res.pc_r.corners])
-    overlay_d = outdir / "d2tm_corners.pgm"
-    write_pgm(overlay_d, np.flipud(res.d2tm.data),
-              [(res.d2tm.rows - 1 - c.row, c.col) for c in res.pc_d.corners])
-    files += [overlay_r, overlay_d]
-
-    if stage_dump:
-        for name, pm in (("rtm", res.rtm), ("dtm", res.dtm),
-                         ("r2tm", res.r2tm), ("d2tm", res.d2tm)):
-            path = outdir / f"{name}.pgm"
-            write_pgm(path, np.flipud(pm.data))
-            files.append(path)
-    return files
+    Each file is appended to ``written`` before it is written, so the
+    caller knows what is on disk even when a write fails.
+    """
+    d = ActivityDir(Path(outdir), res.label, stage_dump,
+                    [] if written is None else written)
+    for stage in STAGES:
+        for name in stage.outputs:
+            ARTIFACTS[name].write(d, name, vars(res))
+    return d.written
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,6 @@ class RunManifest:
     version: str
     status: str
     artifacts: dict[str, str]           # relative path -> sha256
-    timings: dict[str, dict[str, float]]
     failed_stage: str | None = None
 
     def text(self) -> str:
@@ -247,12 +249,21 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _summary_report(outputs) -> str:
+@dataclass
+class _JobOutcome:
+    label: str
+    written: list[Path]
+    metrics: dict[str, float] | None = None
+    timings: dict[str, float] = field(default_factory=dict)
+    error: StageError | None = None
+
+
+def _summary_report(outcomes: list[_JobOutcome]) -> str:
     """Per-activity metric table: corner-cloud distances and map PSNRs."""
     lines = ["activity   emd_r   emd_d  psnr_r2tm_db  psnr_d2tm_db"]
-    for label, res, _ in sorted(outputs, key=lambda o: int(o[0][1:])):
-        m = res.metrics
-        lines.append(f"{label:<8} {m['emd_r']:7.4f} {m['emd_d']:7.4f} "
+    for o in sorted(outcomes, key=lambda o: int(o.label[1:])):
+        m = o.metrics
+        lines.append(f"{o.label:<8} {m['emd_r']:7.4f} {m['emd_d']:7.4f} "
                      f"{m['psnr_r2tm_db']:13.2f} {m['psnr_d2tm_db']:13.2f}")
     lines.append("")
     return "\n".join(lines)
@@ -261,8 +272,11 @@ def _summary_report(outputs) -> str:
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
     """Execute all selected activities and persist every artifact.
 
-    Per-stage wall-clock timings go to ``run.log`` (not part of the
-    manifest, which must be bit-identical across reruns of one config).
+    Every activity runs even when another fails; the manifest lists each
+    file on disk that the run wrote, and names the first failure in
+    activity order.  Per-stage wall-clock timings and failure messages go
+    to ``run.log`` (not part of the manifest, which must be bit-identical
+    across reruns of one config).
     """
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.run.out_dir)
@@ -271,46 +285,53 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     workers = int(os.environ.get("MDCL_THREADS", "0")) or min(4, os.cpu_count() or 1)
     workers = max(1, min(workers, len(labels) or 1))
 
-    artifacts: dict[str, str] = {}
-    timings: dict[str, dict[str, float]] = {}
-    status, failed_stage = "ok", None
-    outputs: list = []
-
-    def job(item):
+    def one_activity(item) -> _JobOutcome:
         idx, label = item
-        res = run_activity(cfg, label, idx)
-        files = write_activity_artifacts(out / label, res,
-                                         stage_dump=cfg.run.stage_dump)
-        return label, res, files
+        outcome = _JobOutcome(label, [])
+        try:
+            res = run_activity(cfg, label, idx)
+            try:
+                write_activity_artifacts(out / label, res, cfg.run.stage_dump,
+                                         outcome.written)
+            except Exception as exc:
+                raise StageError("write", label, exc) from exc
+        except StageError as exc:
+            outcome.error = exc
+            return outcome
+        outcome.metrics, outcome.timings = res.metrics, res.timings
+        return outcome
 
-    try:
-        if workers == 1:
-            outputs = [job(item) for item in enumerate(labels)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outputs = list(pool.map(job, enumerate(labels)))
-        for label, res, files in outputs:
-            timings[label] = res.timings
-            for path in files:
-                artifacts[str(path.relative_to(out))] = _sha256(path)
-    except StageError as exc:
-        status, failed_stage = "failed", f"{exc.activity_label}:{exc.stage}"
+    if workers == 1:
+        outcomes = [one_activity(item) for item in enumerate(labels)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(one_activity, enumerate(labels)))
+
+    failures = [o.error for o in outcomes if o.error is not None]
+    status = "failed" if failures else "ok"
+    failed_stage = (f"{failures[0].activity_label}:{failures[0].stage}"
+                    if failures else None)
+    artifacts = {str(path.relative_to(out)): _sha256(path)
+                 for o in outcomes for path in o.written if path.is_file()}
 
     config_path = out / "config.txt"
     config_path.write_text(serialize_config(cfg), encoding="utf-8")
     artifacts["config.txt"] = _sha256(config_path)
 
-    if status == "ok" and outputs:
+    if status == "ok" and outcomes:
         report_path = out / "report.txt"
-        report_path.write_text(_summary_report(outputs), encoding="utf-8")
+        report_path.write_text(_summary_report(outcomes), encoding="utf-8")
         artifacts["report.txt"] = _sha256(report_path)
 
     manifest = RunManifest(config_digest(cfg), __version__, status,
-                           artifacts, timings, failed_stage)
+                           artifacts, failed_stage)
     (out / "manifest.txt").write_text(manifest.text(), encoding="utf-8")
-    log_lines = [f"{label} {stage} {dt:.3f}s"
-                 for label, stages in sorted(timings.items())
-                 for stage, dt in stages.items()]
+    log_lines = [f"{o.label} {stage} {dt:.3f}s"
+                 for o in sorted(outcomes, key=lambda o: o.label)
+                 for stage, dt in o.timings.items()]
+    for e in failures:
+        log_lines.append(f"{e.activity_label} {e.stage} failed: {e.__cause__}")
+        log_lines.append("".join(traceback.format_exception(e.__cause__)).rstrip())
     (out / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     return manifest
 
@@ -353,7 +374,7 @@ def sweep_noise(cfg: PipelineConfig,
                         rng = np.random.Generator(np.random.Philox(
                             np.random.SeedSequence((cfg.run.seed, seed, int(drop * 10)))))
                         data = add_image_noise(pm.data, drop, rng)
-                        noisy = ProfileMap(data, pm.axis, pm.window).normalized_copy()
+                        noisy = ProfileMap(normalize(data), pm.axis, pm.window)
                     cs = extract_corners(noisy, f"{label}/{which}", det)
                     emd = emd_distance(cs.uv(), truth)
                     rows.append({"activity": label, "map": which,

@@ -18,21 +18,13 @@ from mdcl.maps import AxisSpec, ProfileMap, normalize
 # range compression
 # ---------------------------------------------------------------------------
 
-def beat_spectrum(frame: EchoFrame, crop: bool = True
-                  ) -> tuple[np.ndarray, AxisSpec]:
+def beat_spectrum(frame: EchoFrame) -> np.ndarray:
     """Complex range-compressed matrix (range bins x slow time).
 
-    Beat-spectrum bin k maps to one-way range k * c / 2B; with ``crop``
-    the bins beyond the configured maximum range are dropped.
+    Beat-spectrum bin k maps to one-way range k * c / 2B; every bin is
+    kept (``crop_range_rows`` keeps those inside the maximum range).
     """
-    cfg = frame.config
-    spec = np.fft.fft(frame.data, axis=1).T   # (fast bins, slow time)
-    n_keep = cfg.fast_samples
-    if crop:
-        n_keep = min(int(np.floor(cfg.max_range / cfg.range_bin)) + 1,
-                     cfg.fast_samples)
-    axis = AxisSpec("range", 0.0, n_keep * cfg.range_bin, n_keep)
-    return spec[:n_keep], axis
+    return np.fft.fft(frame.data, axis=1).T
 
 
 def crop_range_rows(matrix: np.ndarray, cfg) -> tuple[np.ndarray, AxisSpec]:
@@ -41,12 +33,6 @@ def crop_range_rows(matrix: np.ndarray, cfg) -> tuple[np.ndarray, AxisSpec]:
                  matrix.shape[0])
     axis = AxisSpec("range", 0.0, n_keep * cfg.range_bin, n_keep)
     return matrix[:n_keep], axis
-
-
-def range_compress(frame: EchoFrame) -> ProfileMap:
-    """Magnitude RTM of a frame (no clutter or noise suppression)."""
-    spec, axis = beat_spectrum(frame)
-    return ProfileMap(np.abs(spec), axis, frame.config.window)
 
 
 def mti_filter(rc_complex: np.ndarray) -> np.ndarray:
@@ -248,7 +234,7 @@ def make_rtm(mti_complex: np.ndarray, range_axis: AxisSpec, window_s: float,
              ) -> ProfileMap:
     """Denoised, normalized RTM from the MTI-filtered complex matrix."""
     mag = denoise_rows(np.abs(mti_complex), *emd_params)
-    return ProfileMap(normalize(mag), range_axis, window_s, normalized=True)
+    return ProfileMap(normalize(mag), range_axis, window_s)
 
 
 def preprocess_frame(frame: EchoFrame, *, sum_mode: str = "complex",
@@ -261,8 +247,7 @@ def preprocess_frame(frame: EchoFrame, *, sum_mode: str = "complex",
     spectrum; the RTM keeps only the configured range swath while the DTM
     sums every range cell.
     """
-    spec, _ = beat_spectrum(frame, crop=False)
-    mti = mti_filter(spec)
+    mti = mti_filter(beat_spectrum(frame))
     cropped, range_axis = crop_range_rows(mti, frame.config)
     rtm = make_rtm(cropped, range_axis, frame.config.window, emd_params)
     dtm = make_dtm(mti, frame.config.window, sum_mode=sum_mode,

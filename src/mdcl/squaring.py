@@ -30,7 +30,7 @@ def square_range_axis(rtm: ProfileMap, *, do_normalize: bool = True) -> ProfileM
     if do_normalize:
         out = normalize(out)
     axis = AxisSpec("range_sq", 0.0, rtm.axis.hi ** 2, out.shape[0])
-    return ProfileMap(out, axis, rtm.window, normalized=do_normalize)
+    return ProfileMap(out, axis, rtm.window)
 
 
 def square_doppler_axis(dtm: ProfileMap, *, do_normalize: bool = True) -> ProfileMap:
@@ -57,7 +57,7 @@ def square_doppler_axis(dtm: ProfileMap, *, do_normalize: bool = True) -> Profil
         out = normalize(out)
     hi = dtm.axis.hi ** 2
     axis = AxisSpec("doppler_sq", -hi, hi, out.shape[0])
-    return ProfileMap(out, axis, dtm.window, normalized=do_normalize)
+    return ProfileMap(out, axis, dtm.window)
 
 
 def decimate_rows(pm: ProfileMap, max_rows: int) -> ProfileMap:
@@ -80,7 +80,7 @@ def decimate_rows(pm: ProfileMap, max_rows: int) -> ProfileMap:
         data = np.concatenate([data, np.zeros((pad, pm.cols))], axis=0)
     blocked = data.reshape(data.shape[0] // factor, factor, pm.cols).max(axis=1)
     axis = AxisSpec(pm.axis.kind, pm.axis.lo, pm.axis.hi, blocked.shape[0])
-    return ProfileMap(blocked, axis, pm.window, normalized=pm.normalized)
+    return ProfileMap(blocked, axis, pm.window)
 
 
 def resample_rows(pm: ProfileMap, n_rows: int) -> ProfileMap:
@@ -99,4 +99,4 @@ def resample_rows(pm: ProfileMap, n_rows: int) -> ProfileMap:
         block = pm.data[lo:min(hi, src)]
         out[i] = block.max(axis=0) if block.size else pm.data[min(lo, src - 1)]
     axis = AxisSpec(pm.axis.kind, pm.axis.lo, pm.axis.hi, n_rows)
-    return ProfileMap(out, axis, pm.window, normalized=pm.normalized)
+    return ProfileMap(out, axis, pm.window)

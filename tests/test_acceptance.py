@@ -21,7 +21,7 @@ from mdcl.echo import C_LIGHT, EchoFrame, RadarConfig, synth_frame
 from mdcl.maps import AxisSpec, ProfileMap
 from mdcl.metrics import emd_distance, psnr, verify_mncp
 from mdcl.motion import curve_models, node_velocity_sq
-from mdcl.preprocess import beat_spectrum, mti_filter, preprocess_frame, range_compress
+from mdcl.preprocess import beat_spectrum, crop_range_rows, mti_filter, preprocess_frame
 from mdcl.scene import NodeId, SceneParams
 from mdcl.squaring import square_doppler_axis, square_range_axis
 from mdcl.pipeline import sweep_noise, sweep_summary
@@ -144,7 +144,7 @@ def test_criterion_06_signal_physics():
     # MTI suppression of the static wall
     cfg = RadarConfig()
     frame = synth_frame(SceneParams(), activity("S1"), cfg, None)
-    rc, _ = beat_spectrum(frame, crop=False)
+    rc = beat_spectrum(frame)
     p_in = np.mean(np.abs(rc) ** 2)
     p_out = np.mean(np.abs(mti_filter(rc)) ** 2)
     suppression = 10 * np.log10(p_in / max(p_out, 1e-300))
@@ -170,8 +170,9 @@ def test_criterion_06_signal_physics():
                                       initial_velocity=(0.0, 0.0),
                                       radar_height=1.65, through_wall=False),
                           activity("S8"), head_only, None)
-    profile = range_compress(EchoFrame(frame_a.data + frame_b.data,
-                                       head_only)).data[:, 0]
+    rc_ab, _ = crop_range_rows(beat_spectrum(EchoFrame(frame_a.data + frame_b.data,
+                                                       head_only)), head_only)
+    profile = np.abs(rc_ab[:, 0])
     peaks = sorted(np.argsort(profile)[-2:])
     sep = (peaks[1] - peaks[0]) * head_only.range_bin
     resolution_ok = (abs(sep - 0.5) <= head_only.range_bin

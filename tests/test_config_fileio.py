@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mdcl.cli import main
 from mdcl.config import (ConfigError, PipelineConfig, config_digest,
                          parse_config, serialize_config)
 from mdcl.fileio import (MatrixFormatError, read_matrix, write_csv,
@@ -35,6 +36,17 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("[radar]\nbogus_knob = 3\n")
+
+    @pytest.mark.parametrize("key", ["stft_window", "stft_hop", "stft_size"])
+    def test_removed_stft_keys_rejected(self, tmp_path, key):
+        text = f"[preprocessing]\n{key} = 512\n"
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(text)
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):

@@ -1,8 +1,11 @@
 """Pipeline orchestration and CLI tests on the reduced-size config."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mdcl import artifacts, pipeline
 from mdcl.cli import main
 from mdcl.config import serialize_config
 from mdcl.fileio import read_matrix
@@ -26,6 +29,20 @@ EXPECTED_FILES = {
     "echo.mdcm", "rtm.mdcm", "dtm.mdcm", "r2tm.mdcm", "d2tm.mdcm",
     "pc_r.csv", "pc_d.csv", "pc_rd.csv", "metrics.csv",
 }
+
+STAGE_COMMANDS = ("simulate", "preprocess", "square", "extract", "fuse",
+                  "evaluate")
+
+
+def files_under(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def unlisted_files(out, manifest):
+    """Files on disk the manifest does not list, and listed files not on disk."""
+    on_disk = set(files_under(out)) - {"manifest.txt", "run.log"}
+    return on_disk ^ set(manifest.artifacts)
 
 
 class TestRunPipeline:
@@ -54,6 +71,48 @@ class TestRunPipeline:
         m2 = run_pipeline(cfg, tmp_path / "b")
         assert m1.artifacts == m2.artifacts
         assert m1.text() == m2.text()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_activity_manifest_lists_files_on_disk(self, tmp_path,
+                                                          monkeypatch, threads):
+        monkeypatch.setenv("MDCL_THREADS", threads)
+        cfg, _ = write_small_config(tmp_path, **{"run.activities": "S5,S8"})
+        real = pipeline.evaluate_activity
+
+        def evaluate_failing_s8(cfg, label, *args):
+            if label == "S8":
+                raise RuntimeError("injected failure")
+            return real(cfg, label, *args)
+
+        monkeypatch.setattr(pipeline, "evaluate_activity", evaluate_failing_s8)
+        out = tmp_path / "out"
+        manifest = run_pipeline(cfg, out)
+        assert manifest.status == "failed"
+        assert manifest.failed_stage == "S8:evaluate"
+        assert "S5/metrics.csv" in manifest.artifacts
+        assert not (out / "S8").exists()
+        assert unlisted_files(out, manifest) == set()
+        assert (out / "manifest.txt").read_text() == manifest.text()
+        assert "S8 evaluate failed: injected failure" in (out / "run.log").read_text()
+
+    def test_write_error_manifest_lists_partial_files(self, tmp_path, monkeypatch):
+        cfg, _ = write_small_config(tmp_path, **{"run.activities": "S5,S8"})
+        real = artifacts.write_pgm
+
+        def write_pgm_failing_s8(path, *args, **kwargs):
+            if Path(path).parent.name == "S8":
+                raise OSError("disk full")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(artifacts, "write_pgm", write_pgm_failing_s8)
+        out = tmp_path / "out"
+        manifest = run_pipeline(cfg, out)
+        assert manifest.status == "failed"
+        assert manifest.failed_stage == "S8:write"
+        assert "S8/r2tm.mdcm" in manifest.artifacts
+        assert "S8/metrics.csv" not in manifest.artifacts
+        assert "S5/metrics.csv" in manifest.artifacts
+        assert unlisted_files(out, manifest) == set()
 
     def test_empty_scene_runs(self, tmp_path):
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S1",
@@ -94,16 +153,26 @@ class TestSweep:
 
 class TestCli:
     def test_staged_chain(self, tmp_path):
-        _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S8"})
-        out = tmp_path / "out"
-        for command in ("simulate", "preprocess", "square", "extract",
-                        "fuse", "evaluate"):
-            code = main([command, "--config", str(cfg_path),
-                         "--out", str(out), "--activity", "S8"])
-            assert code == 0, command
-        assert (out / "S8" / "pc_rd.csv").exists()
-        metrics = (out / "S8" / "metrics.csv").read_text()
-        assert "emd_r" in metrics
+        """The six stage commands write exactly the files and bytes of ``run``."""
+        _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S5,S8",
+                                                      "noise.enabled": True})
+        run_out, staged_out = tmp_path / "run", tmp_path / "staged"
+        assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
+        for label in ("S5", "S8"):
+            for command in STAGE_COMMANDS:
+                code = main([command, "--config", str(cfg_path),
+                             "--out", str(staged_out), "--activity", label])
+                assert code == 0, (label, command)
+            run_files = files_under(run_out / label)
+            staged_files = files_under(staged_out / label)
+            assert sorted(staged_files) == sorted(run_files), label
+            differ = [name for name in run_files
+                      if staged_files[name] != run_files[name]]
+            assert differ == [], label
+        pc_r = (run_out / "S8" / "pc_r.csv").read_text().splitlines()
+        assert pc_r[1].startswith("S8/r2tm,")
+        metrics = (run_out / "S8" / "metrics.csv").read_text().splitlines()
+        assert metrics[0] == "activity,metric,value"
 
     def test_run_subcommand(self, tmp_path):
         _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S5"})
@@ -137,6 +206,18 @@ class TestCli:
                      str(tmp_path / "rtm.pgm")])
         assert code == 0
         assert (tmp_path / "rtm.pgm").read_bytes()[:2] == b"P5"
+
+        for command in ("square", "extract"):
+            main([command, "--config", str(cfg_path), "--out", str(out),
+                  "--activity", "S8"])
+        code = main(["render", str(out / "S8" / "r2tm.mdcm"),
+                     str(tmp_path / "overlay.pgm"),
+                     "--corners", str(out / "S8" / "pc_r.csv")])
+        assert code == 0
+        overlay = (tmp_path / "overlay.pgm").read_bytes()
+        assert overlay == (out / "S8" / "r2tm_corners.pgm").read_bytes()
+        main(["render", str(out / "S8" / "r2tm.mdcm"), str(tmp_path / "plain.pgm")])
+        assert (tmp_path / "plain.pgm").read_bytes() != overlay
 
     def test_mncp_verify_exit(self, tmp_path):
         _, cfg_path = write_small_config(tmp_path)

@@ -6,9 +6,8 @@ import pytest
 from mdcl.activities import activity
 from mdcl.echo import C_LIGHT, EchoFrame, NoiseConfig, RadarConfig, synth_frame
 from mdcl.maps import normalize
-from mdcl.preprocess import (beat_spectrum, emd_denoise, emd_imfs, make_dtm,
-                             mti_filter, preprocess_frame, range_compress,
-                             stft_magnitude)
+from mdcl.preprocess import (beat_spectrum, crop_range_rows, emd_denoise,
+                             emd_imfs, make_dtm, mti_filter, preprocess_frame)
 from mdcl.scene import NodeId, SceneParams
 
 S8 = activity("S8")
@@ -20,19 +19,25 @@ def static_scene(x1=3.0):
                        radar_height=1.65, through_wall=False)
 
 
+def range_profile(frame):
+    """Magnitude of the cropped beat spectrum and its range axis."""
+    rc, axis = crop_range_rows(beat_spectrum(frame), frame.config)
+    return np.abs(rc), axis
+
+
 class TestRangeCompress:
     def test_zero_frame(self):
         cfg = RadarConfig()
         frame = EchoFrame(np.zeros((1024, 1024), dtype=complex), cfg)
-        rtm = range_compress(frame)
-        assert np.all(rtm.data == 0)
-        assert rtm.rows == 67        # 5 m / 0.075 m per bin
+        mag, axis = range_profile(frame)
+        assert np.all(mag == 0)
+        assert mag.shape[0] == axis.n == 67     # 5 m / 0.075 m per bin
 
     def test_single_static_scatterer(self):
         cfg = RadarConfig(reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0)
         frame = synth_frame(static_scene(), S8, cfg, None)
-        rtm = range_compress(frame)
-        rows = np.argmax(rtm.data, axis=0)
+        mag, _ = range_profile(frame)
+        rows = np.argmax(mag, axis=0)
         assert np.all(rows == 40)    # 3 m / 0.075 m
 
     def test_two_scatterers_resolved(self):
@@ -51,7 +56,7 @@ class TestRangeCompress:
         frame_b = synth_frame(p_b, S8, RadarConfig(reflectivity={NodeId.HEAD: 1.0},
                                                    wall_reflectivity=0.0), None)
         combined = EchoFrame(frame_a.data + frame_b.data, cfg)
-        profile = range_compress(combined).data[:, 0]
+        profile = range_profile(combined)[0][:, 0]
         peak_a, peak_b = 40, round(3.5 / 0.075)
         assert peak_b - peak_a == 7
         assert profile[peak_a] > 2 * profile[(peak_a + peak_b) // 2]
@@ -76,7 +81,7 @@ class TestMti:
     def test_wall_suppressed_at_least_40db(self):
         cfg = RadarConfig()
         frame = synth_frame(SceneParams(), S1, cfg, None)   # wall only
-        rc, _ = beat_spectrum(frame)
+        rc, _ = crop_range_rows(beat_spectrum(frame), cfg)
         p_in = np.mean(np.abs(rc) ** 2)
         p_out = np.mean(np.abs(mti_filter(rc)) ** 2)
         suppression = 10 * np.log10(p_in / max(p_out, 1e-300))
