@@ -21,6 +21,21 @@ class ConfigError(ValueError):
     pass
 
 
+def drop_seed_keys(drops: list[float]) -> list[int]:
+    """Each SNR drop's noise-seed key: the drop in tenths of a dB.
+
+    Drops off the 0.1 dB grid, or two drops with one key, would share a
+    noise draw, so they are rejected.
+    """
+    keys = [round(d * 10) for d in drops]
+    off_grid = [d for d, key in zip(drops, keys) if abs(d * 10 - key) > 1e-6]
+    if off_grid:
+        raise ConfigError(f"SNR drops must lie on the 0.1 dB grid, got {off_grid}")
+    if len(set(keys)) != len(keys):
+        raise ConfigError(f"SNR drops repeat: {list(drops)}")
+    return keys
+
+
 @dataclass
 class SceneSection:
     x1: float = 3.0
@@ -150,6 +165,10 @@ class PipelineConfig:
         for d in self.snr_drops():
             if d < 0:
                 raise ConfigError("evaluation.snr_drops_db must be non-negative")
+        try:
+            drop_seed_keys(self.snr_drops())
+        except ConfigError as exc:
+            raise ConfigError(f"evaluation.snr_drops_db: {exc}") from exc
         try:
             self.scene_params()
         except ValueError as exc:

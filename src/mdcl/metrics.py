@@ -21,27 +21,8 @@ from mdcl.motion import CurveModel
 # earth mover's distance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Optimal flow between two uniform-weight clouds of equal cardinality."""
-
-    flow: np.ndarray          # n x n, doubly sub-stochastic (a permutation here)
-    cost_matrix: np.ndarray
-    total_cost: float
-
-    @property
-    def total_flow(self) -> float:
-        return float(self.flow.sum())
-
-    def check_constraints(self, atol: float = 1e-9) -> bool:
-        row = self.flow.sum(axis=1)
-        col = self.flow.sum(axis=0)
-        n = self.flow.shape[0]
-        return (np.all(row <= 1 + atol) and np.all(col <= 1 + atol)
-                and abs(self.flow.sum() - n) <= atol * n)
-
-
-def transport_plan(a: np.ndarray, b: np.ndarray) -> TransportPlan:
+def emd_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean matched Euclidean distance between two equal-size clouds."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
@@ -51,15 +32,7 @@ def transport_plan(a: np.ndarray, b: np.ndarray) -> TransportPlan:
     diff = a[:, None, :] - b[None, :, :]
     cost = np.sqrt(np.sum(diff * diff, axis=2))
     rows, cols = linear_sum_assignment(cost)
-    flow = np.zeros_like(cost)
-    flow[rows, cols] = 1.0
-    return TransportPlan(flow, cost, float(cost[rows, cols].sum()))
-
-
-def emd_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean matched Euclidean distance between two equal-size clouds."""
-    plan = transport_plan(a, b)
-    return plan.total_cost / plan.flow.shape[0]
+    return float(cost[rows, cols].sum()) / cost.shape[0]
 
 
 # ---------------------------------------------------------------------------

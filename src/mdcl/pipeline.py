@@ -26,7 +26,7 @@ import numpy as np
 from mdcl import __version__
 from mdcl.activities import activity
 from mdcl.artifacts import ARTIFACTS, ActivityDir
-from mdcl.config import PipelineConfig, config_digest, serialize_config
+from mdcl.config import PipelineConfig, config_digest, drop_seed_keys, serialize_config
 from mdcl.corners import CornerSet, DetectorConfig, extract_corners, fuse_pc_rd
 from mdcl.echo import synth_frame
 from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
@@ -349,15 +349,17 @@ def sweep_noise(cfg: PipelineConfig,
     Lowers the image SNR of both squared maps by each configured drop,
     reruns detection and reports the earth mover's distance to the analytic
     truth per (activity, map, drop, seed).  A zero drop reproduces the
-    baseline exactly.
+    baseline exactly.  Drops that would share a noise draw (off the 0.1 dB
+    grid, or repeated) raise ``ValueError``.
     """
+    drops = cfg.snr_drops() if drops is None else drops
+    if 0.0 not in drops:
+        drops = [0.0] + list(drops)
+    keys = drop_seed_keys(drops)
     labels = [a for a in cfg.activity_list() if a != "S1"]
     if results is None:
         results = {label: run_activity(cfg, label, i)
                    for i, label in enumerate(cfg.activity_list())}
-    drops = cfg.snr_drops() if drops is None else drops
-    if 0.0 not in drops:
-        drops = [0.0] + list(drops)
     n_seeds = cfg.evaluation.sweep_seeds if n_seeds is None else n_seeds
     det = detector_config(cfg)
     rows: list[dict] = []
@@ -365,14 +367,14 @@ def sweep_noise(cfg: PipelineConfig,
         res = results[label]
         for which, pm, truth in (("r2tm", res.r2tm, res.truth.cloud_r),
                                  ("d2tm", res.d2tm, res.truth.cloud_d)):
-            for drop in drops:
+            for drop, key in zip(drops, keys):
                 seeds = [0] if drop == 0.0 else range(n_seeds)
                 for seed in seeds:
                     if drop == 0.0:
                         noisy = pm
                     else:
                         rng = np.random.Generator(np.random.Philox(
-                            np.random.SeedSequence((cfg.run.seed, seed, int(drop * 10)))))
+                            np.random.SeedSequence((cfg.run.seed, seed, key))))
                         data = add_image_noise(pm.data, drop, rng)
                         noisy = ProfileMap(normalize(data), pm.axis, pm.window)
                     cs = extract_corners(noisy, f"{label}/{which}", det)

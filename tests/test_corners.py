@@ -1,9 +1,15 @@
 """Corner detection and fusion tests on synthetic blob images."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter
 
-from mdcl.corners import (CornerSet, DetectorConfig, corner_response,
+from mdcl import corners
+from mdcl.corners import (Corner, CornerSet, DetectorConfig, corner_response,
                           extract_corners, fuse_pc_rd)
 from mdcl.maps import AxisSpec, ProfileMap
 
@@ -131,6 +137,85 @@ class TestExtract:
                [(c.row, c.col, c.response) for c in cs_b.corners]
 
 
+def oracle_pool(resp, radius, pool_size):
+    """Disk-footprint maximum filter over the whole map (reference NMS)."""
+    yy, xx = np.mgrid[-radius:radius + 1, -radius:radius + 1]
+    footprint = (yy * yy + xx * xx) <= radius * radius
+    peak = maximum_filter(resp, footprint=footprint, mode="constant", cval=0.0)
+    floor = 1e-9 * resp.max(initial=0.0)
+    rows, cols = np.nonzero((resp == peak) & (resp > floor))
+    order = np.lexsort((cols, rows, -resp[rows, cols]))[:pool_size]
+    return rows[order], cols[order]
+
+
+def oracle_extract(resp, map_id, cfg, k):
+    """Greedy top-k over the reference pool, padded like extract_corners."""
+    rows, cols = oracle_pool(resp, cfg.nms_radius, max(4 * k, 64))
+    accepted = []
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if all((r - ar) ** 2 + (c - ac) ** 2 >= cfg.nms_radius ** 2
+               for ar, ac, _ in accepted):
+            accepted.append((r, c, float(resp[r, c])))
+        if len(accepted) >= k:
+            break
+    nr, nc = resp.shape
+    found = [Corner(r, c, v, c / (nc - 1), r / (nr - 1)) for r, c, v in accepted]
+    found += corners._pad_corners(accepted, k - len(found), (nr, nc))
+    return CornerSet(tuple(found), map_id, (nr, nc))
+
+
+def ripple_on_ramp(shape):
+    """Period-3 ripple on a gentle ramp: most 3x3 maxima lose to a
+    neighbour further up the ramp inside the NMS disk."""
+    yy, xx = np.mgrid[0:shape[0], 0:shape[1]]
+    img = 0.02 * (yy + xx) + np.cos(yy * 2 * np.pi / 3) * np.cos(xx * 2 * np.pi / 3)
+    return img - img.min()
+
+
+def nms_map(kind, shape, rng):
+    if kind == "random":
+        return rng.random(shape)
+    if kind == "quantised":         # plateaus and exact ties
+        return np.round(rng.random(shape) * 3) / 3
+    if kind == "border":            # the strongest values on the border
+        img = 0.5 * rng.random(shape)
+        img[0, :] += rng.random(shape[1])
+        img[:, -1] += rng.random(shape[0])
+        return img
+    if kind == "zero":
+        return np.zeros(shape)
+    return ripple_on_ramp(shape)
+
+
+class TestLazyNms:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           kind=st.sampled_from(["random", "quantised", "border", "zero", "ramp"]),
+           shape=st.tuples(st.integers(3, 48), st.integers(3, 48)),
+           radius=st.integers(1, 9), k=st.sampled_from([1, 30, 64]))
+    def test_matches_disk_filter_oracle(self, seed, kind, shape, radius, k):
+        resp = nms_map(kind, shape, np.random.default_rng(seed))
+        cfg = replace(CFG, nms_radius=radius)
+        pool = corners._nms_pool(resp, radius, max(4 * k, 64))
+        expected = oracle_pool(resp, radius, max(4 * k, 64))
+        assert np.array_equal(pool[0], expected[0])
+        assert np.array_equal(pool[1], expected[1])
+        cs = extract_corners(as_map(np.zeros(shape)), "m", cfg, k=k, response=resp)
+        assert cs == oracle_extract(resp, "m", cfg, k)
+        if kind == "zero":
+            assert all(c.padded for c in cs.corners)
+        else:
+            assert len(cs) == k
+
+    @pytest.mark.parametrize("kind", ["noisy", "ramp"])
+    def test_full_detector_matches_oracle(self, kind):
+        rng = np.random.default_rng(11)
+        img = (rng.random((160, 160)) + blob_image([(40, 50), (110, 120)], (160, 160))
+               if kind == "noisy" else ripple_on_ramp((160, 160)))
+        resp = corner_response(img, CFG)
+        assert extract_corners(as_map(img), "m", CFG) == oracle_extract(resp, "m", CFG, 30)
+
+
 class TestFusion:
     def _sets(self, n_rows=128, n_cols=128):
         img = blob_image([(40 + (17 * k) % 60, (4 * k + 7) % n_cols)
@@ -176,7 +261,6 @@ class TestFusion:
         img[20, :] = 1.0
         img[40, :] = 1.0
         d2 = as_map(img, kind="doppler_sq")
-        from mdcl.corners import Corner
         pc_r = CornerSet(tuple(Corner(1, c, 1.0, c / 63, 1 / 63)
                                for c in range(0, 60, 2)), "r", (64, 64))
         pc_d = CornerSet(tuple(Corner(1, c, 1.0, c / 63, 1 / 63)

@@ -7,7 +7,7 @@ import pytest
 
 from mdcl import artifacts, pipeline
 from mdcl.cli import main
-from mdcl.config import serialize_config
+from mdcl.config import drop_seed_keys, serialize_config
 from mdcl.fileio import read_matrix
 from mdcl.groundtruth import groundtruth_corners
 from mdcl.pipeline import run_activity, run_pipeline, sweep_noise, sweep_summary
@@ -149,6 +149,25 @@ class TestSweep:
         assert base[1]["emd"] == pytest.approx(results["S8"].metrics["emd_d"])
         summary = sweep_summary(rows)
         assert set(summary) == {0.0, 4.0}
+
+    @pytest.mark.parametrize("drops", ["4.0,4.05", "4,4.0"])
+    def test_drops_sharing_a_noise_draw_rejected(self, tmp_path, drops):
+        """Off-grid or repeated drops would reuse one noise seed key."""
+        cfg = small_config()
+        cfg.evaluation.snr_drops_db = drops
+        with pytest.raises(ValueError, match="snr_drops_db"):
+            cfg.validate()
+        path = tmp_path / "config.txt"
+        path.write_text(serialize_config(cfg), encoding="utf-8")
+        assert main(["sweep-noise", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match="SNR drops"):
+            sweep_noise(small_config(), {}, drops=cfg.snr_drops())
+
+    def test_drop_seed_keys_are_tenths_of_a_db(self):
+        # the keys of the default drops are those int(drop * 10) gave
+        assert drop_seed_keys([0.0, 4.0, 8.0, 12.0, 0.3, 0.7]) == [0, 40, 80, 120, 3, 7]
 
 
 class TestCli:
