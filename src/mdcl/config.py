@@ -84,7 +84,6 @@ class NoiseSection:
 
 @dataclass
 class PreprocessingSection:
-    dtm_sum_mode: str = "complex"
     predecimate_rows: int = 128
     emd_max_imfs: int = 8
     emd_sd_stop: float = 0.3
@@ -152,9 +151,6 @@ class PipelineConfig:
                             ("radar.fast_samples", r.fast_samples)):
             if value < 2:
                 raise ConfigError(f"{name} must be >= 2, got {value}")
-        if self.preprocessing.dtm_sum_mode not in ("complex", "magnitude"):
-            raise ConfigError(
-                "preprocessing.dtm_sum_mode must be 'complex' or 'magnitude'")
         if self.detector.render_rows < 64:
             raise ConfigError("detector.render_rows must be >= 64")
         labels = self.activity_list()

@@ -238,23 +238,18 @@ def extract_corners(pm: ProfileMap, map_id: str,
 
 def _pad_corners(anchors: list[tuple[int, int, float]], need: int,
                  shape: tuple[int, int]) -> list[Corner]:
-    """Deterministic jittered duplicates; a center-anchored grid when the
-    map yielded no maxima at all (flat input)."""
+    """Deterministic jittered duplicates; a center-anchored 5x6 grid when the
+    map yielded no maxima at all (flat input), jittered past 30."""
     if need <= 0:
         return []
     nr, nc = shape
-    out: list[Corner] = []
     if not anchors:
-        grid_r = np.linspace(0.2, 0.8, 5)
-        grid_c = np.linspace(0.1, 0.9, 6)
-        for r in grid_r:
-            for c in grid_c:
-                row, col = int(round(r * (nr - 1))), int(round(c * (nc - 1)))
-                out.append(Corner(row, col, 0.0, col / (nc - 1), row / (nr - 1),
-                                  padded=True))
-                if len(out) >= need:
-                    return out
-        return out[:need]
+        grid = [(int(round(r * (nr - 1))), int(round(c * (nc - 1))), 0.0)
+                for r in np.linspace(0.2, 0.8, 5) for c in np.linspace(0.1, 0.9, 6)]
+        out = [Corner(row, col, v, col / (nc - 1), row / (nr - 1), padded=True)
+               for row, col, v in grid[:need]]
+        return out + _pad_corners(grid, need - len(out), shape)
+    out: list[Corner] = []
     i = 0
     while len(out) < need:
         r0, c0, v = anchors[i % len(anchors)]

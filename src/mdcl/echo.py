@@ -77,10 +77,6 @@ class RadarConfig:
         """Range per beat-spectrum bin: c / 2B."""
         return C_LIGHT / (2.0 * self.bandwidth)
 
-    def beat_bin(self, one_way_range: float) -> float:
-        """Fractional beat-spectrum bin of a scatterer at the given range."""
-        return one_way_range / self.range_bin
-
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -127,19 +123,6 @@ def node_delays(node: NodeId, p: SceneParams, act: ActivitySpec,
     """Stop-and-hop two-way delays, one per PRI."""
     t_slow = np.arange(cfg.slow_samples) * cfg.pri
     return 2.0 * node_distance(node, p, act, t_slow) / C_LIGHT
-
-
-def synth_node_echo(node: NodeId, p: SceneParams, act: ActivitySpec,
-                    cfg: RadarConfig, m: int) -> np.ndarray:
-    """Fast-time base-band row of one node in PRI ``m``."""
-    if not 0 <= m < cfg.slow_samples:
-        raise ValueError(f"PRI index {m} outside [0, {cfg.slow_samples})")
-    eta = cfg.reflectivity.get(node, 0.0)
-    amp = 0.5 * eta * cfg.tx_amplitude ** 2
-    if amp == 0.0 or act.node(node).state is MotionState.INACTIVE:
-        return np.zeros(cfg.fast_samples, dtype=complex)
-    tau = 2.0 * node_distance(node, p, act, np.array([m * cfg.pri])) / C_LIGHT
-    return _beat_rows(cfg, amp, tau)[0]
 
 
 def wall_clutter(cfg: RadarConfig, p: SceneParams) -> np.ndarray:

@@ -33,7 +33,7 @@ from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
 from mdcl.maps import ProfileMap, normalize
 from mdcl.metrics import add_image_noise, emd_distance, psnr
 from mdcl.preprocess import preprocess_frame
-from mdcl.squaring import decimate_rows, resample_rows, square_doppler_axis, square_range_axis
+from mdcl.squaring import decimate_rows, render_squared
 
 
 class StageError(RuntimeError):
@@ -60,9 +60,8 @@ def square_maps(cfg: PipelineConfig, rtm: ProfileMap,
     """Decimate, square and render both maps onto the detection grid."""
     pre = cfg.preprocessing.predecimate_rows
     rows = cfg.detector.render_rows
-    r2 = resample_rows(square_range_axis(decimate_rows(rtm, pre)), rows)
-    d2 = resample_rows(square_doppler_axis(decimate_rows(dtm, pre)), rows)
-    return r2, d2
+    return (render_squared(decimate_rows(rtm, pre), rows),
+            render_squared(decimate_rows(dtm, pre), rows))
 
 
 def evaluate_activity(cfg: PipelineConfig, label: str,
@@ -117,9 +116,7 @@ def _simulate(job: Job):
 
 def _preprocess(job: Job, echo):
     """echo -> RTM and DTM"""
-    pre = job.cfg.preprocessing
-    return preprocess_frame(echo, sum_mode=pre.dtm_sum_mode,
-                            emd_params=pre.emd_params())
+    return preprocess_frame(echo, emd_params=job.cfg.preprocessing.emd_params())
 
 
 def _square(job: Job, rtm, dtm):

@@ -203,25 +203,18 @@ def stft_magnitude(x: np.ndarray, fs: float, window: int = STFT_WINDOW,
 
 
 def make_dtm(mti_complex: np.ndarray, window_s: float, *,
-             sum_mode: str = "complex",
              emd_params: tuple[int, float, int] = (MAX_IMFS, SD_STOP, MAX_SIFTS),
              ) -> ProfileMap:
     """Doppler-time map from the MTI-filtered range-compressed matrix.
 
-    All range cells are summed per slow-time instant (coherently by
-    default), EMD-denoised, and short-time Fourier transformed.  Rows span
+    All range cells are summed coherently per slow-time instant,
+    EMD-denoised, and short-time Fourier transformed.  Rows span
     the symmetric Doppler axis [-fs/2, fs/2).  Pass the uncropped matrix:
     the full-bin coherent sum collapses to the per-PRI leading fast-time
     sample, whose phase carries the node Doppler 2 fc v / c exactly; a
     cropped sum would pick up a range-migration bias.
     """
-    if sum_mode == "complex":
-        series = mti_complex.sum(axis=0)
-    elif sum_mode == "magnitude":
-        series = np.abs(mti_complex).sum(axis=0).astype(complex)
-    else:
-        raise ValueError(f"unknown sum_mode {sum_mode!r}")
-    series = emd_denoise(series, *emd_params)
+    series = emd_denoise(mti_complex.sum(axis=0), *emd_params)
     m = series.size
     fs = m / window_s
     mag = stft_magnitude(series, fs)
@@ -237,7 +230,7 @@ def make_rtm(mti_complex: np.ndarray, range_axis: AxisSpec, window_s: float,
     return ProfileMap(normalize(mag), range_axis, window_s)
 
 
-def preprocess_frame(frame: EchoFrame, *, sum_mode: str = "complex",
+def preprocess_frame(frame: EchoFrame, *,
                      emd_params: tuple[int, float, int] = (MAX_IMFS, SD_STOP,
                                                            MAX_SIFTS),
                      ) -> tuple[ProfileMap, ProfileMap]:
@@ -250,6 +243,5 @@ def preprocess_frame(frame: EchoFrame, *, sum_mode: str = "complex",
     mti = mti_filter(beat_spectrum(frame))
     cropped, range_axis = crop_range_rows(mti, frame.config)
     rtm = make_rtm(cropped, range_axis, frame.config.window, emd_params)
-    dtm = make_dtm(mti, frame.config.window, sum_mode=sum_mode,
-                   emd_params=emd_params)
+    dtm = make_dtm(mti, frame.config.window, emd_params=emd_params)
     return rtm, dtm

@@ -108,11 +108,6 @@ class SceneParams:
         vx, vy = self.initial_velocity
         return math.hypot(vx, vy)
 
-    @property
-    def wall_extra_path(self) -> float:
-        """One-way path added by the wall, 0 in free-space mode."""
-        return self.wall.extra_path if self.through_wall else 0.0
-
     def node_rest_height(self, node: NodeId) -> float:
         """Resting height above ground of a node in the neutral pose."""
         if node is NodeId.HEAD:

@@ -1,10 +1,12 @@
 """Vertical-axis squaring of RTM and DTM into R2TM and D2TM.
 
-Source row j (1-based) is replicated into output rows (j-1)^2+1 .. j^2,
-i.e. 2j-1 nearest-neighbor copies, which stretches the value axis onto
-squared coordinates.  The Doppler map is split at zero into two halves
-that are stretched outward, the negative half flipped back, and the two
-concatenated, preserving the sign symmetry of the axis.
+Source row j (0-based) fills squared rows j^2 .. (j+1)^2-1, i.e. 2j+1
+nearest-neighbor copies, which stretches the value axis onto squared
+coordinates.  The Doppler map is split at zero into two halves that are
+stretched outward, the negative half mirrored back, preserving the sign
+symmetry of the axis.  ``squared_source_rows`` is that rule;
+``render_squared`` gathers the squared map straight onto the detection
+grid without materialising the stretch.
 """
 
 from __future__ import annotations
@@ -14,50 +16,61 @@ import numpy as np
 from mdcl.maps import AxisSpec, ProfileMap, normalize
 
 
-def stretch_rows_squared(a: np.ndarray) -> np.ndarray:
-    """Replicate row j (0-based) of ``a`` into output rows j^2 .. (j+1)^2-1."""
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ValueError("need a 2-D array with at least one row")
-    src = np.floor(np.sqrt(np.arange(a.shape[0] ** 2))).astype(int)
-    return a[src]
+def _stretch(n: int) -> np.ndarray:
+    """Rows 0..n-1, row j repeated over squared rows j^2 .. (j+1)^2-1."""
+    j = np.arange(n)
+    return np.repeat(j, 2 * j + 1)
 
 
-def square_range_axis(rtm: ProfileMap, *, do_normalize: bool = True) -> ProfileMap:
-    """R2TM: piecewise-constant stretch of the range axis onto range^2."""
-    if rtm.data.size == 0:
-        raise ValueError("empty range-time map")
-    out = stretch_rows_squared(rtm.data)
-    if do_normalize:
-        out = normalize(out)
-    axis = AxisSpec("range_sq", 0.0, rtm.axis.hi ** 2, out.shape[0])
-    return ProfileMap(out, axis, rtm.window)
+def squared_source_rows(q: int, kind: str) -> np.ndarray:
+    """Source row of every squared row of a ``q``-row map of axis ``kind``.
 
-
-def square_doppler_axis(dtm: ProfileMap, *, do_normalize: bool = True) -> ProfileMap:
-    """D2TM: per-half squared stretch of the zero-centered Doppler axis.
-
-    For q source rows the output has 2*ceil(q/2)^2 rows.  With odd q the
-    center row joins the positive half and the outermost negative ring
-    stays zero (the pseudocode allocates zero-filled halves).
+    A range map has q^2 squared rows.  A Doppler map has 2*ceil(q/2)^2:
+    with odd q the center row joins the positive half and the outermost
+    negative ring, marked -1, stays zero.  The index is non-decreasing and
+    steps by at most one row.
     """
-    q = dtm.data.shape[0]
+    if kind == "range":
+        if q < 1:
+            raise ValueError("empty range-time map")
+        return _stretch(q)
+    if kind != "doppler":
+        raise ValueError(f"cannot square a {kind!r} axis")
     if q < 2:
         raise ValueError("need at least two Doppler rows")
     half = (q + 1) // 2
     center = q - half                     # first row of the positive half
-    neg_outward = dtm.data[center - 1::-1]      # rows center-1 .. 0
-    pos_outward = dtm.data[center:]             # rows center .. q-1
-    neg_sq = np.zeros((half * half, dtm.data.shape[1]), dtype=float)
-    pos_sq = stretch_rows_squared(pos_outward)
-    neg_part = stretch_rows_squared(neg_outward) if neg_outward.size else None
-    if neg_part is not None:
-        neg_sq[:neg_part.shape[0]] = neg_part
-    out = np.concatenate([neg_sq[::-1], pos_sq], axis=0)
-    if do_normalize:
-        out = normalize(out)
-    hi = dtm.axis.hi ** 2
-    axis = AxisSpec("doppler_sq", -hi, hi, out.shape[0])
-    return ProfileMap(out, axis, dtm.window)
+    neg = np.full(half * half, -1)
+    neg[:center * center] = center - 1 - _stretch(center)
+    return np.concatenate([neg[::-1], center + _stretch(half)])
+
+
+def render_squared(pm: ProfileMap, n_rows: int) -> ProfileMap:
+    """Squared, min-max normalised map rendered onto ``n_rows`` rows.
+
+    Each render row is the max over its block of squared rows (rows repeat
+    when upsampling).  The squared index is monotone, so a block is one
+    contiguous run of source rows; normalisation is monotone and commutes
+    with the max, so the source rows are normalised once, together with
+    the zero ring when there is one.
+    """
+    src = squared_source_rows(pm.rows, pm.axis.kind)
+    ring = int(src[0] < 0)
+    rows = pm.data
+    if ring:
+        rows = np.concatenate([np.zeros((1, pm.cols)), rows], axis=0)
+    rows = normalize(rows)
+    src = src + ring
+    edges = (np.arange(n_rows + 1) * src.size) // n_rows
+    first = src[edges[:-1]]
+    last = src[np.maximum(edges[1:], edges[:-1] + 1) - 1]
+    out = rows[first]
+    for step in range(1, int((last - first).max()) + 1):
+        np.maximum(out, rows[np.minimum(first + step, last)], out=out)
+    hi = pm.axis.hi ** 2
+    lo = 0.0 if pm.axis.kind == "range" else -hi
+    return ProfileMap(out, AxisSpec(pm.axis.kind + "_sq", lo, hi, n_rows),
+                      pm.window)
 
 
 def decimate_rows(pm: ProfileMap, max_rows: int) -> ProfileMap:
@@ -81,22 +94,3 @@ def decimate_rows(pm: ProfileMap, max_rows: int) -> ProfileMap:
     blocked = data.reshape(data.shape[0] // factor, factor, pm.cols).max(axis=1)
     axis = AxisSpec(pm.axis.kind, pm.axis.lo, pm.axis.hi, blocked.shape[0])
     return ProfileMap(blocked, axis, pm.window)
-
-
-def resample_rows(pm: ProfileMap, n_rows: int) -> ProfileMap:
-    """Render the value axis onto a fixed row grid (block max / repeat).
-
-    Corner coordinates are reported on this grid in normalized units, so
-    the resampling is transparent to downstream consumers.
-    """
-    src = pm.rows
-    if src == n_rows:
-        return pm
-    edges = (np.arange(n_rows + 1) * src) // n_rows
-    out = np.empty((n_rows, pm.cols), dtype=float)
-    for i in range(n_rows):
-        lo, hi = edges[i], max(edges[i + 1], edges[i] + 1)
-        block = pm.data[lo:min(hi, src)]
-        out[i] = block.max(axis=0) if block.size else pm.data[min(lo, src - 1)]
-    axis = AxisSpec(pm.axis.kind, pm.axis.lo, pm.axis.hi, n_rows)
-    return ProfileMap(out, axis, pm.window)

@@ -23,7 +23,7 @@ from mdcl.metrics import emd_distance, psnr, verify_mncp
 from mdcl.motion import curve_models, node_velocity_sq
 from mdcl.preprocess import beat_spectrum, crop_range_rows, mti_filter, preprocess_frame
 from mdcl.scene import NodeId, SceneParams
-from mdcl.squaring import square_doppler_axis, square_range_axis
+from mdcl.squaring import render_squared, squared_source_rows
 from mdcl.pipeline import sweep_noise, sweep_summary
 
 
@@ -44,25 +44,15 @@ def test_criterion_01_algorithm_conformance():
         return ProfileMap(col[:, None], AxisSpec("range", 0.0, float(col.size),
                                                  col.size), 4.0)
 
-    def doppler_map(col):
-        col = np.asarray(col, dtype=float)
-        return ProfileMap(col[:, None],
-                          AxisSpec("doppler", -col.size / 2.0, col.size / 2.0,
-                                   col.size), 4.0)
-
-    ok = square_range_axis(range_map([0.0, 1.0, 0.5])).data[:, 0].tolist() == \
+    ok = render_squared(range_map([0.0, 1.0, 0.5]), 9).data[:, 0].tolist() == \
         [0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5]
-    ok &= square_doppler_axis(doppler_map([1.0, 0.25, 0.5, 0.0]),
-                              do_normalize=False).data[:, 0].tolist() == \
+    col = np.array([1.0, 0.25, 0.5, 0.0])
+    ok &= col[squared_source_rows(col.size, "doppler")].tolist() == \
         [1.0, 1.0, 1.0, 0.25, 0.5, 0.0, 0.0, 0.0]
     for l in range(1, 65):
-        out = square_range_axis(range_map(np.linspace(0.0, 1.0, l)),
-                                do_normalize=False)
-        ok &= out.rows == l * l
+        ok &= squared_source_rows(l, "range").size == l * l
     for q in range(2, 65):
-        out = square_doppler_axis(doppler_map(np.linspace(0.0, 1.0, q)),
-                                  do_normalize=False)
-        ok &= out.rows == 2 * ((q + 1) // 2) ** 2
+        ok &= squared_source_rows(q, "doppler").size == 2 * ((q + 1) // 2) ** 2
     elapsed = time.perf_counter() - start
     report(1, "vertical-axis squaring conformance", ok and elapsed < 1.0,
            f"(exact stretch + row-count laws, {elapsed:.2f}s)")

@@ -37,9 +37,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("[radar]\nbogus_knob = 3\n")
 
-    @pytest.mark.parametrize("key", ["stft_window", "stft_hop", "stft_size"])
+    @pytest.mark.parametrize("key", ["stft_window", "stft_hop", "stft_size",
+                                     "dtm_sum_mode"])
     def test_removed_stft_keys_rejected(self, tmp_path, key):
-        text = f"[preprocessing]\n{key} = 512\n"
+        value = "complex" if key == "dtm_sum_mode" else "512"   # once accepted
+        text = f"[preprocessing]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(text)
         path = tmp_path / "config.txt"

@@ -204,8 +204,7 @@ class TestLazyNms:
         assert cs == oracle_extract(resp, "m", cfg, k)
         if kind == "zero":
             assert all(c.padded for c in cs.corners)
-        else:
-            assert len(cs) == k
+        assert len(cs) == k
 
     @pytest.mark.parametrize("kind", ["noisy", "ramp"])
     def test_full_detector_matches_oracle(self, kind):

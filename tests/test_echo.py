@@ -1,11 +1,13 @@
 """Echo synthesis tests: beat physics, SNR calibration, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mdcl.activities import activity
 from mdcl.echo import (NoiseConfig, RadarConfig, RadarConfigError, EchoFrame,
-                       synth_frame, synth_node_echo, wall_clutter, C_LIGHT)
+                       synth_frame, wall_clutter, C_LIGHT)
 from mdcl.scene import NodeId, SceneParams
 
 S8 = activity("S8")
@@ -19,9 +21,15 @@ def static_scene(x1=3.0):
 
 
 class TestNodeEcho:
+    @staticmethod
+    def head_row(p, eta=0.6, cfg=None):
+        # first PRI of a noise-free, wall-free frame holding only the head
+        cfg = cfg or RadarConfig()
+        cfg = replace(cfg, reflectivity={NodeId.HEAD: eta}, wall_reflectivity=0.0)
+        return synth_frame(p, S8, cfg, noise=None).data[0]
+
     def test_zero_reflectivity_zero_row(self):
-        cfg = RadarConfig(reflectivity={NodeId.HEAD: 0.0})
-        row = synth_node_echo(NodeId.HEAD, static_scene(), S8, cfg, 0)
+        row = self.head_row(static_scene(), eta=0.0)
         assert np.all(row == 0)
 
     def test_static_beat_bin(self):
@@ -30,7 +38,7 @@ class TestNodeEcho:
         tau = 2.0 * 3.0 / C_LIGHT
         expected_bin = round(cfg.fast_samples * cfg.chirp_rate * tau / cfg.fast_rate)
         assert expected_bin == 40
-        row = synth_node_echo(NodeId.HEAD, static_scene(), S8, cfg, 0)
+        row = self.head_row(static_scene(), cfg=cfg)
         assert int(np.argmax(np.abs(np.fft.fft(row)))) == expected_bin
 
     def test_wall_shifts_beat_bin(self):
@@ -38,20 +46,15 @@ class TestNodeEcho:
         cfg = RadarConfig()
         p = SceneParams(initial_position=(3.0, 0.0), initial_velocity=(0.0, 0.0),
                         radar_height=1.65, through_wall=True)
-        row = synth_node_echo(NodeId.HEAD, p, S8, cfg, 0)
+        row = self.head_row(p, cfg=cfg)
         shifted = (3.0 + 0.12 * (np.sqrt(6.0) - 1.0)) / cfg.range_bin
         assert int(np.argmax(np.abs(np.fft.fft(row)))) == round(shifted)
 
     def test_unambiguous_range_violation(self):
-        cfg = RadarConfig()
         p = SceneParams(initial_position=(1e6, 0.0), initial_velocity=(0.0, 0.0),
                         through_wall=False)
         with pytest.raises(RadarConfigError):
-            synth_node_echo(NodeId.HEAD, p, S8, cfg, 0)
-
-    def test_bad_pri_index(self):
-        with pytest.raises(ValueError):
-            synth_node_echo(NodeId.HEAD, static_scene(), S8, RadarConfig(), 1024)
+            self.head_row(p)
 
 
 class TestWallClutter:

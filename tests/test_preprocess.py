@@ -185,16 +185,6 @@ class TestDtm:
         assert dtm.cols == 512
         assert dtm.rows == 256      # power-of-two transform size
 
-    def test_sum_modes(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((8, 256)) + 1j * rng.standard_normal((8, 256))
-        a = make_dtm(x, 1.0, sum_mode="complex")
-        b = make_dtm(x, 1.0, sum_mode="magnitude")
-        assert a.data.shape == b.data.shape
-        assert not np.allclose(a.data, b.data)
-        with pytest.raises(ValueError):
-            make_dtm(x, 1.0, sum_mode="bogus")
-
 
 class TestNormalize:
     def test_affine(self):
