@@ -14,6 +14,7 @@ from pathlib import Path
 
 from mdcl.activities import activity_labels
 from mdcl.echo import NoiseConfig, RadarConfig
+from mdcl.preprocess import check_emd_params
 from mdcl.scene import NodeId, SceneParams, WallParams
 
 
@@ -151,6 +152,10 @@ class PipelineConfig:
                             ("radar.fast_samples", r.fast_samples)):
             if value < 2:
                 raise ConfigError(f"{name} must be >= 2, got {value}")
+        try:
+            check_emd_params(*self.preprocessing.emd_params())
+        except ValueError as exc:
+            raise ConfigError(f"preprocessing.{exc}") from exc
         if self.detector.render_rows < 64:
             raise ConfigError("detector.render_rows must be >= 64")
         labels = self.activity_list()

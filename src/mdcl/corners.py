@@ -131,12 +131,13 @@ def corner_response(pm: ProfileMap | np.ndarray,
     padded = np.pad(img, pad, mode="symmetric")
     _, fast, kernel_ffts = _kernel_ffts(cfg, padded.shape)
     img_fft = sfft.rfft2(padded, fast)
+    del padded
     r0, r1 = 2 * pad, 2 * pad + img.shape[0]
     c0, c1 = 2 * pad, 2 * pad + img.shape[1]
     sq_max = 0.0
     sq_all = []
     for kf in kernel_ffts:
-        conv = sfft.irfft2(img_fft * kf, fast)[r0:r1, c0:c1]
+        conv = sfft.irfft2(img_fft * kf, fast, overwrite_x=True)[r0:r1, c0:c1]
         sq = conv * conv
         sq_all.append(sq)
         sq_max = max(sq_max, float(sq.max(initial=0.0)))

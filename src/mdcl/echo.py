@@ -113,9 +113,12 @@ def _beat_rows(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> np.ndarra
         raise RadarConfigError(
             "delay exceeds the PRI: scatterer outside the unambiguous range")
     t_fast = np.arange(cfg.fast_samples) / cfg.fast_rate   # within-PRI time
-    phase = (cfg.carrier * tau - 0.5 * mu * tau * tau)[:, None] \
-        + mu * tau[:, None] * t_fast[None, :]
-    return amplitude * np.exp(2j * np.pi * phase)
+    phase = mu * tau[:, None] * t_fast[None, :]
+    phase += (cfg.carrier * tau - 0.5 * mu * tau * tau)[:, None]
+    rows = 2j * np.pi * phase
+    np.exp(rows, out=rows)
+    rows *= amplitude
+    return rows
 
 
 def node_delays(node: NodeId, p: SceneParams, act: ActivitySpec,
@@ -165,6 +168,7 @@ def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
         p_sig = float(np.mean(np.abs(signal) ** 2))
         reference = p_sig if p_sig > 0 else 1.0
         p_noise = reference * 10.0 ** (-noise.target_snr / 10.0)
-        data = data + np.sqrt(p_noise) * _noise_matrix(
-            cfg.slow_samples, cfg.fast_samples, noise.seed)
+        scaled = _noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed)
+        scaled *= np.sqrt(p_noise)
+        data += scaled
     return EchoFrame(data=data, config=cfg)

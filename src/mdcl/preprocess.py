@@ -3,12 +3,22 @@
 The chain is: per-PRI beat spectrum (fast-time DFT), two-pulse MTI along
 slow time in the complex domain, empirical-mode denoising, and an STFT of
 the coherently summed range cells for the Doppler-time map.
+
+Empirical-mode denoising (Huang et al. 1998) removes a sequence's first
+intrinsic mode when the sequence has at least three modes and that mode
+oscillates near Nyquist.  Every row of a map (or both parts of a complex
+sequence) is sifted in lockstep: each round finds the extrema of all
+active rows with one ``diff``, builds all their cubic envelopes from one
+block-tridiagonal banded solve, and evaluates them at every sample.  A
+row stops at its third mode, since nothing past it is read.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from mdcl.echo import EchoFrame
 from mdcl.maps import AxisSpec, ProfileMap, normalize
@@ -55,71 +65,178 @@ def mti_filter(rc_complex: np.ndarray) -> np.ndarray:
 SD_STOP = 0.3
 MAX_SIFTS = 10
 MAX_IMFS = 8
+DENOISE_MODES = 3       # a row is denoised only when it has this many modes
 
 
-def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = np.diff(x)
-    maxima = np.nonzero((d[:-1] > 0) & (d[1:] < 0))[0] + 1
-    minima = np.nonzero((d[:-1] < 0) & (d[1:] > 0))[0] + 1
-    return maxima, minima
+def check_emd_params(max_imfs: int, sd_stop: float, max_sifts: int) -> None:
+    """Reject EMD settings under which no row could ever be denoised."""
+    if max_imfs < 1:
+        raise ValueError(f"emd_max_imfs must be >= 1, got {max_imfs}")
+    if max_sifts < 1:
+        raise ValueError(f"emd_max_sifts must be >= 1, got {max_sifts}")
+    if not (math.isfinite(sd_stop) and sd_stop >= 0):
+        raise ValueError(f"emd_sd_stop must be finite and >= 0, got {sd_stop}")
 
 
-def _envelope(idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cubic envelope through extrema, anchored at the signal endpoints.
+def _envelope_means(h: np.ndarray, maxima: np.ndarray,
+                    minima: np.ndarray) -> np.ndarray:
+    """Mean of the cubic maxima and minima envelopes of every row of ``h``.
 
-    Anchoring keeps the spline interpolating (never extrapolating), which
-    stays bounded even when the first extremum sits far from an edge.
+    Each envelope is the not-a-knot cubic spline through a row's extrema,
+    anchored at the row's endpoints so it interpolates (never
+    extrapolates), which stays bounded even when the first extremum sits
+    far from an edge.  ``maxima`` / ``minima`` mark the interior extrema
+    (shape ``(rows, n - 2)``; at least two of each per row).
+
+    All ``2 * rows`` splines are one block-diagonal tridiagonal system:
+    each block holds the rows ``scipy.interpolate.CubicSpline`` builds for
+    one spline, and the couplings between consecutive blocks are zero, so
+    the single banded solve treats every block as on its own.  The
+    Hermite coefficients and the evaluation at every sample follow
+    ``CubicSpline`` and ``PPoly`` term by term, so the envelopes are the
+    ones a per-row ``CubicSpline`` gives, bit for bit.
     """
-    n = x.size
-    t = idx.astype(float)
-    v = x[idx]
-    if idx[0] != 0:
-        t = np.concatenate(([0.0], t))
-        v = np.concatenate(([x[0]], v))
-    if idx[-1] != n - 1:
-        t = np.concatenate((t, [float(n - 1)]))
-        v = np.concatenate((v, [x[-1]]))
-    return CubicSpline(t, v)(np.arange(n))
+    m, n = h.shape
+    knots = np.ones((2 * m, n), dtype=bool)
+    knots[:m, 1:-1] = maxima
+    knots[m:, 1:-1] = minima
+    rows, cols = np.nonzero(knots)
+    x = cols.astype(float)
+    y = h[rows % m, cols]
+    counts = np.count_nonzero(knots, axis=1)
+    ends = np.cumsum(counts) - 1
+    starts = ends - counts + 1
+
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    ab = np.empty((3, x.size))
+    b = np.empty(x.size)
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[2, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    s, e = starts, ends                     # not-a-knot end conditions
+    d = x[s + 2] - x[s]
+    ab[1, s] = dx[s + 1]
+    ab[0, s + 1] = d
+    b[s] = ((dx[s] + 2 * d) * dx[s + 1] * slope[s] + dx[s] ** 2 * slope[s + 1]) / d
+    d = x[e] - x[e - 2]
+    ab[1, e] = dx[e - 2]
+    ab[2, e - 1] = d
+    b[e] = (dx[e - 1] ** 2 * slope[e - 2]
+            + (2 * d + dx[e - 1]) * dx[e - 2] * slope[e - 1]) / d
+    ab[0, s] = 0.0                          # no coupling between blocks
+    ab[2, e] = 0.0
+    deriv = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+
+    t = (deriv[:-1] + deriv[1:] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - deriv[:-1]) / dx - t
+    # each sample's interval starts at the last knot at or before it; the
+    # last sample belongs to the last interval
+    interval = np.cumsum(knots, axis=1) - 1
+    interval[:, -1] -= 1
+    interval += starts[:, None]
+    u = np.arange(n) - x[interval]
+    env = deriv[interval] * u
+    env += y[interval]
+    u2 = u * u
+    env += c1[interval] * u2
+    u2 *= u
+    env += c0[interval] * u2
+    return 0.5 * (env[:m] + env[m:])
 
 
-def _sift_imf(x: np.ndarray, sd_stop: float, max_sifts: int) -> np.ndarray | None:
-    h = x
-    for _ in range(max_sifts):
-        maxima, minima = _extrema(h)
-        if maxima.size < 2 or minima.size < 2:
-            return None
-        mean = 0.5 * (_envelope(maxima, h) + _envelope(minima, h))
-        h_new = h - mean
-        denom = np.sum(h * h)
-        sd = np.sum((h - h_new) ** 2) / denom if denom > 0 else 0.0
-        h = h_new
-        if sd < sd_stop:
-            break
-    return h
+def _first_modes(x: np.ndarray, max_imfs: int = MAX_IMFS, sd_stop: float = SD_STOP,
+                 max_sifts: int = MAX_SIFTS) -> tuple[np.ndarray, np.ndarray]:
+    """First intrinsic mode of each row and the row's mode count.
 
-
-def emd_imfs(x: np.ndarray, max_imfs: int = MAX_IMFS, sd_stop: float = SD_STOP,
-             max_sifts: int = MAX_SIFTS) -> list[np.ndarray]:
-    """Intrinsic mode functions by cubic-envelope sifting.
-
-    Extraction stops when the residue is monotone or carries a negligible
-    fraction of the input energy (so single-component signals yield a
-    single mode instead of numerical-noise modes).
+    Cubic-envelope sifting, all rows in lockstep: each round makes one
+    sift of every row still active.  A mode ends when its sift changes
+    it by less than ``sd_stop`` (relative energy) or after ``max_sifts``
+    sifts.  A row stops when its residue carries a negligible fraction of
+    the input energy, when a sift finds fewer than two maxima or minima
+    (that mode does not count), or once it has ``min(max_imfs,
+    DENOISE_MODES)`` modes: nothing past the third mode is read.
     """
-    residue = np.asarray(x, dtype=float).copy()
-    total = float(np.sum(residue * residue))
-    imfs: list[np.ndarray] = []
-    if total == 0.0:
-        return imfs
-    for _ in range(max_imfs):
-        if np.sum(residue * residue) < 1e-10 * total:
+    check_emd_params(max_imfs, sd_stop, max_sifts)
+    residue = np.array(x, dtype=float)
+    n_rows = residue.shape[0]
+    total = np.sum(residue * residue, axis=1)
+    first = np.zeros_like(residue)
+    n_modes = np.zeros(n_rows, dtype=int)
+    sifts = np.zeros(n_rows, dtype=int)
+    target = min(max_imfs, DENOISE_MODES)
+    active = total != 0.0
+    h = residue.copy()
+    while np.any(active):
+        idx = np.flatnonzero(active)
+        hi = h[idx]
+        d = np.diff(hi, axis=1)
+        maxima = (d[:, :-1] > 0) & (d[:, 1:] < 0)
+        minima = (d[:, :-1] < 0) & (d[:, 1:] > 0)
+        ok = ((np.count_nonzero(maxima, axis=1) >= 2)
+              & (np.count_nonzero(minima, axis=1) >= 2))
+        active[idx[~ok]] = False
+        idx, hi = idx[ok], hi[ok]
+        if idx.size == 0:
             break
-        imf = _sift_imf(residue, sd_stop, max_sifts)
-        if imf is None:
-            break
-        imfs.append(imf)
-        residue = residue - imf
-    return imfs
+        h_new = hi - _envelope_means(hi, maxima[ok], minima[ok])
+        denom = np.sum(hi * hi, axis=1)
+        change = np.sum((hi - h_new) ** 2, axis=1)
+        sd = np.divide(change, denom, out=np.zeros_like(denom), where=denom > 0)
+        h[idx] = h_new
+        sifts[idx] += 1
+        done = (sd < sd_stop) | (sifts[idx] == max_sifts)
+        idx, imf = idx[done], h_new[done]
+        is_first = n_modes[idx] == 0
+        first[idx[is_first]] = imf[is_first]
+        n_modes[idx] += 1
+        res = residue[idx] - imf
+        residue[idx] = res
+        stop = ((n_modes[idx] >= target)
+                | (np.sum(res * res, axis=1) < 1e-10 * total[idx]))
+        active[idx[stop]] = False
+        idx = idx[~stop]
+        h[idx] = residue[idx]
+        sifts[idx] = 0
+    return first, n_modes
+
+
+def _near_nyquist(imfs: np.ndarray, max_spacing: float = 3.0) -> np.ndarray:
+    """Per row: True when the mode oscillates like broadband noise.
+
+    Broadband noise sifts into a first mode whose zero crossings sit about
+    two to three samples apart; a resolvable signal component crosses far
+    less often.  Gating the first-mode removal on this keeps
+    single-component inputs intact.  Zeros do not break a crossing.
+    """
+    rows, cols = np.nonzero(imfs)
+    positive = imfs[rows, cols] > 0
+    flips = (rows[1:] == rows[:-1]) & (positive[1:] != positive[:-1])
+    crossings = np.bincount(rows[1:][flips], minlength=imfs.shape[0])
+    with np.errstate(divide="ignore"):
+        spacing = imfs.shape[1] / crossings
+    return (crossings > 0) & (spacing <= max_spacing)
+
+
+def _denoise_block(x: np.ndarray, max_imfs: int, sd_stop: float,
+                   max_sifts: int) -> np.ndarray:
+    """Each row of a real 2-D block with its first mode removed.
+
+    Rows that decompose into fewer than 3 modes, or whose first mode does
+    not oscillate near Nyquist, are returned unchanged.
+    """
+    if x.shape[1] < 8:
+        raise ValueError("EMD expects rows of length >= 8")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("EMD input must be finite")
+    first, n_modes = _first_modes(x, max_imfs, sd_stop, max_sifts)
+    out = x.astype(float, copy=True)
+    drop = (n_modes >= DENOISE_MODES) & _near_nyquist(first)
+    out[drop] -= first[drop]
+    return out
 
 
 def emd_denoise(signal: np.ndarray, max_imfs: int = MAX_IMFS,
@@ -127,47 +244,24 @@ def emd_denoise(signal: np.ndarray, max_imfs: int = MAX_IMFS,
     """Drop the first intrinsic mode (the noise-dominated one).
 
     Applies to real or complex 1-D sequences; complex input is denoised
-    component-wise.  Sequences that decompose into fewer than 3 modes, or
-    whose first mode does not oscillate near Nyquist, are returned
-    unchanged.
+    component-wise (both parts sifted as one block).  Sequences that
+    decompose into fewer than 3 modes, or whose first mode does not
+    oscillate near Nyquist, are returned unchanged.
     """
     x = np.asarray(signal)
     if x.ndim != 1 or x.size < 8:
         raise ValueError("emd_denoise expects a 1-D sequence of length >= 8")
-    if not np.all(np.isfinite(x.view(float) if np.iscomplexobj(x) else x)):
-        raise ValueError("emd_denoise input must be finite")
     if np.iscomplexobj(x):
-        return (emd_denoise(x.real, max_imfs, sd_stop, max_sifts)
-                + 1j * emd_denoise(x.imag, max_imfs, sd_stop, max_sifts))
-    imfs = emd_imfs(x, max_imfs, sd_stop, max_sifts)
-    if len(imfs) < 3 or not _near_nyquist(imfs[0]):
-        return x.astype(float, copy=True)
-    return x - imfs[0]
-
-
-def _near_nyquist(imf: np.ndarray, max_spacing: float = 3.0) -> bool:
-    """True when a mode oscillates like broadband noise.
-
-    Broadband noise sifts into a first mode whose zero crossings sit about
-    two to three samples apart; a resolvable signal component crosses far
-    less often.  Gating the first-mode removal on this keeps
-    single-component inputs intact.
-    """
-    signs = np.sign(imf)
-    signs = signs[signs != 0]
-    crossings = int(np.count_nonzero(signs[1:] != signs[:-1]))
-    if crossings == 0:
-        return False
-    return imf.size / crossings <= max_spacing
+        parts = _denoise_block(np.stack((x.real, x.imag)), max_imfs, sd_stop,
+                               max_sifts)
+        return parts[0] + 1j * parts[1]
+    return _denoise_block(x[None, :], max_imfs, sd_stop, max_sifts)[0]
 
 
 def denoise_rows(a: np.ndarray, max_imfs: int = MAX_IMFS,
                  sd_stop: float = SD_STOP, max_sifts: int = MAX_SIFTS) -> np.ndarray:
     """Row-wise EMD denoising of a real map, clipped at zero."""
-    out = np.empty_like(a, dtype=float)
-    for i in range(a.shape[0]):
-        out[i] = emd_denoise(a[i], max_imfs, sd_stop, max_sifts)
-    return np.clip(out, 0.0, None)
+    return np.clip(_denoise_block(a, max_imfs, sd_stop, max_sifts), 0.0, None)
 
 
 # ---------------------------------------------------------------------------

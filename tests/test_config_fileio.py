@@ -8,6 +8,7 @@ from mdcl.config import (ConfigError, PipelineConfig, config_digest,
                          parse_config, serialize_config)
 from mdcl.fileio import (MatrixFormatError, read_matrix, write_csv,
                          write_matrix, write_pgm)
+from mdcl.preprocess import emd_denoise
 
 
 class TestConfig:
@@ -49,6 +50,26 @@ class TestConfig:
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("emd_max_sifts", "0"), ("emd_sd_stop", "-1"), ("emd_max_imfs", "-2"),
+        ("emd_max_imfs", "0"), ("emd_sd_stop", "nan"), ("emd_sd_stop", "inf")])
+    def test_emd_settings_that_never_denoise_rejected(self, tmp_path, key, value):
+        """With 0 sifts the whole residue is the first mode; with no modes,
+        or a stop no sift can reach or always reaches, nothing is denoised."""
+        text = f"[preprocessing]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"preprocessing.{key}"):
+            parse_config(text)
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        params = dict(zip(("max_imfs", "sd_stop", "max_sifts"),
+                          PipelineConfig().preprocessing.emd_params()))
+        params[key.removeprefix("emd_")] = float(value)
+        with pytest.raises(ValueError, match=key):
+            emd_denoise(np.arange(16.0) % 3, **params)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from mdcl.activities import activity
+from mdcl.config import PipelineConfig
 from mdcl.echo import C_LIGHT, EchoFrame, NoiseConfig, RadarConfig, synth_frame
 from mdcl.maps import normalize
-from mdcl.preprocess import (beat_spectrum, crop_range_rows, emd_denoise,
-                             emd_imfs, make_dtm, mti_filter, preprocess_frame)
+from mdcl.preprocess import (_first_modes, beat_spectrum, crop_range_rows,
+                             denoise_rows, emd_denoise, make_dtm, mti_filter,
+                             preprocess_frame)
 from mdcl.scene import NodeId, SceneParams
 
 S8 = activity("S8")
@@ -104,6 +109,181 @@ class TestMti:
             mti_filter(np.zeros((4, 1), dtype=complex))
 
 
+# ---------------------------------------------------------------------------
+# per-row CubicSpline EMD: the reference the lockstep sifting must equal
+# ---------------------------------------------------------------------------
+
+def oracle_extrema(x):
+    d = np.diff(x)
+    maxima = np.nonzero((d[:-1] > 0) & (d[1:] < 0))[0] + 1
+    minima = np.nonzero((d[:-1] < 0) & (d[1:] > 0))[0] + 1
+    return maxima, minima
+
+
+def oracle_envelope(idx, x):
+    """Cubic spline through the extrema, anchored at the endpoints."""
+    n = x.size
+    t = idx.astype(float)
+    v = x[idx]
+    if idx[0] != 0:
+        t = np.concatenate(([0.0], t))
+        v = np.concatenate(([x[0]], v))
+    if idx[-1] != n - 1:
+        t = np.concatenate((t, [float(n - 1)]))
+        v = np.concatenate((v, [x[-1]]))
+    return CubicSpline(t, v)(np.arange(n))
+
+
+def oracle_sift(x, sd_stop, max_sifts):
+    """(mode, sifts made); the mode is None when a sift finds too few extrema."""
+    h = x
+    for k in range(max_sifts):
+        maxima, minima = oracle_extrema(h)
+        if maxima.size < 2 or minima.size < 2:
+            return None, k
+        mean = 0.5 * (oracle_envelope(maxima, h) + oracle_envelope(minima, h))
+        h_new = h - mean
+        denom = np.sum(h * h)
+        sd = np.sum((h - h_new) ** 2) / denom if denom > 0 else 0.0
+        h = h_new
+        if sd < sd_stop:
+            return h, k + 1
+    return h, max_sifts
+
+
+def oracle_imfs(x, max_imfs=8, sd_stop=0.3, max_sifts=10):
+    """All modes of one row, and why the decomposition stopped."""
+    residue = np.asarray(x, dtype=float).copy()
+    total = float(np.sum(residue * residue))
+    imfs = []
+    if total == 0.0:
+        return imfs, "zero"
+    for _ in range(max_imfs):
+        if np.sum(residue * residue) < 1e-10 * total:
+            return imfs, "energy"
+        imf, sifts = oracle_sift(residue, sd_stop, max_sifts)
+        if imf is None:
+            return imfs, "extrema mid-mode" if sifts else "extrema"
+        imfs.append(imf)
+        residue = residue - imf
+    return imfs, "max_imfs"
+
+
+def oracle_near_nyquist(imf, max_spacing=3.0):
+    signs = np.sign(imf)
+    signs = signs[signs != 0]
+    crossings = int(np.count_nonzero(signs[1:] != signs[:-1]))
+    if crossings == 0:
+        return False
+    return imf.size / crossings <= max_spacing
+
+
+def oracle_denoise(x, max_imfs=8, sd_stop=0.3, max_sifts=10):
+    if np.iscomplexobj(x):
+        return (oracle_denoise(x.real, max_imfs, sd_stop, max_sifts)
+                + 1j * oracle_denoise(x.imag, max_imfs, sd_stop, max_sifts))
+    imfs, _ = oracle_imfs(x, max_imfs, sd_stop, max_sifts)
+    if len(imfs) < 3 or not oracle_near_nyquist(imfs[0]):
+        return x.astype(float, copy=True)
+    return x - imfs[0]
+
+
+ROW_KINDS = ("noise", "quantised", "zero", "constant", "tone", "chirp",
+             "sparse", "one_mode")
+
+
+def emd_row(kind, n, rng):
+    t = np.arange(n, dtype=float)
+    if kind == "noise":
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "quantised":             # plateaus and exact ties
+        return np.round(rng.standard_normal(n) * 1.5)
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "constant":
+        return np.full(n, rng.uniform(-5, 5))
+    if kind == "tone":
+        return np.sin(2 * np.pi * rng.uniform(0.02, 0.5) * t + rng.uniform(0, 6))
+    if kind == "chirp":                 # extrema often run out mid-mode
+        return np.sin(2 * np.pi * rng.uniform(0.001, 0.01) * t * t)
+    if kind == "sparse":
+        x = np.zeros(n)
+        x[rng.integers(0, n, 4)] = rng.standard_normal(4)
+        return x
+    # both envelopes are one parabola up to sign: the first mode is the
+    # whole row and the energy stop ends the decomposition
+    return (-1.0) ** t * t * (n - 1 - t) * rng.uniform(0.1, 10)
+
+
+def assert_matches_oracle(block, max_imfs=8, sd_stop=0.3, max_sifts=10):
+    """Lockstep modes and denoised rows equal the oracle's, row for row."""
+    first, n_modes = _first_modes(block, max_imfs, sd_stop, max_sifts)
+    stops = []
+    for row, got_first, got_modes in zip(block, first, n_modes):
+        imfs, stop = oracle_imfs(row, max_imfs, sd_stop, max_sifts)
+        stops.append(stop)
+        assert got_modes == min(len(imfs), 3)
+        if imfs:
+            assert np.array_equal(got_first, imfs[0])
+    expected = np.stack([oracle_denoise(row, max_imfs, sd_stop, max_sifts)
+                         for row in block])
+    assert np.array_equal(denoise_rows(block, max_imfs, sd_stop, max_sifts),
+                          np.clip(expected, 0.0, None))
+    return stops
+
+
+class TestLockstepEmd:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(8, 1024),
+           kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
+           max_imfs=st.integers(1, 8), max_sifts=st.integers(1, 10),
+           sd_stop=st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0]))
+    def test_matches_cubic_spline_oracle(self, seed, n, kinds, max_imfs,
+                                         max_sifts, sd_stop):
+        rng = np.random.default_rng(seed)
+        block = np.stack([emd_row(kind, n, rng) for kind in kinds])
+        for stop in assert_matches_oracle(block, max_imfs, sd_stop, max_sifts):
+            event(stop)
+
+    def test_rows_finish_in_different_rounds(self):
+        """One block holds every way a row stops, so its rows finish in
+        different rounds: all-zero rows before the first, constant rows in
+        the first, the one-mode row after one sift, noise rows after three
+        modes."""
+        rng = np.random.default_rng(3)
+        kinds = ROW_KINDS + ("chirp", "noise", "quantised")
+        block = np.stack([emd_row(kind, 96, rng) for kind in kinds])
+        stops = assert_matches_oracle(block)
+        assert {"zero", "extrema", "extrema mid-mode", "energy"} <= set(stops)
+        assert {0, 1, 3} <= set(_first_modes(block)[1].tolist())
+
+    @pytest.mark.parametrize("max_imfs", [1, 2, 3, 8])
+    def test_fewer_than_three_modes_left_unchanged(self, max_imfs):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(200)
+        imfs, _ = oracle_imfs(x)
+        assert len(imfs) >= 3
+        first, n_modes = _first_modes(x[None, :], max_imfs)
+        assert n_modes[0] == min(max_imfs, 3)
+        assert np.array_equal(first[0], imfs[0])
+        den = emd_denoise(x, max_imfs)
+        assert np.array_equal(den, oracle_denoise(x, max_imfs))
+        assert np.array_equal(den, x) == (max_imfs < 3)
+
+    def test_default_maps_match_oracle(self):
+        """Default config, all 12 activities: RTM rows and DTM series."""
+        cfg = PipelineConfig()
+        for i, label in enumerate(cfg.activity_list()):
+            frame = synth_frame(cfg.scene_params(), activity(label),
+                                cfg.radar_config(), cfg.noise_config(i))
+            mti = mti_filter(beat_spectrum(frame))
+            rows = np.abs(crop_range_rows(mti, frame.config)[0])
+            expected = np.stack([oracle_denoise(row) for row in rows])
+            assert np.array_equal(denoise_rows(rows), np.clip(expected, 0.0, None))
+            series = mti.sum(axis=0)
+            assert np.array_equal(emd_denoise(series), oracle_denoise(series))
+
+
 class TestEmdDenoise:
     def test_constant_unchanged(self):
         x = np.full(64, 3.25)
@@ -147,7 +327,10 @@ class TestEmdDenoise:
     def test_imf_count_bounded(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(1024)
-        assert len(emd_imfs(x)) <= 8
+        imfs, _ = oracle_imfs(x)
+        assert 3 <= len(imfs) <= 8
+        first, n_modes = _first_modes(x[None, :])
+        assert n_modes[0] == 3 and np.array_equal(first[0], imfs[0])
 
 
 class TestDtm:
