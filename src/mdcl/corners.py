@@ -3,7 +3,11 @@
 The detector convolves the map with a bank of second-order anisotropic
 Gaussian directional-derivative filters and combines the squared
 orientation responses through their geometric mean, which peaks on blobs
-and vanishes on straight ridges.  Non-maximum suppression finds the
+and vanishes on straight ridges.  The bank runs in float32 on the float64
+spectrum of the mean-removed map.  Its response differs from a float64
+bank's by at most 1e-4 of the peak response, and its corners differ only
+among maxima whose float64 responses tie within that tolerance (noise-free
+maps repeat features exactly).  Non-maximum suppression finds the
 strongest disk maxima of the response (pixels no neighbour within the NMS
 radius exceeds) lazily: 3x3 local maxima are sorted by response and tested
 against the full disk only until a fixed pool is full, so a noisy map
@@ -96,6 +100,8 @@ _KERNEL_FFT_CACHE: dict[tuple, tuple] = {}
 
 
 def _kernel_ffts(cfg: DetectorConfig, padded_shape: tuple[int, int]):
+    """The bank's transforms at ``padded_shape``: taken in float64, kept
+    as complex64 (half the memory; the bank runs in float32)."""
     key = (cfg, padded_shape)
     cached = _KERNEL_FFT_CACHE.get(key)
     if cached is None:
@@ -103,7 +109,7 @@ def _kernel_ffts(cfg: DetectorConfig, padded_shape: tuple[int, int]):
         k = kernels[0].shape[0]
         full = (padded_shape[0] + k - 1, padded_shape[1] + k - 1)
         fast = (sfft.next_fast_len(full[0]), sfft.next_fast_len(full[1]))
-        ffts = [sfft.rfft2(kern, fast) for kern in kernels]
+        ffts = [sfft.rfft2(kern, fast).astype(np.complex64) for kern in kernels]
         cached = (k, fast, ffts)
         _KERNEL_FFT_CACHE[key] = cached
     return cached
@@ -119,8 +125,13 @@ def corner_response(pm: ProfileMap | np.ndarray,
 
     Implemented as one FFT of the symmetric-padded map against a cached
     bank of kernel transforms (equivalent to per-kernel same-mode
-    convolution with reflected borders, so constant maps respond exactly
-    zero everywhere and edges grow no artificial gradients).
+    convolution with reflected borders, so edges grow no artificial
+    gradients).  The map's mean is removed and the map transformed in
+    float64: every kernel sums to zero, so the mean changes nothing in
+    exact arithmetic, and without it a constant map would not respond
+    exactly zero.  The spectrum is then rounded to complex64; the inverse
+    transforms, squares and geometric mean run in float32, and so does
+    the response returned.
     """
     img = pm.data if isinstance(pm, ProfileMap) else np.asarray(pm, dtype=float)
     support = _support(cfg)
@@ -128,20 +139,21 @@ def corner_response(pm: ProfileMap | np.ndarray,
         raise ValueError(
             f"map {img.shape} smaller than the {support}x{support} filter support")
     pad = (support - 1) // 2
-    padded = np.pad(img, pad, mode="symmetric")
+    padded = np.pad(img - img.mean(dtype=np.float64), pad, mode="symmetric")
     _, fast, kernel_ffts = _kernel_ffts(cfg, padded.shape)
-    img_fft = sfft.rfft2(padded, fast)
+    img_fft = sfft.rfft2(padded, fast).astype(np.complex64)
     del padded
     r0, r1 = 2 * pad, 2 * pad + img.shape[0]
     c0, c1 = 2 * pad, 2 * pad + img.shape[1]
-    sq_max = 0.0
+    sq_max = np.float32(0.0)
     sq_all = []
     for kf in kernel_ffts:
         conv = sfft.irfft2(img_fft * kf, fast, overwrite_x=True)[r0:r1, c0:c1]
         sq = conv * conv
         sq_all.append(sq)
-        sq_max = max(sq_max, float(sq.max(initial=0.0)))
-    eps = 1e-12 * sq_max + 1e-300
+        sq_max = max(sq_max, sq.max(initial=np.float32(0.0)))
+    # floored at float32's smallest normal, so a zero map takes no log(0)
+    eps = max(np.float32(1e-12) * sq_max, np.finfo(np.float32).tiny)
     # the rest runs in place; the first log term becomes the result
     for sq in sq_all:
         sq += eps
@@ -149,7 +161,7 @@ def corner_response(pm: ProfileMap | np.ndarray,
     log_sum = sq_all[0]
     for term in sq_all[1:]:
         log_sum += term
-    log_sum /= len(sq_all)
+    log_sum /= np.float32(len(sq_all))
     np.exp(log_sum, out=log_sum)
     log_sum -= eps
     return np.clip(log_sum, 0.0, None, out=log_sum)
@@ -179,7 +191,7 @@ def _nms_pool(resp: np.ndarray, radius: int,
     offsets = _disk_offsets(radius)
     nr, nc = resp.shape
     pad = max(radius, 1)
-    padded = np.zeros((nr + 2 * pad, nc + 2 * pad))
+    padded = np.zeros((nr + 2 * pad, nc + 2 * pad), dtype=resp.dtype)
     padded[pad:-pad, pad:-pad] = resp
     mask = resp > floor
     for dr, dc in offsets[np.abs(offsets).max(axis=1) == 1]:
@@ -210,12 +222,17 @@ _PAD_OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1
 
 def extract_corners(pm: ProfileMap, map_id: str,
                     cfg: DetectorConfig = DetectorConfig(),
-                    k: int | None = None,
-                    response: np.ndarray | None = None) -> CornerSet:
+                    k: int | None = None) -> CornerSet:
     """Top-k NMS corners, strongest first; padded with jittered duplicates
     of the strongest maxima when the map has fewer than k maxima."""
     k = cfg.corners if k is None else k
-    resp = corner_response(pm, cfg) if response is None else response
+    return _select_corners(corner_response(pm, cfg), map_id, cfg, k)
+
+
+def _select_corners(resp: np.ndarray, map_id: str, cfg: DetectorConfig,
+                    k: int) -> CornerSet:
+    """Greedy pass over the NMS pool: the k strongest maxima at least the
+    NMS radius apart, then padding up to k."""
     rows, cols = _nms_pool(resp, cfg.nms_radius, max(4 * k, 64))
 
     accepted: list[tuple[int, int, float]] = []
@@ -231,7 +248,7 @@ def extract_corners(pm: ProfileMap, map_id: str,
         if len(accepted) >= k:
             break
 
-    nr, nc = pm.data.shape
+    nr, nc = resp.shape
     corners = [Corner(r, c, v, c / (nc - 1), r / (nr - 1)) for r, c, v in accepted]
     corners += _pad_corners(accepted, k - len(corners), (nr, nc))
     return CornerSet(tuple(corners[:k]), map_id, (nr, nc))

@@ -337,6 +337,19 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
 # noise-robustness sweep
 # ---------------------------------------------------------------------------
 
+def degrade_map(cfg: PipelineConfig, pm: ProfileMap, drop: float, key: int,
+                seed: int) -> ProfileMap:
+    """``pm`` with its image SNR lowered by ``drop`` dB, renormalised.
+
+    The noise stream is keyed by (run seed, sweep seed, drop key), so it
+    depends on nothing else in the sweep.
+    """
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((cfg.run.seed, seed, key))))
+    return ProfileMap(normalize(add_image_noise(pm.data, drop, rng)),
+                      pm.axis, pm.window)
+
+
 def sweep_noise(cfg: PipelineConfig,
                 results: dict[str, ActivityResult] | None = None,
                 drops: list[float] | None = None,
@@ -355,8 +368,9 @@ def sweep_noise(cfg: PipelineConfig,
     keys = drop_seed_keys(drops)
     labels = [a for a in cfg.activity_list() if a != "S1"]
     if results is None:
+        # each label keeps its position in the run's list (its noise seed)
         results = {label: run_activity(cfg, label, i)
-                   for i, label in enumerate(cfg.activity_list())}
+                   for i, label in enumerate(cfg.activity_list()) if label in labels}
     n_seeds = cfg.evaluation.sweep_seeds if n_seeds is None else n_seeds
     det = detector_config(cfg)
     rows: list[dict] = []
@@ -367,13 +381,7 @@ def sweep_noise(cfg: PipelineConfig,
             for drop, key in zip(drops, keys):
                 seeds = [0] if drop == 0.0 else range(n_seeds)
                 for seed in seeds:
-                    if drop == 0.0:
-                        noisy = pm
-                    else:
-                        rng = np.random.Generator(np.random.Philox(
-                            np.random.SeedSequence((cfg.run.seed, seed, key))))
-                        data = add_image_noise(pm.data, drop, rng)
-                        noisy = ProfileMap(normalize(data), pm.axis, pm.window)
+                    noisy = pm if drop == 0.0 else degrade_map(cfg, pm, drop, key, seed)
                     cs = extract_corners(noisy, f"{label}/{which}", det)
                     emd = emd_distance(cs.uv(), truth)
                     rows.append({"activity": label, "map": which,

@@ -16,7 +16,6 @@ import pytest
 from mdcl.activities import activity
 from mdcl.cli import main
 from mdcl.config import PipelineConfig, serialize_config
-from mdcl.corners import DetectorConfig, corner_response
 from mdcl.echo import C_LIGHT, EchoFrame, RadarConfig, synth_frame
 from mdcl.maps import AxisSpec, ProfileMap
 from mdcl.metrics import emd_distance, psnr, verify_mncp

@@ -1,19 +1,25 @@
 """Corner detection and fusion tests on synthetic blob images."""
 
+import functools
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 from scipy.ndimage import maximum_filter
 
 from mdcl import corners
+from mdcl.config import drop_seed_keys
 from mdcl.corners import (Corner, CornerSet, DetectorConfig, corner_response,
                           extract_corners, fuse_pc_rd)
 from mdcl.maps import AxisSpec, ProfileMap
+from mdcl.pipeline import degrade_map, detector_config
 
 CFG = DetectorConfig()
+RESPONSE_TOL = 1e-4     # float32 bank against the float64 oracle, of the peak
 
 
 def blob_image(centers, shape=(200, 200), sigma=4.0, amps=None):
@@ -28,6 +34,27 @@ def blob_image(centers, shape=(200, 200), sigma=4.0, amps=None):
 def as_map(img, kind="range_sq"):
     lo = -1.0 if kind == "doppler_sq" else 0.0
     return ProfileMap(img, AxisSpec(kind, lo, 1.0, img.shape[0]), 4.0)
+
+
+@functools.lru_cache(maxsize=2)
+def oracle_kernel_ffts(cfg, fast):
+    return [sfft.rfft2(kern, fast) for kern in corners._kernels(cfg)]
+
+
+def oracle_response(img, cfg):
+    """The detector's response bank computed in float64 throughout."""
+    img = np.asarray(img, dtype=float)
+    pad = (corners._support(cfg) - 1) // 2
+    padded = np.pad(img, pad, mode="symmetric")
+    fast = tuple(sfft.next_fast_len(n + 2 * pad) for n in padded.shape)
+    img_fft = sfft.rfft2(padded, fast)
+    window = (slice(2 * pad, 2 * pad + img.shape[0]),
+              slice(2 * pad, 2 * pad + img.shape[1]))
+    squares = [sfft.irfft2(img_fft * kf, fast)[window] ** 2
+               for kf in oracle_kernel_ffts(cfg, fast)]
+    eps = 1e-12 * max(sq.max(initial=0.0) for sq in squares) + 1e-300
+    log_mean = sum(np.log(sq + eps) for sq in squares) / len(squares)
+    return np.clip(np.exp(log_mean) - eps, 0.0, None)
 
 
 class TestResponse:
@@ -57,6 +84,40 @@ class TestResponse:
     def test_small_map_rejected(self):
         with pytest.raises(ValueError):
             corner_response(np.zeros((8, 8)), CFG)
+
+    def test_zero_map_zero_response_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = corner_response(np.zeros((64, 64)), CFG)
+        assert resp.dtype == np.float32
+        assert not resp.any()
+
+    def test_matches_float64_oracle(self, clean_full_config, clean_results):
+        """Clean S2-S12 maps and S8's noisy sweep maps.  The response is
+        within RESPONSE_TOL of the oracle's peak, and each corner is the
+        oracle's pick of the same rank or one whose oracle response ties
+        that pick within the tolerance: noise-free maps repeat features
+        exactly, and rounding then orders the ties."""
+        cfg = clean_full_config
+        det = detector_config(cfg)
+        maps = {f"{label}/{which}": getattr(res, which)
+                for label, res in clean_results.items() for which in ("r2tm", "d2tm")}
+        drops = [4.0, 8.0, 12.0]
+        for drop, key in zip(drops, drop_seed_keys([0.0] + drops)[1:]):
+            for which in ("r2tm", "d2tm"):
+                pm = getattr(clean_results["S8"], which)
+                maps[f"S8/{which}/{drop:g}dB"] = degrade_map(cfg, pm, drop, key, 0)
+        for name, pm in maps.items():
+            r32 = corner_response(pm, det)
+            r64 = oracle_response(pm.data, det)
+            tol = RESPONSE_TOL * r64.max()
+            assert r32.dtype == np.float32, name
+            assert np.abs(r32 - r64).max() <= tol, name
+            got = [(c.row, c.col) for c in
+                   corners._select_corners(r32, name, det, det.corners).corners]
+            want = [(c.row, c.col) for c in
+                    corners._select_corners(r64, name, det, det.corners).corners]
+            assert all(abs(r64[g] - r64[w]) <= tol for g, w in zip(got, want)), name
 
 
 class TestExtract:
@@ -200,7 +261,7 @@ class TestLazyNms:
         expected = oracle_pool(resp, radius, max(4 * k, 64))
         assert np.array_equal(pool[0], expected[0])
         assert np.array_equal(pool[1], expected[1])
-        cs = extract_corners(as_map(np.zeros(shape)), "m", cfg, k=k, response=resp)
+        cs = corners._select_corners(resp, "m", cfg, k)
         assert cs == oracle_extract(resp, "m", cfg, k)
         if kind == "zero":
             assert all(c.padded for c in cs.corners)

@@ -150,6 +150,24 @@ class TestSweep:
         summary = sweep_summary(rows)
         assert set(summary) == {0.0, 4.0}
 
+    def test_clean_results_only_for_swept_activities(self, monkeypatch):
+        """Without results the sweep runs only the activities it sweeps,
+        each at its position in the run's list, as a full run would."""
+        cfg = small_config()
+        cfg.run.activities = "S1,S8"
+        cfg.validate()
+        calls = []
+
+        def recorded(cfg, label, index):
+            calls.append((label, index))
+            return run_activity(cfg, label, index)
+
+        monkeypatch.setattr(pipeline, "run_activity", recorded)
+        rows = sweep_noise(cfg, drops=[4.0], n_seeds=1)
+        assert calls == [("S8", 1)]
+        results = {"S8": run_activity(cfg, "S8", 1)}
+        assert rows == sweep_noise(cfg, results, drops=[4.0], n_seeds=1)
+
     @pytest.mark.parametrize("drops", ["4.0,4.05", "4,4.0"])
     def test_drops_sharing_a_noise_draw_rejected(self, tmp_path, drops):
         """Off-grid or repeated drops would reuse one noise seed key."""
