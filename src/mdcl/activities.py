@@ -34,9 +34,9 @@ class ActivityClass(Enum):
 class NodeMotion:
     """Motion state of a single node plus its parameter overrides.
 
-    Pendulum params: ``swing_angle`` (max deviation from vertical, rad),
-    ``phase`` (0 or pi inside the pendulum sine/cosine) and an optional
-    ``direction`` unit vector overriding the body motion direction.
+    Pendulum params: ``swing_angle`` (max deviation from vertical, rad) and
+    ``phase`` (0 or pi inside the pendulum sine/cosine); limbs swing along
+    the body motion direction.
 
     Sudden-acceleration params: ``drop`` (peak-to-peak height change, m),
     ``rise_first`` (True: starts low and rises; False: starts high) and
@@ -47,11 +47,9 @@ class NodeMotion:
     state: MotionState
     swing_angle: float | None = None
     phase: float = 0.0
-    direction: tuple[float, float] | None = None
     drop: float | None = None
     rise_first: bool = False
     span: tuple[float, float] = (0.0, 1.0)
-    velocity_scale: float = 1.0
 
 
 @dataclass(frozen=True)

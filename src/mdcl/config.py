@@ -226,11 +226,17 @@ class PipelineConfig:
             max_range=r.max_range_m,
         )
 
-    def noise_config(self, activity_index: int = 0) -> NoiseConfig:
+    def noise_config(self, label: str) -> NoiseConfig | None:
+        """Echo noise of one activity, or ``None`` when noise is off.
+
+        The seed is keyed by ``run.seed`` and the label's place in the
+        S1..S12 catalog, so an activity's noise does not depend on which
+        other activities run or in what order.
+        """
         if not self.noise.enabled:
-            return NoiseConfig(target_snr=None, seed=self.run.seed)
+            return None
         return NoiseConfig(target_snr=self.noise.target_snr_db,
-                           seed=self.run.seed * 1000 + activity_index)
+                           seed=self.run.seed * 1000 + activity_labels().index(label))
 
 
 # ---------------------------------------------------------------------------

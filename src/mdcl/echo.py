@@ -2,8 +2,9 @@
 
 Each PRI freezes the target delay (stop-and-hop) and emits the closed-form
 base-band beat signal; node echoes, a static wall return and complex white
-Gaussian noise sum into the frame.  The noise generator is seeded per frame
-and split per PRI, so serial and parallel synthesis agree bit for bit.
+Gaussian noise sum into the frame.  The noise is seeded per frame and drawn
+from one spawned stream per PRI.  One stream per frame would be faster, but
+it draws different noise and so changes every noisy artifact's digest.
 """
 
 from __future__ import annotations
@@ -83,11 +84,12 @@ class NoiseConfig:
     """Additive complex white Gaussian noise at a target SNR.
 
     ``target_snr`` is the ratio of summed node-echo power to noise power in
-    dB; ``None`` disables noise.  When the frame carries no node echo (empty
-    scene) the noise power falls back to 10^(-snr/10) of a unit reference.
+    dB.  When the frame carries no node echo (empty scene) the noise power
+    falls back to 10^(-snr/10) of a unit reference.  A frame without noise
+    gets no ``NoiseConfig`` at all.
     """
 
-    target_snr: float | None = -16.0
+    target_snr: float
     seed: int = 0
 
 
@@ -164,7 +166,7 @@ def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     """Full frame: node echoes + wall clutter + noise at the target SNR."""
     signal = _node_sum(p, act, cfg)
     data = signal + wall_clutter(cfg, p)[None, :]
-    if noise is not None and noise.target_snr is not None:
+    if noise is not None:
         p_sig = float(np.mean(np.abs(signal) ** 2))
         reference = p_sig if p_sig > 0 else 1.0
         p_noise = reference * 10.0 ** (-noise.target_snr / 10.0)

@@ -28,10 +28,6 @@ class AxisSpec:
         rows = np.floor(frac * self.n).astype(int)
         return np.clip(rows, 0, self.n - 1)
 
-    def row_to_value(self, row: int | np.ndarray) -> np.ndarray:
-        """Physical value at the lower edge of a row."""
-        return self.lo + (np.asarray(row, dtype=float) / self.n) * (self.hi - self.lo)
-
 
 @dataclass(frozen=True)
 class ProfileMap:

@@ -173,12 +173,11 @@ def _vertical_phase_chi_sq(motion, p, s, span_len, full_cycle):
     return _vertical_chi_sq(drop, t0, s)
 
 
-def node_distance_sq(node: NodeId, p: SceneParams, act: ActivitySpec,
-                     t, *, with_wall: bool | None = None):
+def node_distance_sq(node: NodeId, p: SceneParams, act: ActivitySpec, t):
     """Squared one-way propagation distance xi^2(t) in m^2.
 
-    ``t`` may be a scalar or array inside [0, window].  Through-wall mode
-    (the default when the scene has a wall) adds the refraction path to the
+    ``t`` may be a scalar or array inside [0, window].  In through-wall
+    scenes (``p.through_wall``) the refraction path is added to the
     unsquared distance before squaring.  Inactive nodes answer with their
     static initial-pose distance.
     """
@@ -187,8 +186,7 @@ def node_distance_sq(node: NodeId, p: SceneParams, act: ActivitySpec,
     ctx = _context(p, act)
     motion = act.node(node)
     out = _xi_sq_free(node, motion, p, ctx, act, t_arr)
-    use_wall = p.through_wall if with_wall is None else with_wall
-    wall = p.wall.extra_path if use_wall else 0.0
+    wall = p.wall.extra_path if p.through_wall else 0.0
     if wall > 0.0:
         out = (np.sqrt(out) + wall) ** 2
     if np.ndim(t) == 0:
@@ -288,10 +286,9 @@ def _combo_eval(node, motion, p, ctx, t, want, exact=False):
     return np.where(in_walk, walk, vert)
 
 
-def node_distance(node: NodeId, p: SceneParams, act: ActivitySpec, t,
-                  *, with_wall: bool | None = None):
+def node_distance(node: NodeId, p: SceneParams, act: ActivitySpec, t):
     """One-way distance xi(t) in meters."""
-    return np.sqrt(node_distance_sq(node, p, act, t, with_wall=with_wall))
+    return np.sqrt(node_distance_sq(node, p, act, t))
 
 
 def distance_slope_sign(node: NodeId, p: SceneParams, act: ActivitySpec, t):
@@ -489,29 +486,10 @@ class CurveModel:
                 for b in self.basis(nonlinear)]
         return np.column_stack(cols) if cols else np.zeros((ts.size, 0))
 
-    def gram_rank(self, samples: int = 512) -> int:
-        ts = np.linspace(0.0, self.window, samples)
-        a = self.design_matrix(ts)
-        return int(np.linalg.matrix_rank(a.T @ a))
-
-    def keypoints(self, count: int | None = None) -> list[float]:
-        return select_keypoints(self.value, self.window,
-                                self.mncp if count is None else count,
-                                derivative=self.derivative)
-
     def keypoints_detailed(self, count: int | None = None) -> list[tuple[float, str]]:
         return select_keypoints_detailed(self.value, self.window,
                                          self.mncp if count is None else count,
                                          derivative=self.derivative)
-
-
-def mncp_table(activity_class: ActivityClass) -> dict[str, list[int]]:
-    """Per-node minimum corner-point counts for the two canonical classes."""
-    if activity_class is ActivityClass.WALKING:
-        return {"r2": [3, 3, 6, 6, 6, 6], "d2": [1, 1, 5, 5, 5, 5]}
-    if activity_class is ActivityClass.IN_SITU:
-        return {"r2": [5] * 6, "d2": [5] * 6}
-    raise ValueError(f"no canonical corner-count table for {activity_class}")
 
 
 def groundtruth_counts(activity_class: ActivityClass) -> dict[str, list[int]]:

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -90,16 +90,11 @@ def evaluate_activity(cfg: PipelineConfig, label: str,
 # the stage table
 # ---------------------------------------------------------------------------
 
-class Job(NamedTuple):
-    cfg: PipelineConfig
-    label: str
-    index: int          # position in the run's activity list (noise seed)
-
-
 @dataclass(frozen=True)
 class Stage:
-    """Inputs and outputs are artifact names; ``fn(job, *input_values)``
-    returns the output values in order; its docstring is the CLI help."""
+    """Inputs and outputs are artifact names; ``fn(cfg, label,
+    *input_values)`` returns the output values in order; its docstring is
+    the CLI help."""
 
     name: str
     inputs: tuple[str, ...]
@@ -107,38 +102,37 @@ class Stage:
     fn: Callable[..., tuple]
 
 
-def _simulate(job: Job):
+def _simulate(cfg: PipelineConfig, label: str):
     """synthesize an echo frame"""
-    cfg = job.cfg
-    return (synth_frame(cfg.scene_params(), activity(job.label),
-                        cfg.radar_config(), cfg.noise_config(job.index)),)
+    return (synth_frame(cfg.scene_params(), activity(label),
+                        cfg.radar_config(), cfg.noise_config(label)),)
 
 
-def _preprocess(job: Job, echo):
+def _preprocess(cfg: PipelineConfig, label: str, echo):
     """echo -> RTM and DTM"""
-    return preprocess_frame(echo, emd_params=job.cfg.preprocessing.emd_params())
+    return preprocess_frame(echo, emd_params=cfg.preprocessing.emd_params())
 
 
-def _square(job: Job, rtm, dtm):
+def _square(cfg: PipelineConfig, label: str, rtm, dtm):
     """RTM/DTM -> squared-axis maps"""
-    return square_maps(job.cfg, rtm, dtm)
+    return square_maps(cfg, rtm, dtm)
 
 
-def _extract(job: Job, r2tm, d2tm):
+def _extract(cfg: PipelineConfig, label: str, r2tm, d2tm):
     """detect 30 corners per squared map"""
-    det = detector_config(job.cfg)
-    return (extract_corners(r2tm, f"{job.label}/r2tm", det),
-            extract_corners(d2tm, f"{job.label}/d2tm", det))
+    det = detector_config(cfg)
+    return (extract_corners(r2tm, f"{label}/r2tm", det),
+            extract_corners(d2tm, f"{label}/d2tm", det))
 
 
-def _fuse(job: Job, r2tm, d2tm, pc_r, pc_d):
+def _fuse(cfg: PipelineConfig, label: str, r2tm, d2tm, pc_r, pc_d):
     """fuse PC-R and PC-D into PC-RD"""
     return (fuse_pc_rd(pc_r, pc_d, r2tm, d2tm),)
 
 
-def _evaluate(job: Job, rtm, dtm, r2tm, d2tm, pc_r, pc_d):
+def _evaluate(cfg: PipelineConfig, label: str, rtm, dtm, r2tm, d2tm, pc_r, pc_d):
     """score corners against ground truth"""
-    return evaluate_activity(job.cfg, job.label, rtm.axis, dtm.axis,
+    return evaluate_activity(cfg, label, rtm.axis, dtm.axis,
                              r2tm, d2tm, pc_r, pc_d)
 
 
@@ -153,25 +147,28 @@ STAGES = (
 )
 
 
-def _apply(stage: Stage, job: Job, values: dict) -> dict:
+def _apply(stage: Stage, cfg: PipelineConfig, label: str, values: dict) -> dict:
     """A stage's outputs, each as its artifact file holds it."""
     try:
-        outs = stage.fn(job, *(values[name] for name in stage.inputs))
+        outs = stage.fn(cfg, label, *(values[name] for name in stage.inputs))
         return {name: ARTIFACTS[name].stored(value)
                 for name, value in zip(stage.outputs, outs, strict=True)}
     except Exception as exc:
-        raise StageError(stage.name, job.label, exc) from exc
+        raise StageError(stage.name, label, exc) from exc
 
 
-def run_activity(cfg: PipelineConfig, label: str,
-                 activity_index: int) -> ActivityResult:
-    """Full stage chain for one activity, kept in memory."""
-    job = Job(cfg, label, activity_index)
+def run_activity(cfg: PipelineConfig, label: str, _index=None) -> ActivityResult:
+    """Full stage chain for one activity, kept in memory.
+
+    ``_index`` is ignored: an activity's noise depends only on ``run.seed``
+    and its label.  It is accepted until ``perfbench/workloads.py`` stops
+    passing the activity's list position.
+    """
     values: dict = {}
     timings: dict[str, float] = {}
     for stage in STAGES:
         start = time.perf_counter()
-        values.update(_apply(stage, job, values))
+        values.update(_apply(stage, cfg, label, values))
         timings[stage.name] = time.perf_counter() - start
     return ActivityResult(label=label, timings=timings, **values)
 
@@ -185,10 +182,8 @@ def run_stage(cfg: PipelineConfig, out: Path, label: str,
     """
     stage = next(s for s in STAGES if s.name == name)
     root = Path(out) / label
-    labels = cfg.activity_list()
-    job = Job(cfg, label, labels.index(label) if label in labels else 0)
     values = {n: ARTIFACTS[n].read(root, n, cfg) for n in stage.inputs}
-    values.update(_apply(stage, job, values))
+    values.update(_apply(stage, cfg, label, values))
     d = ActivityDir(root, label, cfg.run.stage_dump)
     for name in stage.outputs:
         ARTIFACTS[name].write(d, name, values)
@@ -282,11 +277,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     workers = int(os.environ.get("MDCL_THREADS", "0")) or min(4, os.cpu_count() or 1)
     workers = max(1, min(workers, len(labels) or 1))
 
-    def one_activity(item) -> _JobOutcome:
-        idx, label = item
+    def one_activity(label: str) -> _JobOutcome:
         outcome = _JobOutcome(label, [])
         try:
-            res = run_activity(cfg, label, idx)
+            res = run_activity(cfg, label)
             try:
                 write_activity_artifacts(out / label, res, cfg.run.stage_dump,
                                          outcome.written)
@@ -299,10 +293,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
         return outcome
 
     if workers == 1:
-        outcomes = [one_activity(item) for item in enumerate(labels)]
+        outcomes = [one_activity(label) for label in labels]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_activity, enumerate(labels)))
+            outcomes = list(pool.map(one_activity, labels))
 
     failures = [o.error for o in outcomes if o.error is not None]
     status = "failed" if failures else "ok"
@@ -368,9 +362,7 @@ def sweep_noise(cfg: PipelineConfig,
     keys = drop_seed_keys(drops)
     labels = [a for a in cfg.activity_list() if a != "S1"]
     if results is None:
-        # each label keeps its position in the run's list (its noise seed)
-        results = {label: run_activity(cfg, label, i)
-                   for i, label in enumerate(cfg.activity_list()) if label in labels}
+        results = {label: run_activity(cfg, label) for label in labels}
     n_seeds = cfg.evaluation.sweep_seeds if n_seeds is None else n_seeds
     det = detector_config(cfg)
     rows: list[dict] = []

@@ -2,6 +2,7 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from mdcl.config import PipelineConfig
@@ -24,6 +25,11 @@ def small_config() -> PipelineConfig:
     return cfg
 
 
+def row_value(axis, row):
+    """Physical value at the lower edge of a map row (or array of rows)."""
+    return axis.lo + (np.asarray(row, dtype=float) / axis.n) * (axis.hi - axis.lo)
+
+
 @pytest.fixture
 def cfg_small() -> PipelineConfig:
     return small_config()
@@ -44,5 +50,4 @@ def clean_results(clean_full_config):
     from mdcl.pipeline import run_activity
 
     labels = [f"S{i}" for i in range(2, 13)]
-    return {label: run_activity(clean_full_config, label, i)
-            for i, label in enumerate(labels)}
+    return {label: run_activity(clean_full_config, label) for label in labels}

@@ -25,6 +25,8 @@ from mdcl.scene import NodeId, SceneParams
 from mdcl.squaring import render_squared, squared_source_rows
 from mdcl.pipeline import sweep_noise, sweep_summary
 
+from conftest import row_value
+
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
     state = "PASS" if ok else "FAIL"
@@ -145,7 +147,7 @@ def test_criterion_06_signal_physics():
     radar = RadarConfig(reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0,
                         pri=2.0 / 512, slow_samples=512, fast_samples=512)
     _, dtm = preprocess_frame(synth_frame(p, activity("S8"), radar, None))
-    freq = float(dtm.axis.row_to_value(int(np.argmax(dtm.data[:, 256]))))
+    freq = float(row_value(dtm.axis, int(np.argmax(dtm.data[:, 256]))))
     bin_hz = (dtm.axis.hi - dtm.axis.lo) / dtm.axis.n
     doppler_ok = abs(abs(freq) - 2 * radar.carrier * 1.0 / C_LIGHT) <= bin_hz
 

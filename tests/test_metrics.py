@@ -146,7 +146,7 @@ class TestCurveFitting:
 
     def test_hand_curve_reconstruction(self):
         model = curve_models(SceneParams())["walk_hand_r2"]
-        fit = fit_curve_model(model, model.keypoints())
+        fit = fit_curve_model(model, [t for t, _ in model.keypoints_detailed()])
         assert fit.grid_rms < 1e-6
 
     def test_noiseless_self_family_property(self):

@@ -7,13 +7,19 @@ import pytest
 
 from mdcl.activities import activity
 from mdcl.motion import (DegenerateCurveError, curve_models, groundtruth_counts,
-                         mncp_table, node_distance_sq, node_velocity_sq,
+                         node_distance_sq, node_velocity_sq,
                          select_keypoints, select_keypoints_detailed)
 from mdcl.scene import ALL_NODES, NodeId, SceneParams, WallParams
 from mdcl.activities import ActivityClass
 
 S8 = activity("S8")
 S5 = activity("S5")
+# curve family of each node, in the order head, torso, hands, feet
+NODE_FAMILIES = ("head", "torso", "hand", "hand", "foot", "foot")
+
+
+def keypoint_times(model):
+    return [t for t, _ in model.keypoints_detailed()]
 
 
 def scene(**kw):
@@ -195,7 +201,7 @@ class TestKeypoints:
         grid = np.linspace(0, 4, 40001)
         vals = d_chi_sq(grid)
         oracle_zeros = grid[:-1][np.sign(vals[:-1]) * np.sign(vals[1:]) < 0]
-        pts = model.keypoints()
+        pts = keypoint_times(model)
         assert len(pts) == 5
         assert pts[0] == 0.0 and pts[-1] == 4.0
         for t in pts[1:-1]:
@@ -204,12 +210,12 @@ class TestKeypoints:
     def test_in_situ_distance_keypoints_match_hand_derivation(self):
         # zeros of the first derivative: {2}; second derivative adds {2/3, 10/3}
         model = curve_models(SceneParams())["insitu_r2"]
-        pts = model.keypoints()
+        pts = keypoint_times(model)
         assert pts == pytest.approx([0.0, 2.0 / 3.0, 2.0, 10.0 / 3.0, 4.0], abs=1e-6)
 
     def test_in_situ_velocity_keypoints_uniform(self):
         model = curve_models(SceneParams())["insitu_d2"]
-        assert model.keypoints() == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0], abs=1e-8)
+        assert keypoint_times(model) == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0], abs=1e-8)
 
     def test_constant_curve_filled_equispaced(self):
         pts, kinds = zip(*select_keypoints_detailed(
@@ -220,7 +226,7 @@ class TestKeypoints:
     def test_strictly_increasing_and_count(self):
         p = SceneParams()
         for name, model in curve_models(p).items():
-            pts = model.keypoints()
+            pts = keypoint_times(model)
             assert len(pts) == model.mncp
             assert all(b - a > 1e-9 for a, b in zip(pts, pts[1:])), name
             if model.mncp >= 2 and model.kind == "r2":
@@ -233,14 +239,18 @@ class TestKeypoints:
 
 class TestTables:
     def test_mncp_walking(self):
-        table = mncp_table(ActivityClass.WALKING)
+        models = curve_models(SceneParams())
+        table = {kind: [models[f"walk_{family}_{kind}"].mncp for family in NODE_FAMILIES]
+                 for kind in ("r2", "d2")}
         assert table["r2"] == [3, 3, 6, 6, 6, 6]
         assert sum(table["r2"]) == 30
         assert table["d2"] == [1, 1, 5, 5, 5, 5]
         assert sum(table["d2"]) == 22
 
     def test_mncp_in_situ(self):
-        table = mncp_table(ActivityClass.IN_SITU)
+        models = curve_models(SceneParams())
+        table = {kind: [models[f"insitu_{kind}"].mncp] * len(NODE_FAMILIES)
+                 for kind in ("r2", "d2")}
         assert table["r2"] == [5] * 6
         assert table["d2"] == [5] * 6
         assert sum(table["d2"]) == 30
@@ -254,7 +264,8 @@ class TestTables:
 
     def test_gram_full_rank(self):
         for name, model in curve_models(SceneParams()).items():
-            assert model.gram_rank() == model.linear_count, name
+            a = model.design_matrix(np.linspace(0.0, model.window, 512))
+            assert np.linalg.matrix_rank(a.T @ a) == model.linear_count, name
 
 
 class TestSceneValidation:

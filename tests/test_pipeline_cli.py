@@ -4,13 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdcl import artifacts, pipeline
+from mdcl.activities import activity_labels
 from mdcl.cli import main
 from mdcl.config import drop_seed_keys, serialize_config
 from mdcl.fileio import read_matrix
 from mdcl.groundtruth import groundtruth_corners
-from mdcl.pipeline import run_activity, run_pipeline, sweep_noise, sweep_summary
+from mdcl.pipeline import (run_activity, run_pipeline, sweep_noise, sweep_summary,
+                           write_activity_artifacts)
 from conftest import small_config
 
 
@@ -121,7 +125,7 @@ class TestRunPipeline:
         assert manifest.status == "ok"
 
     def test_groundtruth_cardinality(self, cfg_small):
-        res = run_activity(cfg_small, "S8", 0)
+        res = run_activity(cfg_small, "S8")
         assert res.truth.cloud_r.shape == (30, 2)
         assert res.truth.cloud_d.shape == (30, 2)
         assert len(res.pc_r) == len(res.pc_d) == 30
@@ -136,13 +140,65 @@ class TestRunPipeline:
         assert np.array_equal(truth.cloud_r, truth.cloud_d)
 
 
+@pytest.fixture(scope="module")
+def full_catalog_s8(tmp_path_factory):
+    """S8's files from a noisy small-config run of the whole catalog."""
+    out = tmp_path_factory.mktemp("catalog")
+    cfg = small_config()
+    cfg.noise.enabled = True
+    cfg.validate()
+    assert run_pipeline(cfg, out).status == "ok"
+    return files_under(out / "S8")
+
+
+class TestNoiseKey:
+    """An activity's echo noise depends only on ``run.seed`` and its label."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(others=st.lists(st.sampled_from([a for a in activity_labels() if a != "S8"]),
+                           max_size=4, unique=True),
+           position=st.integers(0, 4),
+           threads=st.sampled_from(["1", "2"]))
+    def test_s8_artifacts_independent_of_run_list(self, full_catalog_s8,
+                                                  tmp_path_factory, others,
+                                                  position, threads):
+        labels = list(others)
+        labels.insert(min(position, len(labels)), "S8")
+        cfg = small_config()
+        cfg.noise.enabled = True
+        cfg.run.activities = ",".join(labels)
+        cfg.validate()
+        out = tmp_path_factory.mktemp("subset")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("MDCL_THREADS", threads)
+            assert run_pipeline(cfg, out).status == "ok"
+        assert files_under(out / "S8") == full_catalog_s8
+
+    def test_staged_simulate_outside_run_list(self, full_catalog_s8, tmp_path):
+        _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S5",
+                                                      "noise.enabled": True})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--activity", "S8"]) == 0
+        assert (out / "S8" / "echo.mdcm").read_bytes() == full_catalog_s8["echo.mdcm"]
+
+    def test_third_argument_ignored(self, tmp_path):
+        cfg = small_config()
+        cfg.noise.enabled = True
+        cfg.run.activities = "S8"
+        cfg.validate()
+        for name, args in (("plain", ()), ("indexed", (5,))):
+            write_activity_artifacts(tmp_path / name, run_activity(cfg, "S8", *args))
+        assert files_under(tmp_path / "indexed") == files_under(tmp_path / "plain")
+
+
 class TestSweep:
     def test_zero_drop_reproduces_baseline(self, cfg_small):
         cfg = small_config()
         cfg.run.activities = "S8"
         cfg.evaluation.sweep_seeds = 2
         cfg.validate()
-        results = {"S8": run_activity(cfg, "S8", 0)}
+        results = {"S8": run_activity(cfg, "S8")}
         rows = sweep_noise(cfg, results, drops=[0.0, 4.0], n_seeds=2)
         base = [r for r in rows if r["drop_db"] == 0.0]
         assert base[0]["emd"] == pytest.approx(results["S8"].metrics["emd_r"])
@@ -151,21 +207,20 @@ class TestSweep:
         assert set(summary) == {0.0, 4.0}
 
     def test_clean_results_only_for_swept_activities(self, monkeypatch):
-        """Without results the sweep runs only the activities it sweeps,
-        each at its position in the run's list, as a full run would."""
+        """Without results the sweep runs only the activities it sweeps."""
         cfg = small_config()
         cfg.run.activities = "S1,S8"
         cfg.validate()
         calls = []
 
-        def recorded(cfg, label, index):
-            calls.append((label, index))
-            return run_activity(cfg, label, index)
+        def recorded(cfg, label):
+            calls.append(label)
+            return run_activity(cfg, label)
 
         monkeypatch.setattr(pipeline, "run_activity", recorded)
         rows = sweep_noise(cfg, drops=[4.0], n_seeds=1)
-        assert calls == [("S8", 1)]
-        results = {"S8": run_activity(cfg, "S8", 1)}
+        assert calls == ["S8"]
+        results = {"S8": run_activity(cfg, "S8")}
         assert rows == sweep_noise(cfg, results, drops=[4.0], n_seeds=1)
 
     @pytest.mark.parametrize("drops", ["4.0,4.05", "4,4.0"])

@@ -15,6 +15,8 @@ from mdcl.preprocess import (_first_modes, beat_spectrum, crop_range_rows,
                              preprocess_frame)
 from mdcl.scene import NodeId, SceneParams
 
+from conftest import row_value
+
 S8 = activity("S8")
 S1 = activity("S1")
 
@@ -273,9 +275,9 @@ class TestLockstepEmd:
     def test_default_maps_match_oracle(self):
         """Default config, all 12 activities: RTM rows and DTM series."""
         cfg = PipelineConfig()
-        for i, label in enumerate(cfg.activity_list()):
+        for label in cfg.activity_list():
             frame = synth_frame(cfg.scene_params(), activity(label),
-                                cfg.radar_config(), cfg.noise_config(i))
+                                cfg.radar_config(), cfg.noise_config(label))
             mti = mti_filter(beat_spectrum(frame))
             rows = np.abs(crop_range_rows(mti, frame.config)[0])
             expected = np.stack([oracle_denoise(row) for row in rows])
@@ -347,7 +349,7 @@ class TestDtm:
         dtm = make_dtm(series[None, :].repeat(2, axis=0) / 2.0, m / fs)
         interior = dtm.data[:, 150:-150]
         rows = np.argmax(interior, axis=0)
-        freq = dtm.axis.row_to_value(rows)
+        freq = row_value(dtm.axis, rows)
         assert np.all(np.abs(freq - 32.0) <= 1.0)
 
     def test_linear_chirp_slope(self):
@@ -359,7 +361,7 @@ class TestDtm:
         dtm = make_dtm(series[None, :].repeat(2, axis=0) / 2.0, m / fs)
         cols = np.arange(150, m - 150)
         rows = np.argmax(dtm.data[:, cols], axis=0)
-        freqs = np.asarray(dtm.axis.row_to_value(rows), dtype=float)
+        freqs = np.asarray(row_value(dtm.axis, rows), dtype=float)
         slope = np.polyfit(t[cols], freqs, 1)[0]
         assert slope == pytest.approx(16.0, rel=0.05)
 
@@ -411,7 +413,7 @@ class TestPipelineDeterminism:
         frame = synth_frame(p, S8, radar, None)
         _, dtm = preprocess_frame(frame)
         col = dtm.data[:, 256]
-        freq = float(dtm.axis.row_to_value(int(np.argmax(col))))
+        freq = float(row_value(dtm.axis, int(np.argmax(col))))
         expected = 2 * radar.carrier * 1.0 / C_LIGHT
         bin_hz = (dtm.axis.hi - dtm.axis.lo) / dtm.axis.n
         assert abs(abs(freq) - expected) <= bin_hz
