@@ -86,12 +86,11 @@ class NoiseSection:
 @dataclass
 class PreprocessingSection:
     predecimate_rows: int = 128
-    emd_max_imfs: int = 8
     emd_sd_stop: float = 0.3
     emd_max_sifts: int = 10
 
-    def emd_params(self) -> tuple[int, float, int]:
-        return (self.emd_max_imfs, self.emd_sd_stop, self.emd_max_sifts)
+    def emd_params(self) -> tuple[float, int]:
+        return (self.emd_sd_stop, self.emd_max_sifts)
 
 
 @dataclass
@@ -100,7 +99,6 @@ class DetectorSection:
     sigma_px: float = 3.0
     anisotropy: float = 1.5
     nms_radius_px: int = 7
-    corners: int = 30
     render_rows: int = 1024
 
 

@@ -26,13 +26,15 @@ from scipy import fft as sfft
 from mdcl.maps import ProfileMap
 
 
+CORNERS = 30    # corners per map: the ground truth and the 60x3 fused cloud
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     orientations: int = 8
     sigma: float = 3.0          # derivative-direction scale, pixels
     anisotropy: float = 1.5     # cross-direction elongation factor
     nms_radius: int = 7         # pixels, Euclidean
-    corners: int = 30
 
 
 @dataclass(frozen=True)
@@ -222,10 +224,9 @@ _PAD_OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1
 
 def extract_corners(pm: ProfileMap, map_id: str,
                     cfg: DetectorConfig = DetectorConfig(),
-                    k: int | None = None) -> CornerSet:
+                    k: int = CORNERS) -> CornerSet:
     """Top-k NMS corners, strongest first; padded with jittered duplicates
     of the strongest maxima when the map has fewer than k maxima."""
-    k = cfg.corners if k is None else k
     return _select_corners(corner_response(pm, cfg), map_id, cfg, k)
 
 
@@ -301,8 +302,8 @@ def fuse_pc_rd(pc_r: CornerSet, pc_d: CornerSet,
     slow-time column; each PC-D corner gains the range of the strongest
     R2TM cell in its column.
     """
-    if len(pc_r) != 30 or len(pc_d) != 30:
-        raise ValueError("fusion expects two 30-corner sets")
+    if len(pc_r) != CORNERS or len(pc_d) != CORNERS:
+        raise ValueError(f"fusion expects two {CORNERS}-corner sets")
     rows = []
     flags = []
     source = []

@@ -10,6 +10,7 @@ match pixel for pixel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -81,34 +82,45 @@ def _mti_gain(freq: np.ndarray, pri: float) -> np.ndarray:
     return np.abs(2.0 * np.sin(np.pi * freq * pri))
 
 
-def rasterize_rtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
-                  range_axis: AxisSpec) -> ProfileMap:
-    """Trajectory raster on the RTM grid.
+def _rasterize(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
+               axis: AxisSpec, node_track: Callable) -> ProfileMap:
+    """Draw every reflecting node's axis value on the slow-time grid.
 
-    Node brightness combines the reflectivity with the clutter filter's
-    response at the node's instantaneous Doppler, so nodes the measured
-    pipeline cancels (static ones) stay dark here too.
+    ``node_track(node, t)`` gives the node's axis value and its Doppler
+    frequency at the slow-time samples ``t``.  Node brightness combines
+    the reflectivity with the clutter filter's response at that Doppler,
+    so nodes the measured pipeline cancels (static ones) stay dark here
+    too.
     """
     m = cfg.slow_samples
     t = np.arange(m) * cfg.pri
-    img = np.zeros((range_axis.n, m))
-    bin_width = (range_axis.hi - range_axis.lo) / range_axis.n
+    img = np.zeros((axis.n, m))
+    bin_width = (axis.hi - axis.lo) / axis.n
     cols = np.arange(m)
     if not act.is_empty:
         for node in ALL_NODES:
             eta = cfg.reflectivity.get(node, 0.0)
             if eta == 0.0:
                 continue
-            rng = node_distance(node, p, act, t)
-            doppler = (2.0 * cfg.carrier / C_LIGHT) * np.gradient(rng, t)
+            value, doppler = node_track(node, t)
             amp = eta * _mti_gain(doppler, cfg.pri)
-            frac = (rng - range_axis.lo) / bin_width
+            frac = (value - axis.lo) / bin_width
             lo = np.floor(frac).astype(int)
             w_hi = frac - lo
             for rows, weights in ((lo, 1.0 - w_hi), (lo + 1, w_hi)):
-                ok = (rows >= 0) & (rows < range_axis.n)
+                ok = (rows >= 0) & (rows < axis.n)
                 np.maximum.at(img, (rows[ok], cols[ok]), (amp * weights)[ok])
-    return ProfileMap(normalize(img), range_axis, p.window)
+    return ProfileMap(normalize(img), axis, p.window)
+
+
+def rasterize_rtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
+                  range_axis: AxisSpec) -> ProfileMap:
+    """Trajectory raster on the RTM grid, each node lit at the Doppler of
+    its range rate."""
+    def range_track(node, t):
+        rng = node_distance(node, p, act, t)
+        return rng, (2.0 * cfg.carrier / C_LIGHT) * np.gradient(rng, t)
+    return _rasterize(p, act, cfg, range_axis, range_track)
 
 
 def rasterize_dtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
@@ -119,24 +131,9 @@ def rasterize_dtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     magnitude 2 fc sqrt(chi^2) / c on the half of the axis matching the
     sign of its range rate.
     """
-    m = cfg.slow_samples
-    t = np.arange(m) * cfg.pri
-    img = np.zeros((doppler_axis.n, m))
-    bin_width = (doppler_axis.hi - doppler_axis.lo) / doppler_axis.n
-    cols = np.arange(m)
-    if not act.is_empty:
-        for node in ALL_NODES:
-            eta = cfg.reflectivity.get(node, 0.0)
-            if eta == 0.0:
-                continue
-            chi = np.sqrt(node_velocity_sq(node, p, act, t))
-            sign = distance_slope_sign(node, p, act, t)
-            freq = sign * 2.0 * cfg.carrier * chi / C_LIGHT
-            amp = eta * _mti_gain(freq, cfg.pri)
-            frac = (freq - doppler_axis.lo) / bin_width
-            lo = np.floor(frac).astype(int)
-            w_hi = frac - lo
-            for rows, weights in ((lo, 1.0 - w_hi), (lo + 1, w_hi)):
-                ok = (rows >= 0) & (rows < doppler_axis.n)
-                np.maximum.at(img, (rows[ok], cols[ok]), (amp * weights)[ok])
-    return ProfileMap(normalize(img), doppler_axis, p.window)
+    def doppler_track(node, t):
+        chi = np.sqrt(node_velocity_sq(node, p, act, t))
+        sign = distance_slope_sign(node, p, act, t)
+        freq = sign * 2.0 * cfg.carrier * chi / C_LIGHT
+        return freq, freq
+    return _rasterize(p, act, cfg, doppler_axis, doppler_track)

@@ -1,10 +1,13 @@
 """Closed-form limb-node kinematics.
 
 Every node's squared one-way propagation distance xi^2(t) and squared
-radial-model velocity chi^2(t) are evaluated from the motion state the
-active activity assigns to it.  The same curves drive both the echo
-synthesizer and the analytic ground-truth corner generator, so the two
-stay consistent by construction.
+radial-model velocity chi^2(t) come from one evaluator, ``node_curve``:
+it resolves the node's motion state for the activity once (body velocity
+and swing direction, the walking/episode split of combination
+activities, the wall's extra path) and returns the curve as a function
+of time.  The same curves drive both the echo synthesizer and the
+analytic ground-truth corner generator, so the two stay consistent by
+construction.
 
 Head and torso distances are referenced to the radar height; hand and
 foot distances are referenced to the ground, matching the closed forms
@@ -25,40 +28,6 @@ from mdcl.scene import ALL_NODES, NodeId, SceneParams
 
 class DegenerateCurveError(ValueError):
     """Raised when a curve cannot supply the requested number of key points."""
-
-
-# ---------------------------------------------------------------------------
-# motion context: effective velocity / geometry for one activity
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Context:
-    x1: float
-    y1: float
-    vx: float
-    vy: float
-    speed: float
-    dirx: float
-    diry: float
-    walk_start: float
-    walk_stop: float
-
-
-def _context(scene: SceneParams, act: ActivitySpec) -> _Context:
-    x1, y1 = scene.initial_position
-    vx, vy = act.velocity if act.velocity is not None else scene.initial_velocity
-    speed = math.hypot(vx, vy)
-    if speed > 0:
-        dirx, diry = vx / speed, vy / speed
-    else:
-        dirx, diry = scene.motion_direction()
-        if act.velocity is not None:
-            # in-place activity: pendulums swing toward the radar
-            r = math.hypot(x1, y1)
-            dirx, diry = (-x1 / r, -y1 / r) if r > 0 else (-1.0, 0.0)
-    t_lo, t_hi = act.walk_span
-    return _Context(x1, y1, vx, vy, speed, dirx, diry,
-                    t_lo * scene.window, t_hi * scene.window)
 
 
 def _check_window(t: np.ndarray, T: float):
@@ -87,6 +56,16 @@ def _pendulum_geometry(node: NodeId, p: SceneParams) -> tuple[float, float]:
     if node in (NodeId.FOOT_L, NodeId.FOOT_R):
         return p.leg_length, p.torso_lower
     raise ValueError(f"{node} is not a pendulum node")
+
+
+def _swing_direction(x1, y1, vx, vy) -> tuple[float, float]:
+    """Unit direction pendulum limbs swing along: the body velocity's, or
+    toward the radar when the body stands still."""
+    v = math.hypot(vx, vy)
+    if v > 0:
+        return vx / v, vy / v
+    r = math.hypot(x1, y1)
+    return (-x1 / r, -y1 / r) if r > 0 else (-1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,148 +121,120 @@ def _vertical_chi_sq(delta, t0, s):
 # node curve evaluation
 # ---------------------------------------------------------------------------
 
-def _walk_phase_xi_sq(node, motion, p, ctx, s, x0, y0):
-    """Distance during a translation phase starting at (x0, y0), local time s."""
-    if motion.swing_angle is not None and motion.state in (
-            MotionState.PENDULUM, MotionState.SUDDEN_ACCEL):
-        l, h = _pendulum_geometry(node, p)
-        return _pendulum_xi_sq(x0, y0, ctx.vx, ctx.vy, ctx.dirx, ctx.diry,
-                               l, h, motion.swing_angle, p.gait_frequency,
-                               motion.phase, s)
-    return _translate_xi_sq(x0, y0, _rest_z_eff(node, p), ctx.vx, ctx.vy, s)
+def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str,
+               *, exact: bool = False) -> Callable:
+    """One node's motion curve for an activity: ``t -> xi^2(t)`` in m^2 for
+    ``kind`` "r2", ``t -> chi^2(t)`` in (m/s)^2 for "d2".
 
+    The curve follows the motion state the activity assigns to the node.
+    Inactive nodes hold their initial-pose distance at zero velocity.  A
+    translating node moves with the body, as a rigid point or as a
+    pendulum limb swinging along the body velocity (toward the radar when
+    the body stands still).  A sudden-acceleration node rises or sinks
+    through its in-place vertical cycle.  In combination activities the
+    body walks inside the walking span; outside it the node follows its
+    vertical episode with clamped local time, so the pose holds still
+    before the episode starts and after it ends.
 
-def _vertical_phase_xi_sq(node, motion, p, ctx, s, x0, y0, span_len, full_cycle):
-    drop = motion.drop if motion.drop is not None else p.in_situ_height_drop
-    sign = 1.0 if motion.rise_first else -1.0
-    z_top = p.node_rest_height(node)
-    z_center = z_top - 0.5 * drop
-    ref = _vertical_ref(node, p)
-    if full_cycle:
-        t0 = p.in_situ_quarter_time
+    Head/torso velocities use the constant approximation unless ``exact``,
+    which adds the vertical micro-undulation rate (alpha*phi*cos(phi t))^2.
+    In through-wall scenes (``p.through_wall``) the wall's extra path is
+    added to the unsquared distance before squaring.  ``t`` may be a
+    scalar or an array inside [0, window]; a scalar answers with a float.
+    """
+    if kind not in ("r2", "d2"):
+        raise ValueError(f"unknown map kind {kind!r}")
+    r2 = kind == "r2"
+    T = p.window
+    motion = act.node(node)
+    x1, y1 = p.initial_position
+    vx, vy = act.velocity if act.velocity is not None else p.initial_velocity
+    speed = math.hypot(vx, vy)
+    dirx, diry = _swing_direction(x1, y1, vx, vy)
+
+    def walking(x0, y0):
+        """The translation phase from (x0, y0), in local time."""
+        if motion.swing_angle is not None and motion.state in (
+                MotionState.PENDULUM, MotionState.SUDDEN_ACCEL):
+            l, h = _pendulum_geometry(node, p)
+            theta, phi, phase = motion.swing_angle, p.gait_frequency, motion.phase
+            if r2:
+                return lambda s: _pendulum_xi_sq(x0, y0, vx, vy, dirx, diry,
+                                                 l, h, theta, phi, phase, s)
+            return lambda s: _pendulum_chi_sq(speed, l, theta, phi, phase, s)
+        if r2:
+            z_eff = _rest_z_eff(node, p)
+            return lambda s: _translate_xi_sq(x0, y0, z_eff, vx, vy, s)
+        undulates = exact and node in (NodeId.HEAD, NodeId.TORSO)
+
+        def body_chi_sq(s):
+            base = np.full_like(s, vx ** 2 + vy ** 2)
+            if undulates:
+                und = (p.undulation_amplitude * p.gait_frequency
+                       * np.cos(p.gait_frequency * s))
+                base = base + und * und
+            return base
+        return body_chi_sq
+
+    def vertical(x0, y0, t0):
+        """The vertical cycle from (x0, y0) with quarter time t0."""
+        drop = motion.drop if motion.drop is not None else p.in_situ_height_drop
+        if not r2:
+            return lambda s: _vertical_chi_sq(drop, t0, s)
+        sign = 1.0 if motion.rise_first else -1.0
+        z_center = p.node_rest_height(node) - 0.5 * drop
+        ref = _vertical_ref(node, p)
+        return lambda s: _vertical_xi_sq(x0, y0, z_center, ref, drop, t0, sign, s)
+
+    if motion.state is MotionState.INACTIVE:
+        z = _rest_z_eff(node, p)
+        rest = x1 ** 2 + y1 ** 2 + z * z if r2 else 0.0
+        free = lambda t: np.full_like(t, rest)
+    elif act.activity_class is ActivityClass.COMBINATION:
+        walk_start, walk_stop = act.walk_span[0] * T, act.walk_span[1] * T
+        span_lo, span_hi = motion.span[0] * T, motion.span[1] * T
+        span_len = span_hi - span_lo
+        if walk_start < span_lo:    # the episode starts where the walk ended
+            x_vert = x1 + vx * (walk_stop - walk_start)
+            y_vert = y1 + vy * (walk_stop - walk_start)
+        else:
+            x_vert, y_vert = x1, y1
+        walk = walking(x1, y1)
+        # a monotone half-cycle fills the episode span
+        vert = vertical(x_vert, y_vert, 0.5 * span_len)
+        to_edge = walk_stop >= T - 1e-12   # walking runs to the window edge
+
+        def free(t):
+            in_walk = (t >= walk_start) if to_edge else (
+                (t >= walk_start) & (t < walk_stop))
+            return np.where(
+                in_walk, walk(np.clip(t - walk_start, 0.0, walk_stop - walk_start)),
+                vert(np.clip(t - span_lo, 0.0, span_len)))
+    elif motion.state is MotionState.SUDDEN_ACCEL:
+        free = vertical(x1, y1, p.in_situ_quarter_time)
     else:
-        # monotone half-cycle filling the episode span
-        t0 = 0.5 * span_len
-    return _vertical_xi_sq(x0, y0, z_center, ref, drop, t0, sign, s)
+        free = walking(x1, y1)
+    wall = p.wall.extra_path if r2 and p.through_wall else 0.0
 
-
-def _vertical_phase_chi_sq(motion, p, s, span_len, full_cycle):
-    drop = motion.drop if motion.drop is not None else p.in_situ_height_drop
-    t0 = p.in_situ_quarter_time if full_cycle else 0.5 * span_len
-    return _vertical_chi_sq(drop, t0, s)
+    def curve(t):
+        t_arr = np.asarray(t, dtype=float)
+        _check_window(t_arr, T)
+        out = free(t_arr)
+        if wall > 0.0:
+            out = (np.sqrt(out) + wall) ** 2
+        return float(out) if np.ndim(t) == 0 else out
+    return curve
 
 
 def node_distance_sq(node: NodeId, p: SceneParams, act: ActivitySpec, t):
-    """Squared one-way propagation distance xi^2(t) in m^2.
-
-    ``t`` may be a scalar or array inside [0, window].  In through-wall
-    scenes (``p.through_wall``) the refraction path is added to the
-    unsquared distance before squaring.  Inactive nodes answer with their
-    static initial-pose distance.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    _check_window(t_arr, p.window)
-    ctx = _context(p, act)
-    motion = act.node(node)
-    out = _xi_sq_free(node, motion, p, ctx, act, t_arr)
-    wall = p.wall.extra_path if p.through_wall else 0.0
-    if wall > 0.0:
-        out = (np.sqrt(out) + wall) ** 2
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
-def _xi_sq_free(node, motion, p, ctx, act, t):
-    if motion.state is MotionState.INACTIVE:
-        z = _rest_z_eff(node, p)
-        return np.full_like(t, ctx.x1 ** 2 + ctx.y1 ** 2 + z * z)
-
-    if act.activity_class is ActivityClass.COMBINATION:
-        return _combo_eval(node, motion, p, ctx, t, want="xi")
-
-    if motion.state is MotionState.SUDDEN_ACCEL:
-        return _vertical_phase_xi_sq(node, motion, p, ctx, t, ctx.x1, ctx.y1,
-                                     p.window, full_cycle=True)
-    return _walk_phase_xi_sq(node, motion, p, ctx, t, ctx.x1, ctx.y1)
+    """Squared one-way propagation distance xi^2(t) in m^2; see node_curve."""
+    return node_curve(node, p, act, "r2")(t)
 
 
 def node_velocity_sq(node: NodeId, p: SceneParams, act: ActivitySpec,
                      t, *, exact: bool = False):
-    """Squared radial-model velocity chi^2(t) in (m/s)^2.
-
-    Head/torso use the constant approximation by default; ``exact=True``
-    adds the vertical micro-undulation rate (alpha*phi*cos(phi t))^2.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    _check_window(t_arr, p.window)
-    ctx = _context(p, act)
-    motion = act.node(node)
-    out = _chi_sq(node, motion, p, ctx, act, t_arr, exact)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
-def _chi_sq(node, motion, p, ctx, act, t, exact):
-    if motion.state is MotionState.INACTIVE:
-        return np.zeros_like(t)
-
-    if act.activity_class is ActivityClass.COMBINATION:
-        return _combo_eval(node, motion, p, ctx, t, want="chi", exact=exact)
-
-    if motion.state is MotionState.SUDDEN_ACCEL:
-        return _vertical_phase_chi_sq(motion, p, t, p.window, full_cycle=True)
-    return _walk_phase_chi_sq(node, motion, p, ctx, t, exact)
-
-
-def _walk_phase_chi_sq(node, motion, p, ctx, s, exact):
-    if motion.swing_angle is not None and motion.state in (
-            MotionState.PENDULUM, MotionState.SUDDEN_ACCEL):
-        l, _ = _pendulum_geometry(node, p)
-        return _pendulum_chi_sq(ctx.speed, l, motion.swing_angle,
-                                p.gait_frequency, motion.phase, s)
-    base = np.full_like(s, ctx.vx ** 2 + ctx.vy ** 2)
-    if exact and node in (NodeId.HEAD, NodeId.TORSO):
-        und = p.undulation_amplitude * p.gait_frequency * np.cos(p.gait_frequency * s)
-        base = base + und * und
-    return base
-
-
-def _combo_eval(node, motion, p, ctx, t, want, exact=False):
-    """Piecewise evaluation for combination activities.
-
-    The body walks inside the walking span; outside it the node follows
-    its vertical episode with clamped local time, so the pose holds still
-    before the episode starts and after it ends.
-    """
-    span_lo = motion.span[0] * p.window
-    span_hi = motion.span[1] * p.window
-    span_len = span_hi - span_lo
-    walk_first = ctx.walk_start < span_lo
-
-    # body position at the start of each phase
-    if walk_first:
-        x_vert = ctx.x1 + ctx.vx * (ctx.walk_stop - ctx.walk_start)
-        y_vert = ctx.y1 + ctx.vy * (ctx.walk_stop - ctx.walk_start)
-    else:
-        x_vert, y_vert = ctx.x1, ctx.y1
-    x_walk, y_walk = ctx.x1, ctx.y1
-
-    in_walk = (t >= ctx.walk_start) & (t < ctx.walk_stop)
-    if ctx.walk_stop >= p.window - 1e-12:   # walking runs to the window edge
-        in_walk = t >= ctx.walk_start
-    s_vert = np.clip(t - span_lo, 0.0, span_len)
-    s_walk = np.clip(t - ctx.walk_start, 0.0, ctx.walk_stop - ctx.walk_start)
-
-    if want == "xi":
-        vert = _vertical_phase_xi_sq(node, motion, p, ctx, s_vert, x_vert, y_vert,
-                                     span_len, full_cycle=False)
-        walk = _walk_phase_xi_sq(node, motion, p, ctx, s_walk, x_walk, y_walk)
-    else:
-        vert = _vertical_phase_chi_sq(motion, p, s_vert, span_len, full_cycle=False)
-        walk = _walk_phase_chi_sq(node, motion, p, ctx, s_walk, exact)
-    return np.where(in_walk, walk, vert)
+    """Squared radial-model velocity chi^2(t) in (m/s)^2; see node_curve."""
+    return node_curve(node, p, act, "d2", exact=exact)(t)
 
 
 def node_distance(node: NodeId, p: SceneParams, act: ActivitySpec, t):
@@ -294,12 +245,15 @@ def node_distance(node: NodeId, p: SceneParams, act: ActivitySpec, t):
 def distance_slope_sign(node: NodeId, p: SceneParams, act: ActivitySpec, t):
     """Sign of d(xi^2)/dt, used to place velocity points on the signed
     Doppler axis.  Ties resolve to +1."""
+    return _slope_sign(node_curve(node, p, act, "r2"), p.window, t)
+
+
+def _slope_sign(xi_sq: Callable, T: float, t):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    h = min(1e-5, p.window * 1e-6)
-    lo = np.clip(t_arr - h, 0.0, p.window)
-    hi = np.clip(t_arr + h, 0.0, p.window)
-    d = (node_distance_sq(node, p, act, hi) - node_distance_sq(node, p, act, lo))
-    sign = np.where(d < 0, -1.0, 1.0)
+    h = min(1e-5, T * 1e-6)
+    lo = np.clip(t_arr - h, 0.0, T)
+    hi = np.clip(t_arr + h, 0.0, T)
+    sign = np.where(xi_sq(hi) - xi_sq(lo) < 0, -1.0, 1.0)
     if np.ndim(t) == 0:
         return float(sign[0])
     return sign
@@ -520,7 +474,7 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
     def quad_basis(_):
         return [lambda t: np.ones_like(t), lambda t: t, lambda t: t * t]
 
-    z_head = p.torso_upper - p.radar_height + 0.15
+    z_head = _rest_z_eff(NodeId.HEAD, p)
     models["walk_head_r2"] = CurveModel(
         "walk_head_r2", "r2", 3, 3, (), (), (),
         value=lambda t: _translate_xi_sq(x1, y1, z_head, vx, vy, np.asarray(t, float)),
@@ -528,7 +482,7 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
         derivative=lambda t: 2.0 * (vx * vx + vy * vy) * np.asarray(t, float)
         + 2.0 * (x1 * vx + y1 * vy),
     )
-    z_torso = 0.5 * (p.torso_upper + p.torso_lower) - p.radar_height
+    z_torso = _rest_z_eff(NodeId.TORSO, p)
     models["walk_torso_r2"] = CurveModel(
         "walk_torso_r2", "r2", 3, 3, (), (), (),
         value=lambda t: _translate_xi_sq(x1, y1, z_torso, vx, vy, np.asarray(t, float)),
@@ -546,7 +500,7 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
             window=T,
         )
 
-    dirx, diry = _unit(vx, vy, x1, y1)
+    dirx, diry = _swing_direction(x1, y1, vx, vy)
     lever_a = x1 * dirx + y1 * diry
     lever_b = vx * dirx + vy * diry
     for name, (l, h, theta) in {
@@ -665,14 +619,6 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
     return models
 
 
-def _unit(vx, vy, x1, y1):
-    v = math.hypot(vx, vy)
-    if v > 0:
-        return vx / v, vy / v
-    r = math.hypot(x1, y1)
-    return (-x1 / r, -y1 / r) if r > 0 else (-1.0, 0.0)
-
-
 @dataclass(frozen=True)
 class KeyPoint:
     node: NodeId
@@ -685,18 +631,11 @@ class KeyPoint:
 def node_keypoints(node: NodeId, p: SceneParams, act: ActivitySpec,
                    kind: str, count: int) -> list[KeyPoint]:
     """Key points of one node's distance or velocity curve for an activity."""
-    if kind == "r2":
-        fn = lambda t: node_distance_sq(node, p, act, t)
-    elif kind == "d2":
-        fn = lambda t: node_velocity_sq(node, p, act, t)
-    else:
-        raise ValueError(f"unknown map kind {kind!r}")
-    ts = select_keypoints(fn, p.window, count)
+    fn = node_curve(node, p, act, kind)
+    xi_sq = fn if kind == "r2" else node_curve(node, p, act, "r2")
     pts = []
-    for t in ts:
-        sign = 1.0
-        if kind == "d2":
-            sign = distance_slope_sign(node, p, act, t)
+    for t in select_keypoints(fn, p.window, count):
+        sign = _slope_sign(xi_sq, p.window, t) if kind == "d2" else 1.0
         pts.append(KeyPoint(node, t, float(fn(t)), kind, sign))
     return pts
 

@@ -51,8 +51,7 @@ class ActivityResult(SimpleNamespace):
 def detector_config(cfg: PipelineConfig) -> DetectorConfig:
     d = cfg.detector
     return DetectorConfig(orientations=d.orientations, sigma=d.sigma_px,
-                          anisotropy=d.anisotropy, nms_radius=d.nms_radius_px,
-                          corners=d.corners)
+                          anisotropy=d.anisotropy, nms_radius=d.nms_radius_px)
 
 
 def square_maps(cfg: PipelineConfig, rtm: ProfileMap,

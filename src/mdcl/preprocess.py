@@ -64,14 +64,11 @@ def mti_filter(rc_complex: np.ndarray) -> np.ndarray:
 
 SD_STOP = 0.3
 MAX_SIFTS = 10
-MAX_IMFS = 8
 DENOISE_MODES = 3       # a row is denoised only when it has this many modes
 
 
-def check_emd_params(max_imfs: int, sd_stop: float, max_sifts: int) -> None:
+def check_emd_params(sd_stop: float, max_sifts: int) -> None:
     """Reject EMD settings under which no row could ever be denoised."""
-    if max_imfs < 1:
-        raise ValueError(f"emd_max_imfs must be >= 1, got {max_imfs}")
     if max_sifts < 1:
         raise ValueError(f"emd_max_sifts must be >= 1, got {max_sifts}")
     if not (math.isfinite(sd_stop) and sd_stop >= 0):
@@ -148,7 +145,7 @@ def _envelope_means(h: np.ndarray, maxima: np.ndarray,
     return 0.5 * (env[:m] + env[m:])
 
 
-def _first_modes(x: np.ndarray, max_imfs: int = MAX_IMFS, sd_stop: float = SD_STOP,
+def _first_modes(x: np.ndarray, sd_stop: float = SD_STOP,
                  max_sifts: int = MAX_SIFTS) -> tuple[np.ndarray, np.ndarray]:
     """First intrinsic mode of each row and the row's mode count.
 
@@ -157,17 +154,16 @@ def _first_modes(x: np.ndarray, max_imfs: int = MAX_IMFS, sd_stop: float = SD_ST
     it by less than ``sd_stop`` (relative energy) or after ``max_sifts``
     sifts.  A row stops when its residue carries a negligible fraction of
     the input energy, when a sift finds fewer than two maxima or minima
-    (that mode does not count), or once it has ``min(max_imfs,
-    DENOISE_MODES)`` modes: nothing past the third mode is read.
+    (that mode does not count), or once it has ``DENOISE_MODES`` modes:
+    nothing past the third mode is read.
     """
-    check_emd_params(max_imfs, sd_stop, max_sifts)
+    check_emd_params(sd_stop, max_sifts)
     residue = np.array(x, dtype=float)
     n_rows = residue.shape[0]
     total = np.sum(residue * residue, axis=1)
     first = np.zeros_like(residue)
     n_modes = np.zeros(n_rows, dtype=int)
     sifts = np.zeros(n_rows, dtype=int)
-    target = min(max_imfs, DENOISE_MODES)
     active = total != 0.0
     h = residue.copy()
     while np.any(active):
@@ -195,7 +191,7 @@ def _first_modes(x: np.ndarray, max_imfs: int = MAX_IMFS, sd_stop: float = SD_ST
         n_modes[idx] += 1
         res = residue[idx] - imf
         residue[idx] = res
-        stop = ((n_modes[idx] >= target)
+        stop = ((n_modes[idx] >= DENOISE_MODES)
                 | (np.sum(res * res, axis=1) < 1e-10 * total[idx]))
         active[idx[stop]] = False
         idx = idx[~stop]
@@ -221,8 +217,7 @@ def _near_nyquist(imfs: np.ndarray, max_spacing: float = 3.0) -> np.ndarray:
     return (crossings > 0) & (spacing <= max_spacing)
 
 
-def _denoise_block(x: np.ndarray, max_imfs: int, sd_stop: float,
-                   max_sifts: int) -> np.ndarray:
+def _denoise_block(x: np.ndarray, sd_stop: float, max_sifts: int) -> np.ndarray:
     """Each row of a real 2-D block with its first mode removed.
 
     Rows that decompose into fewer than 3 modes, or whose first mode does
@@ -232,15 +227,15 @@ def _denoise_block(x: np.ndarray, max_imfs: int, sd_stop: float,
         raise ValueError("EMD expects rows of length >= 8")
     if not np.all(np.isfinite(x)):
         raise ValueError("EMD input must be finite")
-    first, n_modes = _first_modes(x, max_imfs, sd_stop, max_sifts)
+    first, n_modes = _first_modes(x, sd_stop, max_sifts)
     out = x.astype(float, copy=True)
     drop = (n_modes >= DENOISE_MODES) & _near_nyquist(first)
     out[drop] -= first[drop]
     return out
 
 
-def emd_denoise(signal: np.ndarray, max_imfs: int = MAX_IMFS,
-                sd_stop: float = SD_STOP, max_sifts: int = MAX_SIFTS) -> np.ndarray:
+def emd_denoise(signal: np.ndarray, sd_stop: float = SD_STOP,
+                max_sifts: int = MAX_SIFTS) -> np.ndarray:
     """Drop the first intrinsic mode (the noise-dominated one).
 
     Applies to real or complex 1-D sequences; complex input is denoised
@@ -252,16 +247,15 @@ def emd_denoise(signal: np.ndarray, max_imfs: int = MAX_IMFS,
     if x.ndim != 1 or x.size < 8:
         raise ValueError("emd_denoise expects a 1-D sequence of length >= 8")
     if np.iscomplexobj(x):
-        parts = _denoise_block(np.stack((x.real, x.imag)), max_imfs, sd_stop,
-                               max_sifts)
+        parts = _denoise_block(np.stack((x.real, x.imag)), sd_stop, max_sifts)
         return parts[0] + 1j * parts[1]
-    return _denoise_block(x[None, :], max_imfs, sd_stop, max_sifts)[0]
+    return _denoise_block(x[None, :], sd_stop, max_sifts)[0]
 
 
-def denoise_rows(a: np.ndarray, max_imfs: int = MAX_IMFS,
-                 sd_stop: float = SD_STOP, max_sifts: int = MAX_SIFTS) -> np.ndarray:
+def denoise_rows(a: np.ndarray, sd_stop: float = SD_STOP,
+                 max_sifts: int = MAX_SIFTS) -> np.ndarray:
     """Row-wise EMD denoising of a real map, clipped at zero."""
-    return np.clip(_denoise_block(a, max_imfs, sd_stop, max_sifts), 0.0, None)
+    return np.clip(_denoise_block(a, sd_stop, max_sifts), 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +291,7 @@ def stft_magnitude(x: np.ndarray, fs: float, window: int = STFT_WINDOW,
 
 
 def make_dtm(mti_complex: np.ndarray, window_s: float, *,
-             emd_params: tuple[int, float, int] = (MAX_IMFS, SD_STOP, MAX_SIFTS),
-             ) -> ProfileMap:
+             emd_params: tuple[float, int] = (SD_STOP, MAX_SIFTS)) -> ProfileMap:
     """Doppler-time map from the MTI-filtered range-compressed matrix.
 
     All range cells are summed coherently per slow-time instant,
@@ -317,16 +310,14 @@ def make_dtm(mti_complex: np.ndarray, window_s: float, *,
 
 
 def make_rtm(mti_complex: np.ndarray, range_axis: AxisSpec, window_s: float,
-             emd_params: tuple[int, float, int] = (MAX_IMFS, SD_STOP, MAX_SIFTS),
-             ) -> ProfileMap:
+             emd_params: tuple[float, int] = (SD_STOP, MAX_SIFTS)) -> ProfileMap:
     """Denoised, normalized RTM from the MTI-filtered complex matrix."""
     mag = denoise_rows(np.abs(mti_complex), *emd_params)
     return ProfileMap(normalize(mag), range_axis, window_s)
 
 
 def preprocess_frame(frame: EchoFrame, *,
-                     emd_params: tuple[int, float, int] = (MAX_IMFS, SD_STOP,
-                                                           MAX_SIFTS),
+                     emd_params: tuple[float, int] = (SD_STOP, MAX_SIFTS),
                      ) -> tuple[ProfileMap, ProfileMap]:
     """Full preprocessing chain of one frame: (RTM, DTM).
 

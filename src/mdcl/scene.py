@@ -117,19 +117,3 @@ class SceneParams:
         if node in (NodeId.HAND_L, NodeId.HAND_R):
             return self.torso_upper - self.arm_length
         return self.torso_lower - self.leg_length
-
-    def motion_direction(self) -> tuple[float, float]:
-        """Unit direction of body translation; toward the radar when at rest.
-
-        Pendulum limbs swing along this direction, so it must stay defined
-        even for in-place activities (speed 0).
-        """
-        vx, vy = self.initial_velocity
-        v = math.hypot(vx, vy)
-        if v > 0:
-            return (vx / v, vy / v)
-        x1, y1 = self.initial_position
-        r = math.hypot(x1, y1)
-        if r == 0:
-            return (-1.0, 0.0)
-        return (-x1 / r, -y1 / r)

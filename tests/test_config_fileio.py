@@ -38,11 +38,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("[radar]\nbogus_knob = 3\n")
 
-    @pytest.mark.parametrize("key", ["stft_window", "stft_hop", "stft_size",
-                                     "dtm_sum_mode"])
-    def test_removed_stft_keys_rejected(self, tmp_path, key):
-        value = "complex" if key == "dtm_sum_mode" else "512"   # once accepted
-        text = f"[preprocessing]\n{key} = {value}\n"
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("preprocessing", "stft_window", "512", id="stft_window"),
+        pytest.param("preprocessing", "stft_hop", "512", id="stft_hop"),
+        pytest.param("preprocessing", "stft_size", "512", id="stft_size"),
+        pytest.param("preprocessing", "dtm_sum_mode", "complex", id="dtm_sum_mode"),
+        pytest.param("preprocessing", "emd_max_imfs", "-2", id="emd_max_imfs--2"),
+        pytest.param("preprocessing", "emd_max_imfs", "0", id="emd_max_imfs-0"),
+        pytest.param("detector", "corners", "20", id="corners")])
+    def test_removed_stft_keys_rejected(self, tmp_path, section, key, value):
+        """Keys that were once accepted (with a value they accepted, or
+        one that never denoised) are unknown keys now."""
+        text = f"[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(text)
         path = tmp_path / "config.txt"
@@ -52,11 +59,11 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
-        ("emd_max_sifts", "0"), ("emd_sd_stop", "-1"), ("emd_max_imfs", "-2"),
-        ("emd_max_imfs", "0"), ("emd_sd_stop", "nan"), ("emd_sd_stop", "inf")])
+        ("emd_max_sifts", "0"), ("emd_sd_stop", "-1"),
+        ("emd_sd_stop", "nan"), ("emd_sd_stop", "inf")])
     def test_emd_settings_that_never_denoise_rejected(self, tmp_path, key, value):
-        """With 0 sifts the whole residue is the first mode; with no modes,
-        or a stop no sift can reach or always reaches, nothing is denoised."""
+        """With 0 sifts the whole residue is the first mode; with a stop no
+        sift can reach or always reaches, nothing is denoised."""
         text = f"[preprocessing]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match=f"preprocessing.{key}"):
             parse_config(text)
@@ -65,7 +72,7 @@ class TestConfig:
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
-        params = dict(zip(("max_imfs", "sd_stop", "max_sifts"),
+        params = dict(zip(("sd_stop", "max_sifts"),
                           PipelineConfig().preprocessing.emd_params()))
         params[key.removeprefix("emd_")] = float(value)
         with pytest.raises(ValueError, match=key):

@@ -114,9 +114,9 @@ class TestResponse:
             assert r32.dtype == np.float32, name
             assert np.abs(r32 - r64).max() <= tol, name
             got = [(c.row, c.col) for c in
-                   corners._select_corners(r32, name, det, det.corners).corners]
+                   corners._select_corners(r32, name, det, corners.CORNERS).corners]
             want = [(c.row, c.col) for c in
-                    corners._select_corners(r64, name, det, det.corners).corners]
+                    corners._select_corners(r64, name, det, corners.CORNERS).corners]
             assert all(abs(r64[g] - r64[w]) <= tol for g, w in zip(got, want)), name
 
 

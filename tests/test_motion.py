@@ -14,6 +14,7 @@ from mdcl.activities import ActivityClass
 
 S8 = activity("S8")
 S5 = activity("S5")
+S10 = activity("S10")
 # curve family of each node, in the order head, torso, hands, feet
 NODE_FAMILIES = ("head", "torso", "hand", "hand", "foot", "foot")
 
@@ -173,6 +174,45 @@ class TestVelocityCurves:
         dev = np.abs(exact - approx)
         assert np.max(dev) <= bound + 1e-12
         assert np.max(dev) == pytest.approx(bound, rel=1e-6)
+
+
+class TestMotionStateDispatch:
+    """Frozen closed-form values of the in-situ and combination branches.
+
+    S5's head sinks through the full in-place cycle: delta = 0.45 m about
+    z_center = 1.65 - 0.225 = 1.425 m (r_off = -0.075 m under the radar),
+    t0 = 1 s.  S10 walks on [0, 2) s, then sits down on [2, 3] s (half
+    cycle, t0 = 0.5 s) from x = 3 - 0.5 * 2 = 2 m, and holds still after.
+    """
+
+    @pytest.mark.parametrize("t, xi_sq, chi_sq", [
+        (0.0, 9.0225, 0.0),                          # top: offset 0.15 m
+        (1.0, 9.005625, (np.pi / 16.0) * 0.45 ** 2),  # middle, fastest
+        (2.0, 9.09, 0.0),                            # bottom: offset 0.3 m
+    ])
+    def test_in_situ_head(self, t, xi_sq, chi_sq):
+        p = scene()
+        assert node_distance_sq(NodeId.HEAD, p, S5, t) == pytest.approx(xi_sq, abs=1e-12)
+        assert node_velocity_sq(NodeId.HEAD, p, S5, t) == pytest.approx(chi_sq, abs=1e-12)
+
+    @pytest.mark.parametrize("t, xi_sq, chi_sq", [
+        (1.0, 2.5 ** 2 + 0.15 ** 2, 0.25),           # walking, x = 2.5 m
+        (2.5, 4.005625, (np.pi / 8.0) * 0.45 ** 2 * 2.0),   # mid-episode
+        (3.5, 4.09, 0.0),                            # seated, holds still
+    ])
+    def test_combination_head(self, t, xi_sq, chi_sq):
+        p = scene(initial_velocity=(-0.5, 0.0))
+        assert node_distance_sq(NodeId.HEAD, p, S10, t) == pytest.approx(xi_sq, abs=1e-12)
+        assert node_velocity_sq(NodeId.HEAD, p, S10, t) == pytest.approx(chi_sq, abs=1e-12)
+
+    def test_combination_hand_swings_while_walking(self):
+        # at t = 1 s the arm hangs straight down (swing phase 2 pi) at
+        # x = 2.5 m, 0.85 m above the ground, moving at v1 - l1 theta1 phi
+        p = scene(initial_velocity=(-0.5, 0.0))
+        xi_sq = 2.5 ** 2 + (p.torso_upper - p.arm_length) ** 2
+        chi_sq = (0.5 - p.arm_length * p.arm_max_angle * p.gait_frequency) ** 2
+        assert node_distance_sq(NodeId.HAND_L, p, S10, 1.0) == pytest.approx(xi_sq, abs=1e-12)
+        assert node_velocity_sq(NodeId.HAND_L, p, S10, 1.0) == pytest.approx(chi_sq, abs=1e-12)
 
 
 class TestKeypoints:

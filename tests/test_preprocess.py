@@ -217,19 +217,19 @@ def emd_row(kind, n, rng):
     return (-1.0) ** t * t * (n - 1 - t) * rng.uniform(0.1, 10)
 
 
-def assert_matches_oracle(block, max_imfs=8, sd_stop=0.3, max_sifts=10):
+def assert_matches_oracle(block, sd_stop=0.3, max_sifts=10):
     """Lockstep modes and denoised rows equal the oracle's, row for row."""
-    first, n_modes = _first_modes(block, max_imfs, sd_stop, max_sifts)
+    first, n_modes = _first_modes(block, sd_stop, max_sifts)
     stops = []
     for row, got_first, got_modes in zip(block, first, n_modes):
-        imfs, stop = oracle_imfs(row, max_imfs, sd_stop, max_sifts)
+        imfs, stop = oracle_imfs(row, sd_stop=sd_stop, max_sifts=max_sifts)
         stops.append(stop)
         assert got_modes == min(len(imfs), 3)
         if imfs:
             assert np.array_equal(got_first, imfs[0])
-    expected = np.stack([oracle_denoise(row, max_imfs, sd_stop, max_sifts)
+    expected = np.stack([oracle_denoise(row, sd_stop=sd_stop, max_sifts=max_sifts)
                          for row in block])
-    assert np.array_equal(denoise_rows(block, max_imfs, sd_stop, max_sifts),
+    assert np.array_equal(denoise_rows(block, sd_stop, max_sifts),
                           np.clip(expected, 0.0, None))
     return stops
 
@@ -238,13 +238,13 @@ class TestLockstepEmd:
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(8, 1024),
            kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
-           max_imfs=st.integers(1, 8), max_sifts=st.integers(1, 10),
+           max_sifts=st.integers(1, 10),
            sd_stop=st.sampled_from([0.0, 0.05, 0.3, 1.0, 4.0]))
-    def test_matches_cubic_spline_oracle(self, seed, n, kinds, max_imfs,
-                                         max_sifts, sd_stop):
+    def test_matches_cubic_spline_oracle(self, seed, n, kinds, max_sifts,
+                                         sd_stop):
         rng = np.random.default_rng(seed)
         block = np.stack([emd_row(kind, n, rng) for kind in kinds])
-        for stop in assert_matches_oracle(block, max_imfs, sd_stop, max_sifts):
+        for stop in assert_matches_oracle(block, sd_stop, max_sifts):
             event(stop)
 
     def test_rows_finish_in_different_rounds(self):
@@ -259,18 +259,17 @@ class TestLockstepEmd:
         assert {"zero", "extrema", "extrema mid-mode", "energy"} <= set(stops)
         assert {0, 1, 3} <= set(_first_modes(block)[1].tolist())
 
-    @pytest.mark.parametrize("max_imfs", [1, 2, 3, 8])
-    def test_fewer_than_three_modes_left_unchanged(self, max_imfs):
+    def test_fewer_than_three_modes_left_unchanged(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(200)
         imfs, _ = oracle_imfs(x)
         assert len(imfs) >= 3
-        first, n_modes = _first_modes(x[None, :], max_imfs)
-        assert n_modes[0] == min(max_imfs, 3)
+        first, n_modes = _first_modes(x[None, :])
+        assert n_modes[0] == 3
         assert np.array_equal(first[0], imfs[0])
-        den = emd_denoise(x, max_imfs)
-        assert np.array_equal(den, oracle_denoise(x, max_imfs))
-        assert np.array_equal(den, x) == (max_imfs < 3)
+        den = emd_denoise(x)
+        assert np.array_equal(den, oracle_denoise(x))
+        assert not np.array_equal(den, x)
 
     def test_default_maps_match_oracle(self):
         """Default config, all 12 activities: RTM rows and DTM series."""
