@@ -221,7 +221,8 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str,
         _check_window(t_arr, T)
         out = free(t_arr)
         if wall > 0.0:
-            out = (np.sqrt(out) + wall) ** 2
+            # a rounded square can dip below 0 where the node meets the radar
+            out = (np.sqrt(np.maximum(out, 0.0)) + wall) ** 2
         return float(out) if np.ndim(t) == 0 else out
     return curve
 

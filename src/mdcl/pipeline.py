@@ -3,10 +3,10 @@ fuse -> evaluate, artifact persistence, and the noise-robustness sweep.
 
 ``STAGES`` defines the chain once: ``run_activity`` folds an activity over
 it in memory and ``run_stage`` (the staged commands) runs one stage between
-artifact files; both pass each output on as its file holds it.  Activities
-run in a small worker pool (bounded by MDCL_THREADS); each activity's chain
-is sequential and owns its output files, and the manifest is assembled
-deterministically after all workers join.
+artifact files; both pass each output on as its file holds it.  ``run``'s
+activities and the sweep's extractions are tasks on one worker pool,
+``pool_map`` (MDCL_THREADS); each task owns its outputs and noise stream and
+results keep input order, so no output depends on the thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +34,17 @@ from mdcl.maps import ProfileMap, normalize
 from mdcl.metrics import add_image_noise, emd_distance, psnr
 from mdcl.preprocess import preprocess_frame
 from mdcl.squaring import decimate_rows, render_squared
+
+
+def pool_map(fn: Callable, items: list) -> list:
+    """``[fn(x) for x in items]`` on ``int(MDCL_THREADS)`` threads (unset or
+    0: min(4, CPU count)), clamped to [1, len(items)]; one runs inline."""
+    workers = int(os.environ.get("MDCL_THREADS", "0")) or min(4, os.cpu_count() or 1)
+    workers = max(1, min(workers, len(items)))
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 class StageError(RuntimeError):
@@ -273,8 +284,6 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     out = Path(out_dir if out_dir is not None else cfg.run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     labels = cfg.activity_list()
-    workers = int(os.environ.get("MDCL_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    workers = max(1, min(workers, len(labels) or 1))
 
     def one_activity(label: str) -> _JobOutcome:
         outcome = _JobOutcome(label, [])
@@ -291,11 +300,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
         outcome.metrics, outcome.timings = res.metrics, res.timings
         return outcome
 
-    if workers == 1:
-        outcomes = [one_activity(label) for label in labels]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_activity, labels))
+    outcomes = pool_map(one_activity, labels)
 
     failures = [o.error for o in outcomes if o.error is not None]
     status = "failed" if failures else "ok"
@@ -353,7 +358,9 @@ def sweep_noise(cfg: PipelineConfig,
     reruns detection and reports the earth mover's distance to the analytic
     truth per (activity, map, drop, seed).  A zero drop reproduces the
     baseline exactly.  Drops that would share a noise draw (off the 0.1 dB
-    grid, or repeated) raise ``ValueError``.
+    grid, or repeated) raise ``ValueError``.  Each row (and each missing
+    clean result) is one ``pool_map`` task; the rows do not depend on the
+    thread count.
     """
     drops = cfg.snr_drops() if drops is None else drops
     if 0.0 not in drops:
@@ -361,23 +368,25 @@ def sweep_noise(cfg: PipelineConfig,
     keys = drop_seed_keys(drops)
     labels = [a for a in cfg.activity_list() if a != "S1"]
     if results is None:
-        results = {label: run_activity(cfg, label) for label in labels}
+        results = dict(zip(labels, pool_map(lambda label: run_activity(cfg, label),
+                                            labels)))
     n_seeds = cfg.evaluation.sweep_seeds if n_seeds is None else n_seeds
     det = detector_config(cfg)
-    rows: list[dict] = []
-    for label in labels:
+    tasks = [(label, which, cloud, drop, key, seed)
+             for label in labels
+             for which, cloud in (("r2tm", "cloud_r"), ("d2tm", "cloud_d"))
+             for drop, key in zip(drops, keys)
+             for seed in ([0] if drop == 0.0 else range(n_seeds))]
+
+    def row(task) -> dict:
+        label, which, cloud, drop, key, seed = task
         res = results[label]
-        for which, pm, truth in (("r2tm", res.r2tm, res.truth.cloud_r),
-                                 ("d2tm", res.d2tm, res.truth.cloud_d)):
-            for drop, key in zip(drops, keys):
-                seeds = [0] if drop == 0.0 else range(n_seeds)
-                for seed in seeds:
-                    noisy = pm if drop == 0.0 else degrade_map(cfg, pm, drop, key, seed)
-                    cs = extract_corners(noisy, f"{label}/{which}", det)
-                    emd = emd_distance(cs.uv(), truth)
-                    rows.append({"activity": label, "map": which,
-                                 "drop_db": drop, "seed": seed, "emd": emd})
-    return rows
+        pm = getattr(res, which)
+        noisy = pm if drop == 0.0 else degrade_map(cfg, pm, drop, key, seed)
+        cs = extract_corners(noisy, f"{label}/{which}", det)
+        return {"activity": label, "map": which, "drop_db": drop, "seed": seed,
+                "emd": emd_distance(cs.uv(), getattr(res.truth, cloud))}
+    return pool_map(row, tasks)
 
 
 def sweep_summary(rows: list[dict]) -> dict[float, dict[str, float]]:

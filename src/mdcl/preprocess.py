@@ -267,24 +267,24 @@ STFT_HOP = 4
 STFT_SIZE = 256
 
 
-def stft_magnitude(x: np.ndarray, fs: float, window: int = STFT_WINDOW,
-                   hop: int = STFT_HOP, size: int = STFT_SIZE) -> np.ndarray:
+def stft_magnitude(x: np.ndarray) -> np.ndarray:
     """Zero-Doppler-centered STFT magnitude with columns at every sample.
 
-    Frames are centered on hop-spaced samples (edges zero-padded) and each
-    frame's column is replicated ``hop`` times so the output matches the
-    slow-time sample count.
+    ``STFT_WINDOW``-sample Hann frames are centered on ``STFT_HOP``-spaced
+    samples (edges zero-padded) and transformed at ``STFT_SIZE`` points;
+    each frame's column is replicated ``STFT_HOP`` times so the output
+    matches the slow-time sample count.
     """
     n = x.size
-    half = window // 2
+    half = STFT_WINDOW // 2
     padded = np.concatenate([np.zeros(half, dtype=x.dtype), x,
                              np.zeros(half, dtype=x.dtype)])
-    taper = np.hanning(window)
-    centers = np.arange(0, n, hop)
-    frames = np.stack([padded[c:c + window] * taper for c in centers])
-    spec = np.fft.fftshift(np.fft.fft(frames, n=size, axis=1), axes=1)
+    taper = np.hanning(STFT_WINDOW)
+    centers = np.arange(0, n, STFT_HOP)
+    frames = np.stack([padded[c:c + STFT_WINDOW] * taper for c in centers])
+    spec = np.fft.fftshift(np.fft.fft(frames, n=STFT_SIZE, axis=1), axes=1)
     mag = np.abs(spec).T                       # (size, n_frames)
-    cols = np.repeat(mag, hop, axis=1)[:, :n]
+    cols = np.repeat(mag, STFT_HOP, axis=1)[:, :n]
     if cols.shape[1] < n:
         cols = np.pad(cols, ((0, 0), (0, n - cols.shape[1])), mode="edge")
     return cols
@@ -304,7 +304,7 @@ def make_dtm(mti_complex: np.ndarray, window_s: float, *,
     series = emd_denoise(mti_complex.sum(axis=0), *emd_params)
     m = series.size
     fs = m / window_s
-    mag = stft_magnitude(series, fs)
+    mag = stft_magnitude(series)
     axis = AxisSpec("doppler", -fs / 2.0, fs / 2.0, mag.shape[0])
     return ProfileMap(mag, axis, window_s)
 

@@ -100,6 +100,16 @@ class TestDistanceCurves:
             d_wall = np.sqrt(node_distance_sq(node, p_wall, S8, t))
             assert np.allclose(d_wall - d_free, shift, atol=1e-12)
 
+    @pytest.mark.parametrize("velocity", [(0.0, 0.0), (-0.6, 1.0)])
+    def test_feet_through_wall_finite_at_the_radar(self, velocity):
+        # a foot passing under a radar at the origin has xi^2 near 0, which
+        # can round below 0 before the wall's sqrt
+        p = SceneParams(initial_position=(0.0, 0.0), initial_velocity=velocity)
+        t = np.linspace(0.0, p.window, 400001)
+        for label in ("S9", "S10"):
+            for node in (NodeId.FOOT_L, NodeId.FOOT_R):
+                assert np.isfinite(node_distance_sq(node, p, activity(label), t)).all()
+
     def test_static_head_torso_constant_to_machine_precision(self):
         p = scene(initial_velocity=(0.0, 0.0), undulation_amplitude=0.0)
         t = np.linspace(0, 4, 4096)

@@ -192,7 +192,73 @@ class TestNoiseKey:
         assert files_under(tmp_path / "indexed") == files_under(tmp_path / "plain")
 
 
+@pytest.fixture(scope="module")
+def sweep_case():
+    """Small config, clean results and sweep rows from a plain serial loop."""
+    cfg = small_config()
+    cfg.run.activities = "S1,S5,S8,S12"
+    cfg.validate()
+    labels = ("S5", "S8", "S12")
+    results = {label: run_activity(cfg, label) for label in labels}
+    det = pipeline.detector_config(cfg)
+    reference = []
+    for label in labels:
+        res = results[label]
+        for which, pm, truth in (("r2tm", res.r2tm, res.truth.cloud_r),
+                                 ("d2tm", res.d2tm, res.truth.cloud_d)):
+            for drop, key in ((0.0, 0), (4.0, 40), (8.0, 80)):
+                for seed in ([0] if drop == 0.0 else range(2)):
+                    noisy = pm if drop == 0.0 else pipeline.degrade_map(
+                        cfg, pm, drop, key, seed)
+                    cs = pipeline.extract_corners(noisy, f"{label}/{which}", det)
+                    reference.append({"activity": label, "map": which,
+                                      "drop_db": drop, "seed": seed,
+                                      "emd": pipeline.emd_distance(cs.uv(), truth)})
+    return cfg, results, reference
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """``max_workers`` of each pool the pipeline builds, in order."""
+    sizes = []
+    real = pipeline.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording)
+    return sizes
+
+
+class TestWorkerPool:
+    def test_pool_map_keeps_order_and_clamps_workers(self, pools, monkeypatch):
+        for threads, expected in (("1", []), ("4", [3]), ("2", [2])):
+            pools.clear()
+            monkeypatch.setenv("MDCL_THREADS", threads)
+            assert pipeline.pool_map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
+            assert pools == expected, threads
+        assert pipeline.pool_map(str, []) == []
+
+
 class TestSweep:
+    @pytest.mark.parametrize("given", [True, False], ids=["results", "no_results"])
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_sweep_rows_independent_of_thread_count(self, sweep_case, monkeypatch,
+                                                    threads, given):
+        cfg, results, reference = sweep_case
+        monkeypatch.setenv("MDCL_THREADS", threads)
+        rows = sweep_noise(cfg, results if given else None,
+                           drops=[4.0, 8.0], n_seeds=2)
+        assert rows == reference
+
+    def test_sweep_runs_on_one_pool_of_mdcl_threads(self, sweep_case, pools,
+                                                    monkeypatch):
+        cfg, results, reference = sweep_case
+        monkeypatch.setenv("MDCL_THREADS", "2")
+        assert sweep_noise(cfg, results, drops=[4.0, 8.0], n_seeds=2) == reference
+        assert pools == [2]
+
     def test_zero_drop_reproduces_baseline(self, cfg_small):
         cfg = small_config()
         cfg.run.activities = "S8"
