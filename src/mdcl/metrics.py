@@ -88,19 +88,29 @@ _RESIDUAL_TOL = 1e-6
 _COND_LIMIT = 1e8
 
 
+def _stencil_designs(model: CurveModel, ts: np.ndarray, nonlinear, h: float,
+                     shifts) -> list[np.ndarray]:
+    """Design matrices at ``ts + s * h`` for each shift, from one call."""
+    n = ts.size
+    d = model.design_matrix(np.concatenate([ts + s * h for s in shifts]),
+                            nonlinear)
+    return [d[i * n:(i + 1) * n] for i in range(len(shifts))]
+
+
 def _slope_design(model: CurveModel, ts: np.ndarray, nonlinear) -> np.ndarray:
     """Fourth-order finite-difference basis derivative at the given times."""
     h = model.window * 1e-4
-    d = lambda s: model.design_matrix(ts + s * h, nonlinear)
-    return (-d(2.0) + 8.0 * d(1.0) - 8.0 * d(-1.0) + d(-2.0)) / (12.0 * h)
+    p2, p1, m1, m2 = _stencil_designs(model, ts, nonlinear, h,
+                                      (2.0, 1.0, -1.0, -2.0))
+    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
 
 
 def _curvature_design(model: CurveModel, ts: np.ndarray, nonlinear) -> np.ndarray:
     """Fourth-order finite-difference basis second derivative."""
     h = model.window * 5e-4
-    d = lambda s: model.design_matrix(ts + s * h, nonlinear)
-    return (-d(2.0) + 16.0 * d(1.0) - 30.0 * d(0.0) + 16.0 * d(-1.0)
-            - d(-2.0)) / (12.0 * h * h)
+    p2, p1, z, m1, m2 = _stencil_designs(model, ts, nonlinear, h,
+                                         (2.0, 1.0, 0.0, -1.0, -2.0))
+    return (-p2 + 16.0 * p1 - 30.0 * z + 16.0 * m1 - m2) / (12.0 * h * h)
 
 
 def _augmented_system(model: CurveModel, ts: np.ndarray, ys: np.ndarray,

@@ -282,25 +282,27 @@ def _numeric_derivative(fn: Callable, T: float) -> Callable:
 
 
 def _scan_zeros(fn: Callable, T: float, grid: int = _GRID) -> list[float]:
-    """Interior zeros of fn on (0, T): sign-change scan plus bisection."""
+    """Interior zeros of fn on (0, T): sign-change scan plus bisection.
+
+    All sign-change brackets are bisected in lockstep, one ``fn`` call on
+    the midpoints of the live brackets per round.  A midpoint where fn is
+    exactly 0 collapses its bracket onto itself.
+    """
     ts = np.linspace(0.0, T, grid + 1)
     vals = np.asarray(fn(ts), dtype=float)
-    zeros: list[float] = []
     sign_change = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    for i in sign_change:
-        a, b = ts[i], ts[i + 1]
-        fa = vals[i]
-        while b - a > _BISECT_TOL:
-            m = 0.5 * (a + b)
-            fm = float(fn(m))
-            if fm == 0.0:
-                a = b = m
-                break
-            if fa * fm < 0:
-                b = m
-            else:
-                a, fa = m, fm
-        zeros.append(0.5 * (a + b))
+    a, b, fa = ts[sign_change], ts[sign_change + 1], vals[sign_change]
+    live = np.nonzero(b - a > _BISECT_TOL)[0]
+    while live.size:
+        m = 0.5 * (a[live] + b[live])
+        fm = np.asarray(fn(m), dtype=float)
+        left = fa[live] * fm < 0         # the zero lies left of m
+        to_b = left | (fm == 0.0)
+        b[live[to_b]] = m[to_b]
+        a[live[~left]] = m[~left]
+        fa[live[~left]] = fm[~left]
+        live = live[b[live] - a[live] > _BISECT_TOL]
+    zeros: list[float] = list(0.5 * (a + b))
     # isolated exact zeros on the grid (skip flat stretches)
     exact = np.nonzero(vals == 0.0)[0]
     for i in exact:
@@ -336,7 +338,7 @@ def _spread_subset(candidates: list[float], n: int) -> list[float]:
         if candidates[k] not in picked:
             picked.append(candidates[k])
         k += 1
-    return sorted(picked[:n]) if len(picked) > n else sorted(picked)
+    return sorted(picked[:n])
 
 
 def select_keypoints_detailed(value: Callable, T: float, count: int,
@@ -437,9 +439,11 @@ class CurveModel:
 
     def design_matrix(self, ts, nonlinear=None) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        cols = [np.broadcast_to(np.asarray(b(ts), dtype=float), ts.shape)
-                for b in self.basis(nonlinear)]
-        return np.column_stack(cols) if cols else np.zeros((ts.size, 0))
+        basis = self.basis(nonlinear)
+        out = np.empty((ts.size, len(basis)))
+        for j, b in enumerate(basis):
+            out[:, j] = b(ts)
+        return out
 
     def keypoints_detailed(self, count: int | None = None) -> list[tuple[float, str]]:
         return select_keypoints_detailed(self.value, self.window,

@@ -1,16 +1,20 @@
 """Metric tests: EMD against a brute-force oracle, PSNR, curve fitting."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdcl import metrics
 from mdcl.metrics import (add_image_noise, emd_distance, fit_curve_model, psnr,
                           verify_mncp)
 from mdcl.motion import CurveModel, curve_models
 from mdcl.scene import SceneParams
+
+FAMILIES = curve_models(SceneParams())
 
 
 def brute_force_emd(a: np.ndarray, b: np.ndarray) -> float:
@@ -21,6 +25,29 @@ def brute_force_emd(a: np.ndarray, b: np.ndarray) -> float:
     best = min(sum(cost[i, p[i]] for i in range(n))
                for p in itertools.permutations(range(n)))
     return best / n
+
+
+def column_stack_design(model, ts, nonlinear=None):
+    """Oracle for ``CurveModel.design_matrix``: broadcast columns, stacked."""
+    ts = np.asarray(ts, dtype=float)
+    cols = [np.broadcast_to(np.asarray(b(ts), dtype=float), ts.shape)
+            for b in model.basis(nonlinear)]
+    return np.column_stack(cols) if cols else np.zeros((ts.size, 0))
+
+
+def shiftwise_slope_design(model, ts, nonlinear):
+    """Oracle for ``metrics._slope_design``: one design matrix per shift."""
+    h = model.window * 1e-4
+    d = lambda s: column_stack_design(model, ts + s * h, nonlinear)
+    return (-d(2.0) + 8.0 * d(1.0) - 8.0 * d(-1.0) + d(-2.0)) / (12.0 * h)
+
+
+def shiftwise_curvature_design(model, ts, nonlinear):
+    """Oracle for ``metrics._curvature_design``: one design matrix per shift."""
+    h = model.window * 5e-4
+    d = lambda s: column_stack_design(model, ts + s * h, nonlinear)
+    return (-d(2.0) + 16.0 * d(1.0) - 30.0 * d(0.0) + 16.0 * d(-1.0)
+            - d(-2.0)) / (12.0 * h * h)
 
 
 class TestEmd:
@@ -185,3 +212,55 @@ class TestVerifyMncp:
             assert report.deficient_below is None
             tol = 1e-4
             assert report.fit.grid_rms_rel < tol, name
+
+
+class TestDesignOracles:
+    """Filled design matrices and one-call stencils equal the stacked,
+    shift-by-shift construction bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 2 ** 31 - 1),
+           st.integers(1, 12))
+    def test_designs_match_oracles(self, name, seed, n):
+        model = FAMILIES[name]
+        rng = np.random.default_rng(seed)
+        ts = rng.random(n) * model.window
+        bounds = np.asarray(model.nonlinear_bounds, dtype=float).reshape(-1, 2)
+        nonlinear = tuple(bounds[:, 0] + rng.random(len(bounds))
+                          * (bounds[:, 1] - bounds[:, 0]))
+        for nl in (None, nonlinear):
+            got = model.design_matrix(ts, nl)
+            assert got.shape == (n, model.linear_count)
+            assert np.array_equal(got, column_stack_design(model, ts, nl))
+        assert np.array_equal(metrics._slope_design(model, ts, nonlinear),
+                              shiftwise_slope_design(model, ts, nonlinear))
+        assert np.array_equal(metrics._curvature_design(model, ts, nonlinear),
+                              shiftwise_curvature_design(model, ts, nonlinear))
+
+    def test_scalar_and_empty_times(self):
+        for model in FAMILIES.values():
+            for ts in (1.25, np.zeros(0)):
+                assert np.array_equal(model.design_matrix(ts),
+                                      column_stack_design(model, ts))
+                assert (model.design_matrix(ts).shape
+                        == column_stack_design(model, ts).shape)
+
+    def test_verify_mncp_matches_oracles(self):
+        def reports():
+            return {name: verify_mncp(model) for name, model in FAMILIES.items()}
+
+        fast = reports()
+        with mock.patch.object(CurveModel, "design_matrix", column_stack_design), \
+                mock.patch.object(metrics, "_slope_design", shiftwise_slope_design), \
+                mock.patch.object(metrics, "_curvature_design",
+                                  shiftwise_curvature_design):
+            slow = reports()
+        for name, report in fast.items():
+            ref = slow[name]
+            assert (report.sufficient_at_mncp, report.deficient_below,
+                    report.reduced_rank) == (ref.sufficient_at_mncp,
+                                             ref.deficient_below, ref.reduced_rank)
+            assert np.array_equal(report.fit.coefficients, ref.fit.coefficients), name
+            for field in ("nonlinear", "residual_rms", "grid_rms", "grid_rms_rel",
+                          "condition", "rank", "sufficient"):
+                assert getattr(report.fit, field) == getattr(ref.fit, field), (name, field)

@@ -1,13 +1,17 @@
 """Kinematic model tests: frozen closed-form values, invariants, key points."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mdcl import motion
 from mdcl.activities import activity
-from mdcl.motion import (DegenerateCurveError, curve_models, groundtruth_counts,
-                         node_distance_sq, node_velocity_sq,
+from mdcl.motion import (DegenerateCurveError, activity_keypoints, curve_models,
+                         groundtruth_counts, node_distance_sq, node_velocity_sq,
                          select_keypoints, select_keypoints_detailed)
 from mdcl.scene import ALL_NODES, NodeId, SceneParams, WallParams
 from mdcl.activities import ActivityClass
@@ -27,6 +31,42 @@ def scene(**kw):
     defaults = dict(initial_position=(3.0, 0.0), through_wall=False)
     defaults.update(kw)
     return SceneParams(**defaults)
+
+
+def scalar_scan_zeros(fn, T, grid=motion._GRID):
+    """Oracle for ``motion._scan_zeros``: each sign-change bracket bisected
+    on its own, one scalar ``fn`` call per step."""
+    ts = np.linspace(0.0, T, grid + 1)
+    vals = np.asarray(fn(ts), dtype=float)
+    zeros = []
+    for i in np.nonzero(vals[:-1] * vals[1:] < 0)[0]:
+        a, b = ts[i], ts[i + 1]
+        fa = vals[i]
+        while b - a > motion._BISECT_TOL:
+            m = 0.5 * (a + b)
+            fm = float(fn(m))
+            if fm == 0.0:
+                a = b = m
+                break
+            if fa * fm < 0:
+                b = m
+            else:
+                a, fa = m, fm
+        zeros.append(0.5 * (a + b))
+    for i in np.nonzero(vals == 0.0)[0]:
+        if 0 < i < grid and vals[i - 1] != 0.0 and vals[i + 1] != 0.0:
+            zeros.append(float(ts[i]))
+    zeros = [z for z in sorted(zeros)
+             if motion._DISTINCT_TOL < z < T - motion._DISTINCT_TOL]
+    return motion._dedupe(zeros)
+
+
+def outcome(call):
+    """A call's result, or its degenerate-curve error as a comparable value."""
+    try:
+        return call()
+    except DegenerateCurveError as exc:
+        return ("degenerate", str(exc))
 
 
 class TestDistanceCurves:
@@ -285,6 +325,57 @@ class TestKeypoints:
     def test_degenerate_window(self):
         with pytest.raises(DegenerateCurveError):
             select_keypoints(lambda t: np.asarray(t), 0.0, 3)
+
+
+class TestLockstepBisection:
+    """The lockstep key-point search equals the one-bracket-at-a-time one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-0.5, 4.5), min_size=1, max_size=8),
+           st.floats(1e-3, 1e3))
+    def test_polynomial_zeros_match_scalar_oracle(self, roots, scale):
+        def fn(t):
+            out = scale * np.ones_like(np.asarray(t, dtype=float))
+            for r in roots:
+                out = out * (np.asarray(t, dtype=float) - r)
+            return out
+        assert motion._scan_zeros(fn, 4.0) == scalar_scan_zeros(fn, 4.0)
+
+    def test_midpoint_zero_collapses_bracket(self):
+        # the zero sits halfway between two grid points, so the first
+        # midpoint hits it exactly
+        z = 1.0 + 2.0 ** -11
+        line = lambda t: np.asarray(t, dtype=float) - z
+        # a second bracket that does not collapse keeps bisecting
+        pair = lambda t: line(t) * (np.asarray(t, dtype=float) - 3.3)
+        assert motion._scan_zeros(line, 4.0) == scalar_scan_zeros(line, 4.0) == [z]
+        assert motion._scan_zeros(pair, 4.0) == scalar_scan_zeros(pair, 4.0)
+        assert motion._scan_zeros(pair, 4.0)[0] == z
+
+    @settings(max_examples=4, deadline=None)
+    @given(position=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+           velocity=st.one_of(st.just((0.0, 0.0)),
+                              st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))),
+           through_wall=st.booleans())
+    @example(position=(3.0, 0.0), velocity=(-0.6, 1.0), through_wall=True)
+    @example(position=(3.0, 0.0), velocity=(0.0, 0.0), through_wall=False)
+    def test_scene_keypoints_match_scalar_oracle(self, position, velocity,
+                                                 through_wall):
+        p = SceneParams(initial_position=position, initial_velocity=velocity,
+                        through_wall=through_wall)
+
+        def search():
+            acts = {(label, kind): outcome(lambda: activity_keypoints(
+                        p, activity(label), kind))
+                    for label in (f"S{i}" for i in range(2, 13))
+                    for kind in ("r2", "d2")}
+            fams = {name: outcome(model.keypoints_detailed)
+                    for name, model in curve_models(p).items()}
+            return acts, fams
+
+        lockstep = search()
+        with mock.patch.object(motion, "_scan_zeros", scalar_scan_zeros):
+            assert lockstep == search()
 
 
 class TestTables:
