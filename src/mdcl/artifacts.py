@@ -19,8 +19,6 @@ from mdcl.echo import EchoFrame
 from mdcl.fileio import read_matrix, write_csv, write_matrix, write_pgm
 from mdcl.maps import AxisSpec, ProfileMap
 
-STAGE_DUMP = ("rtm", "dtm", "r2tm", "d2tm")     # maps a stage dump renders
-
 
 @dataclass
 class ActivityDir:
@@ -32,7 +30,6 @@ class ActivityDir:
 
     root: Path
     label: str
-    stage_dump: bool = False
     written: list[Path] = field(default_factory=list)
 
     def file(self, name: str) -> Path:
@@ -80,8 +77,6 @@ class MapFile(Codec):
             f"kind = {pm.axis.kind}\nrows = {pm.rows}\ncols = {pm.cols}\n"
             f"value_lo = {float(pm.axis.lo)!r}\nvalue_hi = {float(pm.axis.hi)!r}\n"
             f"window_s = {float(pm.window)!r}\n", encoding="utf-8")
-        if d.stage_dump and name in STAGE_DUMP:
-            write_heatmap(d.file(f"{name}.pgm"), pm.data)
 
     def read(self, root, name, cfg):
         side = _read_sidecar(root / f"{name}.axis.txt")

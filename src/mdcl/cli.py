@@ -67,8 +67,6 @@ def _parser() -> argparse.ArgumentParser:
     common(p, activity_flag=False)
     p.add_argument("--activity", default=None,
                    help="restrict to a comma-separated activity subset")
-    p.add_argument("--stage-dump", action="store_true",
-                   help="also dump per-stage PGM heatmaps")
     return ap
 
 
@@ -76,8 +74,6 @@ def _load(args) -> tuple[PipelineConfig, Path]:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.run.seed = args.seed
-    if getattr(args, "stage_dump", False):
-        cfg.run.stage_dump = True
     if getattr(args, "activity", None) and args.command == "run":
         cfg.run.activities = args.activity
     cfg.validate()

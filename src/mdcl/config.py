@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from mdcl.activities import activity_labels
+from mdcl.corners import DetectorConfig
 from mdcl.echo import NoiseConfig, RadarConfig
 from mdcl.preprocess import check_emd_params
 from mdcl.scene import NodeId, SceneParams, WallParams
@@ -48,11 +49,7 @@ class SceneSection:
     torso_lower: float = 0.95
     arm_length: float = 0.65
     leg_length: float = 0.9
-    undulation_amplitude: float = 0.05
     gait_frequency: float = 2.0 * math.pi
-    arm_max_angle: float = math.pi / 6
-    leg_max_angle: float = math.pi / 4
-    in_situ_height_drop: float = 0.4
     in_situ_quarter_time: float = 1.0
     wall_thickness: float = 0.12
     wall_rel_permittivity: float = 6.0
@@ -113,7 +110,6 @@ class RunSection:
     out_dir: str = "out"
     seed: int = 42
     activities: str = ",".join(activity_labels())
-    stage_dump: bool = False
 
 
 _SECTION_TYPES = {
@@ -154,6 +150,13 @@ class PipelineConfig:
             check_emd_params(*self.preprocessing.emd_params())
         except ValueError as exc:
             raise ConfigError(f"preprocessing.{exc}") from exc
+        if self.preprocessing.predecimate_rows < 1:
+            raise ConfigError("preprocessing.predecimate_rows must be >= 1, "
+                              f"got {self.preprocessing.predecimate_rows}")
+        try:
+            self.detector_config()
+        except ValueError as exc:
+            raise ConfigError(f"detector.{exc}") from exc
         if self.detector.render_rows < 64:
             raise ConfigError("detector.render_rows must be >= 64")
         labels = self.activity_list()
@@ -168,6 +171,9 @@ class PipelineConfig:
             drop_seed_keys(self.snr_drops())
         except ConfigError as exc:
             raise ConfigError(f"evaluation.snr_drops_db: {exc}") from exc
+        if self.evaluation.sweep_seeds < 1:
+            raise ConfigError("evaluation.sweep_seeds must be >= 1, "
+                              f"got {self.evaluation.sweep_seeds}")
         try:
             self.scene_params()
         except ValueError as exc:
@@ -191,16 +197,17 @@ class PipelineConfig:
             arm_length=s.arm_length * k,
             leg_length=s.leg_length * k,
             initial_velocity=(s.v1x, s.v1y),
-            undulation_amplitude=s.undulation_amplitude,
             gait_frequency=s.gait_frequency,
-            arm_max_angle=s.arm_max_angle,
-            leg_max_angle=s.leg_max_angle,
-            in_situ_height_drop=s.in_situ_height_drop,
             in_situ_quarter_time=s.in_situ_quarter_time,
             window=self.radar.window_s,
             wall=WallParams(s.wall_thickness, s.wall_rel_permittivity),
             through_wall=s.through_wall,
         )
+
+    def detector_config(self) -> DetectorConfig:
+        d = self.detector
+        return DetectorConfig(orientations=d.orientations, sigma_px=d.sigma_px,
+                              anisotropy=d.anisotropy, nms_radius_px=d.nms_radius_px)
 
     def radar_config(self) -> RadarConfig:
         r = self.radar

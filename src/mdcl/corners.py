@@ -32,9 +32,19 @@ CORNERS = 30    # corners per map: the ground truth and the 60x3 fused cloud
 @dataclass(frozen=True)
 class DetectorConfig:
     orientations: int = 8
-    sigma: float = 3.0          # derivative-direction scale, pixels
+    sigma_px: float = 3.0       # derivative-direction scale
     anisotropy: float = 1.5     # cross-direction elongation factor
-    nms_radius: int = 7         # pixels, Euclidean
+    nms_radius_px: int = 7      # Euclidean
+
+    def __post_init__(self):
+        if self.orientations < 1:
+            raise ValueError(f"orientations must be >= 1, got {self.orientations}")
+        if not self.sigma_px > 0:
+            raise ValueError(f"sigma_px must be > 0, got {self.sigma_px}")
+        if not self.anisotropy > 0:
+            raise ValueError(f"anisotropy must be > 0, got {self.anisotropy}")
+        if self.nms_radius_px < 0:
+            raise ValueError(f"nms_radius_px must be >= 0, got {self.nms_radius_px}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +91,8 @@ class PointCloudRD:
 
 
 def _kernels(cfg: DetectorConfig) -> list[np.ndarray]:
-    sig_u = cfg.sigma
-    sig_v = cfg.sigma * cfg.anisotropy
+    sig_u = cfg.sigma_px
+    sig_v = cfg.sigma_px * cfg.anisotropy
     radius = int(np.ceil(3.0 * max(sig_u, sig_v)))
     yy, xx = np.mgrid[-radius:radius + 1, -radius:radius + 1]
     kernels = []
@@ -118,7 +128,7 @@ def _kernel_ffts(cfg: DetectorConfig, padded_shape: tuple[int, int]):
 
 
 def _support(cfg: DetectorConfig) -> int:
-    return 2 * int(np.ceil(3.0 * cfg.sigma * max(1.0, cfg.anisotropy))) + 1
+    return 2 * int(np.ceil(3.0 * cfg.sigma_px * max(1.0, cfg.anisotropy))) + 1
 
 
 def corner_response(pm: ProfileMap | np.ndarray,
@@ -234,11 +244,11 @@ def _select_corners(resp: np.ndarray, map_id: str, cfg: DetectorConfig,
                     k: int) -> CornerSet:
     """Greedy pass over the NMS pool: the k strongest maxima at least the
     NMS radius apart, then padding up to k."""
-    rows, cols = _nms_pool(resp, cfg.nms_radius, max(4 * k, 64))
+    rows, cols = _nms_pool(resp, cfg.nms_radius_px, max(4 * k, 64))
 
     accepted: list[tuple[int, int, float]] = []
     acc_rc = np.empty((0, 2))
-    r2 = cfg.nms_radius ** 2
+    r2 = cfg.nms_radius_px ** 2
     for r, c in zip(rows.tolist(), cols.tolist()):
         if acc_rc.size:
             d2 = (acc_rc[:, 0] - r) ** 2 + (acc_rc[:, 1] - c) ** 2

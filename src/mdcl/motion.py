@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mdcl.activities import ActivityClass, ActivitySpec, MotionState
+from mdcl.activities import ActivityClass, ActivitySpec, MotionState, activity
 from mdcl.scene import ALL_NODES, NodeId, SceneParams
 
 
@@ -121,8 +121,7 @@ def _vertical_chi_sq(delta, t0, s):
 # node curve evaluation
 # ---------------------------------------------------------------------------
 
-def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str,
-               *, exact: bool = False) -> Callable:
+def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Callable:
     """One node's motion curve for an activity: ``t -> xi^2(t)`` in m^2 for
     ``kind`` "r2", ``t -> chi^2(t)`` in (m/s)^2 for "d2".
 
@@ -136,11 +135,10 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str,
     vertical episode with clamped local time, so the pose holds still
     before the episode starts and after it ends.
 
-    Head/torso velocities use the constant approximation unless ``exact``,
-    which adds the vertical micro-undulation rate (alpha*phi*cos(phi t))^2.
-    In through-wall scenes (``p.through_wall``) the wall's extra path is
-    added to the unsquared distance before squaring.  ``t`` may be a
-    scalar or an array inside [0, window]; a scalar answers with a float.
+    Head and torso move at the constant body velocity.  In through-wall
+    scenes (``p.through_wall``) the wall's extra path is added to the
+    unsquared distance before squaring.  ``t`` may be a scalar or an array
+    inside [0, window]; a scalar answers with a float.
     """
     if kind not in ("r2", "d2"):
         raise ValueError(f"unknown map kind {kind!r}")
@@ -165,20 +163,11 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str,
         if r2:
             z_eff = _rest_z_eff(node, p)
             return lambda s: _translate_xi_sq(x0, y0, z_eff, vx, vy, s)
-        undulates = exact and node in (NodeId.HEAD, NodeId.TORSO)
-
-        def body_chi_sq(s):
-            base = np.full_like(s, vx ** 2 + vy ** 2)
-            if undulates:
-                und = (p.undulation_amplitude * p.gait_frequency
-                       * np.cos(p.gait_frequency * s))
-                base = base + und * und
-            return base
-        return body_chi_sq
+        return lambda s: np.full_like(s, vx ** 2 + vy ** 2)
 
     def vertical(x0, y0, t0):
         """The vertical cycle from (x0, y0) with quarter time t0."""
-        drop = motion.drop if motion.drop is not None else p.in_situ_height_drop
+        drop = motion.drop
         if not r2:
             return lambda s: _vertical_chi_sq(drop, t0, s)
         sign = 1.0 if motion.rise_first else -1.0
@@ -232,10 +221,9 @@ def node_distance_sq(node: NodeId, p: SceneParams, act: ActivitySpec, t):
     return node_curve(node, p, act, "r2")(t)
 
 
-def node_velocity_sq(node: NodeId, p: SceneParams, act: ActivitySpec,
-                     t, *, exact: bool = False):
+def node_velocity_sq(node: NodeId, p: SceneParams, act: ActivitySpec, t):
     """Squared radial-model velocity chi^2(t) in (m/s)^2; see node_curve."""
-    return node_curve(node, p, act, "d2", exact=exact)(t)
+    return node_curve(node, p, act, "d2")(t)
 
 
 def node_distance(node: NodeId, p: SceneParams, act: ActivitySpec, t):
@@ -467,7 +455,8 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
     """Instantiate the canonical curve families for a scene.
 
     Distance families are built in free space; the wall shifts the distance
-    axis without changing which family a curve belongs to.
+    axis without changing which family a curve belongs to.  The walking
+    families swing at the angles of the S8 (walking) catalog entry.
     """
     x1, y1 = p.initial_position
     vx, vy = p.initial_velocity
@@ -505,12 +494,15 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
             window=T,
         )
 
+    walk = activity("S8")
+    arm_angle = walk.node(NodeId.HAND_L).swing_angle
+    leg_angle = walk.node(NodeId.FOOT_R).swing_angle
     dirx, diry = _swing_direction(x1, y1, vx, vy)
     lever_a = x1 * dirx + y1 * diry
     lever_b = vx * dirx + vy * diry
     for name, (l, h, theta) in {
-        "walk_hand_r2": (p.arm_length, p.torso_upper, p.arm_max_angle),
-        "walk_foot_r2": (p.leg_length, p.torso_lower, p.leg_max_angle),
+        "walk_hand_r2": (p.arm_length, p.torso_upper, arm_angle),
+        "walk_foot_r2": (p.leg_length, p.torso_lower, leg_angle),
     }.items():
         def pend_basis(nl, _l=l, _th=theta):
             def S(t, th=_th):
@@ -544,8 +536,8 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
         )
 
     for name, (l, theta) in {
-        "walk_hand_d2": (p.arm_length, p.arm_max_angle),
-        "walk_foot_d2": (p.leg_length, p.leg_max_angle),
+        "walk_hand_d2": (p.arm_length, arm_angle),
+        "walk_foot_d2": (p.leg_length, leg_angle),
     }.items():
         def vel_basis(nl):
             w, th = nl
@@ -576,7 +568,8 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
     t0 = p.in_situ_quarter_time
     omega = np.pi / (2.0 * t0)
     psi = -omega * t0
-    z_center = p.torso_upper - 0.5 * p.in_situ_height_drop
+    drop = 0.4      # meters; scales the linear coefficients, not the basis
+    z_center = p.torso_upper - 0.5 * drop
 
     def insitu_r2_basis(nl):
         w, ph = nl
@@ -586,7 +579,6 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
             lambda t: np.cos(2.0 * w * np.asarray(t, float) + 2.0 * ph),
         ]
 
-    drop = p.in_situ_height_drop
     r_off = z_center - p.radar_height
 
     def insitu_r2_deriv(t):

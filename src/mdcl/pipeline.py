@@ -27,7 +27,7 @@ from mdcl import __version__
 from mdcl.activities import activity
 from mdcl.artifacts import ARTIFACTS, ActivityDir
 from mdcl.config import PipelineConfig, config_digest, drop_seed_keys, serialize_config
-from mdcl.corners import CornerSet, DetectorConfig, extract_corners, fuse_pc_rd
+from mdcl.corners import CornerSet, extract_corners, fuse_pc_rd
 from mdcl.echo import synth_frame
 from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
 from mdcl.maps import ProfileMap, normalize
@@ -57,12 +57,6 @@ class StageError(RuntimeError):
 class ActivityResult(SimpleNamespace):
     """One activity's ``label``, per-stage ``timings`` and every stage
     output as an attribute named as in ``STAGES`` (``res.r2tm``)."""
-
-
-def detector_config(cfg: PipelineConfig) -> DetectorConfig:
-    d = cfg.detector
-    return DetectorConfig(orientations=d.orientations, sigma=d.sigma_px,
-                          anisotropy=d.anisotropy, nms_radius=d.nms_radius_px)
 
 
 def square_maps(cfg: PipelineConfig, rtm: ProfileMap,
@@ -130,7 +124,7 @@ def _square(cfg: PipelineConfig, label: str, rtm, dtm):
 
 def _extract(cfg: PipelineConfig, label: str, r2tm, d2tm):
     """detect 30 corners per squared map"""
-    det = detector_config(cfg)
+    det = cfg.detector_config()
     return (extract_corners(r2tm, f"{label}/r2tm", det),
             extract_corners(d2tm, f"{label}/d2tm", det))
 
@@ -194,22 +188,20 @@ def run_stage(cfg: PipelineConfig, out: Path, label: str,
     root = Path(out) / label
     values = {n: ARTIFACTS[n].read(root, n, cfg) for n in stage.inputs}
     values.update(_apply(stage, cfg, label, values))
-    d = ActivityDir(root, label, cfg.run.stage_dump)
+    d = ActivityDir(root, label)
     for name in stage.outputs:
         ARTIFACTS[name].write(d, name, values)
     return values, d.written
 
 
 def write_activity_artifacts(outdir: Path, res: ActivityResult,
-                             stage_dump: bool = False,
                              written: list[Path] | None = None) -> list[Path]:
     """Every stage's outputs through their writers.
 
     Each file is appended to ``written`` before it is written, so the
     caller knows what is on disk even when a write fails.
     """
-    d = ActivityDir(Path(outdir), res.label, stage_dump,
-                    [] if written is None else written)
+    d = ActivityDir(Path(outdir), res.label, [] if written is None else written)
     for stage in STAGES:
         for name in stage.outputs:
             ARTIFACTS[name].write(d, name, vars(res))
@@ -290,8 +282,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
         try:
             res = run_activity(cfg, label)
             try:
-                write_activity_artifacts(out / label, res, cfg.run.stage_dump,
-                                         outcome.written)
+                write_activity_artifacts(out / label, res, outcome.written)
             except Exception as exc:
                 raise StageError("write", label, exc) from exc
         except StageError as exc:
@@ -371,7 +362,7 @@ def sweep_noise(cfg: PipelineConfig,
         results = dict(zip(labels, pool_map(lambda label: run_activity(cfg, label),
                                             labels)))
     n_seeds = cfg.evaluation.sweep_seeds if n_seeds is None else n_seeds
-    det = detector_config(cfg)
+    det = cfg.detector_config()
     tasks = [(label, which, cloud, drop, key, seed)
              for label in labels
              for which, cloud in (("r2tm", "cloud_r"), ("d2tm", "cloud_d"))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,9 +54,10 @@ class SceneParams:
     """Anthropometric, gait and geometry parameters of the observed scene.
 
     Defaults describe a 1.8 m tester walking indoors with the radar antenna
-    mounted at 1.5 m.  The initial speed is chosen high enough that the
-    vertical micro-undulation contributes < 5% of the squared-velocity
-    budget of head and torso.
+    mounted at 1.5 m.  Head and torso move at the constant body velocity
+    (the simplified model drops their vertical micro-undulation); limb
+    swing angles and in-place height drops are set per activity in the
+    catalog.
     """
 
     radar_height: float = 1.5            # h0, meters above ground
@@ -67,11 +67,7 @@ class SceneParams:
     arm_length: float = 0.65             # l1
     leg_length: float = 0.9              # l2
     initial_velocity: tuple[float, float] = (-0.6, 1.0)  # (v1x, v1y) m/s
-    undulation_amplitude: float = 0.05   # alpha, meters
     gait_frequency: float = 2.0 * math.pi   # phi, rad/s
-    arm_max_angle: float = math.pi / 6   # theta1
-    leg_max_angle: float = math.pi / 4   # theta2
-    in_situ_height_drop: float = 0.4     # delta h1
     in_situ_quarter_time: float = 1.0    # t0; full in-place cycle lasts 4*t0
     window: float = 4.0                  # T, observation window seconds
     wall: WallParams = field(default_factory=WallParams)
@@ -82,24 +78,12 @@ class SceneParams:
             raise ValueError("need torso_upper > torso_lower > 0")
         if self.arm_length <= 0 or self.leg_length <= 0:
             raise ValueError("limb lengths must be positive")
-        if self.undulation_amplitude < 0:
-            raise ValueError("undulation_amplitude must be >= 0")
-        if self.in_situ_height_drop >= self.torso_upper:
-            raise ValueError("in_situ_height_drop must stay below torso_upper")
         if self.in_situ_quarter_time <= 0:
             raise ValueError("in_situ_quarter_time must be positive")
         if self.window * self.gait_frequency / math.pi < 2.0:
             raise ValueError(
                 "gait habit constraint violated: window * gait_frequency / pi "
                 f"= {self.window * self.gait_frequency / math.pi:.3f} < 2"
-            )
-        head_offset = abs(self.torso_upper - self.radar_height + 0.15)
-        if self.undulation_amplitude >= 0.1 * head_offset:
-            warnings.warn(
-                "undulation amplitude is not small against the head height "
-                f"offset ({self.undulation_amplitude} vs {head_offset}); the "
-                "flattened head-distance curve may be inaccurate",
-                stacklevel=2,
             )
 
     @property

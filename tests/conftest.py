@@ -1,17 +1,9 @@
 """Shared fixtures: a fast reduced-size config and cached full-size runs."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from mdcl.config import PipelineConfig
-
-# The spec-default undulation amplitude trips the smallness warning for the
-# default geometry (head offset 0.15 m); that is expected behavior, not a
-# test failure.
-warnings.filterwarnings(
-    "ignore", message="undulation amplitude is not small")
 
 
 def small_config() -> PipelineConfig:

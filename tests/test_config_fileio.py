@@ -45,10 +45,16 @@ class TestConfig:
         pytest.param("preprocessing", "dtm_sum_mode", "complex", id="dtm_sum_mode"),
         pytest.param("preprocessing", "emd_max_imfs", "-2", id="emd_max_imfs--2"),
         pytest.param("preprocessing", "emd_max_imfs", "0", id="emd_max_imfs-0"),
-        pytest.param("detector", "corners", "20", id="corners")])
+        pytest.param("detector", "corners", "20", id="corners"),
+        pytest.param("scene", "undulation_amplitude", "0.05", id="undulation_amplitude"),
+        pytest.param("scene", "arm_max_angle", "0.5", id="arm_max_angle"),
+        pytest.param("scene", "leg_max_angle", "0.2", id="leg_max_angle"),
+        pytest.param("scene", "in_situ_height_drop", "0.4", id="in_situ_height_drop"),
+        pytest.param("run", "stage_dump", "true", id="stage_dump")])
     def test_removed_stft_keys_rejected(self, tmp_path, section, key, value):
         """Keys that were once accepted (with a value they accepted, or
-        one that never denoised) are unknown keys now."""
+        one that never denoised, or that no output depended on) are
+        unknown keys now."""
         text = f"[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(text)
@@ -77,6 +83,25 @@ class TestConfig:
         params[key.removeprefix("emd_")] = float(value)
         with pytest.raises(ValueError, match=key):
             emd_denoise(np.arange(16.0) % 3, **params)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("detector", "orientations", "0"), ("detector", "orientations", "-2"),
+        ("detector", "sigma_px", "0"), ("detector", "sigma_px", "-3"),
+        ("detector", "anisotropy", "0"), ("detector", "nms_radius_px", "-1"),
+        ("preprocessing", "predecimate_rows", "0"),
+        ("evaluation", "sweep_seeds", "0")])
+    def test_settings_that_cannot_run_rejected(self, tmp_path, section, key, value):
+        """Values the detector, the squaring or the sweep cannot use fail
+        validation, before any stage runs."""
+        text = f"[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(text)
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        for command in ("run", "sweep-noise"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):

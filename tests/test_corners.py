@@ -16,7 +16,7 @@ from mdcl.config import drop_seed_keys
 from mdcl.corners import (Corner, CornerSet, DetectorConfig, corner_response,
                           extract_corners, fuse_pc_rd)
 from mdcl.maps import AxisSpec, ProfileMap
-from mdcl.pipeline import degrade_map, detector_config
+from mdcl.pipeline import degrade_map
 
 CFG = DetectorConfig()
 RESPONSE_TOL = 1e-4     # float32 bank against the float64 oracle, of the peak
@@ -99,7 +99,7 @@ class TestResponse:
         that pick within the tolerance: noise-free maps repeat features
         exactly, and rounding then orders the ties."""
         cfg = clean_full_config
-        det = detector_config(cfg)
+        det = cfg.detector_config()
         maps = {f"{label}/{which}": getattr(res, which)
                 for label, res in clean_results.items() for which in ("r2tm", "d2tm")}
         drops = [4.0, 8.0, 12.0]
@@ -165,7 +165,7 @@ class TestExtract:
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 d2 = (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2
-                assert d2 >= CFG.nms_radius ** 2
+                assert d2 >= CFG.nms_radius_px ** 2
 
     def test_translation_equivariance(self):
         centers = [(60, 50), (120, 90), (80, 140)]
@@ -211,10 +211,10 @@ def oracle_pool(resp, radius, pool_size):
 
 def oracle_extract(resp, map_id, cfg, k):
     """Greedy top-k over the reference pool, padded like extract_corners."""
-    rows, cols = oracle_pool(resp, cfg.nms_radius, max(4 * k, 64))
+    rows, cols = oracle_pool(resp, cfg.nms_radius_px, max(4 * k, 64))
     accepted = []
     for r, c in zip(rows.tolist(), cols.tolist()):
-        if all((r - ar) ** 2 + (c - ac) ** 2 >= cfg.nms_radius ** 2
+        if all((r - ar) ** 2 + (c - ac) ** 2 >= cfg.nms_radius_px ** 2
                for ar, ac, _ in accepted):
             accepted.append((r, c, float(resp[r, c])))
         if len(accepted) >= k:
@@ -256,7 +256,7 @@ class TestLazyNms:
            radius=st.integers(1, 9), k=st.sampled_from([1, 30, 64]))
     def test_matches_disk_filter_oracle(self, seed, kind, shape, radius, k):
         resp = nms_map(kind, shape, np.random.default_rng(seed))
-        cfg = replace(CFG, nms_radius=radius)
+        cfg = replace(CFG, nms_radius_px=radius)
         pool = corners._nms_pool(resp, radius, max(4 * k, 64))
         expected = oracle_pool(resp, radius, max(4 * k, 64))
         assert np.array_equal(pool[0], expected[0])

@@ -1,5 +1,8 @@
 """Pipeline orchestration and CLI tests on the reduced-size config."""
 
+import hashlib
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from mdcl import artifacts, pipeline
 from mdcl.activities import activity_labels
 from mdcl.cli import main
-from mdcl.config import drop_seed_keys, serialize_config
+from mdcl.config import PipelineConfig, drop_seed_keys, serialize_config
 from mdcl.fileio import read_matrix
 from mdcl.groundtruth import groundtruth_corners
 from mdcl.pipeline import (run_activity, run_pipeline, sweep_noise, sweep_summary,
@@ -192,6 +195,58 @@ class TestNoiseKey:
         assert files_under(tmp_path / "indexed") == files_under(tmp_path / "plain")
 
 
+# A valid value off the default for every key the stage chain reads.
+CHAIN_KEY_VALUES = {
+    "scene": {"x1": 2.5, "y1": 0.5, "v1x": -0.4, "v1y": 0.8, "radar_height": 1.2,
+              "torso_upper": 1.4, "torso_lower": 0.9, "arm_length": 0.6,
+              "leg_length": 0.85, "gait_frequency": 1.5 * np.pi,
+              "in_situ_quarter_time": 0.8, "wall_thickness": 0.2,
+              "wall_rel_permittivity": 4.0, "through_wall": False,
+              "height_scale": 0.95},
+    "radar": {"carrier_hz": 2.0e9, "bandwidth_hz": 1.5e9, "slow_samples": 96,
+              "fast_samples": 96, "window_s": 3.0, "tx_amplitude": 2.0,
+              "reflectivity_head": 0.5, "reflectivity_torso": 0.8,
+              "reflectivity_hand": 0.4, "reflectivity_foot": 0.4,
+              "wall_reflectivity": 5.0, "wall_range_m": 0.8, "max_range_m": 4.0},
+    "noise": {"enabled": False, "target_snr_db": -10.0},
+    "preprocessing": {"predecimate_rows": 32, "emd_sd_stop": 0.05,
+                      "emd_max_sifts": 1},
+    "detector": {"orientations": 6, "sigma_px": 2.5, "anisotropy": 1.2,
+                 "nms_radius_px": 5, "render_rows": 96},
+}
+# Sections that set up a run rather than the stage chain: [run] (output
+# path, activity list, seed) and [evaluation] (the noise sweep).
+CHAIN_EXTERNAL = {"run", "evaluation"}
+
+
+class TestChainKeys:
+    def test_every_chain_key_changes_the_output(self, tmp_path):
+        """Moving any chain key off its default changes S5's or S8's files."""
+        sections = {f.name: fields(f.default_factory) for f in fields(PipelineConfig)}
+        assert set(sections) == set(CHAIN_KEY_VALUES) | CHAIN_EXTERNAL
+        for section, values in CHAIN_KEY_VALUES.items():
+            assert set(values) == {f.name for f in sections[section]}
+
+        def digest(section=None, key=None, value=None):
+            cfg = PipelineConfig()
+            cfg.radar.slow_samples = cfg.radar.fast_samples = 128
+            cfg.detector.render_rows = 128
+            if section is not None:
+                setattr(getattr(cfg, section), key, value)
+            cfg.validate()
+            out = tmp_path / f"{section}.{key}"
+            for label in ("S5", "S8"):
+                write_activity_artifacts(out / label, run_activity(cfg, label))
+            return hashlib.sha256(repr(sorted(files_under(out).items()))
+                                  .encode()).hexdigest()
+
+        default = digest()
+        inert = [f"{section}.{key}" for section, values in CHAIN_KEY_VALUES.items()
+                 for key, value in values.items()
+                 if digest(section, key, value) == default]
+        assert inert == []
+
+
 @pytest.fixture(scope="module")
 def sweep_case():
     """Small config, clean results and sweep rows from a plain serial loop."""
@@ -200,7 +255,7 @@ def sweep_case():
     cfg.validate()
     labels = ("S5", "S8", "S12")
     results = {label: run_activity(cfg, label) for label in labels}
-    det = pipeline.detector_config(cfg)
+    det = cfg.detector_config()
     reference = []
     for label in labels:
         res = results[label]
@@ -376,6 +431,19 @@ class TestCli:
         assert overlay == (out / "S8" / "r2tm_corners.pgm").read_bytes()
         main(["render", str(out / "S8" / "r2tm.mdcm"), str(tmp_path / "plain.pgm")])
         assert (tmp_path / "plain.pgm").read_bytes() != overlay
+
+    def test_default_config_warns_nothing(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--out", str(tmp_path / "out")]) == 0
+            assert main(["mncp-verify"]) == 0
+
+    def test_stage_dump_flag_rejected(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--stage-dump", "--activity", "S8", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_mncp_verify_exit(self, tmp_path):
         _, cfg_path = write_small_config(tmp_path)
