@@ -18,6 +18,7 @@ are padded to keep the fixed cardinality the fused 60x3 cloud requires.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,21 +110,25 @@ def _kernels(cfg: DetectorConfig) -> list[np.ndarray]:
 
 
 _KERNEL_FFT_CACHE: dict[tuple, tuple] = {}
+_KERNEL_FFT_LOCK = threading.Lock()
 
 
 def _kernel_ffts(cfg: DetectorConfig, padded_shape: tuple[int, int]):
     """The bank's transforms at ``padded_shape``: taken in float64, kept
-    as complex64 (half the memory; the bank runs in float32)."""
+    as complex64 (half the memory; the bank runs in float32).  Built once
+    per key under a lock, so concurrent first extractions do not each
+    build it."""
     key = (cfg, padded_shape)
-    cached = _KERNEL_FFT_CACHE.get(key)
-    if cached is None:
-        kernels = _kernels(cfg)
-        k = kernels[0].shape[0]
-        full = (padded_shape[0] + k - 1, padded_shape[1] + k - 1)
-        fast = (sfft.next_fast_len(full[0]), sfft.next_fast_len(full[1]))
-        ffts = [sfft.rfft2(kern, fast).astype(np.complex64) for kern in kernels]
-        cached = (k, fast, ffts)
-        _KERNEL_FFT_CACHE[key] = cached
+    with _KERNEL_FFT_LOCK:
+        cached = _KERNEL_FFT_CACHE.get(key)
+        if cached is None:
+            kernels = _kernels(cfg)
+            k = kernels[0].shape[0]
+            full = (padded_shape[0] + k - 1, padded_shape[1] + k - 1)
+            fast = (sfft.next_fast_len(full[0]), sfft.next_fast_len(full[1]))
+            ffts = [sfft.rfft2(kern, fast).astype(np.complex64) for kern in kernels]
+            cached = (k, fast, ffts)
+            _KERNEL_FFT_CACHE[key] = cached
     return cached
 
 

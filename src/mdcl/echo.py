@@ -2,9 +2,13 @@
 
 Each PRI freezes the target delay (stop-and-hop) and emits the closed-form
 base-band beat signal; node echoes, a static wall return and complex white
-Gaussian noise sum into the frame.  The noise is seeded per frame and drawn
-from one spawned stream per PRI.  One stream per frame would be faster, but
-it draws different noise and so changes every noisy artifact's digest.
+Gaussian noise sum into the frame, in that order, in one buffer.  A node
+that holds still for some PRIs repeats its delay, and equal delays give
+equal rows, so each distinct delay's row is synthesized once and gathered
+back into PRI order.  The noise is seeded per frame and drawn from one
+spawned stream per PRI, straight into interleaved (real, imaginary) pairs.
+One stream per frame would be faster, but it draws different noise and so
+changes every noisy artifact's digest.
 """
 
 from __future__ import annotations
@@ -109,17 +113,27 @@ class EchoFrame:
 
 
 def _beat_rows(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> np.ndarray:
-    """Base-band beat signal rows for per-PRI delays ``tau`` (shape (M,))."""
+    """Base-band beat signal rows for per-PRI delays ``tau`` (shape (M,)).
+
+    Each row is a function of its delay alone, so the phase and ``exp`` are
+    taken once per distinct delay and repeated delays share the row.
+    """
     mu = cfg.chirp_rate
     if np.any(tau >= cfg.pri):
         raise RadarConfigError(
             "delay exceeds the PRI: scatterer outside the unambiguous range")
+    distinct, pri_order = np.unique(tau, return_inverse=True)
+    repeats = distinct.size < tau.size
+    d = distinct if repeats else tau        # unique's order is sorted
     t_fast = np.arange(cfg.fast_samples) / cfg.fast_rate   # within-PRI time
-    phase = mu * tau[:, None] * t_fast[None, :]
-    phase += (cfg.carrier * tau - 0.5 * mu * tau * tau)[:, None]
+    phase = mu * d[:, None] * t_fast[None, :]
+    phase += (cfg.carrier * d - 0.5 * mu * d * d)[:, None]
     rows = 2j * np.pi * phase
+    del phase                   # not held through the gather
     np.exp(rows, out=rows)
     rows *= amplitude
+    if repeats:
+        rows = rows[pri_order]
     return rows
 
 
@@ -151,23 +165,27 @@ def _node_sum(p: SceneParams, act: ActivitySpec, cfg: RadarConfig) -> np.ndarray
 
 
 def _noise_matrix(m: int, n: int, seed: int) -> np.ndarray:
-    """Unit-power complex Gaussian noise, split deterministically per PRI."""
+    """Unit-power complex Gaussian noise, split deterministically per PRI.
+
+    PRI i's stream fills row i with 2n normals, read as n (real, imaginary)
+    pairs.
+    """
     children = np.random.SeedSequence(seed).spawn(m)
-    out = np.empty((m, n), dtype=complex)
-    for i, child in enumerate(children):
-        rng = np.random.Generator(np.random.Philox(child))
-        block = rng.standard_normal(2 * n)
-        out[i] = (block[0::2] + 1j * block[1::2]) / np.sqrt(2.0)
+    pairs = np.empty((m, 2 * n))
+    for row, child in zip(pairs, children):
+        np.random.Generator(np.random.Philox(child)).standard_normal(out=row)
+    out = pairs.view(complex)
+    out /= np.sqrt(2.0)     # complex division: a real one rounds differently
     return out
 
 
 def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
                 noise: NoiseConfig | None = None) -> EchoFrame:
     """Full frame: node echoes + wall clutter + noise at the target SNR."""
-    signal = _node_sum(p, act, cfg)
-    data = signal + wall_clutter(cfg, p)[None, :]
+    data = _node_sum(p, act, cfg)
+    p_sig = float(np.mean(np.abs(data) ** 2)) if noise is not None else 0.0
+    data += wall_clutter(cfg, p)[None, :]
     if noise is not None:
-        p_sig = float(np.mean(np.abs(signal) ** 2))
         reference = p_sig if p_sig > 0 else 1.0
         p_noise = reference * 10.0 ** (-noise.target_snr / 10.0)
         scaled = _noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed)

@@ -84,9 +84,10 @@ def write_pgm(path: str | Path, img: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Comma-separated table; every float, numpy's too, as a Python float's repr."""
     def fmt(v) -> str:
-        if isinstance(v, float):
-            return repr(v)
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
         return str(v)
 
     lines = [",".join(header)]

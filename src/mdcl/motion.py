@@ -211,7 +211,7 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
         out = free(t_arr)
         if wall > 0.0:
             # a rounded square can dip below 0 where the node meets the radar
-            out = (np.sqrt(np.maximum(out, 0.0)) + wall) ** 2
+            out = np.square(np.sqrt(np.maximum(out, 0.0)) + wall)
         return float(out) if np.ndim(t) == 0 else out
     return curve
 

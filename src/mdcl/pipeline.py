@@ -239,14 +239,16 @@ class RunManifest:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            h.update(chunk)
     return h.hexdigest()
 
 
 @dataclass
 class _JobOutcome:
     label: str
-    written: list[Path]
+    artifacts: dict[str, str] = field(default_factory=dict)   # path -> sha256
     metrics: dict[str, float] | None = None
     timings: dict[str, float] = field(default_factory=dict)
     error: StageError | None = None
@@ -268,9 +270,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
 
     Every activity runs even when another fails; the manifest lists each
     file on disk that the run wrote, and names the first failure in
-    activity order.  Per-stage wall-clock timings and failure messages go
-    to ``run.log`` (not part of the manifest, which must be bit-identical
-    across reruns of one config).
+    activity order.  The worker that wrote an activity's files hashes them,
+    whether or not the activity failed.  Per-stage wall-clock timings and
+    failure messages go to ``run.log`` (not part of the manifest, which
+    must be bit-identical across reruns of one config).
     """
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.run.out_dir)
@@ -278,17 +281,18 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     labels = cfg.activity_list()
 
     def one_activity(label: str) -> _JobOutcome:
-        outcome = _JobOutcome(label, [])
+        outcome, written = _JobOutcome(label), []
         try:
             res = run_activity(cfg, label)
             try:
-                write_activity_artifacts(out / label, res, outcome.written)
+                write_activity_artifacts(out / label, res, written)
             except Exception as exc:
                 raise StageError("write", label, exc) from exc
+            outcome.metrics, outcome.timings = res.metrics, res.timings
         except StageError as exc:
             outcome.error = exc
-            return outcome
-        outcome.metrics, outcome.timings = res.metrics, res.timings
+        outcome.artifacts = {str(path.relative_to(out)): _sha256(path)
+                             for path in written if path.is_file()}
         return outcome
 
     outcomes = pool_map(one_activity, labels)
@@ -297,8 +301,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     status = "failed" if failures else "ok"
     failed_stage = (f"{failures[0].activity_label}:{failures[0].stage}"
                     if failures else None)
-    artifacts = {str(path.relative_to(out)): _sha256(path)
-                 for o in outcomes for path in o.written if path.is_file()}
+    artifacts = {rel: h for o in outcomes for rel, h in o.artifacts.items()}
 
     config_path = out / "config.txt"
     config_path.write_text(serialize_config(cfg), encoding="utf-8")

@@ -1,6 +1,9 @@
 """Corner detection and fusion tests on synthetic blob images."""
 
 import functools
+import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -333,3 +336,37 @@ class TestFusion:
         short = CornerSet(pc_r.corners[:10], "r", pc_r.shape)
         with pytest.raises(ValueError):
             fuse_pc_rd(short, pc_d, r2, d2)
+
+
+class TestKernelCache:
+    def test_concurrent_first_calls_build_once(self, monkeypatch):
+        builds, real = [], corners._kernels
+
+        def counted(cfg):
+            builds.append(cfg)
+            time.sleep(0.05)        # hold the build open for the others
+            return real(cfg)
+
+        monkeypatch.setattr(corners, "_kernels", counted)
+        monkeypatch.setattr(corners, "_KERNEL_FFT_CACHE", {})
+        n = 8
+        start = threading.Barrier(n)
+        got = [None] * n
+
+        def first_call(i):
+            start.wait(timeout=10)
+            got[i] = corners._kernel_ffts(CFG, (40, 40))
+
+        threads = [threading.Thread(target=first_call, args=(i,)) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        assert all(g is got[0] for g in got)

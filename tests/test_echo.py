@@ -4,14 +4,94 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mdcl.activities import activity
+from mdcl import echo
+from mdcl.activities import MotionState, activity
 from mdcl.echo import (NoiseConfig, RadarConfig, RadarConfigError, EchoFrame,
-                       synth_frame, wall_clutter, C_LIGHT)
-from mdcl.scene import NodeId, SceneParams
+                       node_delays, synth_frame, wall_clutter, C_LIGHT)
+from mdcl.scene import ALL_NODES, NodeId, SceneParams
 
 S8 = activity("S8")
 S1 = activity("S1")
+
+
+def oracle_beat_rows(cfg, amplitude, tau):
+    """Reference for ``echo._beat_rows``: every PRI's row from its own delay."""
+    mu = cfg.chirp_rate
+    t_fast = np.arange(cfg.fast_samples) / cfg.fast_rate
+    phase = mu * tau[:, None] * t_fast[None, :]
+    phase += (cfg.carrier * tau - 0.5 * mu * tau * tau)[:, None]
+    rows = 2j * np.pi * phase
+    np.exp(rows, out=rows)
+    rows *= amplitude
+    return rows
+
+
+def oracle_noise_matrix(m, n, seed):
+    """Reference for ``echo._noise_matrix``: each PRI's 2n normals drawn as
+    one block and interleaved into (real, imaginary) pairs."""
+    out = np.empty((m, n), dtype=complex)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(m)):
+        block = np.random.Generator(np.random.Philox(child)).standard_normal(2 * n)
+        out[i] = (block[0::2] + 1j * block[1::2]) / np.sqrt(2.0)
+    return out
+
+
+def oracle_frame(p, act, cfg, noise):
+    """Reference for ``synth_frame`` from the oracles: node sum, plus the
+    wall row into a new array, plus the scaled noise."""
+    signal = np.zeros((cfg.slow_samples, cfg.fast_samples), dtype=complex)
+    for node in ALL_NODES:
+        eta = cfg.reflectivity.get(node, 0.0)
+        if eta == 0.0 or act.node(node).state is MotionState.INACTIVE:
+            continue
+        signal += oracle_beat_rows(cfg, 0.5 * eta * cfg.tx_amplitude ** 2,
+                                   node_delays(node, p, act, cfg))
+    wall = oracle_beat_rows(cfg, 0.5 * cfg.wall_reflectivity * cfg.tx_amplitude ** 2,
+                            np.array([2.0 * cfg.wall_range / C_LIGHT]))
+    data = signal + wall
+    p_sig = float(np.mean(np.abs(signal) ** 2))
+    p_noise = (p_sig if p_sig > 0 else 1.0) * 10.0 ** (-noise.target_snr / 10.0)
+    scaled = oracle_noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed)
+    scaled *= np.sqrt(p_noise)
+    data += scaled
+    return data
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@st.composite
+def delays_with_repeats(draw):
+    """Up to 48 per-PRI delays drawn from a pool of at most 8 values."""
+    pool = draw(st.lists(st.floats(0.0, 1e-7), min_size=1, max_size=8, unique=True))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=48))
+    return np.array(pool)[picks]
+
+
+class TestExactness:
+    """The deduplicated beat rows, the direct noise draw and the in-place
+    frame equal their references bit for bit."""
+
+    @pytest.mark.parametrize("label", ["S1", "S5", "S8", "S12"])
+    def test_frame_matches_oracle(self, label):
+        p, act, cfg = SceneParams(), activity(label), RadarConfig()
+        noise = NoiseConfig(target_snr=-16.0, seed=42)
+        frame = synth_frame(p, act, cfg, noise)
+        assert np.array_equal(bits(frame.data), bits(oracle_frame(p, act, cfg, noise)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau=delays_with_repeats())
+    @example(tau=np.full(16, 2.0e-8))                   # all equal
+    @example(tau=np.linspace(1.0e-8, 3.0e-8, 16))       # all distinct
+    @example(tau=np.linspace(3.0e-8, 1.0e-8, 16))       # distinct, descending
+    def test_beat_rows_match_oracle(self, tau):
+        cfg = RadarConfig(slow_samples=16, fast_samples=32)
+        rows = echo._beat_rows(cfg, 0.3, tau)
+        assert np.array_equal(bits(rows), bits(oracle_beat_rows(cfg, 0.3, tau)))
 
 
 def static_scene(x1=3.0):

@@ -36,10 +36,7 @@ def scene(**kw):
 
 def scalar_scan_zeros(fn, T, grid=motion._GRID):
     """Oracle for ``motion._scan_zeros``: each sign-change bracket bisected
-    on its own, one ``fn`` call per step.  Each call passes a one-element
-    array: the curves' scalar path squares the through-wall distance with
-    a scalar power, which can differ from the array path by 1 ulp, and a
-    numeric derivative near its zero turns that into a different zero."""
+    on its own, one scalar ``fn`` call per step."""
     ts = np.linspace(0.0, T, grid + 1)
     vals = np.asarray(fn(ts), dtype=float)
     zeros = []
@@ -48,7 +45,7 @@ def scalar_scan_zeros(fn, T, grid=motion._GRID):
         fa = vals[i]
         while b - a > motion._BISECT_TOL:
             m = 0.5 * (a + b)
-            fm = float(fn(np.array([m]))[0])
+            fm = float(fn(m))
             if fm == 0.0:
                 a = b = m
                 break
@@ -143,6 +140,12 @@ class TestDistanceCurves:
             d_free = np.sqrt(node_distance_sq(node, p_free, S8, t))
             d_wall = np.sqrt(node_distance_sq(node, p_wall, S8, t))
             assert np.allclose(d_wall - d_free, shift, atol=1e-12)
+
+    def test_scalar_and_array_calls_agree_through_wall(self):
+        # key-point values come from scalar calls, the search from arrays
+        fn = motion.node_curve(NodeId.TORSO, SceneParams(), activity("S9"), "r2")
+        t = np.linspace(1.3, 1.7, 20001)
+        assert np.array_equal([fn(float(x)) for x in t], fn(t))
 
     @pytest.mark.parametrize("velocity", [(0.0, 0.0), (-0.6, 1.0)])
     def test_feet_through_wall_finite_at_the_radar(self, velocity):

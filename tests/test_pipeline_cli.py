@@ -52,6 +52,20 @@ def unlisted_files(out, manifest):
     return on_disk ^ set(manifest.artifacts)
 
 
+def assert_digests_match_disk(out):
+    """Every ``sha256:`` in ``manifest.txt`` is that of the file on disk."""
+    listed = [line.partition(" = sha256:")
+              for line in (out / "manifest.txt").read_text().splitlines()]
+    listed = [(rel, digest) for rel, sep, digest in listed if sep]
+    assert listed
+    for rel, digest in listed:
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
+
+
+# CSV columns that hold names; every other cell is a number
+TEXT_COLUMNS = {"map_id", "node", "map", "activity", "metric", "source"}
+
+
 class TestRunPipeline:
     def test_single_activity_inventory(self, tmp_path):
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S8"})
@@ -70,6 +84,21 @@ class TestRunPipeline:
                    for p in (tmp_path / "out").rglob("*") if p.is_file()}
         listed = set(manifest.artifacts) | {"manifest.txt", "run.log"}
         assert on_disk == listed
+        assert_digests_match_disk(tmp_path / "out")
+
+    def test_every_numeric_csv_cell_parses(self, tmp_path):
+        cfg, _ = write_small_config(tmp_path, **{"run.activities": "S8,S9"})
+        out = tmp_path / "out"
+        assert run_pipeline(cfg, out).status == "ok"
+        tables = sorted(out.rglob("*.csv"))
+        assert len(tables) == 12
+        for path in tables:
+            header, *rows = path.read_text().splitlines()
+            names = header.split(",")
+            for row in rows:
+                for name, cell in zip(names, row.split(","), strict=True):
+                    if name not in TEXT_COLUMNS:
+                        float(cell)
 
     def test_rerun_identical_digests(self, tmp_path):
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S5",
@@ -100,6 +129,7 @@ class TestRunPipeline:
         assert not (out / "S8").exists()
         assert unlisted_files(out, manifest) == set()
         assert (out / "manifest.txt").read_text() == manifest.text()
+        assert_digests_match_disk(out)
         assert "S8 evaluate failed: injected failure" in (out / "run.log").read_text()
 
     def test_write_error_manifest_lists_partial_files(self, tmp_path, monkeypatch):
@@ -120,6 +150,7 @@ class TestRunPipeline:
         assert "S8/metrics.csv" not in manifest.artifacts
         assert "S5/metrics.csv" in manifest.artifacts
         assert unlisted_files(out, manifest) == set()
+        assert_digests_match_disk(out)
 
     def test_empty_scene_runs(self, tmp_path):
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S1",
