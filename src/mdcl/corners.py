@@ -215,7 +215,8 @@ def _nms_pool(resp: np.ndarray, radius: int,
         mask &= resp >= padded[pad + dr:pad + dr + nr, pad + dc:pad + dc + nc]
     rows, cols = np.nonzero(mask)
     vals = resp[rows, cols]
-    order = np.lexsort((cols, rows, -vals))
+    # nonzero yields row-major order, so a stable sort keeps ties by (row, col)
+    order = np.argsort(-vals, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
 
     flat = padded.ravel()

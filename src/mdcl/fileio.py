@@ -31,7 +31,8 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
     rows, cols = a.shape
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, flags, rows, cols))
-        f.write(a.astype("<c8" if complex_payload else "<f4").tobytes())
+        # the cast array's own buffer: one payload-sized copy at most
+        f.write(np.ascontiguousarray(a, dtype="<c8" if complex_payload else "<f4"))
 
 
 def read_matrix(path: str | Path) -> np.ndarray:

@@ -4,7 +4,10 @@ The earth mover's distance between equal-cardinality, uniform-weight
 clouds reduces to a minimum-cost perfect assignment, solved exactly.
 Curve fitting handles the linear families by least squares and the
 nonlinear families (unknown gait frequency / swing angle or in-place
-timing) by multi-start refinement with variable projection.
+timing) by variable projection: the linear coefficients are projected
+out, and damped Gauss-Newton steps refine the nonlinear parameters from
+32 starts at once, every start's design matrices built and factored as
+one stack per step.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, linear_sum_assignment
+from scipy.optimize import linear_sum_assignment
 
 from mdcl.motion import CurveModel
 
@@ -94,7 +97,7 @@ def _stencil_designs(model: CurveModel, ts: np.ndarray, nonlinear, h: float,
     n = ts.size
     d = model.design_matrix(np.concatenate([ts + s * h for s in shifts]),
                             nonlinear)
-    return [d[i * n:(i + 1) * n] for i in range(len(shifts))]
+    return [d[..., i * n:(i + 1) * n, :] for i in range(len(shifts))]
 
 
 def _slope_design(model: CurveModel, ts: np.ndarray, nonlinear) -> np.ndarray:
@@ -121,7 +124,9 @@ def _augmented_system(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
     A key point taken at a curve extremum pins both the value and a zero
     first derivative; an inflection-fallback point pins a zero second
     derivative.  Using this makes the sparse nonlinear families
-    identifiable from exactly their minimum point count.
+    identifiable from exactly their minimum point count.  A (K, ndim)
+    stack of nonlinear vectors gives a (K, m, p) stack of systems that
+    share the targets.
     """
     a = model.design_matrix(ts, nonlinear)
     y = [ys]
@@ -133,7 +138,7 @@ def _augmented_system(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
     if inflection_ts is not None and inflection_ts.size:
         rows.append(w * w * _curvature_design(model, inflection_ts, nonlinear))
         y.append(np.zeros(inflection_ts.size))
-    return np.vstack(rows), np.concatenate(y)
+    return np.concatenate(rows, axis=-2), np.concatenate(y)
 
 
 def _lin_fit(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
@@ -152,44 +157,114 @@ def _lin_fit(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
     return coef, rms, int(rank), cond
 
 
+# Levenberg-Marquardt settings of the multistart fit.  Each start stops when
+# a step lowers its cost by no more than _LM_FTOL of it, when its damping
+# passes _LM_MAX_DAMPING without a step that lowers the cost at all, or
+# after _LM_MAX_ITER trial steps.  A step that would leave the parameter
+# box is shortened to _LM_STEP_BACK of the way to the bound.
+_LM_MAX_ITER = 100
+_LM_FTOL = 1e-12
+_LM_MAX_DAMPING = 1e12
+_LM_STEP_BACK = 0.995
+_FD_STEP = float(np.sqrt(np.finfo(float).eps))
+
+
 def _multistart_fit(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
                     slope_ts: np.ndarray | None,
                     inflection_ts: np.ndarray | None, n_starts: int = 32):
     """Variable-projection fit of the nonlinear parameters.
 
-    Starts on a low-discrepancy grid over the parameter box.  Exact
+    Starts on a low-discrepancy grid over the parameter box and moves all
+    starts in lockstep with damped Gauss-Newton (Levenberg-Marquardt)
+    steps: one batched residual evaluation per step covers every active
+    start's trial point and its forward-difference Jacobian.  The residual
+    is the part of the targets outside the design matrix's column space
+    (Golub & Pereyra), so only the nonlinear parameters are iterated.
+    Steps are solved in coordinates scaled to the parameter box, each
+    start damping its own step with a multiple of the identity, and a
+    step that would leave the box stops short of the bound: clipping it
+    onto the bound instead parks starts in boundary minima.  Exact
     harmonic aliases tie at zero residual; ties resolve to the smallest
     leading (frequency) parameter so the fundamental wins.
     """
     bounds = np.asarray(model.nonlinear_bounds, dtype=float)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    width = hi - lo
     ndim = bounds.shape[0]
 
-    def residual(theta):
-        a, y = _augmented_system(model, ts, ys, theta, slope_ts, inflection_ts)
-        coef, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-        return y - a @ coef
+    def residuals(thetas: np.ndarray) -> np.ndarray:
+        """(K, m) projection residuals ``y - U U^T y``, rank cut as in lstsq."""
+        a, y = _augmented_system(model, ts, ys, thetas, slope_ts, inflection_ts)
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(a.shape[1:]) * s[:, :1]
+        coef = np.einsum("kmp,m->kp", u, y) * keep
+        return y - np.einsum("kmp,kp->km", u, coef)
 
-    candidates: list[tuple[float, tuple[float, ...]]] = []
-    for g in _halton(n_starts, ndim):
-        x0 = bounds[:, 0] + g * (bounds[:, 1] - bounds[:, 0])
-        try:
-            sol = least_squares(residual, x0, bounds=(bounds[:, 0], bounds[:, 1]),
-                                xtol=1e-15, ftol=1e-15, gtol=1e-14)
-        except Exception:
-            continue
-        candidates.append((float(np.sqrt(np.mean(sol.fun ** 2))), tuple(sol.x)))
-    if not candidates:
+    def evaluate(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals (K, m) and box-scaled Jacobians (K, ndim, m), one call.
+
+        Forward differences take scipy's "2-point" step, flipped where it
+        would cross the upper bound.
+        """
+        h = _FD_STEP * np.maximum(1.0, np.abs(thetas))
+        h = (thetas + np.where(thetas + h > hi, -h, h)) - thetas
+        # row 0 is the point itself, row i + 1 its step in parameter i
+        points = thetas[:, None, :] + h[:, None, :] * np.eye(ndim + 1, ndim, -1)
+        r = residuals(points.reshape(-1, ndim)).reshape(len(thetas), ndim + 1, -1)
+        jac = (r[:, 1:] - r[:, :1]) * (width / h)[:, :, None]
+        return r[:, 0], jac
+
+    theta = lo + _halton(n_starts, ndim) * width
+    r, jac = evaluate(theta)
+    cost = 0.5 * np.sum(r * r, axis=1)
+    damping = np.full(n_starts, 1e-3)
+    active = np.isfinite(cost) & (cost > 0.0)
+    for _ in range(_LM_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        j, x = jac[idx], theta[idx]
+        jtj = j @ np.swapaxes(j, 1, 2)
+        grad = np.einsum("kdm,km->kd", j, r[idx])
+        mu = damping[idx] * np.maximum(
+            np.diagonal(jtj, axis1=1, axis2=2).max(axis=1), np.finfo(float).tiny)
+        step = -np.linalg.solve(jtj + mu[:, None, None] * np.eye(ndim),
+                                grad[..., None])[..., 0] * width
+        room = np.full_like(step, np.inf)
+        np.divide(np.where(step > 0, hi - x, lo - x), step, out=room,
+                  where=step != 0)
+        reach = room.min(axis=1)
+        scale = np.where(reach < 1.0, _LM_STEP_BACK * reach, 1.0)
+        cand = np.clip(x + scale[:, None] * step, lo, hi)
+        r_new, jac_new = evaluate(cand)
+        cost_new = 0.5 * np.sum(r_new * r_new, axis=1)
+        better = cost_new < cost[idx]
+        done = np.where(better, cost[idx] - cost_new <= _LM_FTOL * cost[idx],
+                        damping[idx] * 10.0 > _LM_MAX_DAMPING)
+        acc = idx[better]
+        theta[acc], r[acc], jac[acc] = cand[better], r_new[better], jac_new[better]
+        cost[acc] = cost_new[better]
+        damping[idx] *= np.where(better, 0.1, 10.0)
+        active[idx[done | (cost[idx] == 0.0)]] = False
+
+    rms = np.sqrt(2.0 * cost / r.shape[1])
+    finite = np.flatnonzero(np.isfinite(rms))
+    if not finite.size:
         raise RuntimeError("nonlinear fit failed from every start")
-    best_rms = min(rms for rms, _ in candidates)
     tie = 1e-9 * (1.0 + float(np.sqrt(np.mean(ys ** 2))))
-    tied = [x for rms, x in candidates if rms <= best_rms + tie]
-    return min(tied, key=lambda x: x[0])
+    tied = finite[rms[finite] <= rms[finite].min() + tie]
+    return min((tuple(float(v) for v in theta[i]) for i in tied),
+               key=lambda x: x[0])
 
 
 def _halton(n: int, dim: int) -> np.ndarray:
-    primes = [2, 3, 5, 7][:dim]
+    """First ``n`` points of the Halton sequence in ``dim`` <= 4 dimensions."""
+    primes = [2, 3, 5, 7]
+    if dim > len(primes):
+        raise ValueError(f"Halton starts support at most {len(primes)} "
+                         f"nonlinear parameters, got {dim}")
     out = np.empty((n, dim))
-    for j, p in enumerate(primes):
+    for j, p in enumerate(primes[:dim]):
         seq = []
         for i in range(1, n + 1):
             f, r, x = 1.0, 0.0, i

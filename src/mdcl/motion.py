@@ -426,11 +426,20 @@ class CurveModel:
         return self.basis_builder(params)
 
     def design_matrix(self, ts, nonlinear=None) -> np.ndarray:
+        """Basis columns at ``ts``: (n, p) for one nonlinear vector, or
+        (K, n, p) for a (K, ndim) stack of them, each slice equal to the
+        single-vector build."""
         ts = np.asarray(ts, dtype=float)
-        basis = self.basis(nonlinear)
-        out = np.empty((ts.size, len(basis)))
+        if np.ndim(nonlinear) == 2:
+            stack = np.asarray(nonlinear, dtype=float)
+            # (K, 1) parameters broadcast against the times in every basis
+            basis = self.basis_builder(tuple(stack.T[:, :, None]))
+            out = np.empty((stack.shape[0], ts.size, len(basis)))
+        else:
+            basis = self.basis(nonlinear)
+            out = np.empty((ts.size, len(basis)))
         for j, b in enumerate(basis):
-            out[:, j] = b(ts)
+            out[..., j] = b(ts)
         return out
 
     def keypoints_detailed(self, count: int | None = None) -> list[tuple[float, str]]:

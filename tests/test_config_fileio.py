@@ -1,11 +1,14 @@
 """Config parsing and file-format tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mdcl.cli import main
 from mdcl.config import (ConfigError, PipelineConfig, config_digest,
                          parse_config, serialize_config)
+from mdcl import fileio
 from mdcl.fileio import (MatrixFormatError, read_matrix, write_csv,
                          write_matrix, write_pgm)
 from mdcl.preprocess import emd_denoise
@@ -161,6 +164,34 @@ class TestMatrixFormat:
         assert raw[4] == 1          # version
         assert raw[5] == 1          # complex flag
         assert len(raw) == 14 + 2 * 3 * 2 * 4
+
+    @pytest.mark.parametrize("case", ["complex", "real", "complex strided",
+                                      "real transposed"])
+    def test_payload_is_cast_bytes(self, tmp_path, case):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((40, 60))
+        if case.startswith("complex"):
+            a = a + 1j * rng.standard_normal(a.shape)
+        if case.endswith("strided"):
+            a = a[::3, ::-2]
+        if case.endswith("transposed"):
+            a = a.T
+        path = tmp_path / "m.mdcm"
+        write_matrix(path, a)
+        dtype = "<c8" if np.iscomplexobj(a) else "<f4"
+        assert path.read_bytes()[fileio._HEADER.size:] == a.astype(dtype).tobytes()
+
+    def test_writer_peak_is_one_payload(self, tmp_path):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+        payload = a.size * np.dtype("<c8").itemsize
+        tracemalloc.start()
+        try:
+            write_matrix(tmp_path / "m.mdcm", a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= payload + 2 ** 20
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.mdcm"

@@ -248,13 +248,19 @@ def nms_map(kind, shape, rng):
         return img
     if kind == "zero":
         return np.zeros(shape)
+    if kind == "tied":              # equal peaks planted across the map
+        img = 0.9 * rng.random(shape)
+        spots = rng.integers(0, shape, size=(int(rng.integers(2, 12)), 2))
+        img[spots[:, 0], spots[:, 1]] = rng.choice([0.95, 1.0], size=len(spots))
+        return img
     return ripple_on_ramp(shape)
 
 
 class TestLazyNms:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1),
-           kind=st.sampled_from(["random", "quantised", "border", "zero", "ramp"]),
+           kind=st.sampled_from(["random", "quantised", "border", "zero", "ramp",
+                                 "tied"]),
            shape=st.tuples(st.integers(3, 48), st.integers(3, 48)),
            radius=st.integers(1, 9), k=st.sampled_from([1, 30, 64]))
     def test_matches_disk_filter_oracle(self, seed, kind, shape, radius, k):
