@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from mdcl.activities import activity_labels
-from mdcl.corners import DetectorConfig
+from mdcl.corners import DetectorConfig, filter_support
 from mdcl.echo import NoiseConfig, RadarConfig
-from mdcl.preprocess import check_emd_params
+from mdcl.preprocess import EMD_MIN_LENGTH, check_emd_params
 from mdcl.scene import NodeId, SceneParams, WallParams
 
 
@@ -146,19 +146,30 @@ class PipelineConfig:
                             ("radar.fast_samples", r.fast_samples)):
             if value < 2:
                 raise ConfigError(f"{name} must be >= 2, got {value}")
+        if r.max_range_m < 0:
+            raise ConfigError(f"radar.max_range_m must be >= 0, got {r.max_range_m}")
         try:
             check_emd_params(*self.preprocessing.emd_params())
         except ValueError as exc:
             raise ConfigError(f"preprocessing.{exc}") from exc
-        if self.preprocessing.predecimate_rows < 1:
-            raise ConfigError("preprocessing.predecimate_rows must be >= 1, "
+        # squaring splits a Doppler map at zero: one row per half at least
+        if self.preprocessing.predecimate_rows < 2:
+            raise ConfigError("preprocessing.predecimate_rows must be >= 2, "
                               f"got {self.preprocessing.predecimate_rows}")
         try:
-            self.detector_config()
+            support = filter_support(self.detector_config())
         except ValueError as exc:
             raise ConfigError(f"detector.{exc}") from exc
-        if self.detector.render_rows < 64:
-            raise ConfigError("detector.render_rows must be >= 64")
+        # slow time is every map's row length (EMD) and column count (detector)
+        min_slow = max(EMD_MIN_LENGTH, support)
+        if r.slow_samples < min_slow:
+            raise ConfigError(
+                f"radar.slow_samples must be >= {min_slow} (EMD needs "
+                f"{EMD_MIN_LENGTH}, the filter support is {support}), "
+                f"got {r.slow_samples}")
+        if self.detector.render_rows < support:
+            raise ConfigError(f"detector.render_rows must be >= the {support}-pixel "
+                              f"filter support, got {self.detector.render_rows}")
         labels = self.activity_list()
         known = set(activity_labels())
         bad = [a for a in labels if a not in known]

@@ -91,10 +91,15 @@ class PointCloudRD:
             raise ValueError("PC-RD coordinates must be normalized to [0, 1]")
 
 
+def _radius(cfg: DetectorConfig) -> int:
+    """Kernel half-width: three of the wider of the two Gaussian scales."""
+    return int(np.ceil(3.0 * max(cfg.sigma_px, cfg.sigma_px * cfg.anisotropy)))
+
+
 def _kernels(cfg: DetectorConfig) -> list[np.ndarray]:
     sig_u = cfg.sigma_px
     sig_v = cfg.sigma_px * cfg.anisotropy
-    radius = int(np.ceil(3.0 * max(sig_u, sig_v)))
+    radius = _radius(cfg)
     yy, xx = np.mgrid[-radius:radius + 1, -radius:radius + 1]
     kernels = []
     for k in range(cfg.orientations):
@@ -132,8 +137,9 @@ def _kernel_ffts(cfg: DetectorConfig, padded_shape: tuple[int, int]):
     return cached
 
 
-def _support(cfg: DetectorConfig) -> int:
-    return 2 * int(np.ceil(3.0 * cfg.sigma_px * max(1.0, cfg.anisotropy))) + 1
+def filter_support(cfg: DetectorConfig) -> int:
+    """Side of the square filter support; smaller maps cannot be filtered."""
+    return 2 * _radius(cfg) + 1
 
 
 def corner_response(pm: ProfileMap | np.ndarray,
@@ -151,11 +157,11 @@ def corner_response(pm: ProfileMap | np.ndarray,
     the response returned.
     """
     img = pm.data if isinstance(pm, ProfileMap) else np.asarray(pm, dtype=float)
-    support = _support(cfg)
-    if min(img.shape) < support:
+    side = filter_support(cfg)
+    if min(img.shape) < side:
         raise ValueError(
-            f"map {img.shape} smaller than the {support}x{support} filter support")
-    pad = (support - 1) // 2
+            f"map {img.shape} smaller than the {side}x{side} filter support")
+    pad = _radius(cfg)
     padded = np.pad(img - img.mean(dtype=np.float64), pad, mode="symmetric")
     _, fast, kernel_ffts = _kernel_ffts(cfg, padded.shape)
     img_fft = sfft.rfft2(padded, fast).astype(np.complex64)

@@ -16,6 +16,7 @@ of the pendulum curves.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -402,14 +403,11 @@ class CurveModel:
     ``basis_builder`` maps the nonlinear parameter vector to the list of
     linear basis functions; for purely linear families the nonlinear vector
     is empty.  ``mncp`` is the minimum number of corner points the family
-    needs for unique reconstruction.
+    needs for unique reconstruction.  Key points come from ``derivative``
+    when given, else from a numeric derivative of ``value``.
     """
 
-    family: str
-    kind: str                      # "r2" or "d2"
     mncp: int
-    linear_count: int
-    nonlinear_names: tuple[str, ...]
     nonlinear_truth: tuple[float, ...]
     nonlinear_bounds: tuple[tuple[float, float], ...]
     value: Callable
@@ -418,8 +416,12 @@ class CurveModel:
     derivative: Callable | None = None
 
     @property
+    def linear_count(self) -> int:
+        return len(self.basis())
+
+    @property
     def nonlinear_count(self) -> int:
-        return len(self.nonlinear_names)
+        return len(self.nonlinear_truth)
 
     def basis(self, nonlinear: Sequence[float] | None = None) -> list[Callable]:
         params = tuple(self.nonlinear_truth if nonlinear is None else nonlinear)
@@ -464,116 +466,71 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
     """Instantiate the canonical curve families for a scene.
 
     Distance families are built in free space; the wall shifts the distance
-    axis without changing which family a curve belongs to.  The walking
-    families swing at the angles of the S8 (walking) catalog entry.
+    axis without changing which family a curve belongs to.  Each walking
+    family is a node's curve in the S8 (walking) catalog entry, evaluated
+    by ``node_curve`` and searched for key points by the ground truth's
+    numeric derivative.
     """
     x1, y1 = p.initial_position
-    vx, vy = p.initial_velocity
-    v1 = p.speed
     phi = p.gait_frequency
     T = p.window
-    models: dict[str, CurveModel] = {}
+    walk = activity("S8")
+    free_space = dataclasses.replace(p, through_wall=False)
+
+    def const_basis(_):
+        return [lambda t: np.ones_like(t)]
 
     def quad_basis(_):
         return [lambda t: np.ones_like(t), lambda t: t, lambda t: t * t]
 
-    z_head = _rest_z_eff(NodeId.HEAD, p)
-    models["walk_head_r2"] = CurveModel(
-        "walk_head_r2", "r2", 3, 3, (), (), (),
-        value=lambda t: _translate_xi_sq(x1, y1, z_head, vx, vy, np.asarray(t, float)),
-        basis_builder=quad_basis, window=T,
-        derivative=lambda t: 2.0 * (vx * vx + vy * vy) * np.asarray(t, float)
-        + 2.0 * (x1 * vx + y1 * vy),
-    )
-    z_torso = _rest_z_eff(NodeId.TORSO, p)
-    models["walk_torso_r2"] = CurveModel(
-        "walk_torso_r2", "r2", 3, 3, (), (), (),
-        value=lambda t: _translate_xi_sq(x1, y1, z_torso, vx, vy, np.asarray(t, float)),
-        basis_builder=quad_basis, window=T,
-        derivative=lambda t: 2.0 * (vx * vx + vy * vy) * np.asarray(t, float)
-        + 2.0 * (x1 * vx + y1 * vy),
-    )
+    def pend_basis(theta):
+        def S(t):
+            return np.sin(theta * np.sin(phi * np.asarray(t, float)))
 
-    const = v1 * v1
-    for name in ("walk_head_d2", "walk_torso_d2"):
-        models[name] = CurveModel(
-            name, "d2", 1, 1, (), (), (),
-            value=lambda t, c=const: np.full_like(np.asarray(t, float), c),
-            basis_builder=lambda _: [lambda t: np.ones_like(t)],
-            window=T,
-        )
+        return lambda _: [
+            lambda t: np.ones_like(np.asarray(t, float)),
+            lambda t: np.asarray(t, float),
+            lambda t: np.asarray(t, float) ** 2,
+            S,
+            lambda t: np.asarray(t, float) * S(t),
+            lambda t: np.cos(theta * np.sin(phi * np.asarray(t, float))),
+        ]
 
-    walk = activity("S8")
-    arm_angle = walk.node(NodeId.HAND_L).swing_angle
-    leg_angle = walk.node(NodeId.FOOT_R).swing_angle
-    dirx, diry = _swing_direction(x1, y1, vx, vy)
-    lever_a = x1 * dirx + y1 * diry
-    lever_b = vx * dirx + vy * diry
-    for name, (l, h, theta) in {
-        "walk_hand_r2": (p.arm_length, p.torso_upper, arm_angle),
-        "walk_foot_r2": (p.leg_length, p.torso_lower, leg_angle),
-    }.items():
-        def pend_basis(nl, _l=l, _th=theta):
-            def S(t, th=_th):
-                return np.sin(th * np.sin(phi * np.asarray(t, float)))
+    def vel_basis(nl):
+        w, th = nl
 
-            return [
-                lambda t: np.ones_like(np.asarray(t, float)),
-                lambda t: np.asarray(t, float),
-                lambda t: np.asarray(t, float) ** 2,
-                S,
-                lambda t: np.asarray(t, float) * S(t),
-                lambda t: np.cos(_th * np.sin(phi * np.asarray(t, float))),
-            ]
+        return [
+            lambda t: np.ones_like(np.asarray(t, float)),
+            lambda t: np.cos(w * np.asarray(t, float)) ** 2,
+            lambda t: np.cos(w * np.asarray(t, float))
+            * np.cos(th * np.sin(w * np.asarray(t, float))),
+        ]
 
-        def pend_r2_deriv(t, _l=l, _h=h, _th=theta):
-            t = np.asarray(t, float)
-            swing = _th * np.sin(phi * t)
-            s, c = np.sin(swing), np.cos(swing)
-            rate = _th * phi * np.cos(phi * t)
-            return (2.0 * (x1 * vx + y1 * vy) + 2.0 * (vx * vx + vy * vy) * t
-                    + 2.0 * _l * _l * (c * rate * (lever_a + lever_b * t)
-                                       + s * lever_b)
-                    + 2.0 * _h * _l * s * rate)
+    arm = walk.node(NodeId.HAND_L).swing_angle
+    leg = walk.node(NodeId.FOOT_R).swing_angle
+    swing_bounds = ((np.pi, 4 * np.pi), (1e-3, np.pi / 2 - 1e-3))
+    # name: (node, kind, mncp, basis builder, nonlinear truth, bounds)
+    walking = {
+        "walk_head_r2": (NodeId.HEAD, "r2", 3, quad_basis, (), ()),
+        "walk_torso_r2": (NodeId.TORSO, "r2", 3, quad_basis, (), ()),
+        "walk_head_d2": (NodeId.HEAD, "d2", 1, const_basis, (), ()),
+        "walk_torso_d2": (NodeId.TORSO, "d2", 1, const_basis, (), ()),
+        "walk_hand_r2": (NodeId.HAND_L, "r2", 6, pend_basis(arm), (), ()),
+        "walk_foot_r2": (NodeId.FOOT_R, "r2", 6, pend_basis(leg), (), ()),
+        "walk_hand_d2": (NodeId.HAND_L, "d2", 5, vel_basis, (phi, arm), swing_bounds),
+        "walk_foot_d2": (NodeId.FOOT_R, "d2", 5, vel_basis, (phi, leg), swing_bounds),
+    }
+    models: dict[str, CurveModel] = {
+        name: CurveModel(mncp, truth, bounds,
+                         value=node_curve(node, free_space, walk, kind),
+                         basis_builder=basis, window=T)
+        for name, (node, kind, mncp, basis, truth, bounds) in walking.items()}
 
-        models[name] = CurveModel(
-            name, "r2", 6, 6, (), (), (),
-            value=lambda t, _l=l, _h=h, _th=theta: _pendulum_xi_sq(
-                x1, y1, vx, vy, dirx, diry, _l, _h, _th, phi, 0.0,
-                np.asarray(t, float)),
-            basis_builder=pend_basis, window=T, derivative=pend_r2_deriv,
-        )
-
-    for name, (l, theta) in {
-        "walk_hand_d2": (p.arm_length, arm_angle),
-        "walk_foot_d2": (p.leg_length, leg_angle),
-    }.items():
-        def vel_basis(nl):
-            w, th = nl
-
-            return [
-                lambda t: np.ones_like(np.asarray(t, float)),
-                lambda t: np.cos(w * np.asarray(t, float)) ** 2,
-                lambda t: np.cos(w * np.asarray(t, float))
-                * np.cos(th * np.sin(w * np.asarray(t, float))),
-            ]
-
-        def pend_d2_deriv(t, _l=l, _th=theta):
-            t = np.asarray(t, float)
-            sin_g, cos_g = np.sin(phi * t), np.cos(phi * t)
-            swing = _th * sin_g
-            return (2.0 * _l * v1 * _th * phi * phi
-                    * (sin_g * np.cos(swing) + _th * cos_g * cos_g * np.sin(swing))
-                    - 2.0 * _l * _l * _th * _th * phi ** 3 * sin_g * cos_g)
-
-        models[name] = CurveModel(
-            name, "d2", 5, 3, ("phi", "theta"), (phi, theta),
-            ((np.pi, 4 * np.pi), (1e-3, np.pi / 2 - 1e-3)),
-            value=lambda t, _l=l, _th=theta: _pendulum_chi_sq(
-                v1, _l, _th, phi, 0.0, np.asarray(t, float)),
-            basis_builder=vel_basis, window=T, derivative=pend_d2_deriv,
-        )
-
+    # The in-situ families keep hand-built values and analytic derivatives.
+    # No catalog node has their geometry (a 0.4 m drop centred 0.2 m below
+    # torso_upper), and the numeric derivative cannot place insitu_r2's key
+    # points: where torso_upper is at the radar height, as in the default
+    # scene, its first derivative has a triple zero at t = 2 t0.
     t0 = p.in_situ_quarter_time
     omega = np.pi / (2.0 * t0)
     psi = -omega * t0
@@ -596,8 +553,7 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
                         + (drop * drop / 4.0) * np.sin(2.0 * u))
 
     models["insitu_r2"] = CurveModel(
-        "insitu_r2", "r2", 5, 3, ("omega", "psi"), (omega, psi),
-        ((np.pi / 4.0, 2.0 * np.pi), (-np.pi, np.pi)),
+        5, (omega, psi), ((np.pi / 4.0, 2.0 * np.pi), (-np.pi, np.pi)),
         value=lambda t: _vertical_xi_sq(
             x1, y1, z_center, p.radar_height, drop, t0, 1.0,
             np.asarray(t, float)),
@@ -617,7 +573,7 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
         return -amp * 2.0 * omega * np.sin(u)
 
     models["insitu_d2"] = CurveModel(
-        "insitu_d2", "d2", 5, 2, ("omega", "psi"), (2.0 * omega, 2.0 * psi),
+        5, (2.0 * omega, 2.0 * psi),
         ((np.pi / 2.0, 4.0 * np.pi), (-2.0 * np.pi, 2.0 * np.pi)),
         value=lambda t: _vertical_chi_sq(drop, t0, np.asarray(t, float)),
         basis_builder=insitu_d2_basis, window=T, derivative=insitu_d2_deriv,

@@ -65,6 +65,7 @@ def mti_filter(rc_complex: np.ndarray) -> np.ndarray:
 SD_STOP = 0.3
 MAX_SIFTS = 10
 DENOISE_MODES = 3       # a row is denoised only when it has this many modes
+EMD_MIN_LENGTH = 8      # shortest sequence the sifting accepts
 
 
 def check_emd_params(sd_stop: float, max_sifts: int) -> None:
@@ -223,8 +224,8 @@ def _denoise_block(x: np.ndarray, sd_stop: float, max_sifts: int) -> np.ndarray:
     Rows that decompose into fewer than 3 modes, or whose first mode does
     not oscillate near Nyquist, are returned unchanged.
     """
-    if x.shape[1] < 8:
-        raise ValueError("EMD expects rows of length >= 8")
+    if x.shape[1] < EMD_MIN_LENGTH:
+        raise ValueError(f"EMD expects rows of length >= {EMD_MIN_LENGTH}")
     if not np.all(np.isfinite(x)):
         raise ValueError("EMD input must be finite")
     first, n_modes = _first_modes(x, sd_stop, max_sifts)
@@ -244,8 +245,9 @@ def emd_denoise(signal: np.ndarray, sd_stop: float = SD_STOP,
     oscillate near Nyquist, are returned unchanged.
     """
     x = np.asarray(signal)
-    if x.ndim != 1 or x.size < 8:
-        raise ValueError("emd_denoise expects a 1-D sequence of length >= 8")
+    if x.ndim != 1 or x.size < EMD_MIN_LENGTH:
+        raise ValueError("emd_denoise expects a 1-D sequence of length "
+                         f">= {EMD_MIN_LENGTH}")
     if np.iscomplexobj(x):
         parts = _denoise_block(np.stack((x.real, x.imag)), sd_stop, max_sifts)
         return parts[0] + 1j * parts[1]

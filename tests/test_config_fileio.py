@@ -92,6 +92,10 @@ class TestConfig:
         ("detector", "sigma_px", "0"), ("detector", "sigma_px", "-3"),
         ("detector", "anisotropy", "0"), ("detector", "nms_radius_px", "-1"),
         ("preprocessing", "predecimate_rows", "0"),
+        ("preprocessing", "predecimate_rows", "1"),
+        ("radar", "max_range_m", "-1"),
+        ("radar", "slow_samples", "4"), ("radar", "slow_samples", "16"),
+        ("detector", "render_rows", "28"),
         ("evaluation", "sweep_seeds", "0")])
     def test_settings_that_cannot_run_rejected(self, tmp_path, section, key, value):
         """Values the detector, the squaring or the sweep cannot use fail
@@ -105,6 +109,17 @@ class TestConfig:
             assert main([command, "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_settings_at_their_floors_run(self, tmp_path):
+        """Each floor is the least value its stage runs with: two Doppler
+        rows to square, a zero range crop, and slow time and rendered rows
+        as wide as the 29-pixel filter support."""
+        path = tmp_path / "config.txt"
+        path.write_text("[radar]\nslow_samples = 29\nfast_samples = 64\n"
+                        "max_range_m = 0\n[preprocessing]\npredecimate_rows = 2\n"
+                        "[detector]\nrender_rows = 29\n[run]\nactivities = S5,S8\n")
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):

@@ -47,7 +47,7 @@ def oracle_kernel_ffts(cfg, fast):
 def oracle_response(img, cfg):
     """The detector's response bank computed in float64 throughout."""
     img = np.asarray(img, dtype=float)
-    pad = (corners._support(cfg) - 1) // 2
+    pad = corners._kernels(cfg)[0].shape[0] // 2
     padded = np.pad(img, pad, mode="symmetric")
     fast = tuple(sfft.next_fast_len(n + 2 * pad) for n in padded.shape)
     img_fft = sfft.rfft2(padded, fast)
@@ -66,6 +66,16 @@ class TestResponse:
         resp = corner_response(img, CFG)
         r, c = np.unravel_index(np.argmax(resp), resp.shape)
         assert abs(r - 100) <= 1 and abs(c - 120) <= 1
+
+    @pytest.mark.parametrize("sigma_px,anisotropy", [
+        (0.4, 2.5), (0.8, 2.5), (1.6, 2.5), (3.2, 2.5), (6.4, 2.5),
+        (3.0, 2.5), (3.3, 2.5), (3.0, 1.5)])
+    def test_blob_center_exact_at_any_scale(self, sigma_px, anisotropy):
+        # the crop must match the kernels' own width, or the response
+        # shifts by the difference
+        cfg = replace(CFG, sigma_px=sigma_px, anisotropy=anisotropy)
+        resp = corner_response(blob_image([(100, 90)]), cfg)
+        assert np.unravel_index(np.argmax(resp), resp.shape) == (100, 90)
 
     def test_constant_image_zero_response(self):
         resp = corner_response(np.full((64, 64), 0.7), CFG)

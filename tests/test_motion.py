@@ -317,6 +317,20 @@ class TestKeypoints:
         model = curve_models(SceneParams())["insitu_d2"]
         assert keypoint_times(model) == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0], abs=1e-8)
 
+    @pytest.mark.parametrize("quarter_time", [0.26, 1.0, 1.95])
+    @pytest.mark.parametrize("radar_height", [1.2, 1.5, 2.0])
+    def test_in_situ_derivatives_match_central_difference(self, quarter_time,
+                                                          radar_height):
+        models = curve_models(SceneParams(in_situ_quarter_time=quarter_time,
+                                          radar_height=radar_height))
+        for name in ("insitu_r2", "insitu_d2"):
+            model = models[name]
+            h = 1e-5
+            t = np.linspace(h, model.window - h, 2001)
+            central = (model.value(t + h) - model.value(t - h)) / (2.0 * h)
+            slope = model.derivative(t)
+            assert np.max(np.abs(central - slope)) <= 1e-8 * np.max(np.abs(slope)), name
+
     def test_constant_curve_filled_equispaced(self):
         pts, kinds = zip(*select_keypoints_detailed(
             lambda t: np.ones_like(np.asarray(t, float)), 4.0, 5))
@@ -329,7 +343,7 @@ class TestKeypoints:
             pts = keypoint_times(model)
             assert len(pts) == model.mncp
             assert all(b - a > 1e-9 for a, b in zip(pts, pts[1:])), name
-            if model.mncp >= 2 and model.kind == "r2":
+            if model.mncp >= 2 and name.endswith("_r2"):
                 assert pts[0] == 0.0 and pts[-1] == p.window
 
     def test_degenerate_window(self):
