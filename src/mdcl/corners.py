@@ -91,6 +91,14 @@ class PointCloudRD:
             raise ValueError("PC-RD coordinates must be normalized to [0, 1]")
 
 
+def placeholder_lattice() -> np.ndarray:
+    """The 30 (u, v) points of the 5x6 placeholder lattice, u in
+    [0.1, 0.9] varying fastest, v in [0.2, 0.8]: an empty scene's ground
+    truth, and the padded corners of a map without maxima."""
+    uu, vv = np.meshgrid(np.linspace(0.1, 0.9, 6), np.linspace(0.2, 0.8, 5))
+    return np.column_stack([uu.ravel(), vv.ravel()])
+
+
 def _radius(cfg: DetectorConfig) -> int:
     """Kernel half-width: three of the wider of the two Gaussian scales."""
     return int(np.ceil(3.0 * max(cfg.sigma_px, cfg.sigma_px * cfg.anisotropy)))
@@ -142,8 +150,7 @@ def filter_support(cfg: DetectorConfig) -> int:
     return 2 * _radius(cfg) + 1
 
 
-def corner_response(pm: ProfileMap | np.ndarray,
-                    cfg: DetectorConfig = DetectorConfig()) -> np.ndarray:
+def corner_response(img: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
     """Geometric mean of squared directional second-derivative responses.
 
     Implemented as one FFT of the symmetric-padded map against a cached
@@ -156,7 +163,6 @@ def corner_response(pm: ProfileMap | np.ndarray,
     transforms, squares and geometric mean run in float32, and so does
     the response returned.
     """
-    img = pm.data if isinstance(pm, ProfileMap) else np.asarray(pm, dtype=float)
     side = filter_support(cfg)
     if min(img.shape) < side:
         raise ValueError(
@@ -244,19 +250,16 @@ def _nms_pool(resp: np.ndarray, radius: int,
 _PAD_OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
-def extract_corners(pm: ProfileMap, map_id: str,
-                    cfg: DetectorConfig = DetectorConfig(),
-                    k: int = CORNERS) -> CornerSet:
-    """Top-k NMS corners, strongest first; padded with jittered duplicates
-    of the strongest maxima when the map has fewer than k maxima."""
-    return _select_corners(corner_response(pm, cfg), map_id, cfg, k)
+def extract_corners(pm: ProfileMap, map_id: str, cfg: DetectorConfig) -> CornerSet:
+    """The ``CORNERS`` strongest NMS corners, strongest first; padded with
+    jittered duplicates of the strongest maxima when the map has fewer."""
+    return _select_corners(corner_response(pm.data, cfg), map_id, cfg)
 
 
-def _select_corners(resp: np.ndarray, map_id: str, cfg: DetectorConfig,
-                    k: int) -> CornerSet:
-    """Greedy pass over the NMS pool: the k strongest maxima at least the
-    NMS radius apart, then padding up to k."""
-    rows, cols = _nms_pool(resp, cfg.nms_radius_px, max(4 * k, 64))
+def _select_corners(resp: np.ndarray, map_id: str, cfg: DetectorConfig) -> CornerSet:
+    """Greedy pass over the NMS pool: the ``CORNERS`` strongest maxima at
+    least the NMS radius apart, then padding up to ``CORNERS``."""
+    rows, cols = _nms_pool(resp, cfg.nms_radius_px, 4 * CORNERS)
 
     accepted: list[tuple[int, int, float]] = []
     acc_rc = np.empty((0, 2))
@@ -268,25 +271,25 @@ def _select_corners(resp: np.ndarray, map_id: str, cfg: DetectorConfig,
                 continue
         accepted.append((r, c, float(resp[r, c])))
         acc_rc = np.vstack([acc_rc, [r, c]])
-        if len(accepted) >= k:
+        if len(accepted) >= CORNERS:
             break
 
     nr, nc = resp.shape
     corners = [Corner(r, c, v, c / (nc - 1), r / (nr - 1)) for r, c, v in accepted]
-    corners += _pad_corners(accepted, k - len(corners), (nr, nc))
-    return CornerSet(tuple(corners[:k]), map_id, (nr, nc))
+    corners += _pad_corners(accepted, CORNERS - len(corners), (nr, nc))
+    return CornerSet(tuple(corners[:CORNERS]), map_id, (nr, nc))
 
 
 def _pad_corners(anchors: list[tuple[int, int, float]], need: int,
                  shape: tuple[int, int]) -> list[Corner]:
-    """Deterministic jittered duplicates; a center-anchored 5x6 grid when the
+    """Deterministic jittered duplicates; the placeholder lattice when the
     map yielded no maxima at all (flat input), jittered past 30."""
     if need <= 0:
         return []
     nr, nc = shape
     if not anchors:
-        grid = [(int(round(r * (nr - 1))), int(round(c * (nc - 1))), 0.0)
-                for r in np.linspace(0.2, 0.8, 5) for c in np.linspace(0.1, 0.9, 6)]
+        grid = [(int(round(v * (nr - 1))), int(round(u * (nc - 1))), 0.0)
+                for u, v in placeholder_lattice()]
         out = [Corner(row, col, v, col / (nc - 1), row / (nr - 1), padded=True)
                for row, col, v in grid[:need]]
         return out + _pad_corners(grid, need - len(out), shape)

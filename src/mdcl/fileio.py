@@ -7,6 +7,7 @@ complex-interleaved payloads), little-endian u32 rows/cols, then row-major
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -35,22 +36,38 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
         f.write(np.ascontiguousarray(a, dtype="<c8" if complex_payload else "<f4"))
 
 
+_READ_BLOCK_BYTES = 2 ** 18
+
+
 def read_matrix(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise MatrixFormatError(f"{path}: truncated header")
-    magic, version, flags, rows, cols = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise MatrixFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise MatrixFormatError(f"{path}: unsupported version {version}")
-    n_floats = rows * cols * (2 if flags & FLAG_COMPLEX else 1)
-    payload = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    if payload.size != n_floats:
-        raise MatrixFormatError(f"{path}: payload size mismatch")
-    if flags & FLAG_COMPLEX:
-        return payload.view("<c8").reshape(rows, cols).astype(complex)
-    return payload.reshape(rows, cols).astype(float)
+    """The matrix widened to complex128 or float64.
+
+    The payload is read in row blocks straight into the widened array, so
+    reading holds the result plus one block, not the file's bytes too.
+    """
+    with open(path, "rb") as f:
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise MatrixFormatError(f"{path}: truncated header")
+        magic, version, flags, rows, cols = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise MatrixFormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise MatrixFormatError(f"{path}: unsupported version {version}")
+        complex_payload = bool(flags & FLAG_COMPLEX)
+        stored = np.dtype("<c8" if complex_payload else "<f4")
+        row_bytes = cols * stored.itemsize
+        if os.fstat(f.fileno()).st_size - _HEADER.size != rows * row_bytes:
+            raise MatrixFormatError(f"{path}: payload size mismatch")
+        out = np.empty((rows, cols), dtype=complex if complex_payload else float)
+        block_rows = max(1, _READ_BLOCK_BYTES // max(row_bytes, 1))
+        block = np.empty((min(block_rows, rows), cols), dtype=stored)
+        for r0 in range(0, rows, block_rows):
+            part = block[:min(block_rows, rows - r0)]
+            if f.readinto(part) != part.nbytes:
+                raise MatrixFormatError(f"{path}: payload size mismatch")
+            out[r0:r0 + len(part)] = part
+    return out
 
 
 # ---------------------------------------------------------------------------

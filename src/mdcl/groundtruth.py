@@ -15,10 +15,11 @@ from typing import Callable
 import numpy as np
 
 from mdcl.activities import ActivitySpec
+from mdcl.corners import placeholder_lattice
 from mdcl.echo import C_LIGHT, RadarConfig
 from mdcl.maps import AxisSpec, ProfileMap, normalize
-from mdcl.motion import (KeyPoint, activity_keypoints, node_distance,
-                         node_velocity_sq, distance_slope_sign)
+from mdcl.motion import (KeyPoint, activity_keypoints, node_curve, node_distance,
+                         slope_sign)
 from mdcl.scene import ALL_NODES, SceneParams
 
 
@@ -31,14 +32,6 @@ class GroundTruth:
     keypoints_r: tuple[KeyPoint, ...]
     keypoints_d: tuple[KeyPoint, ...]
     clamped: int                 # points that fell off an axis and were clamped
-
-
-def _uniform_grid() -> np.ndarray:
-    """Deterministic 30-point placeholder lattice for the empty scene."""
-    u = np.linspace(0.1, 0.9, 6)
-    v = np.linspace(0.2, 0.8, 5)
-    uu, vv = np.meshgrid(u, v)
-    return np.column_stack([uu.ravel(), vv.ravel()])
 
 
 def _to_cloud(points: list[KeyPoint], window: float, axis: AxisSpec,
@@ -62,7 +55,7 @@ def groundtruth_corners(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     values are scaled by (2 fc / c)^2 onto the signed Doppler^2 axis.
     """
     if act.is_empty:
-        grid = _uniform_grid()
+        grid = placeholder_lattice()
         return GroundTruth(grid, grid.copy(), (), (), 0)
     kp_r = activity_keypoints(p, act, "r2")
     kp_d = activity_keypoints(p, act, "d2")
@@ -132,8 +125,8 @@ def rasterize_dtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     sign of its range rate.
     """
     def doppler_track(node, t):
-        chi = np.sqrt(node_velocity_sq(node, p, act, t))
-        sign = distance_slope_sign(node, p, act, t)
+        chi = np.sqrt(node_curve(node, p, act, "d2")(t))
+        sign = slope_sign(node_curve(node, p, act, "r2"), p.window, t)
         freq = sign * 2.0 * cfg.carrier * chi / C_LIGHT
         return freq, freq
     return _rasterize(p, act, cfg, doppler_axis, doppler_track)

@@ -45,7 +45,9 @@ def emd_distance(a: np.ndarray, b: np.ndarray) -> float:
 PSNR_CAP = 99.0
 
 
-def psnr(img: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
+def psnr(img: np.ndarray, ref: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB of maps normalized to a peak of 1,
+    capped at ``PSNR_CAP``."""
     img = np.asarray(img, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if img.shape != ref.shape:
@@ -53,7 +55,7 @@ def psnr(img: np.ndarray, ref: np.ndarray, peak: float = 1.0) -> float:
     mse = float(np.mean((img - ref) ** 2))
     if mse == 0.0:
         return PSNR_CAP
-    return min(10.0 * np.log10(peak * peak / mse), PSNR_CAP)
+    return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
 
 
 def add_image_noise(img: np.ndarray, snr_drop_db: float,
@@ -149,11 +151,13 @@ def _lin_fit(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
     return coef, rms, int(rank)
 
 
-# Levenberg-Marquardt settings of the multistart fit.  Each start stops when
-# a step lowers its cost by no more than _LM_FTOL of it, when its damping
-# passes _LM_MAX_DAMPING without a step that lowers the cost at all, or
-# after _LM_MAX_ITER trial steps.  A step that would leave the parameter
-# box is shortened to _LM_STEP_BACK of the way to the bound.
+# Levenberg-Marquardt settings of the multistart fit, which moves _N_STARTS
+# starts in lockstep.  Each start stops when a step lowers its cost by no
+# more than _LM_FTOL of it, when its damping passes _LM_MAX_DAMPING without
+# a step that lowers the cost at all, or after _LM_MAX_ITER trial steps.  A
+# step that would leave the parameter box is shortened to _LM_STEP_BACK of
+# the way to the bound.
+_N_STARTS = 32
 _LM_MAX_ITER = 100
 _LM_FTOL = 1e-12
 _LM_MAX_DAMPING = 1e12
@@ -163,7 +167,7 @@ _FD_STEP = float(np.sqrt(np.finfo(float).eps))
 
 def _multistart_fit(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
                     slope_ts: np.ndarray | None,
-                    inflection_ts: np.ndarray | None, n_starts: int = 32):
+                    inflection_ts: np.ndarray | None):
     """Variable-projection fit of the nonlinear parameters.
 
     Starts on a low-discrepancy grid over the parameter box and moves all
@@ -206,10 +210,10 @@ def _multistart_fit(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
         jac = (r[:, 1:] - r[:, :1]) * (width / h)[:, :, None]
         return r[:, 0], jac
 
-    theta = lo + _halton(n_starts, ndim) * width
+    theta = lo + _halton(_N_STARTS, ndim) * width
     r, jac = evaluate(theta)
     cost = 0.5 * np.sum(r * r, axis=1)
-    damping = np.full(n_starts, 1e-3)
+    damping = np.full(_N_STARTS, 1e-3)
     active = np.isfinite(cost) & (cost > 0.0)
     for _ in range(_LM_MAX_ITER):
         idx = np.flatnonzero(active)
@@ -271,8 +275,10 @@ def _halton(n: int, dim: int) -> np.ndarray:
     return out
 
 
-def fit_curve_model(model: CurveModel, ts, ys=None, kinds=None,
-                    grid_points: int = 4096) -> FitReport:
+_GRID_POINTS = 4096     # validation grid of a fit
+
+
+def fit_curve_model(model: CurveModel, ts, ys=None, kinds=None) -> FitReport:
     """Reconstruct a curve family from samples and validate on a dense grid.
 
     ``kinds`` optionally tags each sample time ("extremum" samples also
@@ -292,7 +298,7 @@ def fit_curve_model(model: CurveModel, ts, ys=None, kinds=None,
     else:
         nonlinear = tuple(model.nonlinear_truth)
     coef, rms, rank = _lin_fit(model, ts, ys, nonlinear, slope_ts, inflection_ts)
-    grid = np.linspace(0.0, model.window, grid_points)
+    grid = np.linspace(0.0, model.window, _GRID_POINTS)
     truth = np.asarray(model.value(grid), dtype=float)
     fitted = model.design_matrix(grid, nonlinear) @ coef if coef.size else np.zeros_like(grid)
     grid_rms = float(np.sqrt(np.mean((fitted - truth) ** 2)))

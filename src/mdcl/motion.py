@@ -138,8 +138,8 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
 
     Head and torso move at the constant body velocity.  In through-wall
     scenes (``p.through_wall``) the wall's extra path is added to the
-    unsquared distance before squaring.  ``t`` may be a scalar or an array
-    inside [0, window]; a scalar answers with a float.
+    unsquared distance before squaring.  ``t`` is an array of times inside
+    [0, window].
     """
     if kind not in ("r2", "d2"):
         raise ValueError(f"unknown map kind {kind!r}")
@@ -207,46 +207,29 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
     wall = p.wall.extra_path if r2 and p.through_wall else 0.0
 
     def curve(t):
-        t_arr = np.asarray(t, dtype=float)
-        _check_window(t_arr, T)
-        out = free(t_arr)
+        t = np.asarray(t, dtype=float)
+        _check_window(t, T)
+        out = free(t)
         if wall > 0.0:
             # a rounded square can dip below 0 where the node meets the radar
             out = np.square(np.sqrt(np.maximum(out, 0.0)) + wall)
-        return float(out) if np.ndim(t) == 0 else out
+        return out
     return curve
-
-
-def node_distance_sq(node: NodeId, p: SceneParams, act: ActivitySpec, t):
-    """Squared one-way propagation distance xi^2(t) in m^2; see node_curve."""
-    return node_curve(node, p, act, "r2")(t)
-
-
-def node_velocity_sq(node: NodeId, p: SceneParams, act: ActivitySpec, t):
-    """Squared radial-model velocity chi^2(t) in (m/s)^2; see node_curve."""
-    return node_curve(node, p, act, "d2")(t)
 
 
 def node_distance(node: NodeId, p: SceneParams, act: ActivitySpec, t):
     """One-way distance xi(t) in meters."""
-    return np.sqrt(node_distance_sq(node, p, act, t))
+    return np.sqrt(node_curve(node, p, act, "r2")(t))
 
 
-def distance_slope_sign(node: NodeId, p: SceneParams, act: ActivitySpec, t):
-    """Sign of d(xi^2)/dt, used to place velocity points on the signed
-    Doppler axis.  Ties resolve to +1."""
-    return _slope_sign(node_curve(node, p, act, "r2"), p.window, t)
-
-
-def _slope_sign(xi_sq: Callable, T: float, t):
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+def slope_sign(xi_sq: Callable, T: float, t) -> np.ndarray:
+    """Sign of d(xi^2)/dt at the times ``t`` on [0, T], used to place
+    velocity points on the signed Doppler axis.  Ties resolve to +1."""
+    t = np.asarray(t, dtype=float)
     h = min(1e-5, T * 1e-6)
-    lo = np.clip(t_arr - h, 0.0, T)
-    hi = np.clip(t_arr + h, 0.0, T)
-    sign = np.where(xi_sq(hi) - xi_sq(lo) < 0, -1.0, 1.0)
-    if np.ndim(t) == 0:
-        return float(sign[0])
-    return sign
+    lo = np.clip(t - h, 0.0, T)
+    hi = np.clip(t + h, 0.0, T)
+    return np.where(xi_sq(hi) - xi_sq(lo) < 0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +253,14 @@ def _numeric_derivative(fn: Callable, T: float) -> Callable:
     return deriv
 
 
-def _scan_zeros(fn: Callable, T: float, grid: int = _GRID) -> list[float]:
+def _scan_zeros(fn: Callable, T: float) -> list[float]:
     """Interior zeros of fn on (0, T): sign-change scan plus bisection.
 
     All sign-change brackets are bisected in lockstep, one ``fn`` call on
     the midpoints of the live brackets per round.  A midpoint where fn is
     exactly 0 collapses its bracket onto itself.
     """
-    ts = np.linspace(0.0, T, grid + 1)
+    ts = np.linspace(0.0, T, _GRID + 1)
     vals = np.asarray(fn(ts), dtype=float)
     sign_change = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
     a, b, fa = ts[sign_change], ts[sign_change + 1], vals[sign_change]
@@ -295,7 +278,7 @@ def _scan_zeros(fn: Callable, T: float, grid: int = _GRID) -> list[float]:
     # isolated exact zeros on the grid (skip flat stretches)
     exact = np.nonzero(vals == 0.0)[0]
     for i in exact:
-        if 0 < i < grid and vals[i - 1] != 0.0 and vals[i + 1] != 0.0:
+        if 0 < i < _GRID and vals[i - 1] != 0.0 and vals[i + 1] != 0.0:
             zeros.append(float(ts[i]))
     zeros = [z for z in sorted(zeros) if _DISTINCT_TOL < z < T - _DISTINCT_TOL]
     return _dedupe(zeros)
@@ -375,12 +358,6 @@ def select_keypoints_detailed(value: Callable, T: float, count: int,
     return deduped
 
 
-def select_keypoints(value: Callable, T: float, count: int,
-                     derivative: Callable | None = None) -> list[float]:
-    """Key-point times only; see select_keypoints_detailed."""
-    return [t for t, _ in select_keypoints_detailed(value, T, count, derivative)]
-
-
 def _equispaced_fill(existing: list[float], T: float, n: int) -> list[float]:
     out: list[float] = []
     m = n
@@ -428,25 +405,22 @@ class CurveModel:
         return self.basis_builder(params)
 
     def design_matrix(self, ts, nonlinear=None) -> np.ndarray:
-        """Basis columns at ``ts``: (n, p) for one nonlinear vector, or
-        (K, n, p) for a (K, ndim) stack of them, each slice equal to the
-        single-vector build."""
+        """Basis columns at ``ts``: (n, p) for one nonlinear vector (the
+        truth when None), or (K, n, p) for a (K, ndim) stack of them; one
+        vector is built as a one-row stack."""
         ts = np.asarray(ts, dtype=float)
-        if np.ndim(nonlinear) == 2:
-            stack = np.asarray(nonlinear, dtype=float)
-            # (K, 1) parameters broadcast against the times in every basis
-            basis = self.basis_builder(tuple(stack.T[:, :, None]))
-            out = np.empty((stack.shape[0], ts.size, len(basis)))
-        else:
-            basis = self.basis(nonlinear)
-            out = np.empty((ts.size, len(basis)))
+        single = np.ndim(nonlinear) != 2
+        stack = np.atleast_2d(np.asarray(
+            self.nonlinear_truth if nonlinear is None else nonlinear, dtype=float))
+        # (K, 1) parameters broadcast against the times in every basis
+        basis = self.basis_builder(tuple(stack.T[:, :, None]))
+        out = np.empty((stack.shape[0], ts.size, len(basis)))
         for j, b in enumerate(basis):
             out[..., j] = b(ts)
-        return out
+        return out[0] if single else out
 
-    def keypoints_detailed(self, count: int | None = None) -> list[tuple[float, str]]:
-        return select_keypoints_detailed(self.value, self.window,
-                                         self.mncp if count is None else count,
+    def keypoints_detailed(self) -> list[tuple[float, str]]:
+        return select_keypoints_detailed(self.value, self.window, self.mncp,
                                          derivative=self.derivative)
 
 
@@ -586,20 +560,22 @@ class KeyPoint:
     node: NodeId
     t: float
     value: float
-    map_kind: str   # "r2" or "d2"
     sign: float = 1.0   # Doppler half for d2 points
 
 
 def node_keypoints(node: NodeId, p: SceneParams, act: ActivitySpec,
                    kind: str, count: int) -> list[KeyPoint]:
-    """Key points of one node's distance or velocity curve for an activity."""
+    """Key points of one node's distance or velocity curve for an activity.
+
+    The curve and, for velocity points, the Doppler sign are evaluated
+    once, on the array of key-point times.
+    """
     fn = node_curve(node, p, act, kind)
-    xi_sq = fn if kind == "r2" else node_curve(node, p, act, "r2")
-    pts = []
-    for t in select_keypoints(fn, p.window, count):
-        sign = _slope_sign(xi_sq, p.window, t) if kind == "d2" else 1.0
-        pts.append(KeyPoint(node, t, float(fn(t)), kind, sign))
-    return pts
+    ts = np.asarray([t for t, _ in select_keypoints_detailed(fn, p.window, count)])
+    signs = (slope_sign(node_curve(node, p, act, "r2"), p.window, ts)
+             if kind == "d2" else np.ones(ts.size))
+    return [KeyPoint(node, t, value, sign)
+            for t, value, sign in zip(ts.tolist(), fn(ts).tolist(), signs.tolist())]
 
 
 def activity_keypoints(p: SceneParams, act: ActivitySpec,

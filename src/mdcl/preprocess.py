@@ -201,7 +201,7 @@ def _first_modes(x: np.ndarray, sd_stop: float = SD_STOP,
     return first, n_modes
 
 
-def _near_nyquist(imfs: np.ndarray, max_spacing: float = 3.0) -> np.ndarray:
+def _near_nyquist(imfs: np.ndarray) -> np.ndarray:
     """Per row: True when the mode oscillates like broadband noise.
 
     Broadband noise sifts into a first mode whose zero crossings sit about
@@ -215,7 +215,7 @@ def _near_nyquist(imfs: np.ndarray, max_spacing: float = 3.0) -> np.ndarray:
     crossings = np.bincount(rows[1:][flips], minlength=imfs.shape[0])
     with np.errstate(divide="ignore"):
         spacing = imfs.shape[1] / crossings
-    return (crossings > 0) & (spacing <= max_spacing)
+    return (crossings > 0) & (spacing <= 3.0)
 
 
 def _denoise_block(x: np.ndarray, sd_stop: float, max_sifts: int) -> np.ndarray:
@@ -286,10 +286,8 @@ def stft_magnitude(x: np.ndarray) -> np.ndarray:
     frames = np.stack([padded[c:c + STFT_WINDOW] * taper for c in centers])
     spec = np.fft.fftshift(np.fft.fft(frames, n=STFT_SIZE, axis=1), axes=1)
     mag = np.abs(spec).T                       # (size, n_frames)
-    cols = np.repeat(mag, STFT_HOP, axis=1)[:, :n]
-    if cols.shape[1] < n:
-        cols = np.pad(cols, ((0, 0), (0, n - cols.shape[1])), mode="edge")
-    return cols
+    # ceil(n / STFT_HOP) frames repeated STFT_HOP times cover all n samples
+    return np.repeat(mag, STFT_HOP, axis=1)[:, :n]
 
 
 def make_dtm(mti_complex: np.ndarray, window_s: float, *,

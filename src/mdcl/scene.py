@@ -86,12 +86,6 @@ class SceneParams:
                 f"= {self.window * self.gait_frequency / math.pi:.3f} < 2"
             )
 
-    @property
-    def speed(self) -> float:
-        """Magnitude of the initial horizontal velocity (v1)."""
-        vx, vy = self.initial_velocity
-        return math.hypot(vx, vy)
-
     def node_rest_height(self, node: NodeId) -> float:
         """Resting height above ground of a node in the neutral pose."""
         if node is NodeId.HEAD:

@@ -19,7 +19,7 @@ from mdcl.config import PipelineConfig, serialize_config
 from mdcl.echo import C_LIGHT, EchoFrame, RadarConfig, synth_frame
 from mdcl.maps import AxisSpec, ProfileMap
 from mdcl.metrics import emd_distance, psnr, verify_mncp
-from mdcl.motion import curve_models, node_velocity_sq
+from mdcl.motion import curve_models, node_curve
 from mdcl.preprocess import beat_spectrum, crop_range_rows, mti_filter, preprocess_frame
 from mdcl.scene import NodeId, SceneParams
 from mdcl.squaring import render_squared, squared_source_rows
@@ -181,7 +181,7 @@ def test_criterion_07_doppler_constancy():
     p = SceneParams()
     t = np.linspace(0.0, p.window, 4096)
     s8 = activity("S8")
-    approx = node_velocity_sq(NodeId.HEAD, p, s8, t)
+    approx = node_curve(NodeId.HEAD, p, s8, "d2")(t)
     exact = approx + (0.05 * p.gait_frequency * np.cos(p.gait_frequency * t)) ** 2
     rel_rms = float(np.sqrt(np.mean(((exact - approx) / approx) ** 2)))
     report(7, "head/torso squared-velocity constancy", rel_rms < 0.05,

@@ -208,6 +208,37 @@ class TestMatrixFormat:
             tracemalloc.stop()
         assert peak <= payload + 2 ** 20
 
+    @pytest.mark.parametrize("dtype, limit_mib", [(np.complex64, 17), (np.float32, 9)])
+    def test_reader_peak_is_result_plus_block(self, tmp_path, dtype, limit_mib):
+        # the widened result is 16 MiB (complex) or 8 MiB (real); the
+        # payload is read into it in blocks, not held whole beside it
+        a = np.ones((1024, 1024), dtype=dtype)
+        path = tmp_path / "m.mdcm"
+        write_matrix(path, a)
+        tracemalloc.start()
+        try:
+            back = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, a)
+        assert peak <= limit_mib * 2 ** 20
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.mdcm"
+        write_matrix(path, np.zeros((4, 4)))
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(MatrixFormatError):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("header", [b"MDCM", b"MDCM\x02\x00" + bytes(8)])
+    def test_bad_header(self, tmp_path, header):
+        # a truncated header, then an unsupported version
+        path = tmp_path / "m.mdcm"
+        path.write_bytes(header)
+        with pytest.raises(MatrixFormatError):
+            read_matrix(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.mdcm"
         path.write_bytes(b"NOPE" + bytes(10))

@@ -121,15 +121,15 @@ class TestResponse:
                 pm = getattr(clean_results["S8"], which)
                 maps[f"S8/{which}/{drop:g}dB"] = degrade_map(cfg, pm, drop, key, 0)
         for name, pm in maps.items():
-            r32 = corner_response(pm, det)
+            r32 = corner_response(pm.data, det)
             r64 = oracle_response(pm.data, det)
             tol = RESPONSE_TOL * r64.max()
             assert r32.dtype == np.float32, name
             assert np.abs(r32 - r64).max() <= tol, name
             got = [(c.row, c.col) for c in
-                   corners._select_corners(r32, name, det, corners.CORNERS).corners]
+                   corners._select_corners(r32, name, det).corners]
             want = [(c.row, c.col) for c in
-                    corners._select_corners(r64, name, det, corners.CORNERS).corners]
+                    corners._select_corners(r64, name, det).corners]
             assert all(abs(r64[g] - r64[w]) <= tol for g, w in zip(got, want)), name
 
 
@@ -185,10 +185,11 @@ class TestExtract:
         img_a = blob_image(centers, shape=(220, 220))
         dr, dc = 9, 13
         img_b = blob_image([(r + dr, c + dc) for r, c in centers], shape=(220, 220))
-        cs_a = extract_corners(as_map(img_a), "a", CFG, k=3)
-        cs_b = extract_corners(as_map(img_b), "b", CFG, k=3)
-        a = sorted((c.row, c.col) for c in cs_a.corners)
-        b = sorted((c.row, c.col) for c in cs_b.corners)
+        # the three strongest corners: the greedy pass accepts in order
+        cs_a = extract_corners(as_map(img_a), "a", CFG)
+        cs_b = extract_corners(as_map(img_b), "b", CFG)
+        a = sorted((c.row, c.col) for c in cs_a.corners[:3])
+        b = sorted((c.row, c.col) for c in cs_b.corners[:3])
         for (ra, ca), (rb, cb) in zip(a, b):
             assert rb - ra == dr and cb - ca == dc
 
@@ -196,10 +197,10 @@ class TestExtract:
         centers = [(50, 50), (100, 140), (150, 70)]
         img = 0.2 + 0.6 * blob_image(centers, shape=(200, 200), amps=[1.0, 0.8, 0.6])
         warped = img ** 1.5 + 0.3 * img
-        cs_a = extract_corners(as_map(img), "a", CFG, k=3)
-        cs_b = extract_corners(as_map(warped), "b", CFG, k=3)
-        a = sorted((c.row, c.col) for c in cs_a.corners)
-        b = sorted((c.row, c.col) for c in cs_b.corners)
+        cs_a = extract_corners(as_map(img), "a", CFG)
+        cs_b = extract_corners(as_map(warped), "b", CFG)
+        a = sorted((c.row, c.col) for c in cs_a.corners[:3])
+        b = sorted((c.row, c.col) for c in cs_b.corners[:3])
         assert a == b
 
     def test_determinism(self):
@@ -280,11 +281,11 @@ class TestLazyNms:
         expected = oracle_pool(resp, radius, max(4 * k, 64))
         assert np.array_equal(pool[0], expected[0])
         assert np.array_equal(pool[1], expected[1])
-        cs = corners._select_corners(resp, "m", cfg, k)
-        assert cs == oracle_extract(resp, "m", cfg, k)
+        cs = corners._select_corners(resp, "m", cfg)
+        assert cs == oracle_extract(resp, "m", cfg, corners.CORNERS)
         if kind == "zero":
             assert all(c.padded for c in cs.corners)
-        assert len(cs) == k
+        assert len(cs) == corners.CORNERS
 
     @pytest.mark.parametrize("kind", ["noisy", "ramp"])
     def test_full_detector_matches_oracle(self, kind):

@@ -59,7 +59,7 @@ def shiftwise_curvature_design(model, ts, nonlinear):
             - d(-2.0)) / (12.0 * h * h)
 
 
-def trf_multistart_fit(model, ts, ys, slope_ts, inflection_ts, n_starts=32):
+def trf_multistart_fit(model, ts, ys, slope_ts, inflection_ts):
     """Oracle for ``metrics._multistart_fit``: one bounded scipy trust-region
     fit per start, same starts, candidate RMS and tie rule."""
     bounds = np.asarray(model.nonlinear_bounds, dtype=float)
@@ -72,7 +72,7 @@ def trf_multistart_fit(model, ts, ys, slope_ts, inflection_ts, n_starts=32):
         return y - a @ coef
 
     candidates = []
-    for g in metrics._halton(n_starts, ndim):
+    for g in metrics._halton(metrics._N_STARTS, ndim):
         x0 = bounds[:, 0] + g * (bounds[:, 1] - bounds[:, 0])
         try:
             sol = least_squares(residual, x0, bounds=(bounds[:, 0], bounds[:, 1]),
@@ -105,7 +105,7 @@ def scene_families(gait_frequency, quarter_time, arm_angle, leg_angle):
 def pendulum_chi_sq_slope(p, length, theta):
     """Oracle: hand-derived d(chi^2)/dt of a pendulum limb swinging at
     ``theta`` with gait phase 0."""
-    v1, phi = p.speed, p.gait_frequency
+    v1, phi = math.hypot(*p.initial_velocity), p.gait_frequency
 
     def slope(t):
         t = np.asarray(t, float)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from mdcl import motion
 from mdcl.activities import activity
-from mdcl.motion import (DegenerateCurveError, activity_keypoints, curve_models,
-                         groundtruth_counts, node_distance_sq, node_velocity_sq,
-                         select_keypoints, select_keypoints_detailed)
+from mdcl.motion import (DegenerateCurveError, KeyPoint, activity_keypoints,
+                         curve_models, groundtruth_counts, node_curve,
+                         select_keypoints_detailed, slope_sign)
 from mdcl.scene import ALL_NODES, NodeId, SceneParams, WallParams
 from mdcl.activities import ActivityClass
 
@@ -26,6 +26,18 @@ NODE_FAMILIES = ("head", "torso", "hand", "hand", "foot", "foot")
 
 def keypoint_times(model):
     return [t for t, _ in model.keypoints_detailed()]
+
+
+def select_times(value, T, count):
+    return [t for t, _ in select_keypoints_detailed(value, T, count)]
+
+
+def distance_sq(node, p, act, t):
+    return node_curve(node, p, act, "r2")(t)
+
+
+def velocity_sq(node, p, act, t):
+    return node_curve(node, p, act, "d2")(t)
 
 
 def scene(**kw):
@@ -75,13 +87,13 @@ class TestDistanceCurves:
         # x1=3, h1=h0=1.5: xi^2 = 3^2 + 0.15^2 = 9.0225, constant in t
         p = scene(initial_velocity=(0.0, 0.0))
         for t in (0.0, 1.3, 4.0):
-            assert node_distance_sq(NodeId.HEAD, p, S8, t) == pytest.approx(9.0225, abs=1e-12)
+            assert distance_sq(NodeId.HEAD, p, S8, t) == pytest.approx(9.0225, abs=1e-12)
 
     def test_head_moving_frozen_values(self):
         # quadratic v1^2 t^2 + 2 x1 v1x t + R1^2 at t=0 and t=2
         p = scene(initial_velocity=(-1.0, 0.0))
-        assert node_distance_sq(NodeId.HEAD, p, S8, 0.0) == pytest.approx(9.0225, abs=1e-12)
-        assert node_distance_sq(NodeId.HEAD, p, S8, 2.0) == pytest.approx(1.0225, abs=1e-12)
+        assert distance_sq(NodeId.HEAD, p, S8, 0.0) == pytest.approx(9.0225, abs=1e-12)
+        assert distance_sq(NodeId.HEAD, p, S8, 2.0) == pytest.approx(1.0225, abs=1e-12)
 
     def test_hand_no_swing_matches_rigid_point(self):
         # zero swing angle collapses the pendulum onto (x+vx t, y+vy t, h1-l1)
@@ -96,14 +108,14 @@ class TestDistanceCurves:
             y = 0.2 * t
             z = p.torso_upper - p.arm_length
             expected = x * x + y * y + z * z
-            got = node_distance_sq(NodeId.HAND_L, p, frozen, t)
+            got = distance_sq(NodeId.HAND_L, p, frozen, t)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_hand_at_zero_equals_r3sq_minus_2h1l1(self):
         p = scene(initial_velocity=(-0.6, 1.0))
         r3_sq = 9.0 + p.torso_upper ** 2 + p.arm_length ** 2
         expected = r3_sq - 2.0 * p.torso_upper * p.arm_length
-        assert node_distance_sq(NodeId.HAND_L, p, S8, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert distance_sq(NodeId.HAND_L, p, S8, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_positive_and_continuous(self):
         p = SceneParams()
@@ -111,7 +123,7 @@ class TestDistanceCurves:
         for label in ("S2", "S5", "S8", "S9", "S12"):
             act = activity(label)
             for node in ALL_NODES:
-                xi_sq = node_distance_sq(node, p, act, t)
+                xi_sq = distance_sq(node, p, act, t)
                 assert np.all(xi_sq > 0)
                 # continuity: adjacent samples move less than the worst-case
                 # slope bound of a few m^2 per sample
@@ -120,14 +132,14 @@ class TestDistanceCurves:
     def test_out_of_window_raises(self):
         p = scene()
         with pytest.raises(ValueError):
-            node_distance_sq(NodeId.HEAD, p, S8, 4.5)
+            distance_sq(NodeId.HEAD, p, S8, 4.5)
         with pytest.raises(ValueError):
-            node_distance_sq(NodeId.HEAD, p, S8, -0.1)
+            distance_sq(NodeId.HEAD, p, S8, -0.1)
 
     def test_inactive_node_static(self):
         p = scene()
         s1 = activity("S1")
-        vals = node_distance_sq(NodeId.TORSO, p, s1, np.linspace(0, 4, 7))
+        vals = distance_sq(NodeId.TORSO, p, s1, np.linspace(0, 4, 7))
         assert np.ptp(vals) == 0.0
 
     def test_wall_shifts_unsquared_distance_exactly(self):
@@ -137,15 +149,9 @@ class TestDistanceCurves:
         shift = 0.12 * (math.sqrt(6.0) - 1.0)
         t = np.linspace(0, 4, 64)
         for node in (NodeId.HEAD, NodeId.HAND_R, NodeId.FOOT_L):
-            d_free = np.sqrt(node_distance_sq(node, p_free, S8, t))
-            d_wall = np.sqrt(node_distance_sq(node, p_wall, S8, t))
+            d_free = np.sqrt(distance_sq(node, p_free, S8, t))
+            d_wall = np.sqrt(distance_sq(node, p_wall, S8, t))
             assert np.allclose(d_wall - d_free, shift, atol=1e-12)
-
-    def test_scalar_and_array_calls_agree_through_wall(self):
-        # key-point values come from scalar calls, the search from arrays
-        fn = motion.node_curve(NodeId.TORSO, SceneParams(), activity("S9"), "r2")
-        t = np.linspace(1.3, 1.7, 20001)
-        assert np.array_equal([fn(float(x)) for x in t], fn(t))
 
     @pytest.mark.parametrize("velocity", [(0.0, 0.0), (-0.6, 1.0)])
     def test_feet_through_wall_finite_at_the_radar(self, velocity):
@@ -155,13 +161,13 @@ class TestDistanceCurves:
         t = np.linspace(0.0, p.window, 400001)
         for label in ("S9", "S10"):
             for node in (NodeId.FOOT_L, NodeId.FOOT_R):
-                assert np.isfinite(node_distance_sq(node, p, activity(label), t)).all()
+                assert np.isfinite(distance_sq(node, p, activity(label), t)).all()
 
     def test_static_head_torso_constant_to_machine_precision(self):
         p = scene(initial_velocity=(0.0, 0.0))
         t = np.linspace(0, 4, 4096)
         for node in (NodeId.HEAD, NodeId.TORSO):
-            vals = node_distance_sq(node, p, S8, t)
+            vals = distance_sq(node, p, S8, t)
             assert np.ptp(vals) == 0.0
 
     def test_pendulum_residual_periodic(self):
@@ -172,7 +178,7 @@ class TestDistanceCurves:
         s2 = activity("S2")
         n = 4096
         t = np.linspace(0, p.window, n, endpoint=False)
-        xi_sq = node_distance_sq(NodeId.HAND_L, p, s2, t)
+        xi_sq = distance_sq(NodeId.HAND_L, p, s2, t)
         period_samples = n // 4   # gait period 1 s of the 4 s window
         assert np.allclose(xi_sq[period_samples:], xi_sq[:-period_samples],
                            rtol=0, atol=1e-12)
@@ -191,28 +197,28 @@ class TestDistanceCurves:
         nodes = dict(S8.nodes)
         nodes[NodeId.HAND_L] = nodes[NodeId.HAND_R]
         swapped = ActivitySpec("S8", "walking", ActivityClass.WALKING, nodes=nodes)
-        left_as_right = node_distance_sq(NodeId.HAND_L, p, swapped, t)
-        right = node_distance_sq(NodeId.HAND_R, p, S8, t)
+        left_as_right = distance_sq(NodeId.HAND_L, p, swapped, t)
+        right = distance_sq(NodeId.HAND_R, p, S8, t)
         assert np.allclose(left_as_right, right, rtol=0, atol=1e-12)
         for n_a, n_b in ((NodeId.FOOT_L, NodeId.FOOT_R),):
             nodes = dict(S8.nodes)
             nodes[n_a] = nodes[n_b]
             swapped = ActivitySpec("S8", "walking", ActivityClass.WALKING, nodes=nodes)
-            assert np.allclose(node_distance_sq(n_a, p, swapped, t),
-                               node_distance_sq(n_b, p, S8, t), atol=1e-12)
+            assert np.allclose(distance_sq(n_a, p, swapped, t),
+                               distance_sq(n_b, p, S8, t), atol=1e-12)
 
 
 class TestVelocityCurves:
     def test_head_constant(self):
         p = scene(initial_velocity=(1.0, 0.0))
         for t in (0.0, 0.77, 4.0):
-            assert node_velocity_sq(NodeId.HEAD, p, S8, t) == pytest.approx(1.0, abs=1e-14)
+            assert velocity_sq(NodeId.HEAD, p, S8, t) == pytest.approx(1.0, abs=1e-14)
 
     def test_hand_at_zero(self):
         p = SceneParams()
-        v1 = p.speed
+        v1 = math.hypot(*p.initial_velocity)
         expected = (v1 - p.arm_length * ARM_ANGLE * p.gait_frequency) ** 2
-        assert node_velocity_sq(NodeId.HAND_L, p, S8, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert velocity_sq(NodeId.HAND_L, p, S8, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_in_situ_velocity_at_quarter_time(self):
         # (pi / 16 t0^2) * drop^2 at t = t0 for the in-place curve; S5 drops
@@ -220,7 +226,7 @@ class TestVelocityCurves:
         p = SceneParams()
         drop = 0.45
         expected = (np.pi / 16.0) * drop * drop
-        assert node_velocity_sq(NodeId.TORSO, p, S5, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert velocity_sq(NodeId.TORSO, p, S5, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_exact_mode_bounded_by_undulation_amplitude(self):
         # the unsimplified model adds the head's vertical undulation rate
@@ -228,7 +234,7 @@ class TestVelocityCurves:
         p = SceneParams()
         alpha, phi = 0.05, p.gait_frequency
         t = np.linspace(0, 4, 2048)
-        approx = node_velocity_sq(NodeId.HEAD, p, S8, t)
+        approx = velocity_sq(NodeId.HEAD, p, S8, t)
         exact = approx + (alpha * phi * np.cos(phi * t)) ** 2
         bound = (alpha * phi) ** 2
         dev = np.abs(exact - approx)
@@ -252,8 +258,8 @@ class TestMotionStateDispatch:
     ])
     def test_in_situ_head(self, t, xi_sq, chi_sq):
         p = scene()
-        assert node_distance_sq(NodeId.HEAD, p, S5, t) == pytest.approx(xi_sq, abs=1e-12)
-        assert node_velocity_sq(NodeId.HEAD, p, S5, t) == pytest.approx(chi_sq, abs=1e-12)
+        assert distance_sq(NodeId.HEAD, p, S5, t) == pytest.approx(xi_sq, abs=1e-12)
+        assert velocity_sq(NodeId.HEAD, p, S5, t) == pytest.approx(chi_sq, abs=1e-12)
 
     @pytest.mark.parametrize("t, xi_sq, chi_sq", [
         (1.0, 2.5 ** 2 + 0.15 ** 2, 0.25),           # walking, x = 2.5 m
@@ -262,8 +268,8 @@ class TestMotionStateDispatch:
     ])
     def test_combination_head(self, t, xi_sq, chi_sq):
         p = scene(initial_velocity=(-0.5, 0.0))
-        assert node_distance_sq(NodeId.HEAD, p, S10, t) == pytest.approx(xi_sq, abs=1e-12)
-        assert node_velocity_sq(NodeId.HEAD, p, S10, t) == pytest.approx(chi_sq, abs=1e-12)
+        assert distance_sq(NodeId.HEAD, p, S10, t) == pytest.approx(xi_sq, abs=1e-12)
+        assert velocity_sq(NodeId.HEAD, p, S10, t) == pytest.approx(chi_sq, abs=1e-12)
 
     def test_combination_hand_swings_while_walking(self):
         # at t = 1 s the arm hangs straight down (swing phase 2 pi) at
@@ -271,25 +277,26 @@ class TestMotionStateDispatch:
         p = scene(initial_velocity=(-0.5, 0.0))
         xi_sq = 2.5 ** 2 + (p.torso_upper - p.arm_length) ** 2
         chi_sq = (0.5 - p.arm_length * ARM_ANGLE * p.gait_frequency) ** 2
-        assert node_distance_sq(NodeId.HAND_L, p, S10, 1.0) == pytest.approx(xi_sq, abs=1e-12)
-        assert node_velocity_sq(NodeId.HAND_L, p, S10, 1.0) == pytest.approx(chi_sq, abs=1e-12)
+        assert distance_sq(NodeId.HAND_L, p, S10, 1.0) == pytest.approx(xi_sq, abs=1e-12)
+        assert velocity_sq(NodeId.HAND_L, p, S10, 1.0) == pytest.approx(chi_sq, abs=1e-12)
 
 
 class TestKeypoints:
     def test_head_quadratic_vertex_inside(self):
         # vertex of (t-3)^2 at t=3 inside [0, 4]
-        pts = select_keypoints(lambda t: np.asarray(t - 3.0) ** 2, 4.0, 3)
+        pts = select_times(lambda t: np.asarray(t - 3.0) ** 2, 4.0, 3)
         assert pts == pytest.approx([0.0, 3.0, 4.0], abs=1e-8)
 
     def test_head_quadratic_vertex_outside_takes_midpoint(self):
-        pts = select_keypoints(lambda t: np.asarray(t + 5.0) ** 2, 4.0, 3)
+        pts = select_times(lambda t: np.asarray(t + 5.0) ** 2, 4.0, 3)
         assert pts == pytest.approx([0.0, 2.0, 4.0], abs=1e-9)
 
     def test_hand_velocity_five_points_from_extrema(self):
         # independent oracle: dense sign-change scan of the closed-form derivative
         p = SceneParams()
         model = curve_models(p)["walk_hand_d2"]
-        v1, l, th, phi = p.speed, p.arm_length, ARM_ANGLE, p.gait_frequency
+        v1 = math.hypot(*p.initial_velocity)
+        l, th, phi = p.arm_length, ARM_ANGLE, p.gait_frequency
 
         def d_chi_sq(t):
             sin_g, cos_g = np.sin(phi * t), np.cos(phi * t)
@@ -346,9 +353,32 @@ class TestKeypoints:
             if model.mncp >= 2 and name.endswith("_r2"):
                 assert pts[0] == 0.0 and pts[-1] == p.window
 
+    def test_activity_keypoints_match_pointwise_oracle(self):
+        # each curve and its Doppler sign are evaluated once, on the array of
+        # key-point times; each point evaluated as a one-element array
+        # gives the same bits
+        p = SceneParams()
+        total = 0
+        for label in (f"S{i}" for i in range(2, 13)):
+            act = activity(label)
+            for kind in ("r2", "d2"):
+                want = []
+                counts = groundtruth_counts(act.activity_class)[kind]
+                for node, count in zip(ALL_NODES, counts):
+                    fn = node_curve(node, p, act, kind)
+                    xi = node_curve(node, p, act, "r2")
+                    for t, _ in select_keypoints_detailed(fn, p.window, count):
+                        one = np.array([t])
+                        sign = slope_sign(xi, p.window, one)[0] if kind == "d2" else 1.0
+                        want.append(KeyPoint(node, t, fn(one)[0], sign))
+                got = activity_keypoints(p, act, kind)
+                assert got == want, (label, kind)
+                total += len(got)
+        assert total == 660
+
     def test_degenerate_window(self):
         with pytest.raises(DegenerateCurveError):
-            select_keypoints(lambda t: np.asarray(t), 0.0, 3)
+            select_times(lambda t: np.asarray(t), 0.0, 3)
 
 
 class TestLockstepBisection:

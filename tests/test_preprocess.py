@@ -10,9 +10,9 @@ from mdcl.activities import activity
 from mdcl.config import PipelineConfig
 from mdcl.echo import C_LIGHT, EchoFrame, NoiseConfig, RadarConfig, synth_frame
 from mdcl.maps import normalize
-from mdcl.preprocess import (_first_modes, beat_spectrum, crop_range_rows,
-                             denoise_rows, emd_denoise, make_dtm, mti_filter,
-                             preprocess_frame)
+from mdcl.preprocess import (STFT_HOP, STFT_SIZE, _first_modes, beat_spectrum,
+                             crop_range_rows, denoise_rows, emd_denoise, make_dtm,
+                             mti_filter, preprocess_frame, stft_magnitude)
 from mdcl.scene import NodeId, SceneParams
 
 from conftest import row_value
@@ -368,6 +368,14 @@ class TestDtm:
         dtm = make_dtm(np.ones((4, 512), dtype=complex), 2.0)
         assert dtm.cols == 512
         assert dtm.rows == 256      # power-of-two transform size
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 1023, 1024])
+    def test_stft_one_column_per_sample(self, n):
+        # ceil(n / STFT_HOP) frames, each repeated STFT_HOP times, cover n
+        mag = stft_magnitude(np.exp(0.3j * np.arange(n)))
+        assert mag.shape == (STFT_SIZE, n)
+        last_frame = (n - 1) // STFT_HOP * STFT_HOP
+        assert np.array_equal(mag[:, n - 1], mag[:, last_frame])
 
 
 class TestNormalize:
