@@ -3,6 +3,10 @@
 The file format is deliberately plain: ``[section]`` headers, one
 ``key = value`` per line, ``#`` comments, UTF-8.  Unknown sections or keys
 are rejected; parse -> serialize -> parse is the identity.
+
+The section dataclasses hold every default; the runtime parameter objects
+built from them (``SceneParams``, ``RadarConfig``, ``DetectorConfig``,
+``NoiseConfig``) have none.
 """
 
 from __future__ import annotations
@@ -27,8 +31,11 @@ def drop_seed_keys(drops: list[float]) -> list[int]:
     """Each SNR drop's noise-seed key: the drop in tenths of a dB.
 
     Drops off the 0.1 dB grid, or two drops with one key, would share a
-    noise draw, so they are rejected.
+    noise draw, so they are rejected, as are negative and non-finite drops.
     """
+    bad = [d for d in drops if not 0 <= d < math.inf]
+    if bad:
+        raise ConfigError(f"SNR drops must be finite and non-negative, got {bad}")
     keys = [round(d * 10) for d in drops]
     off_grid = [d for d, key in zip(drops, keys) if abs(d * 10 - key) > 1e-6]
     if off_grid:
@@ -40,6 +47,8 @@ def drop_seed_keys(drops: list[float]) -> list[int]:
 
 @dataclass
 class SceneSection:
+    """Defaults: a 1.8 m tester walking indoors, radar antenna at 1.5 m."""
+
     x1: float = 3.0
     y1: float = 0.0
     v1x: float = -0.6
@@ -59,6 +68,8 @@ class SceneSection:
 
 @dataclass
 class RadarSection:
+    """Defaults: the uniform system table."""
+
     carrier_hz: float = 1.5e9
     bandwidth_hz: float = 2.0e9
     slow_samples: int = 1024
@@ -135,12 +146,19 @@ class PipelineConfig:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
+        for name in _SECTION_TYPES:
+            section = getattr(self, name)
+            for f in fields(section):
+                value = getattr(section, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{name}.{f.name} must be finite, got {value}")
         r = self.radar
+        # a positive window over >= 2 slow samples is a positive PRI
         for name, value in (("radar.carrier_hz", r.carrier_hz),
                             ("radar.bandwidth_hz", r.bandwidth_hz),
                             ("radar.window_s", r.window_s),
                             ("radar.tx_amplitude", r.tx_amplitude)):
-            if value <= 0:
+            if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
         for name, value in (("radar.slow_samples", r.slow_samples),
                             ("radar.fast_samples", r.fast_samples)):
@@ -175,11 +193,9 @@ class PipelineConfig:
         bad = [a for a in labels if a not in known]
         if bad:
             raise ConfigError(f"run.activities contains unknown labels {bad}")
-        for d in self.snr_drops():
-            if d < 0:
-                raise ConfigError("evaluation.snr_drops_db must be non-negative")
+        drops = self.snr_drops()
         try:
-            drop_seed_keys(self.snr_drops())
+            drop_seed_keys(drops)
         except ConfigError as exc:
             raise ConfigError(f"evaluation.snr_drops_db: {exc}") from exc
         if self.evaluation.sweep_seeds < 1:
@@ -194,7 +210,12 @@ class PipelineConfig:
         return [a.strip() for a in self.run.activities.split(",") if a.strip()]
 
     def snr_drops(self) -> list[float]:
-        return [float(v) for v in self.evaluation.snr_drops_db.split(",") if v.strip()]
+        text = self.evaluation.snr_drops_db
+        try:
+            return [float(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigError("evaluation.snr_drops_db must be comma-separated "
+                              f"numbers, got {text!r}") from None
 
     # ------------------------------------------------------------------
     def scene_params(self) -> SceneParams:
@@ -304,8 +325,11 @@ def parse_config(text: str) -> PipelineConfig:
         if key not in {f.name for f in fields(section_obj)}:
             raise ConfigError(
                 f"line {lineno}: unknown key {section_name}.{key}")
-        setattr(section_obj, key,
-                _parse_value(value, type(getattr(section_obj, key))))
+        try:
+            parsed = _parse_value(value, type(getattr(section_obj, key)))
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {section_name}.{key}: {exc}") from None
+        setattr(section_obj, key, parsed)
     cfg.validate()
     return cfg
 

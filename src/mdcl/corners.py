@@ -32,10 +32,10 @@ CORNERS = 30    # corners per map: the ground truth and the 60x3 fused cloud
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    orientations: int = 8
-    sigma_px: float = 3.0       # derivative-direction scale
-    anisotropy: float = 1.5     # cross-direction elongation factor
-    nms_radius_px: int = 7      # Euclidean
+    orientations: int
+    sigma_px: float             # derivative-direction scale
+    anisotropy: float           # cross-direction elongation factor
+    nms_radius_px: int          # Euclidean
 
     def __post_init__(self):
         if self.orientations < 1:

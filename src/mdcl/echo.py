@@ -13,7 +13,7 @@ changes every noisy artifact's digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,41 +28,24 @@ class RadarConfigError(ValueError):
     pass
 
 
-_DEFAULT_REFLECTIVITY = {
-    NodeId.HEAD: 0.6,
-    NodeId.TORSO: 1.0,
-    NodeId.HAND_L: 0.3,
-    NodeId.HAND_R: 0.3,
-    NodeId.FOOT_L: 0.3,
-    NodeId.FOOT_R: 0.3,
-}
-
-
 @dataclass(frozen=True)
 class RadarConfig:
-    """LFMCW radar parameters; defaults follow the uniform system table."""
+    """LFMCW radar parameters.
 
-    carrier: float = 1.5e9           # fc, Hz
-    bandwidth: float = 2.0e9         # B, Hz
-    pri: float = 4.0 / 1024.0        # Ts, seconds
-    slow_samples: int = 1024         # M
-    fast_samples: int = 1024         # N
-    tx_amplitude: float = 1.0
-    reflectivity: dict[NodeId, float] = field(
-        default_factory=lambda: dict(_DEFAULT_REFLECTIVITY))
-    wall_reflectivity: float = 10.0
-    wall_range: float = 0.5          # front face one-way distance, meters
-    max_range: float = 5.0           # range-axis crop used downstream
+    ``config.RadarSection`` holds the defaults (the uniform system table)
+    and ``PipelineConfig.validate`` checks them.
+    """
 
-    def __post_init__(self):
-        if self.carrier <= 0:
-            raise RadarConfigError(f"radar.carrier must be > 0, got {self.carrier}")
-        if self.bandwidth <= 0:
-            raise RadarConfigError(f"radar.bandwidth must be > 0, got {self.bandwidth}")
-        if self.pri <= 0:
-            raise RadarConfigError(f"radar.pri must be > 0, got {self.pri}")
-        if self.slow_samples < 2 or self.fast_samples < 2:
-            raise RadarConfigError("need at least 2 slow and fast samples")
+    carrier: float                   # fc, Hz
+    bandwidth: float                 # B, Hz
+    pri: float                       # Ts, seconds
+    slow_samples: int                # M
+    fast_samples: int                # N
+    tx_amplitude: float
+    reflectivity: dict[NodeId, float]
+    wall_reflectivity: float
+    wall_range: float                # front face one-way distance, meters
+    max_range: float                 # range-axis crop used downstream
 
     @property
     def chirp_rate(self) -> float:
@@ -94,7 +77,7 @@ class NoiseConfig:
     """
 
     target_snr: float
-    seed: int = 0
+    seed: int
 
 
 @dataclass

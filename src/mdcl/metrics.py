@@ -278,14 +278,14 @@ def _halton(n: int, dim: int) -> np.ndarray:
 _GRID_POINTS = 4096     # validation grid of a fit
 
 
-def fit_curve_model(model: CurveModel, ts, ys=None, kinds=None) -> FitReport:
+def fit_curve_model(model: CurveModel, ts, kinds=None) -> FitReport:
     """Reconstruct a curve family from samples and validate on a dense grid.
 
     ``kinds`` optionally tags each sample time ("extremum" samples also
     contribute a zero-slope constraint to nonlinear families).
     """
     ts = np.asarray(ts, dtype=float)
-    ys = model.value(ts) if ys is None else np.asarray(ys, dtype=float)
+    ys = model.value(ts)
     slope_ts = inflection_ts = None
     if kinds is not None and model.nonlinear_count:
         # linear families fit values alone, keeping rank arguments clean

@@ -394,15 +394,11 @@ class CurveModel:
 
     @property
     def linear_count(self) -> int:
-        return len(self.basis())
+        return len(self.basis_builder(self.nonlinear_truth))
 
     @property
     def nonlinear_count(self) -> int:
         return len(self.nonlinear_truth)
-
-    def basis(self, nonlinear: Sequence[float] | None = None) -> list[Callable]:
-        params = tuple(self.nonlinear_truth if nonlinear is None else nonlinear)
-        return self.basis_builder(params)
 
     def design_matrix(self, ts, nonlinear=None) -> np.ndarray:
         """Basis columns at ``ts``: (n, p) for one nonlinear vector (the

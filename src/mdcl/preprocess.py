@@ -62,8 +62,6 @@ def mti_filter(rc_complex: np.ndarray) -> np.ndarray:
 # empirical-mode denoising
 # ---------------------------------------------------------------------------
 
-SD_STOP = 0.3
-MAX_SIFTS = 10
 DENOISE_MODES = 3       # a row is denoised only when it has this many modes
 EMD_MIN_LENGTH = 8      # shortest sequence the sifting accepts
 
@@ -146,8 +144,8 @@ def _envelope_means(h: np.ndarray, maxima: np.ndarray,
     return 0.5 * (env[:m] + env[m:])
 
 
-def _first_modes(x: np.ndarray, sd_stop: float = SD_STOP,
-                 max_sifts: int = MAX_SIFTS) -> tuple[np.ndarray, np.ndarray]:
+def _first_modes(x: np.ndarray, sd_stop: float,
+                 max_sifts: int) -> tuple[np.ndarray, np.ndarray]:
     """First intrinsic mode of each row and the row's mode count.
 
     Cubic-envelope sifting, all rows in lockstep: each round makes one
@@ -235,27 +233,19 @@ def _denoise_block(x: np.ndarray, sd_stop: float, max_sifts: int) -> np.ndarray:
     return out
 
 
-def emd_denoise(signal: np.ndarray, sd_stop: float = SD_STOP,
-                max_sifts: int = MAX_SIFTS) -> np.ndarray:
-    """Drop the first intrinsic mode (the noise-dominated one).
+def emd_denoise(signal: np.ndarray, sd_stop: float, max_sifts: int) -> np.ndarray:
+    """Drop the first intrinsic mode (the noise-dominated one) of a complex
+    sequence.
 
-    Applies to real or complex 1-D sequences; complex input is denoised
-    component-wise (both parts sifted as one block).  Sequences that
-    decompose into fewer than 3 modes, or whose first mode does not
-    oscillate near Nyquist, are returned unchanged.
+    The real and imaginary parts are sifted as one block, and each is
+    returned unchanged when it decomposes into fewer than 3 modes or its
+    first mode does not oscillate near Nyquist.
     """
-    x = np.asarray(signal)
-    if x.ndim != 1 or x.size < EMD_MIN_LENGTH:
-        raise ValueError("emd_denoise expects a 1-D sequence of length "
-                         f">= {EMD_MIN_LENGTH}")
-    if np.iscomplexobj(x):
-        parts = _denoise_block(np.stack((x.real, x.imag)), sd_stop, max_sifts)
-        return parts[0] + 1j * parts[1]
-    return _denoise_block(x[None, :], sd_stop, max_sifts)[0]
+    parts = _denoise_block(np.stack((signal.real, signal.imag)), sd_stop, max_sifts)
+    return parts[0] + 1j * parts[1]
 
 
-def denoise_rows(a: np.ndarray, sd_stop: float = SD_STOP,
-                 max_sifts: int = MAX_SIFTS) -> np.ndarray:
+def denoise_rows(a: np.ndarray, sd_stop: float, max_sifts: int) -> np.ndarray:
     """Row-wise EMD denoising of a real map, clipped at zero."""
     return np.clip(_denoise_block(a, sd_stop, max_sifts), 0.0, None)
 
@@ -290,8 +280,8 @@ def stft_magnitude(x: np.ndarray) -> np.ndarray:
     return np.repeat(mag, STFT_HOP, axis=1)[:, :n]
 
 
-def make_dtm(mti_complex: np.ndarray, window_s: float, *,
-             emd_params: tuple[float, int] = (SD_STOP, MAX_SIFTS)) -> ProfileMap:
+def make_dtm(mti_complex: np.ndarray, window_s: float,
+             emd_params: tuple[float, int]) -> ProfileMap:
     """Doppler-time map from the MTI-filtered range-compressed matrix.
 
     All range cells are summed coherently per slow-time instant,
@@ -310,15 +300,14 @@ def make_dtm(mti_complex: np.ndarray, window_s: float, *,
 
 
 def make_rtm(mti_complex: np.ndarray, range_axis: AxisSpec, window_s: float,
-             emd_params: tuple[float, int] = (SD_STOP, MAX_SIFTS)) -> ProfileMap:
+             emd_params: tuple[float, int]) -> ProfileMap:
     """Denoised, normalized RTM from the MTI-filtered complex matrix."""
     mag = denoise_rows(np.abs(mti_complex), *emd_params)
     return ProfileMap(normalize(mag), range_axis, window_s)
 
 
-def preprocess_frame(frame: EchoFrame, *,
-                     emd_params: tuple[float, int] = (SD_STOP, MAX_SIFTS),
-                     ) -> tuple[ProfileMap, ProfileMap]:
+def preprocess_frame(frame: EchoFrame,
+                     emd_params: tuple[float, int]) -> tuple[ProfileMap, ProfileMap]:
     """Full preprocessing chain of one frame: (RTM, DTM).
 
     Clutter is cancelled in the complex domain on the uncropped beat
@@ -328,5 +317,5 @@ def preprocess_frame(frame: EchoFrame, *,
     mti = mti_filter(beat_spectrum(frame))
     cropped, range_axis = crop_range_rows(mti, frame.config)
     rtm = make_rtm(cropped, range_axis, frame.config.window, emd_params)
-    dtm = make_dtm(mti, frame.config.window, emd_params=emd_params)
+    dtm = make_dtm(mti, frame.config.window, emd_params)
     return rtm, dtm

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -32,8 +32,8 @@ class WallParams:
     one-way propagation distance.
     """
 
-    thickness: float = 0.12
-    rel_permittivity: float = 6.0
+    thickness: float
+    rel_permittivity: float
 
     def __post_init__(self):
         if self.thickness < 0:
@@ -53,25 +53,24 @@ class WallParams:
 class SceneParams:
     """Anthropometric, gait and geometry parameters of the observed scene.
 
-    Defaults describe a 1.8 m tester walking indoors with the radar antenna
-    mounted at 1.5 m.  Head and torso move at the constant body velocity
-    (the simplified model drops their vertical micro-undulation); limb
-    swing angles and in-place height drops are set per activity in the
-    catalog.
+    ``config.SceneSection`` holds the defaults.  Head and torso move at the
+    constant body velocity (the simplified model drops their vertical
+    micro-undulation); limb swing angles and in-place height drops are set
+    per activity in the catalog.
     """
 
-    radar_height: float = 1.5            # h0, meters above ground
-    initial_position: tuple[float, float] = (3.0, 0.0)   # (x1, y1) meters
-    torso_upper: float = 1.5             # h1
-    torso_lower: float = 0.95            # h2
-    arm_length: float = 0.65             # l1
-    leg_length: float = 0.9              # l2
-    initial_velocity: tuple[float, float] = (-0.6, 1.0)  # (v1x, v1y) m/s
-    gait_frequency: float = 2.0 * math.pi   # phi, rad/s
-    in_situ_quarter_time: float = 1.0    # t0; full in-place cycle lasts 4*t0
-    window: float = 4.0                  # T, observation window seconds
-    wall: WallParams = field(default_factory=WallParams)
-    through_wall: bool = True
+    radar_height: float                  # h0, meters above ground
+    initial_position: tuple[float, float]   # (x1, y1) meters
+    torso_upper: float                   # h1
+    torso_lower: float                   # h2
+    arm_length: float                    # l1
+    leg_length: float                    # l2
+    initial_velocity: tuple[float, float]   # (v1x, v1y) m/s
+    gait_frequency: float                # phi, rad/s
+    in_situ_quarter_time: float          # t0; full in-place cycle lasts 4*t0
+    window: float                        # T, observation window seconds
+    wall: WallParams
+    through_wall: bool
 
     def __post_init__(self):
         if not (self.torso_upper > self.torso_lower > 0):

@@ -1,9 +1,24 @@
 """Shared fixtures: a fast reduced-size config and cached full-size runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mdcl.config import PipelineConfig
+from mdcl.corners import DetectorConfig
+from mdcl.echo import RadarConfig
+from mdcl.scene import SceneParams
+
+_BUILDERS = {SceneParams: PipelineConfig.scene_params,
+             RadarConfig: PipelineConfig.radar_config,
+             DetectorConfig: PipelineConfig.detector_config}
+
+
+def from_config(kind, **overrides):
+    """The default config's ``kind`` (``SceneParams``, ``RadarConfig`` or
+    ``DetectorConfig``) with ``overrides`` replaced."""
+    return replace(_BUILDERS[kind](PipelineConfig()), **overrides)
 
 
 def small_config() -> PipelineConfig:

@@ -25,7 +25,7 @@ from mdcl.scene import NodeId, SceneParams
 from mdcl.squaring import render_squared, squared_source_rows
 from mdcl.pipeline import sweep_noise, sweep_summary
 
-from conftest import row_value
+from conftest import from_config, row_value
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
@@ -88,7 +88,7 @@ def test_criterion_02_emd_oracle_equivalence():
 def test_criterion_03_mncp_sufficiency():
     start = time.perf_counter()
     failures = []
-    for name, model in curve_models(SceneParams()).items():
+    for name, model in curve_models(from_config(SceneParams)).items():
         rep = verify_mncp(model)
         tol = 1e-6 if not model.nonlinear_count else 1e-4
         metric = rep.fit.grid_rms if not model.nonlinear_count else rep.fit.grid_rms_rel
@@ -133,31 +133,34 @@ def test_criterion_05_noise_robustness(clean_full_config, clean_results):
 
 def test_criterion_06_signal_physics():
     # MTI suppression of the static wall
-    cfg = RadarConfig()
-    frame = synth_frame(SceneParams(), activity("S1"), cfg, None)
+    cfg = from_config(RadarConfig)
+    frame = synth_frame(from_config(SceneParams), activity("S1"), cfg, None)
     rc = beat_spectrum(frame)
     p_in = np.mean(np.abs(rc) ** 2)
     p_out = np.mean(np.abs(mti_filter(rc)) ** 2)
     suppression = 10 * np.log10(p_in / max(p_out, 1e-300))
 
     # DTM ridge of a constant-velocity scatterer at 2 fc v / c
-    p = SceneParams(initial_position=(3.0, 0.0), initial_velocity=(-1.0, 0.0),
+    p = from_config(SceneParams, initial_position=(3.0, 0.0), initial_velocity=(-1.0, 0.0),
                     radar_height=1.65, through_wall=False, window=2.0,
                     gait_frequency=2 * np.pi)
-    radar = RadarConfig(reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0,
+    radar = from_config(RadarConfig,
+                        reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0,
                         pri=2.0 / 512, slow_samples=512, fast_samples=512)
-    _, dtm = preprocess_frame(synth_frame(p, activity("S8"), radar, None))
+    _, dtm = preprocess_frame(synth_frame(p, activity("S8"), radar, None),
+                              PipelineConfig().preprocessing.emd_params())
     freq = float(row_value(dtm.axis, int(np.argmax(dtm.data[:, 256]))))
     bin_hz = (dtm.axis.hi - dtm.axis.lo) / dtm.axis.n
     doppler_ok = abs(abs(freq) - 2 * radar.carrier * 1.0 / C_LIGHT) <= bin_hz
 
     # range resolution c / 2B between two resolvable scatterers
-    head_only = RadarConfig(reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0)
-    frame_a = synth_frame(SceneParams(initial_position=(3.0, 0.0),
+    head_only = from_config(RadarConfig,
+                            reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0)
+    frame_a = synth_frame(from_config(SceneParams, initial_position=(3.0, 0.0),
                                       initial_velocity=(0.0, 0.0),
                                       radar_height=1.65, through_wall=False),
                           activity("S8"), head_only, None)
-    frame_b = synth_frame(SceneParams(initial_position=(3.5, 0.0),
+    frame_b = synth_frame(from_config(SceneParams, initial_position=(3.5, 0.0),
                                       initial_velocity=(0.0, 0.0),
                                       radar_height=1.65, through_wall=False),
                           activity("S8"), head_only, None)
@@ -178,7 +181,7 @@ def test_criterion_06_signal_physics():
 def test_criterion_07_doppler_constancy():
     # the unsimplified model adds the head's vertical undulation rate
     # (alpha phi cos(phi t))^2, alpha = 0.05 m, to the constant |v|^2
-    p = SceneParams()
+    p = from_config(SceneParams)
     t = np.linspace(0.0, p.window, 4096)
     s8 = activity("S8")
     approx = node_curve(NodeId.HEAD, p, s8, "d2")(t)

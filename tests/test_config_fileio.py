@@ -1,6 +1,7 @@
 """Config parsing and file-format tests."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mdcl.config import (ConfigError, PipelineConfig, config_digest,
 from mdcl import fileio
 from mdcl.fileio import (MatrixFormatError, read_matrix, write_csv,
                          write_matrix, write_pgm)
-from mdcl.preprocess import emd_denoise
+from mdcl.preprocess import denoise_rows
 
 
 class TestConfig:
@@ -85,7 +86,7 @@ class TestConfig:
                           PipelineConfig().preprocessing.emd_params()))
         params[key.removeprefix("emd_")] = float(value)
         with pytest.raises(ValueError, match=key):
-            emd_denoise(np.arange(16.0) % 3, **params)
+            denoise_rows((np.arange(16.0) % 3)[None, :], **params)
 
     @pytest.mark.parametrize("section, key, value", [
         ("detector", "orientations", "0"), ("detector", "orientations", "-2"),
@@ -96,10 +97,15 @@ class TestConfig:
         ("radar", "max_range_m", "-1"),
         ("radar", "slow_samples", "4"), ("radar", "slow_samples", "16"),
         ("detector", "render_rows", "28"),
-        ("evaluation", "sweep_seeds", "0")])
+        ("evaluation", "sweep_seeds", "0"),
+        ("scene", "x1", "nan"), ("scene", "gait_frequency", "inf"),
+        ("radar", "carrier_hz", "nan"), ("noise", "target_snr_db", "nan"),
+        ("evaluation", "snr_drops_db", "nan"), ("evaluation", "snr_drops_db", "inf"),
+        ("evaluation", "snr_drops_db", "4,x")])
     def test_settings_that_cannot_run_rejected(self, tmp_path, section, key, value):
-        """Values the detector, the squaring or the sweep cannot use fail
-        validation, before any stage runs."""
+        """Values the detector, the squaring or the sweep cannot use, and
+        numbers that are not finite, fail validation before any stage
+        runs."""
         text = f"[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(text)
@@ -124,6 +130,27 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[plasma]\nx = 1\n")
+
+    def test_every_non_finite_float_rejected(self):
+        """A nan or an infinity in any float field of any section fails
+        validation, also in a config built in code."""
+        defaults = PipelineConfig()
+        keys = [(s.name, f.name) for s in fields(defaults)
+                for f in fields(getattr(defaults, s.name))
+                if isinstance(getattr(getattr(defaults, s.name), f.name), float)]
+        for section, key in keys:
+            for value in (float("nan"), float("inf"), -float("inf")):
+                cfg = PipelineConfig()
+                setattr(getattr(cfg, section), key, value)
+                with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+                    cfg.validate()
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("carrier_hz", "abc", "a number"), ("slow_samples", "1.5", "an integer")])
+    def test_type_errors_name_line_and_key(self, key, value, expected):
+        with pytest.raises(ConfigError,
+                           match=f"^line 3: radar.{key}: expected {expected}"):
+            parse_config(f"# radar\n[radar]\n{key} = {value}\n")
 
     def test_nonpositive_bandwidth_names_field(self):
         with pytest.raises(ConfigError, match="radar.bandwidth_hz"):

@@ -21,7 +21,9 @@ from mdcl.corners import (Corner, CornerSet, DetectorConfig, corner_response,
 from mdcl.maps import AxisSpec, ProfileMap
 from mdcl.pipeline import degrade_map
 
-CFG = DetectorConfig()
+from conftest import from_config
+
+CFG = from_config(DetectorConfig)
 RESPONSE_TOL = 1e-4     # float32 bank against the float64 oracle, of the peak
 
 

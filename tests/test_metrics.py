@@ -19,7 +19,9 @@ from mdcl.metrics import (add_image_noise, emd_distance, fit_curve_model, psnr,
 from mdcl.motion import CurveModel, curve_models
 from mdcl.scene import NodeId, SceneParams
 
-FAMILIES = curve_models(SceneParams())
+from conftest import from_config
+
+FAMILIES = curve_models(from_config(SceneParams))
 
 
 def brute_force_emd(a: np.ndarray, b: np.ndarray) -> float:
@@ -38,9 +40,10 @@ def column_stack_design(model, ts, nonlinear=None):
     if np.ndim(nonlinear) == 2:
         return np.stack([column_stack_design(model, ts, tuple(nl))
                          for nl in nonlinear])
+    nonlinear = model.nonlinear_truth if nonlinear is None else tuple(nonlinear)
     ts = np.asarray(ts, dtype=float)
     cols = [np.broadcast_to(np.asarray(b(ts), dtype=float), ts.shape)
-            for b in model.basis(nonlinear)]
+            for b in model.basis_builder(nonlinear)]
     return np.column_stack(cols) if cols else np.zeros((ts.size, 0))
 
 
@@ -98,7 +101,7 @@ def scene_families(gait_frequency, quarter_time, arm_angle, leg_angle):
     walk = dataclasses.replace(walk, nodes=nodes)
     with mock.patch.object(motion, "activity",
                            lambda label: walk if label == "S8" else activity(label)):
-        return curve_models(SceneParams(gait_frequency=gait_frequency,
+        return curve_models(from_config(SceneParams, gait_frequency=gait_frequency,
                                         in_situ_quarter_time=quarter_time))
 
 
@@ -226,7 +229,7 @@ class TestCurveFitting:
             basis_builder=lambda _: [lambda t: np.ones_like(t), lambda t: t,
                                      lambda t: t * t],
             window=2.0)
-        fit = fit_curve_model(model, [0.0, 1.0, 2.0], [1.0, 3.0, 7.0])
+        fit = fit_curve_model(model, [0.0, 1.0, 2.0])     # values 1, 3, 7
         assert fit.coefficients == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
         assert fit.residual_rms < 1e-12
 
@@ -241,14 +244,14 @@ class TestCurveFitting:
         assert fit.rank == 2
 
     def test_hand_curve_reconstruction(self):
-        model = curve_models(SceneParams())["walk_hand_r2"]
+        model = curve_models(from_config(SceneParams))["walk_hand_r2"]
         fit = fit_curve_model(model, [t for t, _ in model.keypoints_detailed()])
         assert fit.grid_rms < 1e-6
 
     def test_noiseless_self_family_property(self):
         # any family refits its own samples whenever enough points are given
         rng = np.random.default_rng(9)
-        for name, model in curve_models(SceneParams()).items():
+        for name, model in curve_models(from_config(SceneParams)).items():
             if model.nonlinear_count:
                 continue
             ts = np.sort(rng.random(model.linear_count + 3) * model.window)
@@ -261,14 +264,14 @@ class TestCurveFitting:
 
 class TestVerifyMncp:
     def test_all_families(self):
-        for name, model in curve_models(SceneParams()).items():
+        for name, model in curve_models(from_config(SceneParams)).items():
             report = verify_mncp(model)
             assert report.sufficient_at_mncp, name
             if report.deficient_below is not None:
                 assert report.deficient_below, name
 
     def test_linear_families_forced_deficiency(self):
-        models = curve_models(SceneParams())
+        models = curve_models(from_config(SceneParams))
         for name in ("walk_head_r2", "walk_torso_r2", "walk_hand_r2",
                      "walk_foot_r2", "walk_head_d2", "walk_torso_d2"):
             report = verify_mncp(models[name])
@@ -288,7 +291,7 @@ class TestVerifyMncp:
         on every scene (the fit can miss, or five key points can fit
         another swing angle), so their verdicts are checked against key
         points from the hand-derived slope instead of the numeric one."""
-        p = SceneParams(initial_position=position, initial_velocity=velocity,
+        p = from_config(SceneParams, initial_position=position, initial_velocity=velocity,
                         gait_frequency=gait_frequency)
         walk = activity("S8")
         for name, model in curve_models(p).items():
@@ -309,7 +312,7 @@ class TestVerifyMncp:
                 ref.sufficient_at_mncp, ref.deficient_below), name
 
     def test_nonlinear_families_report_fit_only(self):
-        models = curve_models(SceneParams())
+        models = curve_models(from_config(SceneParams))
         for name in ("walk_hand_d2", "walk_foot_d2", "insitu_r2", "insitu_d2"):
             report = verify_mncp(models[name])
             assert report.deficient_below is None

@@ -16,6 +16,8 @@ from mdcl.motion import (DegenerateCurveError, KeyPoint, activity_keypoints,
 from mdcl.scene import ALL_NODES, NodeId, SceneParams, WallParams
 from mdcl.activities import ActivityClass
 
+from conftest import from_config
+
 S8 = activity("S8")
 S5 = activity("S5")
 S10 = activity("S10")
@@ -43,7 +45,7 @@ def velocity_sq(node, p, act, t):
 def scene(**kw):
     defaults = dict(initial_position=(3.0, 0.0), through_wall=False)
     defaults.update(kw)
-    return SceneParams(**defaults)
+    return from_config(SceneParams, **defaults)
 
 
 def scalar_scan_zeros(fn, T, grid=motion._GRID):
@@ -118,7 +120,7 @@ class TestDistanceCurves:
         assert distance_sq(NodeId.HAND_L, p, S8, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_positive_and_continuous(self):
-        p = SceneParams()
+        p = from_config(SceneParams)
         t = np.linspace(0.0, p.window, 4096)
         for label in ("S2", "S5", "S8", "S9", "S12"):
             act = activity(label)
@@ -144,8 +146,8 @@ class TestDistanceCurves:
 
     def test_wall_shifts_unsquared_distance_exactly(self):
         wall = WallParams(0.12, 6.0)
-        p_free = SceneParams(wall=wall, through_wall=False)
-        p_wall = SceneParams(wall=wall, through_wall=True)
+        p_free = from_config(SceneParams, wall=wall, through_wall=False)
+        p_wall = from_config(SceneParams, wall=wall, through_wall=True)
         shift = 0.12 * (math.sqrt(6.0) - 1.0)
         t = np.linspace(0, 4, 64)
         for node in (NodeId.HEAD, NodeId.HAND_R, NodeId.FOOT_L):
@@ -157,7 +159,8 @@ class TestDistanceCurves:
     def test_feet_through_wall_finite_at_the_radar(self, velocity):
         # a foot passing under a radar at the origin has xi^2 near 0, which
         # can round below 0 before the wall's sqrt
-        p = SceneParams(initial_position=(0.0, 0.0), initial_velocity=velocity)
+        p = from_config(SceneParams,
+                        initial_position=(0.0, 0.0), initial_velocity=velocity)
         t = np.linspace(0.0, p.window, 400001)
         for label in ("S9", "S10"):
             for node in (NodeId.FOOT_L, NodeId.FOOT_R):
@@ -191,7 +194,7 @@ class TestDistanceCurves:
 
     def test_left_right_phase_swap(self):
         # swapping the pendulum phase reproduces the counterpart limb curve
-        p = SceneParams()
+        p = from_config(SceneParams)
         t = np.linspace(0, 4, 512)
         from mdcl.activities import ActivitySpec, NodeMotion, MotionState, ActivityClass
         nodes = dict(S8.nodes)
@@ -215,7 +218,7 @@ class TestVelocityCurves:
             assert velocity_sq(NodeId.HEAD, p, S8, t) == pytest.approx(1.0, abs=1e-14)
 
     def test_hand_at_zero(self):
-        p = SceneParams()
+        p = from_config(SceneParams)
         v1 = math.hypot(*p.initial_velocity)
         expected = (v1 - p.arm_length * ARM_ANGLE * p.gait_frequency) ** 2
         assert velocity_sq(NodeId.HAND_L, p, S8, 0.0) == pytest.approx(expected, rel=1e-12)
@@ -223,7 +226,7 @@ class TestVelocityCurves:
     def test_in_situ_velocity_at_quarter_time(self):
         # (pi / 16 t0^2) * drop^2 at t = t0 for the in-place curve; S5 drops
         # head/torso by 0.45 m
-        p = SceneParams()
+        p = from_config(SceneParams)
         drop = 0.45
         expected = (np.pi / 16.0) * drop * drop
         assert velocity_sq(NodeId.TORSO, p, S5, 1.0) == pytest.approx(expected, rel=1e-12)
@@ -231,7 +234,7 @@ class TestVelocityCurves:
     def test_exact_mode_bounded_by_undulation_amplitude(self):
         # the unsimplified model adds the head's vertical undulation rate
         # (alpha phi cos(phi t))^2, alpha = 0.05 m, to the constant |v|^2
-        p = SceneParams()
+        p = from_config(SceneParams)
         alpha, phi = 0.05, p.gait_frequency
         t = np.linspace(0, 4, 2048)
         approx = velocity_sq(NodeId.HEAD, p, S8, t)
@@ -293,7 +296,7 @@ class TestKeypoints:
 
     def test_hand_velocity_five_points_from_extrema(self):
         # independent oracle: dense sign-change scan of the closed-form derivative
-        p = SceneParams()
+        p = from_config(SceneParams)
         model = curve_models(p)["walk_hand_d2"]
         v1 = math.hypot(*p.initial_velocity)
         l, th, phi = p.arm_length, ARM_ANGLE, p.gait_frequency
@@ -316,19 +319,19 @@ class TestKeypoints:
 
     def test_in_situ_distance_keypoints_match_hand_derivation(self):
         # zeros of the first derivative: {2}; second derivative adds {2/3, 10/3}
-        model = curve_models(SceneParams())["insitu_r2"]
+        model = curve_models(from_config(SceneParams))["insitu_r2"]
         pts = keypoint_times(model)
         assert pts == pytest.approx([0.0, 2.0 / 3.0, 2.0, 10.0 / 3.0, 4.0], abs=1e-6)
 
     def test_in_situ_velocity_keypoints_uniform(self):
-        model = curve_models(SceneParams())["insitu_d2"]
+        model = curve_models(from_config(SceneParams))["insitu_d2"]
         assert keypoint_times(model) == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0], abs=1e-8)
 
     @pytest.mark.parametrize("quarter_time", [0.26, 1.0, 1.95])
     @pytest.mark.parametrize("radar_height", [1.2, 1.5, 2.0])
     def test_in_situ_derivatives_match_central_difference(self, quarter_time,
                                                           radar_height):
-        models = curve_models(SceneParams(in_situ_quarter_time=quarter_time,
+        models = curve_models(from_config(SceneParams, in_situ_quarter_time=quarter_time,
                                           radar_height=radar_height))
         for name in ("insitu_r2", "insitu_d2"):
             model = models[name]
@@ -345,7 +348,7 @@ class TestKeypoints:
         assert set(kinds[1:-1]) == {"fill"}
 
     def test_strictly_increasing_and_count(self):
-        p = SceneParams()
+        p = from_config(SceneParams)
         for name, model in curve_models(p).items():
             pts = keypoint_times(model)
             assert len(pts) == model.mncp
@@ -357,7 +360,7 @@ class TestKeypoints:
         # each curve and its Doppler sign are evaluated once, on the array of
         # key-point times; each point evaluated as a one-element array
         # gives the same bits
-        p = SceneParams()
+        p = from_config(SceneParams)
         total = 0
         for label in (f"S{i}" for i in range(2, 13)):
             act = activity(label)
@@ -415,7 +418,7 @@ class TestLockstepBisection:
     @example(position=(3.0, 0.0), velocity=(0.0, 0.0), through_wall=False)
     def test_scene_keypoints_match_scalar_oracle(self, position, velocity,
                                                  through_wall):
-        p = SceneParams(initial_position=position, initial_velocity=velocity,
+        p = from_config(SceneParams, initial_position=position, initial_velocity=velocity,
                         through_wall=through_wall)
 
         def search():
@@ -434,7 +437,7 @@ class TestLockstepBisection:
 
 class TestTables:
     def test_mncp_walking(self):
-        models = curve_models(SceneParams())
+        models = curve_models(from_config(SceneParams))
         table = {kind: [models[f"walk_{family}_{kind}"].mncp for family in NODE_FAMILIES]
                  for kind in ("r2", "d2")}
         assert table["r2"] == [3, 3, 6, 6, 6, 6]
@@ -443,7 +446,7 @@ class TestTables:
         assert sum(table["d2"]) == 22
 
     def test_mncp_in_situ(self):
-        models = curve_models(SceneParams())
+        models = curve_models(from_config(SceneParams))
         table = {kind: [models[f"insitu_{kind}"].mncp] * len(NODE_FAMILIES)
                  for kind in ("r2", "d2")}
         assert table["r2"] == [5] * 6
@@ -458,7 +461,7 @@ class TestTables:
             assert sum(counts["d2"]) == 30
 
     def test_gram_full_rank(self):
-        for name, model in curve_models(SceneParams()).items():
+        for name, model in curve_models(from_config(SceneParams)).items():
             a = model.design_matrix(np.linspace(0.0, model.window, 512))
             assert np.linalg.matrix_rank(a.T @ a) == model.linear_count, name
 
@@ -466,11 +469,11 @@ class TestTables:
 class TestSceneValidation:
     def test_gait_habit_constraint(self):
         with pytest.raises(ValueError):
-            SceneParams(window=1.0, gait_frequency=math.pi)
+            from_config(SceneParams, window=1.0, gait_frequency=math.pi)
 
     def test_torso_ordering(self):
         with pytest.raises(ValueError):
-            SceneParams(torso_upper=0.9, torso_lower=0.95)
+            from_config(SceneParams, torso_upper=0.9, torso_lower=0.95)
 
     def test_wall_invariants(self):
         with pytest.raises(ValueError):

@@ -10,19 +10,28 @@ from mdcl.activities import activity
 from mdcl.config import PipelineConfig
 from mdcl.echo import C_LIGHT, EchoFrame, NoiseConfig, RadarConfig, synth_frame
 from mdcl.maps import normalize
-from mdcl.preprocess import (STFT_HOP, STFT_SIZE, _first_modes, beat_spectrum,
-                             crop_range_rows, denoise_rows, emd_denoise, make_dtm,
-                             mti_filter, preprocess_frame, stft_magnitude)
+from mdcl.preprocess import (STFT_HOP, STFT_SIZE, _denoise_block, _first_modes,
+                             beat_spectrum, crop_range_rows, denoise_rows,
+                             emd_denoise, make_dtm, mti_filter, preprocess_frame,
+                             stft_magnitude)
 from mdcl.scene import NodeId, SceneParams
 
-from conftest import row_value
+from conftest import from_config, row_value
 
 S8 = activity("S8")
 S1 = activity("S1")
+EMD = PipelineConfig().preprocessing.emd_params()
+SD_STOP, MAX_SIFTS = EMD
+
+
+def denoise_sequence(x):
+    """One real sequence with its first mode removed (unclipped)."""
+    return _denoise_block(x[None, :], *EMD)[0]
 
 
 def static_scene(x1=3.0):
-    return SceneParams(initial_position=(x1, 0.0), initial_velocity=(0.0, 0.0),
+    return from_config(SceneParams,
+                       initial_position=(x1, 0.0), initial_velocity=(0.0, 0.0),
                        radar_height=1.65, through_wall=False)
 
 
@@ -34,14 +43,15 @@ def range_profile(frame):
 
 class TestRangeCompress:
     def test_zero_frame(self):
-        cfg = RadarConfig()
+        cfg = from_config(RadarConfig)
         frame = EchoFrame(np.zeros((1024, 1024), dtype=complex), cfg)
         mag, axis = range_profile(frame)
         assert np.all(mag == 0)
         assert mag.shape[0] == axis.n == 67     # 5 m / 0.075 m per bin
 
     def test_single_static_scatterer(self):
-        cfg = RadarConfig(reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0)
+        cfg = from_config(RadarConfig,
+                          reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0)
         frame = synth_frame(static_scene(), S8, cfg, None)
         mag, _ = range_profile(frame)
         rows = np.argmax(mag, axis=0)
@@ -49,18 +59,22 @@ class TestRangeCompress:
 
     def test_two_scatterers_resolved(self):
         # head at 3.0 m and torso at 3.5 m: c/2B = 0.075 m resolution
-        cfg = RadarConfig(reflectivity={NodeId.HEAD: 1.0, NodeId.TORSO: 1.0},
+        cfg = from_config(RadarConfig, reflectivity={NodeId.HEAD: 1.0, NodeId.TORSO: 1.0},
                           wall_reflectivity=0.0)
-        p = SceneParams(initial_position=(3.0, 0.0), initial_velocity=(0.0, 0.0),
+        p = from_config(SceneParams,
+                        initial_position=(3.0, 0.0), initial_velocity=(0.0, 0.0),
                         radar_height=1.65, torso_upper=1.5, torso_lower=0.95,
                         through_wall=False)
         # place the torso off in range by lowering it: torso z_eff custom via
         # position is awkward; use two frames and add them instead
-        frame_a = synth_frame(p, S8, RadarConfig(reflectivity={NodeId.HEAD: 1.0},
+        frame_a = synth_frame(p, S8, from_config(RadarConfig,
+                                                 reflectivity={NodeId.HEAD: 1.0},
                                                  wall_reflectivity=0.0), None)
-        p_b = SceneParams(initial_position=(3.5, 0.0), initial_velocity=(0.0, 0.0),
+        p_b = from_config(SceneParams,
+                          initial_position=(3.5, 0.0), initial_velocity=(0.0, 0.0),
                           radar_height=1.65, through_wall=False)
-        frame_b = synth_frame(p_b, S8, RadarConfig(reflectivity={NodeId.HEAD: 1.0},
+        frame_b = synth_frame(p_b, S8, from_config(RadarConfig,
+                                                   reflectivity={NodeId.HEAD: 1.0},
                                                    wall_reflectivity=0.0), None)
         combined = EchoFrame(frame_a.data + frame_b.data, cfg)
         profile = range_profile(combined)[0][:, 0]
@@ -86,8 +100,8 @@ class TestMti:
         assert np.allclose(out[:, 1:], x[:, 1:] - x[:, :-1])
 
     def test_wall_suppressed_at_least_40db(self):
-        cfg = RadarConfig()
-        frame = synth_frame(SceneParams(), S1, cfg, None)   # wall only
+        cfg = from_config(RadarConfig)
+        frame = synth_frame(from_config(SceneParams), S1, cfg, None)   # wall only
         rc, _ = crop_range_rows(beat_spectrum(frame), cfg)
         p_in = np.mean(np.abs(rc) ** 2)
         p_out = np.mean(np.abs(mti_filter(rc)) ** 2)
@@ -153,7 +167,7 @@ def oracle_sift(x, sd_stop, max_sifts):
     return h, max_sifts
 
 
-def oracle_imfs(x, max_imfs=8, sd_stop=0.3, max_sifts=10):
+def oracle_imfs(x, max_imfs=8, sd_stop=SD_STOP, max_sifts=MAX_SIFTS):
     """All modes of one row, and why the decomposition stopped."""
     residue = np.asarray(x, dtype=float).copy()
     total = float(np.sum(residue * residue))
@@ -180,7 +194,7 @@ def oracle_near_nyquist(imf, max_spacing=3.0):
     return imf.size / crossings <= max_spacing
 
 
-def oracle_denoise(x, max_imfs=8, sd_stop=0.3, max_sifts=10):
+def oracle_denoise(x, max_imfs=8, sd_stop=SD_STOP, max_sifts=MAX_SIFTS):
     if np.iscomplexobj(x):
         return (oracle_denoise(x.real, max_imfs, sd_stop, max_sifts)
                 + 1j * oracle_denoise(x.imag, max_imfs, sd_stop, max_sifts))
@@ -217,7 +231,7 @@ def emd_row(kind, n, rng):
     return (-1.0) ** t * t * (n - 1 - t) * rng.uniform(0.1, 10)
 
 
-def assert_matches_oracle(block, sd_stop=0.3, max_sifts=10):
+def assert_matches_oracle(block, sd_stop=SD_STOP, max_sifts=MAX_SIFTS):
     """Lockstep modes and denoised rows equal the oracle's, row for row."""
     first, n_modes = _first_modes(block, sd_stop, max_sifts)
     stops = []
@@ -257,17 +271,17 @@ class TestLockstepEmd:
         block = np.stack([emd_row(kind, 96, rng) for kind in kinds])
         stops = assert_matches_oracle(block)
         assert {"zero", "extrema", "extrema mid-mode", "energy"} <= set(stops)
-        assert {0, 1, 3} <= set(_first_modes(block)[1].tolist())
+        assert {0, 1, 3} <= set(_first_modes(block, *EMD)[1].tolist())
 
     def test_fewer_than_three_modes_left_unchanged(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal(200)
         imfs, _ = oracle_imfs(x)
         assert len(imfs) >= 3
-        first, n_modes = _first_modes(x[None, :])
+        first, n_modes = _first_modes(x[None, :], *EMD)
         assert n_modes[0] == 3
         assert np.array_equal(first[0], imfs[0])
-        den = emd_denoise(x)
+        den = denoise_sequence(x)
         assert np.array_equal(den, oracle_denoise(x))
         assert not np.array_equal(den, x)
 
@@ -280,15 +294,16 @@ class TestLockstepEmd:
             mti = mti_filter(beat_spectrum(frame))
             rows = np.abs(crop_range_rows(mti, frame.config)[0])
             expected = np.stack([oracle_denoise(row) for row in rows])
-            assert np.array_equal(denoise_rows(rows), np.clip(expected, 0.0, None))
+            assert np.array_equal(denoise_rows(rows, *EMD),
+                                  np.clip(expected, 0.0, None))
             series = mti.sum(axis=0)
-            assert np.array_equal(emd_denoise(series), oracle_denoise(series))
+            assert np.array_equal(emd_denoise(series, *EMD), oracle_denoise(series))
 
 
 class TestEmdDenoise:
     def test_constant_unchanged(self):
-        x = np.full(64, 3.25)
-        assert np.array_equal(emd_denoise(x), x)
+        x = np.full(64, 3.25 - 1.5j)
+        assert np.array_equal(emd_denoise(x, *EMD), x)
 
     def test_ramp_plus_noise_mse_improves(self):
         # Monte Carlo over 100 seeds: denoised MSE strictly below noisy MSE
@@ -298,7 +313,7 @@ class TestEmdDenoise:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             noisy = clean + 0.3 * rng.standard_normal(n)
-            den = emd_denoise(noisy)
+            den = denoise_sequence(noisy)
             if np.mean((den - clean) ** 2) < np.mean((noisy - clean) ** 2):
                 wins += 1
         assert wins == 100
@@ -306,37 +321,37 @@ class TestEmdDenoise:
     def test_pure_noise_power_drops(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(512)
-        den = emd_denoise(x)
+        den = denoise_sequence(x)
         assert np.mean(den ** 2) < np.mean(x ** 2)
 
     def test_complex_input(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        den = emd_denoise(x)
+        den = emd_denoise(x, *EMD)
         assert den.shape == x.shape and np.iscomplexobj(den)
 
     def test_non_finite_rejected(self):
-        x = np.ones(32)
+        x = np.ones(32, dtype=complex)
         x[3] = np.nan
         with pytest.raises(ValueError):
-            emd_denoise(x)
+            emd_denoise(x, *EMD)
 
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
-            emd_denoise(np.ones(4))
+            emd_denoise(np.ones(4, dtype=complex), *EMD)
 
     def test_imf_count_bounded(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(1024)
         imfs, _ = oracle_imfs(x)
         assert 3 <= len(imfs) <= 8
-        first, n_modes = _first_modes(x[None, :])
+        first, n_modes = _first_modes(x[None, :], *EMD)
         assert n_modes[0] == 3 and np.array_equal(first[0], imfs[0])
 
 
 class TestDtm:
     def test_zero_signal(self):
-        dtm = make_dtm(np.zeros((4, 256), dtype=complex), 1.0)
+        dtm = make_dtm(np.zeros((4, 256), dtype=complex), 1.0, EMD)
         assert np.all(dtm.data == 0)
 
     def test_pure_tone_ridge(self):
@@ -345,7 +360,7 @@ class TestDtm:
         fs = 256.0
         t = np.arange(m) / fs
         series = np.exp(2j * np.pi * 32.0 * t)
-        dtm = make_dtm(series[None, :].repeat(2, axis=0) / 2.0, m / fs)
+        dtm = make_dtm(series[None, :].repeat(2, axis=0) / 2.0, m / fs, EMD)
         interior = dtm.data[:, 150:-150]
         rows = np.argmax(interior, axis=0)
         freq = row_value(dtm.axis, rows)
@@ -357,7 +372,7 @@ class TestDtm:
         fs = 256.0
         t = np.arange(m) / fs
         series = np.exp(2j * np.pi * (64.0 / (2 * 4.0)) * t * t)
-        dtm = make_dtm(series[None, :].repeat(2, axis=0) / 2.0, m / fs)
+        dtm = make_dtm(series[None, :].repeat(2, axis=0) / 2.0, m / fs, EMD)
         cols = np.arange(150, m - 150)
         rows = np.argmax(dtm.data[:, cols], axis=0)
         freqs = np.asarray(row_value(dtm.axis, rows), dtype=float)
@@ -365,7 +380,7 @@ class TestDtm:
         assert slope == pytest.approx(16.0, rel=0.05)
 
     def test_column_count_matches_slow_samples(self):
-        dtm = make_dtm(np.ones((4, 512), dtype=complex), 2.0)
+        dtm = make_dtm(np.ones((4, 512), dtype=complex), 2.0, EMD)
         assert dtm.cols == 512
         assert dtm.rows == 256      # power-of-two transform size
 
@@ -406,19 +421,22 @@ class TestPipelineDeterminism:
         p = cfg_small.scene_params()
         radar = cfg_small.radar_config()
         frame = synth_frame(p, S8, radar, NoiseConfig(target_snr=-16.0, seed=9))
-        outs = [preprocess_frame(frame) for _ in range(2)]
+        outs = [preprocess_frame(frame, cfg_small.preprocessing.emd_params())
+                for _ in range(2)]
         assert np.array_equal(outs[0][0].data, outs[1][0].data)
         assert np.array_equal(outs[0][1].data, outs[1][1].data)
 
     def test_dtm_ridge_at_doppler_of_real_velocity(self):
         # approaching at 1 m/s: ridge magnitude 2 fc v / c within one bin
-        p = SceneParams(initial_position=(3.0, 0.0), initial_velocity=(-1.0, 0.0),
+        p = from_config(SceneParams,
+                        initial_position=(3.0, 0.0), initial_velocity=(-1.0, 0.0),
                         radar_height=1.65, through_wall=False, window=2.0,
                         gait_frequency=2 * np.pi)
-        radar = RadarConfig(reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0,
+        radar = from_config(RadarConfig,
+                            reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0,
                             pri=2.0 / 512, slow_samples=512, fast_samples=512)
         frame = synth_frame(p, S8, radar, None)
-        _, dtm = preprocess_frame(frame)
+        _, dtm = preprocess_frame(frame, EMD)
         col = dtm.data[:, 256]
         freq = float(row_value(dtm.axis, int(np.argmax(col))))
         expected = 2 * radar.carrier * 1.0 / C_LIGHT
