@@ -20,7 +20,7 @@ from mdcl.artifacts import read_corners, write_heatmap
 from mdcl.config import ConfigError, PipelineConfig, load_config
 from mdcl.fileio import read_matrix, write_csv
 from mdcl.maps import normalize
-from mdcl.metrics import verify_mncp
+from mdcl.metrics import fit_criterion, verify_mncp
 from mdcl.motion import curve_models
 from mdcl.pipeline import (STAGES, StageError, run_pipeline, run_stage,
                            sweep_noise, sweep_summary)
@@ -90,8 +90,10 @@ def _cmd_mncp_verify(cfg: PipelineConfig) -> int:
                      else str(report.deficient_below).lower())
         ok = report.sufficient_at_mncp and report.deficient_below in (True, None)
         failures += 0 if ok else 1
+        field, tol = fit_criterion(model)
         print(f"{name:<16} mncp={model.mncp} sufficient={report.sufficient_at_mncp} "
-              f"deficient_below={deficient} grid_rms={report.fit.grid_rms:.3e}")
+              f"deficient_below={deficient} "
+              f"{field}={getattr(report.fit, field):.3e} (tol {tol:.0e})")
     return failures
 
 

@@ -299,7 +299,7 @@ def fit_curve_model(model: CurveModel, ts, kinds=None) -> FitReport:
         nonlinear = tuple(model.nonlinear_truth)
     coef, rms, rank = _lin_fit(model, ts, ys, nonlinear, slope_ts, inflection_ts)
     grid = np.linspace(0.0, model.window, _GRID_POINTS)
-    truth = np.asarray(model.value(grid), dtype=float)
+    truth = model.value(grid)
     fitted = model.design_matrix(grid, nonlinear) @ coef if coef.size else np.zeros_like(grid)
     grid_rms = float(np.sqrt(np.mean((fitted - truth) ** 2)))
     truth_rms = float(np.sqrt(np.mean(truth ** 2)))
@@ -316,6 +316,13 @@ class MncpReport:
     reduced_rank: int | None
 
 
+def fit_criterion(model: CurveModel) -> tuple[str, float]:
+    """The ``FitReport`` field a family's sufficiency verdict compares, and
+    its tolerance: the relative grid error for nonlinear families, the
+    absolute one for linear families."""
+    return ("grid_rms_rel", 1e-4) if model.nonlinear_count else ("grid_rms", 1e-6)
+
+
 def verify_mncp(model: CurveModel) -> MncpReport:
     """Fit from exactly MNCP selected points; drop one and re-check rank.
 
@@ -326,9 +333,8 @@ def verify_mncp(model: CurveModel) -> MncpReport:
     ts = np.asarray([t for t, _ in detailed], dtype=float)
     kinds = [kind for _, kind in detailed]
     fit = fit_curve_model(model, ts, kinds=kinds)
-    tol = 1e-6 if not model.nonlinear_count else 1e-4
-    metric = fit.grid_rms if not model.nonlinear_count else fit.grid_rms_rel
-    sufficient = bool(fit.rank == model.linear_count and metric < tol)
+    field, tol = fit_criterion(model)
+    sufficient = bool(fit.rank == model.linear_count and getattr(fit, field) < tol)
     deficient = None
     reduced_rank = None
     if not model.nonlinear_count and model.mncp - 1 < model.linear_count:

@@ -313,10 +313,10 @@ def _spread_subset(candidates: list[float], n: int) -> list[float]:
     return sorted(picked[:n])
 
 
-def select_keypoints_detailed(value: Callable, T: float, count: int,
-                              derivative: Callable | None = None,
-                              ) -> list[tuple[float, str]]:
-    """Pick ``count`` strictly increasing sample times on [0, T].
+def select_keypoints_detailed(slope: Callable, T: float,
+                              count: int) -> list[tuple[float, str]]:
+    """Pick ``count`` strictly increasing sample times on [0, T] of a curve
+    whose first derivative is ``slope``.
 
     Always includes the window edges (when count >= 2); interior points are
     first-derivative zeros, then second-derivative zeros, then an
@@ -329,14 +329,13 @@ def select_keypoints_detailed(value: Callable, T: float, count: int,
         return [(0.0, "edge")]
     if T <= 0:
         raise DegenerateCurveError("empty observation window")
-    deriv = derivative if derivative is not None else _numeric_derivative(value, T)
     chosen: list[tuple[float, str]] = [(0.0, "edge"), (T, "edge")]
     need = count - 2
     if need > 0:
-        zeros1 = _scan_zeros(deriv, T)
+        zeros1 = _scan_zeros(slope, T)
         picked = [(t, "extremum") for t in _spread_subset(zeros1, need)]
         if len(picked) < need:
-            second = _numeric_derivative(deriv, T)
+            second = _numeric_derivative(slope, T)
             near = [t for t, _ in picked]
             zeros2 = [z for z in _scan_zeros(second, T)
                       if all(abs(z - q) > 1e-4 * T for q in near)]
@@ -380,8 +379,8 @@ class CurveModel:
     ``basis_builder`` maps the nonlinear parameter vector to the list of
     linear basis functions; for purely linear families the nonlinear vector
     is empty.  ``mncp`` is the minimum number of corner points the family
-    needs for unique reconstruction.  Key points come from ``derivative``
-    when given, else from a numeric derivative of ``value``.
+    needs for unique reconstruction.  Key points are searched on
+    ``slope``, the first derivative of ``value``.
     """
 
     mncp: int
@@ -390,7 +389,7 @@ class CurveModel:
     value: Callable
     basis_builder: Callable
     window: float
-    derivative: Callable | None = None
+    slope: Callable
 
     @property
     def linear_count(self) -> int:
@@ -416,8 +415,7 @@ class CurveModel:
         return out[0] if single else out
 
     def keypoints_detailed(self) -> list[tuple[float, str]]:
-        return select_keypoints_detailed(self.value, self.window, self.mncp,
-                                         derivative=self.derivative)
+        return select_keypoints_detailed(self.slope, self.window, self.mncp)
 
 
 def groundtruth_counts(activity_class: ActivityClass) -> dict[str, list[int]]:
@@ -435,16 +433,16 @@ def groundtruth_counts(activity_class: ActivityClass) -> dict[str, list[int]]:
 def curve_models(p: SceneParams) -> dict[str, CurveModel]:
     """Instantiate the canonical curve families for a scene.
 
-    Distance families are built in free space; the wall shifts the distance
-    axis without changing which family a curve belongs to.  Each walking
-    family is a node's curve in the S8 (walking) catalog entry, evaluated
-    by ``node_curve`` and searched for key points by the ground truth's
-    numeric derivative.
+    Every family is one node's curve in a catalog activity, evaluated by
+    ``node_curve`` in free space (the wall shifts the distance axis without
+    changing which family a curve belongs to) and searched for key points
+    by the ground truth's numeric derivative.  The eight walking families
+    are S8's (walking) nodes; the two in-situ families are S5's
+    (sitting-down) head, whose key points are all extrema.
     """
-    x1, y1 = p.initial_position
     phi = p.gait_frequency
     T = p.window
-    walk = activity("S8")
+    t0 = p.in_situ_quarter_time
     free_space = dataclasses.replace(p, through_wall=False)
 
     def const_basis(_):
@@ -455,99 +453,66 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
 
     def pend_basis(theta):
         def S(t):
-            return np.sin(theta * np.sin(phi * np.asarray(t, float)))
+            return np.sin(theta * np.sin(phi * t))
 
         return lambda _: [
-            lambda t: np.ones_like(np.asarray(t, float)),
-            lambda t: np.asarray(t, float),
-            lambda t: np.asarray(t, float) ** 2,
+            lambda t: np.ones_like(t),
+            lambda t: t,
+            lambda t: t ** 2,
             S,
-            lambda t: np.asarray(t, float) * S(t),
-            lambda t: np.cos(theta * np.sin(phi * np.asarray(t, float))),
+            lambda t: t * S(t),
+            lambda t: np.cos(theta * np.sin(phi * t)),
         ]
 
     def vel_basis(nl):
         w, th = nl
-
         return [
-            lambda t: np.ones_like(np.asarray(t, float)),
-            lambda t: np.cos(w * np.asarray(t, float)) ** 2,
-            lambda t: np.cos(w * np.asarray(t, float))
-            * np.cos(th * np.sin(w * np.asarray(t, float))),
+            lambda t: np.ones_like(t),
+            lambda t: np.cos(w * t) ** 2,
+            lambda t: np.cos(w * t) * np.cos(th * np.sin(w * t)),
         ]
-
-    arm = walk.node(NodeId.HAND_L).swing_angle
-    leg = walk.node(NodeId.FOOT_R).swing_angle
-    swing_bounds = ((np.pi, 4 * np.pi), (1e-3, np.pi / 2 - 1e-3))
-    # name: (node, kind, mncp, basis builder, nonlinear truth, bounds)
-    walking = {
-        "walk_head_r2": (NodeId.HEAD, "r2", 3, quad_basis, (), ()),
-        "walk_torso_r2": (NodeId.TORSO, "r2", 3, quad_basis, (), ()),
-        "walk_head_d2": (NodeId.HEAD, "d2", 1, const_basis, (), ()),
-        "walk_torso_d2": (NodeId.TORSO, "d2", 1, const_basis, (), ()),
-        "walk_hand_r2": (NodeId.HAND_L, "r2", 6, pend_basis(arm), (), ()),
-        "walk_foot_r2": (NodeId.FOOT_R, "r2", 6, pend_basis(leg), (), ()),
-        "walk_hand_d2": (NodeId.HAND_L, "d2", 5, vel_basis, (phi, arm), swing_bounds),
-        "walk_foot_d2": (NodeId.FOOT_R, "d2", 5, vel_basis, (phi, leg), swing_bounds),
-    }
-    models: dict[str, CurveModel] = {
-        name: CurveModel(mncp, truth, bounds,
-                         value=node_curve(node, free_space, walk, kind),
-                         basis_builder=basis, window=T)
-        for name, (node, kind, mncp, basis, truth, bounds) in walking.items()}
-
-    # The in-situ families keep hand-built values and analytic derivatives.
-    # No catalog node has their geometry (a 0.4 m drop centred 0.2 m below
-    # torso_upper), and the numeric derivative cannot place insitu_r2's key
-    # points: where torso_upper is at the radar height, as in the default
-    # scene, its first derivative has a triple zero at t = 2 t0.
-    t0 = p.in_situ_quarter_time
-    omega = np.pi / (2.0 * t0)
-    psi = -omega * t0
-    drop = 0.4      # meters; scales the linear coefficients, not the basis
-    z_center = p.torso_upper - 0.5 * drop
 
     def insitu_r2_basis(nl):
         w, ph = nl
         return [
-            lambda t: np.ones_like(np.asarray(t, float)),
-            lambda t: np.sin(w * np.asarray(t, float) + ph),
-            lambda t: np.cos(2.0 * w * np.asarray(t, float) + 2.0 * ph),
+            lambda t: np.ones_like(t),
+            lambda t: np.sin(w * t + ph),
+            lambda t: np.cos(2.0 * w * t + 2.0 * ph),
         ]
-
-    r_off = z_center - p.radar_height
-
-    def insitu_r2_deriv(t):
-        u = omega * np.asarray(t, float) + psi
-        return omega * (drop * r_off * np.cos(u)
-                        + (drop * drop / 4.0) * np.sin(2.0 * u))
-
-    models["insitu_r2"] = CurveModel(
-        5, (omega, psi), ((np.pi / 4.0, 2.0 * np.pi), (-np.pi, np.pi)),
-        value=lambda t: _vertical_xi_sq(
-            x1, y1, z_center, p.radar_height, drop, t0, 1.0,
-            np.asarray(t, float)),
-        basis_builder=insitu_r2_basis, window=T, derivative=insitu_r2_deriv,
-    )
 
     def insitu_d2_basis(nl):
         w, ph = nl
-        return [
-            lambda t: np.ones_like(np.asarray(t, float)),
-            lambda t: np.cos(w * np.asarray(t, float) + ph),
-        ]
+        return [lambda t: np.ones_like(t), lambda t: np.cos(w * t + ph)]
 
-    def insitu_d2_deriv(t):
-        amp = (np.pi / (32.0 * t0 * t0)) * drop * drop
-        u = 2.0 * omega * np.asarray(t, float) + 2.0 * psi
-        return -amp * 2.0 * omega * np.sin(u)
-
-    models["insitu_d2"] = CurveModel(
-        5, (2.0 * omega, 2.0 * psi),
-        ((np.pi / 2.0, 4.0 * np.pi), (-2.0 * np.pi, 2.0 * np.pi)),
-        value=lambda t: _vertical_chi_sq(drop, t0, np.asarray(t, float)),
-        basis_builder=insitu_d2_basis, window=T, derivative=insitu_d2_deriv,
-    )
+    walk = activity("S8")
+    arm = walk.node(NodeId.HAND_L).swing_angle
+    leg = walk.node(NodeId.FOOT_R).swing_angle
+    swing_bounds = ((np.pi, 4 * np.pi), (1e-3, np.pi / 2 - 1e-3))
+    # name: (activity, node, kind, mncp, basis builder, nonlinear truth, bounds)
+    table = {
+        "walk_head_r2": ("S8", NodeId.HEAD, "r2", 3, quad_basis, (), ()),
+        "walk_torso_r2": ("S8", NodeId.TORSO, "r2", 3, quad_basis, (), ()),
+        "walk_head_d2": ("S8", NodeId.HEAD, "d2", 1, const_basis, (), ()),
+        "walk_torso_d2": ("S8", NodeId.TORSO, "d2", 1, const_basis, (), ()),
+        "walk_hand_r2": ("S8", NodeId.HAND_L, "r2", 6, pend_basis(arm), (), ()),
+        "walk_foot_r2": ("S8", NodeId.FOOT_R, "r2", 6, pend_basis(leg), (), ()),
+        "walk_hand_d2": ("S8", NodeId.HAND_L, "d2", 5, vel_basis, (phi, arm),
+                         swing_bounds),
+        "walk_foot_d2": ("S8", NodeId.FOOT_R, "d2", 5, vel_basis, (phi, leg),
+                         swing_bounds),
+        "insitu_r2": ("S5", NodeId.HEAD, "r2", 5, insitu_r2_basis,
+                      (np.pi / (2.0 * t0), -np.pi / 2.0),
+                      ((np.pi / 4.0, 2.0 * np.pi), (-np.pi, np.pi))),
+        "insitu_d2": ("S5", NodeId.HEAD, "d2", 5, insitu_d2_basis,
+                      (np.pi / t0, -np.pi),
+                      ((np.pi / 2.0, 4.0 * np.pi), (-2.0 * np.pi, 2.0 * np.pi))),
+    }
+    models: dict[str, CurveModel] = {}
+    for name, (label, node, kind, mncp, basis, truth, bounds) in table.items():
+        value = node_curve(node, free_space, activity(label), kind)
+        models[name] = CurveModel(mncp, truth, bounds, value=value,
+                                  slope=_numeric_derivative(value, T),
+                                  basis_builder=basis, window=T)
     return models
 
 
@@ -567,7 +532,8 @@ def node_keypoints(node: NodeId, p: SceneParams, act: ActivitySpec,
     once, on the array of key-point times.
     """
     fn = node_curve(node, p, act, kind)
-    ts = np.asarray([t for t, _ in select_keypoints_detailed(fn, p.window, count)])
+    ts = np.asarray([t for t, _ in select_keypoints_detailed(
+        _numeric_derivative(fn, p.window), p.window, count)])
     signs = (slope_sign(node_curve(node, p, act, "r2"), p.window, ts)
              if kind == "d2" else np.ones(ts.size))
     return [KeyPoint(node, t, value, sign)

@@ -26,7 +26,8 @@ import numpy as np
 from mdcl import __version__
 from mdcl.activities import activity
 from mdcl.artifacts import ARTIFACTS, ActivityDir
-from mdcl.config import PipelineConfig, config_digest, drop_seed_keys, serialize_config
+from mdcl.config import (ConfigError, PipelineConfig, config_digest, drop_seed_keys,
+                         serialize_config)
 from mdcl.corners import CornerSet, extract_corners, fuse_pc_rd
 from mdcl.echo import synth_frame
 from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
@@ -36,11 +37,24 @@ from mdcl.preprocess import preprocess_frame
 from mdcl.squaring import decimate_rows, render_squared
 
 
+def thread_count() -> int:
+    """Worker threads named by ``MDCL_THREADS``, a non-negative integer
+    (unset, empty or 0: min(4, CPU count)); anything else is a
+    ``ConfigError``."""
+    raw = os.environ.get("MDCL_THREADS") or "0"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = -1
+    if workers < 0:
+        raise ConfigError(f"MDCL_THREADS must be a non-negative integer, got {raw!r}")
+    return workers or min(4, os.cpu_count() or 1)
+
+
 def pool_map(fn: Callable, items: list) -> list:
-    """``[fn(x) for x in items]`` on ``int(MDCL_THREADS)`` threads (unset or
-    0: min(4, CPU count)), clamped to [1, len(items)]; one runs inline."""
-    workers = int(os.environ.get("MDCL_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    workers = max(1, min(workers, len(items)))
+    """``[fn(x) for x in items]`` on ``thread_count()`` threads, clamped to
+    [1, len(items)]; one runs inline."""
+    workers = max(1, min(thread_count(), len(items)))
     if workers == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -276,6 +290,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     must be bit-identical across reruns of one config).
     """
     cfg.validate()
+    thread_count()      # a malformed MDCL_THREADS fails before any file
     out = Path(out_dir if out_dir is not None else cfg.run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     labels = cfg.activity_list()

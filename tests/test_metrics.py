@@ -16,7 +16,7 @@ from mdcl import metrics, motion
 from mdcl.activities import activity
 from mdcl.metrics import (add_image_noise, emd_distance, fit_curve_model, psnr,
                           verify_mncp)
-from mdcl.motion import CurveModel, curve_models
+from mdcl.motion import CurveModel, curve_models, node_curve
 from mdcl.scene import NodeId, SceneParams
 
 from conftest import from_config
@@ -226,6 +226,7 @@ class TestCurveFitting:
         model = CurveModel(
             3, (), (),
             value=lambda t: 1.0 + np.asarray(t, float) + np.asarray(t, float) ** 2,
+            slope=lambda t: 1.0 + 2.0 * np.asarray(t, float),
             basis_builder=lambda _: [lambda t: np.ones_like(t), lambda t: t,
                                      lambda t: t * t],
             window=2.0)
@@ -237,6 +238,7 @@ class TestCurveFitting:
         model = CurveModel(
             3, (), (),
             value=lambda t: np.asarray(t, float) ** 2,
+            slope=lambda t: 2.0 * np.asarray(t, float),
             basis_builder=lambda _: [lambda t: np.ones_like(t), lambda t: t,
                                      lambda t: t * t],
             window=2.0)
@@ -303,13 +305,49 @@ class TestVerifyMncp:
                 continue
             node = NodeId.HAND_L if "hand" in name else NodeId.FOOT_R
             length = p.arm_length if node is NodeId.HAND_L else p.leg_length
-            analytic = dataclasses.replace(model, derivative=pendulum_chi_sq_slope(
+            analytic = dataclasses.replace(model, slope=pendulum_chi_sq_slope(
                 p, length, walk.node(node).swing_angle))
             ref = verify_mncp(analytic)
             assert [t for t, _ in model.keypoints_detailed()] == pytest.approx(
                 [t for t, _ in analytic.keypoints_detailed()], abs=1e-8), name
             assert (report.sufficient_at_mncp, report.deficient_below) == (
                 ref.sufficient_at_mncp, ref.deficient_below), name
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(position=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+           quarter_time=st.floats(0.26, 1.95))
+    @example(position=(3.0, 0.0), quarter_time=1.0)
+    @example(position=(0.0, 0.0), quarter_time=0.26)
+    @example(position=(-6.0, 6.0), quarter_time=1.95)
+    @example(position=(3.0, 0.0), quarter_time=0.285).xfail(
+        reason="optimizer miss: the fit settles at omega 1.96 (truth 5.51)",
+        raises=AssertionError)
+    @example(position=(3.0, 0.0), quarter_time=0.3).xfail(
+        reason="picks that do not identify the phase: psi -2.56 fits the key "
+               "points better than the truth's -pi/2", raises=AssertionError)
+    def test_in_situ_families_across_scenes(self, position, quarter_time):
+        """The in-situ families, S5's head, reconstruct from their MNCP
+        points at any position and quarter time.  Between quarter times of
+        about 0.27 and 0.33 s insitu_r2 does not (ROADMAP item 12's two
+        causes); the two known failures are kept as strict examples."""
+        models = curve_models(from_config(SceneParams, initial_position=position,
+                                          in_situ_quarter_time=quarter_time))
+        for name in ("insitu_r2", "insitu_d2"):
+            report = verify_mncp(models[name])
+            assert report.sufficient_at_mncp, (name, report.fit.grid_rms_rel)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 11: the numeric second derivative places the S5 "
+        "torso's inflection key points only to about 1e-4"))
+    def test_in_situ_torso_distance_sufficient(self):
+        # S5's torso has the head's family, but two of its five key points
+        # are inflections; with the numeric rule it fits to 1.35e-4
+        p = from_config(SceneParams)
+        torso = node_curve(NodeId.TORSO, dataclasses.replace(p, through_wall=False),
+                           activity("S5"), "r2")
+        model = dataclasses.replace(curve_models(p)["insitu_r2"], value=torso,
+                                    slope=motion._numeric_derivative(torso, p.window))
+        assert verify_mncp(model).sufficient_at_mncp
 
     def test_nonlinear_families_report_fit_only(self):
         models = curve_models(from_config(SceneParams))

@@ -31,7 +31,8 @@ def keypoint_times(model):
 
 
 def select_times(value, T, count):
-    return [t for t, _ in select_keypoints_detailed(value, T, count)]
+    return [t for t, _ in select_keypoints_detailed(
+        motion._numeric_derivative(value, T), T, count)]
 
 
 def distance_sq(node, p, act, t):
@@ -318,32 +319,24 @@ class TestKeypoints:
             assert np.min(np.abs(oracle_zeros - t)) < 2e-4
 
     def test_in_situ_distance_keypoints_match_hand_derivation(self):
-        # zeros of the first derivative: {2}; second derivative adds {2/3, 10/3}
+        # S5's head sinks by delta = 0.45 m about r_off = -0.075 m with
+        # t0 = 1 s: d(xi^2)/du = delta cos(u) (-r_off + (delta / 2) sin(u)),
+        # u = pi (t - 1) / 2, vanishes at cos(u) = 0 (t = 0, 2, 4) and at
+        # sin(u) = -1/3 (t = 1 - (2 / pi) asin(1/3) and 3 + (2 / pi) asin(1/3))
         model = curve_models(from_config(SceneParams))["insitu_r2"]
-        pts = keypoint_times(model)
-        assert pts == pytest.approx([0.0, 2.0 / 3.0, 2.0, 10.0 / 3.0, 4.0], abs=1e-6)
+        off = (2.0 / np.pi) * np.arcsin(1.0 / 3.0)
+        assert model.keypoints_detailed() == [
+            (0.0, "edge"), (pytest.approx(1.0 - off, abs=1e-8), "extremum"),
+            (pytest.approx(2.0, abs=1e-8), "extremum"),
+            (pytest.approx(3.0 + off, abs=1e-8), "extremum"), (4.0, "edge")]
 
     def test_in_situ_velocity_keypoints_uniform(self):
         model = curve_models(from_config(SceneParams))["insitu_d2"]
         assert keypoint_times(model) == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0], abs=1e-8)
 
-    @pytest.mark.parametrize("quarter_time", [0.26, 1.0, 1.95])
-    @pytest.mark.parametrize("radar_height", [1.2, 1.5, 2.0])
-    def test_in_situ_derivatives_match_central_difference(self, quarter_time,
-                                                          radar_height):
-        models = curve_models(from_config(SceneParams, in_situ_quarter_time=quarter_time,
-                                          radar_height=radar_height))
-        for name in ("insitu_r2", "insitu_d2"):
-            model = models[name]
-            h = 1e-5
-            t = np.linspace(h, model.window - h, 2001)
-            central = (model.value(t + h) - model.value(t - h)) / (2.0 * h)
-            slope = model.derivative(t)
-            assert np.max(np.abs(central - slope)) <= 1e-8 * np.max(np.abs(slope)), name
-
     def test_constant_curve_filled_equispaced(self):
         pts, kinds = zip(*select_keypoints_detailed(
-            lambda t: np.ones_like(np.asarray(t, float)), 4.0, 5))
+            lambda t: np.zeros_like(np.asarray(t, float)), 4.0, 5))
         assert list(pts) == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0], abs=1e-9)
         assert set(kinds[1:-1]) == {"fill"}
 
@@ -370,7 +363,8 @@ class TestKeypoints:
                 for node, count in zip(ALL_NODES, counts):
                     fn = node_curve(node, p, act, kind)
                     xi = node_curve(node, p, act, "r2")
-                    for t, _ in select_keypoints_detailed(fn, p.window, count):
+                    slope = motion._numeric_derivative(fn, p.window)
+                    for t, _ in select_keypoints_detailed(slope, p.window, count):
                         one = np.array([t])
                         sign = slope_sign(xi, p.window, one)[0] if kind == "d2" else 1.0
                         want.append(KeyPoint(node, t, fn(one)[0], sign))
@@ -459,6 +453,30 @@ class TestTables:
             counts = groundtruth_counts(cls)
             assert sum(counts["r2"]) == 30
             assert sum(counts["d2"]) == 30
+
+    def test_families_are_node_curves(self):
+        # every family is one catalog node's curve in free space, and its
+        # slope is the ground truth's numeric derivative of that curve
+        rows = {"walk_head_r2": ("S8", NodeId.HEAD, "r2"),
+                "walk_torso_r2": ("S8", NodeId.TORSO, "r2"),
+                "walk_head_d2": ("S8", NodeId.HEAD, "d2"),
+                "walk_torso_d2": ("S8", NodeId.TORSO, "d2"),
+                "walk_hand_r2": ("S8", NodeId.HAND_L, "r2"),
+                "walk_foot_r2": ("S8", NodeId.FOOT_R, "r2"),
+                "walk_hand_d2": ("S8", NodeId.HAND_L, "d2"),
+                "walk_foot_d2": ("S8", NodeId.FOOT_R, "d2"),
+                "insitu_r2": ("S5", NodeId.HEAD, "r2"),
+                "insitu_d2": ("S5", NodeId.HEAD, "d2")}
+        p = scene(through_wall=True, in_situ_quarter_time=0.7)
+        models = curve_models(p)
+        assert set(models) == set(rows)
+        free = scene(in_situ_quarter_time=0.7)
+        grid = np.linspace(0.0, p.window, 1001)
+        for name, (label, node, kind) in rows.items():
+            curve = node_curve(node, free, activity(label), kind)
+            assert np.array_equal(models[name].value(grid), curve(grid)), name
+            assert np.array_equal(models[name].slope(grid),
+                                  motion._numeric_derivative(curve, p.window)(grid)), name
 
     def test_gram_full_rank(self):
         for name, model in curve_models(from_config(SceneParams)).items():

@@ -326,6 +326,17 @@ class TestWorkerPool:
             assert pools == expected, threads
         assert pipeline.pool_map(str, []) == []
 
+    @pytest.mark.parametrize("threads", ["abc", "-3", "1.5"])
+    def test_malformed_thread_count_exits_2_before_any_file(self, tmp_path,
+                                                            monkeypatch, threads):
+        monkeypatch.setenv("MDCL_THREADS", threads)
+        with pytest.raises(pipeline.ConfigError):
+            pipeline.pool_map(str, [1])
+        for command in ("run", "sweep-noise"):
+            out = tmp_path / command
+            assert main([command, "--out", str(out)]) == 2, command
+            assert not out.exists(), command
+
 
 class TestSweep:
     @pytest.mark.parametrize("given", [True, False], ids=["results", "no_results"])
