@@ -127,7 +127,7 @@ def node_delays(node: NodeId, p: SceneParams, act: ActivitySpec,
     return 2.0 * node_distance(node, p, act, t_slow) / C_LIGHT
 
 
-def wall_clutter(cfg: RadarConfig, p: SceneParams) -> np.ndarray:
+def wall_clutter(cfg: RadarConfig) -> np.ndarray:
     """Stationary wall return: one fast-time row, identical across PRIs."""
     if cfg.wall_reflectivity == 0.0:
         return np.zeros(cfg.fast_samples, dtype=complex)
@@ -167,7 +167,7 @@ def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     """Full frame: node echoes + wall clutter + noise at the target SNR."""
     data = _node_sum(p, act, cfg)
     p_sig = float(np.mean(np.abs(data) ** 2)) if noise is not None else 0.0
-    data += wall_clutter(cfg, p)[None, :]
+    data += wall_clutter(cfg)[None, :]
     if noise is not None:
         reference = p_sig if p_sig > 0 else 1.0
         p_noise = reference * 10.0 ** (-noise.target_snr / 10.0)

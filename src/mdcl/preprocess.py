@@ -1,8 +1,10 @@
 """Echo frame -> clutter-suppressed, denoised RTM and DTM.
 
-The chain is: per-PRI beat spectrum (fast-time DFT), two-pulse MTI along
-slow time in the complex domain, empirical-mode denoising, and an STFT of
-the coherently summed range cells for the Doppler-time map.
+The chain is: per-PRI beat spectrum (fast-time DFT) cropped to the
+configured range swath, two-pulse MTI along slow time in the complex
+domain, and empirical-mode denoising for the range-time map.  The
+Doppler-time map is an STFT of the MTI of N times each PRI's leading
+fast-time sample, which equals the coherent sum of all N range bins.
 
 Empirical-mode denoising (Huang et al. 1998) removes a sequence's first
 intrinsic mode when the sequence has at least three modes and that mode
@@ -28,28 +30,24 @@ from mdcl.maps import AxisSpec, ProfileMap, normalize
 # range compression
 # ---------------------------------------------------------------------------
 
-def beat_spectrum(frame: EchoFrame) -> np.ndarray:
-    """Complex range-compressed matrix (range bins x slow time).
+def beat_spectrum(frame: EchoFrame) -> tuple[np.ndarray, AxisSpec]:
+    """Complex range-compressed rows (range bins x slow time) inside the
+    configured maximum range, and their axis.
 
-    Beat-spectrum bin k maps to one-way range k * c / 2B; every bin is
-    kept (``crop_range_rows`` keeps those inside the maximum range).
+    Beat-spectrum bin k maps to one-way range k * c / 2B.
     """
-    return np.fft.fft(frame.data, axis=1).T
-
-
-def crop_range_rows(matrix: np.ndarray, cfg) -> tuple[np.ndarray, AxisSpec]:
-    """Keep the range rows inside the configured maximum range."""
+    cfg = frame.config
     n_keep = min(int(np.floor(cfg.max_range / cfg.range_bin)) + 1,
-                 matrix.shape[0])
+                 frame.data.shape[1])
     axis = AxisSpec("range", 0.0, n_keep * cfg.range_bin, n_keep)
-    return matrix[:n_keep], axis
+    return np.fft.fft(frame.data, axis=1)[:, :n_keep].T, axis
 
 
 def mti_filter(rc_complex: np.ndarray) -> np.ndarray:
     """Two-pulse canceller along slow time; the first column is zeroed.
 
-    Operates on the complex range-compressed matrix (rows = range bins,
-    columns = PRIs), removing any slow-time-constant component exactly.
+    Rows are the kept range bins (or the DTM's one leading-sample row),
+    columns PRIs; any slow-time-constant component is removed exactly.
     """
     if rc_complex.ndim != 2 or rc_complex.shape[1] < 2:
         raise ValueError("need at least two PRIs for the two-pulse canceller")
@@ -280,20 +278,17 @@ def stft_magnitude(x: np.ndarray) -> np.ndarray:
     return np.repeat(mag, STFT_HOP, axis=1)[:, :n]
 
 
-def make_dtm(mti_complex: np.ndarray, window_s: float,
+def make_dtm(series: np.ndarray, window_s: float,
              emd_params: tuple[float, int]) -> ProfileMap:
-    """Doppler-time map from the MTI-filtered range-compressed matrix.
+    """Doppler-time map of the MTI of N times each PRI's leading fast-time
+    sample, which equals the coherent sum of all N range bins.
 
-    All range cells are summed coherently per slow-time instant,
-    EMD-denoised, and short-time Fourier transformed.  Rows span
-    the symmetric Doppler axis [-fs/2, fs/2).  Pass the uncropped matrix:
-    the full-bin coherent sum collapses to the per-PRI leading fast-time
-    sample, whose phase carries the node Doppler 2 fc v / c exactly; a
-    cropped sum would pick up a range-migration bias.
+    Its phase carries the node Doppler 2 fc v / c exactly.  The series is
+    EMD-denoised and short-time Fourier transformed; rows span the
+    symmetric Doppler axis [-fs/2, fs/2).
     """
-    series = emd_denoise(mti_complex.sum(axis=0), *emd_params)
-    m = series.size
-    fs = m / window_s
+    series = emd_denoise(series, *emd_params)
+    fs = series.size / window_s
     mag = stft_magnitude(series)
     axis = AxisSpec("doppler", -fs / 2.0, fs / 2.0, mag.shape[0])
     return ProfileMap(mag, axis, window_s)
@@ -301,7 +296,7 @@ def make_dtm(mti_complex: np.ndarray, window_s: float,
 
 def make_rtm(mti_complex: np.ndarray, range_axis: AxisSpec, window_s: float,
              emd_params: tuple[float, int]) -> ProfileMap:
-    """Denoised, normalized RTM from the MTI-filtered complex matrix."""
+    """Denoised, normalized RTM from the MTI-filtered kept range rows."""
     mag = denoise_rows(np.abs(mti_complex), *emd_params)
     return ProfileMap(normalize(mag), range_axis, window_s)
 
@@ -310,12 +305,12 @@ def preprocess_frame(frame: EchoFrame,
                      emd_params: tuple[float, int]) -> tuple[ProfileMap, ProfileMap]:
     """Full preprocessing chain of one frame: (RTM, DTM).
 
-    Clutter is cancelled in the complex domain on the uncropped beat
-    spectrum; the RTM keeps only the configured range swath while the DTM
-    sums every range cell.
+    Clutter is cancelled in the complex domain on each map's own input:
+    the kept range rows for the RTM (the row-wise MTI commutes with the
+    crop) and the leading-sample series for the DTM.
     """
-    mti = mti_filter(beat_spectrum(frame))
-    cropped, range_axis = crop_range_rows(mti, frame.config)
-    rtm = make_rtm(cropped, range_axis, frame.config.window, emd_params)
-    dtm = make_dtm(mti, frame.config.window, emd_params)
+    rows, range_axis = beat_spectrum(frame)
+    n, window = frame.data.shape[1], frame.config.window
+    rtm = make_rtm(mti_filter(rows), range_axis, window, emd_params)
+    dtm = make_dtm(mti_filter(n * frame.data[:, :1].T)[0], window, emd_params)
     return rtm, dtm

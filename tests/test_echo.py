@@ -146,7 +146,7 @@ class TestNodeEcho:
 class TestWallClutter:
     def test_zero_reflectivity(self):
         cfg = from_config(RadarConfig, wall_reflectivity=0.0)
-        assert np.all(wall_clutter(cfg, from_config(SceneParams)) == 0)
+        assert np.all(wall_clutter(cfg) == 0)
 
     def test_static_across_pris_and_cancelled(self):
         cfg = from_config(RadarConfig)
@@ -171,7 +171,7 @@ class TestFrame:
         cfg = from_config(RadarConfig)
         p = from_config(SceneParams)
         noise = NoiseConfig(target_snr=-12.0, seed=11)
-        signal = synth_frame(p, S8, cfg, None).data - wall_clutter(cfg, p)[None, :]
+        signal = synth_frame(p, S8, cfg, None).data - wall_clutter(cfg)[None, :]
         noisy = synth_frame(p, S8, cfg, noise).data
         n = noisy - synth_frame(p, S8, cfg, None).data
         snr = 10 * np.log10(np.mean(np.abs(signal) ** 2) / np.mean(np.abs(n) ** 2))
@@ -190,8 +190,8 @@ class TestFrame:
         base = from_config(RadarConfig)
         doubled = from_config(RadarConfig, reflectivity={k: 2 * v for k, v in
                                                          base.reflectivity.items()})
-        a = synth_frame(p, S8, base, None).data - wall_clutter(base, p)[None, :]
-        b = synth_frame(p, S8, doubled, None).data - wall_clutter(doubled, p)[None, :]
+        a = synth_frame(p, S8, base, None).data - wall_clutter(base)[None, :]
+        b = synth_frame(p, S8, doubled, None).data - wall_clutter(doubled)[None, :]
         assert np.allclose(b, 2.0 * a, rtol=1e-12, atol=1e-12)
 
     def test_doppler_phase_increment(self):
@@ -221,7 +221,7 @@ class TestFrame:
         p = from_config(SceneParams)
         noise = NoiseConfig(target_snr=-16.0, seed=5)
         frame = synth_frame(p, S1, cfg, noise)
-        wall = wall_clutter(cfg, p)
+        wall = wall_clutter(cfg)
         residual = frame.data - wall[None, :]
         # residual is exactly the (unit-reference) noise realization
         assert np.mean(np.abs(residual) ** 2) == pytest.approx(10 ** 1.6, rel=0.01)

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from mdcl.activities import activity
+from mdcl.artifacts import ARTIFACTS
 from mdcl.config import PipelineConfig
 from mdcl.echo import C_LIGHT, EchoFrame, NoiseConfig, RadarConfig, synth_frame
 from mdcl.maps import normalize
 from mdcl.preprocess import (STFT_HOP, STFT_SIZE, _denoise_block, _first_modes,
-                             beat_spectrum, crop_range_rows, denoise_rows,
-                             emd_denoise, make_dtm, mti_filter, preprocess_frame,
-                             stft_magnitude)
+                             beat_spectrum, denoise_rows, emd_denoise, make_dtm,
+                             mti_filter, preprocess_frame, stft_magnitude)
 from mdcl.scene import NodeId, SceneParams
 
 from conftest import from_config, row_value
@@ -37,8 +37,23 @@ def static_scene(x1=3.0):
 
 def range_profile(frame):
     """Magnitude of the cropped beat spectrum and its range axis."""
-    rc, axis = crop_range_rows(beat_spectrum(frame), frame.config)
+    rc, axis = beat_spectrum(frame)
     return np.abs(rc), axis
+
+
+def full_mti(frame):
+    """MTI over every beat bin of the uncropped spectrum."""
+    return mti_filter(np.fft.fft(frame.data, axis=1).T)
+
+
+def leading_series(frame):
+    """The DTM's input: MTI of N times each PRI's leading fast-time sample."""
+    return mti_filter(frame.data.shape[1] * frame.data[:, :1].T)[0]
+
+
+def oracle_dtm(frame, emd_params):
+    """The DTM from the coherent sum of every MTI-filtered beat bin."""
+    return make_dtm(full_mti(frame).sum(axis=0), frame.config.window, emd_params)
 
 
 class TestRangeCompress:
@@ -102,7 +117,7 @@ class TestMti:
     def test_wall_suppressed_at_least_40db(self):
         cfg = from_config(RadarConfig)
         frame = synth_frame(from_config(SceneParams), S1, cfg, None)   # wall only
-        rc, _ = crop_range_rows(beat_spectrum(frame), cfg)
+        rc, _ = beat_spectrum(frame)
         p_in = np.mean(np.abs(rc) ** 2)
         p_out = np.mean(np.abs(mti_filter(rc)) ** 2)
         suppression = 10 * np.log10(p_in / max(p_out, 1e-300))
@@ -291,12 +306,11 @@ class TestLockstepEmd:
         for label in cfg.activity_list():
             frame = synth_frame(cfg.scene_params(), activity(label),
                                 cfg.radar_config(), cfg.noise_config(label))
-            mti = mti_filter(beat_spectrum(frame))
-            rows = np.abs(crop_range_rows(mti, frame.config)[0])
+            rows = np.abs(mti_filter(beat_spectrum(frame)[0]))
             expected = np.stack([oracle_denoise(row) for row in rows])
             assert np.array_equal(denoise_rows(rows, *EMD),
                                   np.clip(expected, 0.0, None))
-            series = mti.sum(axis=0)
+            series = leading_series(frame)
             assert np.array_equal(emd_denoise(series, *EMD), oracle_denoise(series))
 
 
@@ -351,7 +365,7 @@ class TestEmdDenoise:
 
 class TestDtm:
     def test_zero_signal(self):
-        dtm = make_dtm(np.zeros((4, 256), dtype=complex), 1.0, EMD)
+        dtm = make_dtm(np.zeros(256, dtype=complex), 1.0, EMD)
         assert np.all(dtm.data == 0)
 
     def test_pure_tone_ridge(self):
@@ -360,7 +374,7 @@ class TestDtm:
         fs = 256.0
         t = np.arange(m) / fs
         series = np.exp(2j * np.pi * 32.0 * t)
-        dtm = make_dtm(series[None, :].repeat(2, axis=0) / 2.0, m / fs, EMD)
+        dtm = make_dtm(series, m / fs, EMD)
         interior = dtm.data[:, 150:-150]
         rows = np.argmax(interior, axis=0)
         freq = row_value(dtm.axis, rows)
@@ -372,7 +386,7 @@ class TestDtm:
         fs = 256.0
         t = np.arange(m) / fs
         series = np.exp(2j * np.pi * (64.0 / (2 * 4.0)) * t * t)
-        dtm = make_dtm(series[None, :].repeat(2, axis=0) / 2.0, m / fs, EMD)
+        dtm = make_dtm(series, m / fs, EMD)
         cols = np.arange(150, m - 150)
         rows = np.argmax(dtm.data[:, cols], axis=0)
         freqs = np.asarray(row_value(dtm.axis, rows), dtype=float)
@@ -380,7 +394,7 @@ class TestDtm:
         assert slope == pytest.approx(16.0, rel=0.05)
 
     def test_column_count_matches_slow_samples(self):
-        dtm = make_dtm(np.ones((4, 512), dtype=complex), 2.0, EMD)
+        dtm = make_dtm(np.ones(512, dtype=complex), 2.0, EMD)
         assert dtm.cols == 512
         assert dtm.rows == 256      # power-of-two transform size
 
@@ -391,6 +405,45 @@ class TestDtm:
         assert mag.shape == (STFT_SIZE, n)
         last_frame = (n - 1) // STFT_HOP * STFT_HOP
         assert np.array_equal(mag[:, n - 1], mag[:, last_frame])
+
+
+def pipeline_frame(cfg, label):
+    """An activity's echo as the preprocess stage reads it (complex64)."""
+    return ARTIFACTS["echo"].stored(synth_frame(
+        cfg.scene_params(), activity(label), cfg.radar_config(),
+        cfg.noise_config(label)))
+
+
+@pytest.fixture(scope="module")
+def default_frames():
+    cfg = PipelineConfig()
+    return [pipeline_frame(cfg, label) for label in ("S1", "S5", "S8", "S12")]
+
+
+class TestMapInputs:
+    """Each map is computed from only what it reads, against the old chain
+    (MTI over every beat bin, the DTM from their coherent sum)."""
+
+    def test_crop_before_mti_is_exact(self, default_frames):
+        for frame in default_frames:
+            rows, axis = beat_spectrum(frame)
+            assert np.array_equal(mti_filter(rows), full_mti(frame)[:axis.n])
+
+    def test_leading_sample_is_bin_sum(self, default_frames):
+        for frame in default_frames:
+            summed = full_mti(frame).sum(axis=0)
+            err = np.max(np.abs(leading_series(frame) - summed))
+            assert err <= 1e-12 * np.max(np.abs(summed))
+
+    def test_noisy_dtm_float32_identical(self, cfg_small):
+        cfg_small.noise.enabled = True
+        for seed in (42, 1, 2):
+            cfg_small.run.seed = seed
+            for label in cfg_small.activity_list():
+                frame = pipeline_frame(cfg_small, label)
+                got = preprocess_frame(frame, EMD)[1].data.astype(np.float32)
+                want = oracle_dtm(frame, EMD).data.astype(np.float32)
+                assert np.array_equal(got, want), (seed, label)
 
 
 class TestNormalize:

@@ -1,0 +1,67 @@
+"""The reference run: a committed reduced-size run the code must reproduce.
+
+``tests/data/reference_run`` holds the manifest and every activity's
+``metrics.csv`` of ``mdcl run --config run.cfg --seed 42`` (128 x 128 frames
+and detection grid, all 12 activities, noise on) made with
+``MDCL_THREADS=2``, and the numpy and scipy versions that made it.  The test
+reruns it on one thread, so it also checks that no output depends on the
+thread count.  FFT rounding may differ between numpy/scipy releases: with
+other versions installed, only the file list and the metrics (within 1e-6)
+are compared, and a warning says so.
+
+A change that moves outputs on purpose regenerates the reference in the
+same commit: run the command above into an empty directory, copy its
+``manifest.txt`` and ``S*/metrics.csv`` here and update ``versions.txt``.
+"""
+
+import csv
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from mdcl.cli import main
+
+REFERENCE = Path(__file__).parent / "data" / "reference_run"
+
+
+def manifest_artifacts(path: Path) -> dict[str, str]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    listed = lines[lines.index("[artifacts]") + 1:]
+    return dict(line.split(" = ", 1) for line in listed if line)
+
+
+def run_metrics(root: Path) -> dict[tuple[str, str], float]:
+    values = {}
+    for path in root.glob("S*/metrics.csv"):
+        with open(path, newline="", encoding="utf-8") as f:
+            for row in csv.DictReader(f):
+                values[row["activity"], row["metric"]] = float(row["value"])
+    return values
+
+
+def test_reference_run_reproduced(tmp_path, monkeypatch):
+    monkeypatch.setenv("MDCL_THREADS", "1")
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(REFERENCE / "run.cfg"), "--seed", "42",
+                 "--out", str(out)]) == 0
+    want = manifest_artifacts(REFERENCE / "manifest.txt")
+    got = manifest_artifacts(out / "manifest.txt")
+    assert sorted(got) == sorted(want)
+    want_metrics, got_metrics = run_metrics(REFERENCE), run_metrics(out)
+    assert got_metrics.keys() == want_metrics.keys()
+    for key, value in want_metrics.items():
+        assert got_metrics[key] == pytest.approx(value, rel=0, abs=1e-6), key
+
+    lines = (REFERENCE / "versions.txt").read_text(encoding="utf-8").splitlines()
+    recorded = dict(line.split(" = ") for line in lines)
+    installed = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if recorded != installed:
+        warnings.warn(f"installed {installed} differ from the reference's "
+                      f"{recorded}: file list and metrics compared, digests not")
+        return
+    assert sorted(rel for rel in want if got[rel] != want[rel]) == []
+    assert ((out / "manifest.txt").read_text(encoding="utf-8")
+            == (REFERENCE / "manifest.txt").read_text(encoding="utf-8"))
