@@ -61,7 +61,7 @@ class EchoFile(Codec):
         write_matrix(d.file(f"{name}.mdcm"), values[name].data)
 
     def read(self, root, name, cfg):
-        return EchoFrame(read_matrix(root / f"{name}.mdcm"), cfg.radar_config())
+        return EchoFrame(read_matrix(root / f"{name}.mdcm"), cfg.radar)
 
 
 class MapFile(Codec):

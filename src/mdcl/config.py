@@ -4,9 +4,13 @@ The file format is deliberately plain: ``[section]`` headers, one
 ``key = value`` per line, ``#`` comments, UTF-8.  Unknown sections or keys
 are rejected; parse -> serialize -> parse is the identity.
 
-The section dataclasses hold every default; the runtime parameter objects
-built from them (``SceneParams``, ``RadarConfig``, ``DetectorConfig``,
-``NoiseConfig``) have none.
+Each section is one dataclass whose field defaults are the only defaults:
+``[radar]`` is ``echo.RadarConfig`` and ``[detector]`` is
+``corners.DetectorConfig``, which the stages take as they are; the other
+sections are defined here.  A runtime object that resolves values from
+more than one section is built from them and has no defaults of its own:
+``SceneParams`` (the scaled lengths and the radar window) and
+``NoiseConfig`` (the per-label noise seed).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from mdcl.activities import activity_labels
 from mdcl.corners import DetectorConfig, filter_support
 from mdcl.echo import NoiseConfig, RadarConfig
 from mdcl.preprocess import EMD_MIN_LENGTH, check_emd_params
-from mdcl.scene import NodeId, SceneParams, WallParams
+from mdcl.scene import SceneParams, WallParams
 
 
 class ConfigError(ValueError):
@@ -67,25 +71,6 @@ class SceneSection:
 
 
 @dataclass
-class RadarSection:
-    """Defaults: the uniform system table."""
-
-    carrier_hz: float = 1.5e9
-    bandwidth_hz: float = 2.0e9
-    slow_samples: int = 1024
-    fast_samples: int = 1024
-    window_s: float = 4.0
-    tx_amplitude: float = 1.0
-    reflectivity_head: float = 0.6
-    reflectivity_torso: float = 1.0
-    reflectivity_hand: float = 0.3
-    reflectivity_foot: float = 0.3
-    wall_reflectivity: float = 10.0
-    wall_range_m: float = 0.5
-    max_range_m: float = 5.0
-
-
-@dataclass
 class NoiseSection:
     enabled: bool = True
     target_snr_db: float = -16.0
@@ -99,15 +84,6 @@ class PreprocessingSection:
 
     def emd_params(self) -> tuple[float, int]:
         return (self.emd_sd_stop, self.emd_max_sifts)
-
-
-@dataclass
-class DetectorSection:
-    orientations: int = 8
-    sigma_px: float = 3.0
-    anisotropy: float = 1.5
-    nms_radius_px: int = 7
-    render_rows: int = 1024
 
 
 @dataclass
@@ -125,10 +101,10 @@ class RunSection:
 
 _SECTION_TYPES = {
     "scene": SceneSection,
-    "radar": RadarSection,
+    "radar": RadarConfig,
     "noise": NoiseSection,
     "preprocessing": PreprocessingSection,
-    "detector": DetectorSection,
+    "detector": DetectorConfig,
     "evaluation": EvaluationSection,
     "run": RunSection,
 }
@@ -137,10 +113,10 @@ _SECTION_TYPES = {
 @dataclass
 class PipelineConfig:
     scene: SceneSection = field(default_factory=SceneSection)
-    radar: RadarSection = field(default_factory=RadarSection)
+    radar: RadarConfig = field(default_factory=RadarConfig)
     noise: NoiseSection = field(default_factory=NoiseSection)
     preprocessing: PreprocessingSection = field(default_factory=PreprocessingSection)
-    detector: DetectorSection = field(default_factory=DetectorSection)
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
     run: RunSection = field(default_factory=RunSection)
 
@@ -152,32 +128,34 @@ class PipelineConfig:
                 value = getattr(section, f.name)
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"{name}.{f.name} must be finite, got {value}")
-        r = self.radar
+        r, d, pre = self.radar, self.detector, self.preprocessing
         # a positive window over >= 2 slow samples is a positive PRI
         for name, value in (("radar.carrier_hz", r.carrier_hz),
                             ("radar.bandwidth_hz", r.bandwidth_hz),
                             ("radar.window_s", r.window_s),
-                            ("radar.tx_amplitude", r.tx_amplitude)):
+                            ("radar.tx_amplitude", r.tx_amplitude),
+                            ("detector.sigma_px", d.sigma_px),
+                            ("detector.anisotropy", d.anisotropy)):
             if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        for name, value in (("radar.slow_samples", r.slow_samples),
-                            ("radar.fast_samples", r.fast_samples)):
-            if value < 2:
-                raise ConfigError(f"{name} must be >= 2, got {value}")
-        if r.max_range_m < 0:
-            raise ConfigError(f"radar.max_range_m must be >= 0, got {r.max_range_m}")
+                raise ConfigError(f"{name} must be > 0, got {value}")
+        for name, value, floor in (
+                ("radar.slow_samples", r.slow_samples, 2),
+                ("radar.fast_samples", r.fast_samples, 2),
+                ("radar.max_range_m", r.max_range_m, 0),
+                ("detector.orientations", d.orientations, 1),
+                ("detector.nms_radius_px", d.nms_radius_px, 0),
+                # squaring splits a Doppler map at zero: one row per half at least
+                ("preprocessing.predecimate_rows", pre.predecimate_rows, 2),
+                ("evaluation.sweep_seeds", self.evaluation.sweep_seeds, 1),
+                # noise seeds are SeedSequence entropy
+                ("run.seed", self.run.seed, 0)):
+            if value < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {value}")
         try:
-            check_emd_params(*self.preprocessing.emd_params())
+            check_emd_params(*pre.emd_params())
         except ValueError as exc:
             raise ConfigError(f"preprocessing.{exc}") from exc
-        # squaring splits a Doppler map at zero: one row per half at least
-        if self.preprocessing.predecimate_rows < 2:
-            raise ConfigError("preprocessing.predecimate_rows must be >= 2, "
-                              f"got {self.preprocessing.predecimate_rows}")
-        try:
-            support = filter_support(self.detector_config())
-        except ValueError as exc:
-            raise ConfigError(f"detector.{exc}") from exc
+        support = filter_support(d)
         # slow time is every map's row length (EMD) and column count (detector)
         min_slow = max(EMD_MIN_LENGTH, support)
         if r.slow_samples < min_slow:
@@ -185,22 +163,21 @@ class PipelineConfig:
                 f"radar.slow_samples must be >= {min_slow} (EMD needs "
                 f"{EMD_MIN_LENGTH}, the filter support is {support}), "
                 f"got {r.slow_samples}")
-        if self.detector.render_rows < support:
+        if d.render_rows < support:
             raise ConfigError(f"detector.render_rows must be >= the {support}-pixel "
-                              f"filter support, got {self.detector.render_rows}")
+                              f"filter support, got {d.render_rows}")
         labels = self.activity_list()
         known = set(activity_labels())
         bad = [a for a in labels if a not in known]
         if bad:
             raise ConfigError(f"run.activities contains unknown labels {bad}")
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"run.activities repeats a label: {labels}")
         drops = self.snr_drops()
         try:
             drop_seed_keys(drops)
         except ConfigError as exc:
             raise ConfigError(f"evaluation.snr_drops_db: {exc}") from exc
-        if self.evaluation.sweep_seeds < 1:
-            raise ConfigError("evaluation.sweep_seeds must be >= 1, "
-                              f"got {self.evaluation.sweep_seeds}")
         try:
             self.scene_params()
         except ValueError as exc:
@@ -234,33 +211,6 @@ class PipelineConfig:
             window=self.radar.window_s,
             wall=WallParams(s.wall_thickness, s.wall_rel_permittivity),
             through_wall=s.through_wall,
-        )
-
-    def detector_config(self) -> DetectorConfig:
-        d = self.detector
-        return DetectorConfig(orientations=d.orientations, sigma_px=d.sigma_px,
-                              anisotropy=d.anisotropy, nms_radius_px=d.nms_radius_px)
-
-    def radar_config(self) -> RadarConfig:
-        r = self.radar
-        return RadarConfig(
-            carrier=r.carrier_hz,
-            bandwidth=r.bandwidth_hz,
-            pri=r.window_s / r.slow_samples,
-            slow_samples=r.slow_samples,
-            fast_samples=r.fast_samples,
-            tx_amplitude=r.tx_amplitude,
-            reflectivity={
-                NodeId.HEAD: r.reflectivity_head,
-                NodeId.TORSO: r.reflectivity_torso,
-                NodeId.HAND_L: r.reflectivity_hand,
-                NodeId.HAND_R: r.reflectivity_hand,
-                NodeId.FOOT_L: r.reflectivity_foot,
-                NodeId.FOOT_R: r.reflectivity_foot,
-            },
-            wall_reflectivity=r.wall_reflectivity,
-            wall_range=r.wall_range_m,
-            max_range=r.max_range_m,
         )
 
     def noise_config(self, label: str) -> NoiseConfig | None:

@@ -30,22 +30,16 @@ from mdcl.maps import ProfileMap
 CORNERS = 30    # corners per map: the ground truth and the 60x3 fused cloud
 
 
-@dataclass(frozen=True)
+@dataclass
 class DetectorConfig:
-    orientations: int
-    sigma_px: float             # derivative-direction scale
-    anisotropy: float           # cross-direction elongation factor
-    nms_radius_px: int          # Euclidean
+    """The ``[detector]`` config section; ``PipelineConfig.validate``
+    checks it."""
 
-    def __post_init__(self):
-        if self.orientations < 1:
-            raise ValueError(f"orientations must be >= 1, got {self.orientations}")
-        if not self.sigma_px > 0:
-            raise ValueError(f"sigma_px must be > 0, got {self.sigma_px}")
-        if not self.anisotropy > 0:
-            raise ValueError(f"anisotropy must be > 0, got {self.anisotropy}")
-        if self.nms_radius_px < 0:
-            raise ValueError(f"nms_radius_px must be >= 0, got {self.nms_radius_px}")
+    orientations: int = 8
+    sigma_px: float = 3.0           # derivative-direction scale
+    anisotropy: float = 1.5         # cross-direction elongation factor
+    nms_radius_px: int = 7          # Euclidean
+    render_rows: int = 1024         # rows of the squared maps it runs on
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ def _kernel_ffts(cfg: DetectorConfig, padded_shape: tuple[int, int]):
     as complex64 (half the memory; the bank runs in float32).  Built once
     per key under a lock, so concurrent first extractions do not each
     build it."""
-    key = (cfg, padded_shape)
+    key = (cfg.orientations, cfg.sigma_px, cfg.anisotropy, padded_shape)
     with _KERNEL_FFT_LOCK:
         cached = _KERNEL_FFT_CACHE.get(key)
         if cached is None:

@@ -28,29 +28,47 @@ class RadarConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass
 class RadarConfig:
-    """LFMCW radar parameters.
+    """LFMCW radar parameters: the ``[radar]`` config section.
 
-    ``config.RadarSection`` holds the defaults (the uniform system table)
-    and ``PipelineConfig.validate`` checks them.
+    The field defaults are the uniform system table and
+    ``PipelineConfig.validate`` checks them.  The PRI and the per-node
+    reflectivity are derived, so they cannot disagree with the keys.
     """
 
-    carrier: float                   # fc, Hz
-    bandwidth: float                 # B, Hz
-    pri: float                       # Ts, seconds
-    slow_samples: int                # M
-    fast_samples: int                # N
-    tx_amplitude: float
-    reflectivity: dict[NodeId, float]
-    wall_reflectivity: float
-    wall_range: float                # front face one-way distance, meters
-    max_range: float                 # range-axis crop used downstream
+    carrier_hz: float = 1.5e9           # fc
+    bandwidth_hz: float = 2.0e9         # B
+    slow_samples: int = 1024            # M
+    fast_samples: int = 1024            # N
+    window_s: float = 4.0               # T = M Ts
+    tx_amplitude: float = 1.0
+    reflectivity_head: float = 0.6
+    reflectivity_torso: float = 1.0
+    reflectivity_hand: float = 0.3
+    reflectivity_foot: float = 0.3
+    wall_reflectivity: float = 10.0
+    wall_range_m: float = 0.5           # front face one-way distance
+    max_range_m: float = 5.0            # range-axis crop used downstream
+
+    @property
+    def pri(self) -> float:
+        """Ts, seconds."""
+        return self.window_s / self.slow_samples
+
+    @property
+    def reflectivity(self) -> dict[NodeId, float]:
+        return {NodeId.HEAD: self.reflectivity_head,
+                NodeId.TORSO: self.reflectivity_torso,
+                NodeId.HAND_L: self.reflectivity_hand,
+                NodeId.HAND_R: self.reflectivity_hand,
+                NodeId.FOOT_L: self.reflectivity_foot,
+                NodeId.FOOT_R: self.reflectivity_foot}
 
     @property
     def chirp_rate(self) -> float:
         """mu = B / Ts, Hz/s."""
-        return self.bandwidth / self.pri
+        return self.bandwidth_hz / self.pri
 
     @property
     def fast_rate(self) -> float:
@@ -58,12 +76,13 @@ class RadarConfig:
 
     @property
     def window(self) -> float:
+        """M Ts: ``window_s`` as the PRI grid spans it."""
         return self.pri * self.slow_samples
 
     @property
     def range_bin(self) -> float:
         """Range per beat-spectrum bin: c / 2B."""
-        return C_LIGHT / (2.0 * self.bandwidth)
+        return C_LIGHT / (2.0 * self.bandwidth_hz)
 
 
 @dataclass(frozen=True)
@@ -110,7 +129,7 @@ def _beat_rows(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> np.ndarra
     d = distinct if repeats else tau        # unique's order is sorted
     t_fast = np.arange(cfg.fast_samples) / cfg.fast_rate   # within-PRI time
     phase = mu * d[:, None] * t_fast[None, :]
-    phase += (cfg.carrier * d - 0.5 * mu * d * d)[:, None]
+    phase += (cfg.carrier_hz * d - 0.5 * mu * d * d)[:, None]
     rows = 2j * np.pi * phase
     del phase                   # not held through the gather
     np.exp(rows, out=rows)
@@ -131,7 +150,7 @@ def wall_clutter(cfg: RadarConfig) -> np.ndarray:
     """Stationary wall return: one fast-time row, identical across PRIs."""
     if cfg.wall_reflectivity == 0.0:
         return np.zeros(cfg.fast_samples, dtype=complex)
-    tau = np.array([2.0 * cfg.wall_range / C_LIGHT])
+    tau = np.array([2.0 * cfg.wall_range_m / C_LIGHT])
     amp = 0.5 * cfg.wall_reflectivity * cfg.tx_amplitude ** 2
     return _beat_rows(cfg, amp, tau)[0]
 

@@ -59,7 +59,7 @@ def groundtruth_corners(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
         return GroundTruth(grid, grid.copy(), (), (), 0)
     kp_r = activity_keypoints(p, act, "r2")
     kp_d = activity_keypoints(p, act, "d2")
-    doppler_scale = (2.0 * cfg.carrier / C_LIGHT) ** 2
+    doppler_scale = (2.0 * cfg.carrier_hz / C_LIGHT) ** 2
     cloud_r, clamp_r = _to_cloud(kp_r, p.window, r2_axis, 1.0)
     cloud_d, clamp_d = _to_cloud(kp_d, p.window, d2_axis, doppler_scale)
     return GroundTruth(cloud_r, cloud_d, tuple(kp_r), tuple(kp_d),
@@ -112,7 +112,7 @@ def rasterize_rtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     its range rate."""
     def range_track(node, t):
         rng = node_distance(node, p, act, t)
-        return rng, (2.0 * cfg.carrier / C_LIGHT) * np.gradient(rng, t)
+        return rng, (2.0 * cfg.carrier_hz / C_LIGHT) * np.gradient(rng, t)
     return _rasterize(p, act, cfg, range_axis, range_track)
 
 
@@ -127,6 +127,6 @@ def rasterize_dtm(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     def doppler_track(node, t):
         chi = np.sqrt(node_curve(node, p, act, "d2")(t))
         sign = slope_sign(node_curve(node, p, act, "r2"), p.window, t)
-        freq = sign * 2.0 * cfg.carrier * chi / C_LIGHT
+        freq = sign * 2.0 * cfg.carrier_hz * chi / C_LIGHT
         return freq, freq
     return _rasterize(p, act, cfg, doppler_axis, doppler_track)

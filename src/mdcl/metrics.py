@@ -142,9 +142,6 @@ def _lin_fit(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
              inflection_ts: np.ndarray | None = None,
              ) -> tuple[np.ndarray, float, int]:
     a, y = _augmented_system(model, ts, ys, nonlinear, slope_ts, inflection_ts)
-    if a.shape[1] == 0 or a.shape[0] == 0:
-        rms = float(np.sqrt(np.mean(y ** 2))) if y.size else 0.0
-        return np.zeros(a.shape[1]), rms, 0
     coef, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))

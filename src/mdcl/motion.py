@@ -302,15 +302,10 @@ def _spread_subset(candidates: list[float], n: int) -> list[float]:
     """
     if len(candidates) <= n:
         return list(candidates)
+    # the n + 1 slots lie at least 1 apart, so the n picks are distinct and
+    # keep the candidates' order
     slots = np.round(np.linspace(0, len(candidates) - 1, n + 1)).astype(int)
-    idx = np.unique(np.delete(slots, 1))
-    picked = [candidates[i] for i in idx]
-    k = 0
-    while len(picked) < n and k < len(candidates):
-        if candidates[k] not in picked:
-            picked.append(candidates[k])
-        k += 1
-    return sorted(picked[:n])
+    return [candidates[i] for i in np.delete(slots, 1)]
 
 
 def select_keypoints_detailed(slope: Callable, T: float,

@@ -87,9 +87,7 @@ def evaluate_activity(cfg: PipelineConfig, label: str,
                       r2tm: ProfileMap, d2tm: ProfileMap,
                       pc_r: CornerSet, pc_d: CornerSet):
     """Analytic truth, ground-truth rasters and the per-activity metrics."""
-    scene = cfg.scene_params()
-    radar = cfg.radar_config()
-    act = activity(label)
+    scene, radar, act = cfg.scene_params(), cfg.radar, activity(label)
     truth = groundtruth_corners(scene, act, radar, r2tm.axis, d2tm.axis)
     gt_rtm = rasterize_rtm(scene, act, radar, range_axis)
     gt_dtm = rasterize_dtm(scene, act, radar, doppler_axis)
@@ -123,7 +121,7 @@ class Stage:
 def _simulate(cfg: PipelineConfig, label: str):
     """synthesize an echo frame"""
     return (synth_frame(cfg.scene_params(), activity(label),
-                        cfg.radar_config(), cfg.noise_config(label)),)
+                        cfg.radar, cfg.noise_config(label)),)
 
 
 def _preprocess(cfg: PipelineConfig, label: str, echo):
@@ -138,9 +136,8 @@ def _square(cfg: PipelineConfig, label: str, rtm, dtm):
 
 def _extract(cfg: PipelineConfig, label: str, r2tm, d2tm):
     """detect 30 corners per squared map"""
-    det = cfg.detector_config()
-    return (extract_corners(r2tm, f"{label}/r2tm", det),
-            extract_corners(d2tm, f"{label}/d2tm", det))
+    return (extract_corners(r2tm, f"{label}/r2tm", cfg.detector),
+            extract_corners(d2tm, f"{label}/d2tm", cfg.detector))
 
 
 def _fuse(cfg: PipelineConfig, label: str, r2tm, d2tm, pc_r, pc_d):
@@ -375,12 +372,11 @@ def sweep_noise(cfg: PipelineConfig,
     if 0.0 not in drops:
         drops = [0.0] + list(drops)
     keys = drop_seed_keys(drops)
-    labels = [a for a in cfg.activity_list() if a != "S1"]
+    labels = [a for a in cfg.activity_list() if not activity(a).is_empty]
     if results is None:
         results = dict(zip(labels, pool_map(lambda label: run_activity(cfg, label),
                                             labels)))
     n_seeds = cfg.evaluation.sweep_seeds if n_seeds is None else n_seeds
-    det = cfg.detector_config()
     tasks = [(label, which, cloud, drop, key, seed)
              for label in labels
              for which, cloud in (("r2tm", "cloud_r"), ("d2tm", "cloud_d"))
@@ -392,7 +388,7 @@ def sweep_noise(cfg: PipelineConfig,
         res = results[label]
         pm = getattr(res, which)
         noisy = pm if drop == 0.0 else degrade_map(cfg, pm, drop, key, seed)
-        cs = extract_corners(noisy, f"{label}/{which}", det)
+        cs = extract_corners(noisy, f"{label}/{which}", cfg.detector)
         return {"activity": label, "map": which, "drop_db": drop, "seed": seed,
                 "emd": emd_distance(cs.uv(), getattr(res.truth, cloud))}
     return pool_map(row, tasks)

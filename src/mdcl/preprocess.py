@@ -37,7 +37,7 @@ def beat_spectrum(frame: EchoFrame) -> tuple[np.ndarray, AxisSpec]:
     Beat-spectrum bin k maps to one-way range k * c / 2B.
     """
     cfg = frame.config
-    n_keep = min(int(np.floor(cfg.max_range / cfg.range_bin)) + 1,
+    n_keep = min(int(np.floor(cfg.max_range_m / cfg.range_bin)) + 1,
                  frame.data.shape[1])
     axis = AxisSpec("range", 0.0, n_keep * cfg.range_bin, n_keep)
     return np.fft.fft(frame.data, axis=1)[:, :n_keep].T, axis

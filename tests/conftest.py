@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from mdcl.config import PipelineConfig
-from mdcl.corners import DetectorConfig
 from mdcl.echo import RadarConfig
-from mdcl.scene import SceneParams
-
-_BUILDERS = {SceneParams: PipelineConfig.scene_params,
-             RadarConfig: PipelineConfig.radar_config,
-             DetectorConfig: PipelineConfig.detector_config}
 
 
-def from_config(kind, **overrides):
-    """The default config's ``kind`` (``SceneParams``, ``RadarConfig`` or
-    ``DetectorConfig``) with ``overrides`` replaced."""
-    return replace(_BUILDERS[kind](PipelineConfig()), **overrides)
+def default_scene(**overrides):
+    """The default config's ``SceneParams`` with ``overrides`` replaced."""
+    return replace(PipelineConfig().scene_params(), **overrides)
+
+
+def head_radar(eta=1.0, **overrides) -> RadarConfig:
+    """The default radar with only the head reflecting, at ``eta``, and no
+    wall; ``overrides`` replace further fields."""
+    return replace(RadarConfig(reflectivity_head=eta, reflectivity_torso=0.0,
+                               reflectivity_hand=0.0, reflectivity_foot=0.0,
+                               wall_reflectivity=0.0), **overrides)
 
 
 def small_config() -> PipelineConfig:

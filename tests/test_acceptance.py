@@ -21,11 +21,11 @@ from mdcl.maps import AxisSpec, ProfileMap
 from mdcl.metrics import emd_distance, psnr, verify_mncp
 from mdcl.motion import curve_models, node_curve
 from mdcl.preprocess import beat_spectrum, mti_filter, preprocess_frame
-from mdcl.scene import NodeId, SceneParams
+from mdcl.scene import NodeId
 from mdcl.squaring import render_squared, squared_source_rows
 from mdcl.pipeline import sweep_noise, sweep_summary
 
-from conftest import from_config, row_value
+from conftest import default_scene, head_radar, row_value
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
@@ -88,7 +88,7 @@ def test_criterion_02_emd_oracle_equivalence():
 def test_criterion_03_mncp_sufficiency():
     start = time.perf_counter()
     failures = []
-    for name, model in curve_models(from_config(SceneParams)).items():
+    for name, model in curve_models(default_scene()).items():
         rep = verify_mncp(model)
         tol = 1e-6 if not model.nonlinear_count else 1e-4
         metric = rep.fit.grid_rms if not model.nonlinear_count else rep.fit.grid_rms_rel
@@ -133,36 +133,33 @@ def test_criterion_05_noise_robustness(clean_full_config, clean_results):
 
 def test_criterion_06_signal_physics():
     # MTI suppression of the static wall
-    cfg = from_config(RadarConfig)
-    frame = synth_frame(from_config(SceneParams), activity("S1"), cfg, None)
+    cfg = RadarConfig()
+    frame = synth_frame(default_scene(), activity("S1"), cfg, None)
     rc = np.fft.fft(frame.data, axis=1).T
     p_in = np.mean(np.abs(rc) ** 2)
     p_out = np.mean(np.abs(mti_filter(rc)) ** 2)
     suppression = 10 * np.log10(p_in / max(p_out, 1e-300))
 
     # DTM ridge of a constant-velocity scatterer at 2 fc v / c
-    p = from_config(SceneParams, initial_position=(3.0, 0.0), initial_velocity=(-1.0, 0.0),
-                    radar_height=1.65, through_wall=False, window=2.0,
-                    gait_frequency=2 * np.pi)
-    radar = from_config(RadarConfig,
-                        reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0,
-                        pri=2.0 / 512, slow_samples=512, fast_samples=512)
+    p = default_scene(initial_position=(3.0, 0.0), initial_velocity=(-1.0, 0.0),
+                      radar_height=1.65, through_wall=False, window=2.0,
+                      gait_frequency=2 * np.pi)
+    radar = head_radar(window_s=2.0, slow_samples=512, fast_samples=512)
     _, dtm = preprocess_frame(synth_frame(p, activity("S8"), radar, None),
                               PipelineConfig().preprocessing.emd_params())
     freq = float(row_value(dtm.axis, int(np.argmax(dtm.data[:, 256]))))
     bin_hz = (dtm.axis.hi - dtm.axis.lo) / dtm.axis.n
-    doppler_ok = abs(abs(freq) - 2 * radar.carrier * 1.0 / C_LIGHT) <= bin_hz
+    doppler_ok = abs(abs(freq) - 2 * radar.carrier_hz * 1.0 / C_LIGHT) <= bin_hz
 
     # range resolution c / 2B between two resolvable scatterers
-    head_only = from_config(RadarConfig,
-                            reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0)
-    frame_a = synth_frame(from_config(SceneParams, initial_position=(3.0, 0.0),
-                                      initial_velocity=(0.0, 0.0),
-                                      radar_height=1.65, through_wall=False),
+    head_only = head_radar()
+    frame_a = synth_frame(default_scene(initial_position=(3.0, 0.0),
+                                        initial_velocity=(0.0, 0.0),
+                                        radar_height=1.65, through_wall=False),
                           activity("S8"), head_only, None)
-    frame_b = synth_frame(from_config(SceneParams, initial_position=(3.5, 0.0),
-                                      initial_velocity=(0.0, 0.0),
-                                      radar_height=1.65, through_wall=False),
+    frame_b = synth_frame(default_scene(initial_position=(3.5, 0.0),
+                                        initial_velocity=(0.0, 0.0),
+                                        radar_height=1.65, through_wall=False),
                           activity("S8"), head_only, None)
     rc_ab, _ = beat_spectrum(EchoFrame(frame_a.data + frame_b.data, head_only))
     profile = np.abs(rc_ab[:, 0])
@@ -180,7 +177,7 @@ def test_criterion_06_signal_physics():
 def test_criterion_07_doppler_constancy():
     # the unsimplified model adds the head's vertical undulation rate
     # (alpha phi cos(phi t))^2, alpha = 0.05 m, to the constant |v|^2
-    p = from_config(SceneParams)
+    p = default_scene()
     t = np.linspace(0.0, p.window, 4096)
     s8 = activity("S8")
     approx = node_curve(NodeId.HEAD, p, s8, "d2")(t)

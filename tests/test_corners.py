@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -21,9 +21,7 @@ from mdcl.corners import (Corner, CornerSet, DetectorConfig, corner_response,
 from mdcl.maps import AxisSpec, ProfileMap
 from mdcl.pipeline import degrade_map
 
-from conftest import from_config
-
-CFG = from_config(DetectorConfig)
+CFG = DetectorConfig()
 RESPONSE_TOL = 1e-4     # float32 bank against the float64 oracle, of the peak
 
 
@@ -42,8 +40,9 @@ def as_map(img, kind="range_sq"):
 
 
 @functools.lru_cache(maxsize=2)
-def oracle_kernel_ffts(cfg, fast):
-    return [sfft.rfft2(kern, fast) for kern in corners._kernels(cfg)]
+def oracle_kernel_ffts(values, fast):
+    """The float64 bank of ``DetectorConfig(*values)``."""
+    return [sfft.rfft2(kern, fast) for kern in corners._kernels(DetectorConfig(*values))]
 
 
 def oracle_response(img, cfg):
@@ -56,7 +55,7 @@ def oracle_response(img, cfg):
     window = (slice(2 * pad, 2 * pad + img.shape[0]),
               slice(2 * pad, 2 * pad + img.shape[1]))
     squares = [sfft.irfft2(img_fft * kf, fast)[window] ** 2
-               for kf in oracle_kernel_ffts(cfg, fast)]
+               for kf in oracle_kernel_ffts(astuple(cfg), fast)]
     eps = 1e-12 * max(sq.max(initial=0.0) for sq in squares) + 1e-300
     log_mean = sum(np.log(sq + eps) for sq in squares) / len(squares)
     return np.clip(np.exp(log_mean) - eps, 0.0, None)
@@ -114,7 +113,7 @@ class TestResponse:
         that pick within the tolerance: noise-free maps repeat features
         exactly, and rounding then orders the ties."""
         cfg = clean_full_config
-        det = cfg.detector_config()
+        det = cfg.detector
         maps = {f"{label}/{which}": getattr(res, which)
                 for label, res in clean_results.items() for which in ("r2tm", "d2tm")}
         drops = [4.0, 8.0, 12.0]

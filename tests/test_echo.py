@@ -1,7 +1,5 @@
 """Echo synthesis tests: beat physics, SNR calibration, determinism."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,9 +10,9 @@ from mdcl.activities import MotionState, activity
 from mdcl.echo import (NoiseConfig, RadarConfig, RadarConfigError, EchoFrame,
                        node_delays, synth_frame, wall_clutter, C_LIGHT)
 from mdcl.config import PipelineConfig
-from mdcl.scene import ALL_NODES, NodeId, SceneParams
+from mdcl.scene import ALL_NODES
 
-from conftest import from_config
+from conftest import default_scene, head_radar
 
 S8 = activity("S8")
 S1 = activity("S1")
@@ -25,7 +23,7 @@ def oracle_beat_rows(cfg, amplitude, tau):
     mu = cfg.chirp_rate
     t_fast = np.arange(cfg.fast_samples) / cfg.fast_rate
     phase = mu * tau[:, None] * t_fast[None, :]
-    phase += (cfg.carrier * tau - 0.5 * mu * tau * tau)[:, None]
+    phase += (cfg.carrier_hz * tau - 0.5 * mu * tau * tau)[:, None]
     rows = 2j * np.pi * phase
     np.exp(rows, out=rows)
     rows *= amplitude
@@ -53,7 +51,7 @@ def oracle_frame(p, act, cfg, noise):
         signal += oracle_beat_rows(cfg, 0.5 * eta * cfg.tx_amplitude ** 2,
                                    node_delays(node, p, act, cfg))
     wall = oracle_beat_rows(cfg, 0.5 * cfg.wall_reflectivity * cfg.tx_amplitude ** 2,
-                            np.array([2.0 * cfg.wall_range / C_LIGHT]))
+                            np.array([2.0 * cfg.wall_range_m / C_LIGHT]))
     data = signal + wall
     p_sig = float(np.mean(np.abs(signal) ** 2))
     p_noise = (p_sig if p_sig > 0 else 1.0) * 10.0 ** (-noise.target_snr / 10.0)
@@ -81,7 +79,7 @@ class TestExactness:
 
     @pytest.mark.parametrize("label", ["S1", "S5", "S8", "S12"])
     def test_frame_matches_oracle(self, label):
-        p, act, cfg = from_config(SceneParams), activity(label), from_config(RadarConfig)
+        p, act, cfg = default_scene(), activity(label), RadarConfig()
         noise = NoiseConfig(target_snr=-16.0, seed=42)
         frame = synth_frame(p, act, cfg, noise)
         assert np.array_equal(bits(frame.data), bits(oracle_frame(p, act, cfg, noise)))
@@ -92,25 +90,22 @@ class TestExactness:
     @example(tau=np.linspace(1.0e-8, 3.0e-8, 16))       # all distinct
     @example(tau=np.linspace(3.0e-8, 1.0e-8, 16))       # distinct, descending
     def test_beat_rows_match_oracle(self, tau):
-        cfg = from_config(RadarConfig, slow_samples=16, fast_samples=32)
+        cfg = RadarConfig(slow_samples=16, fast_samples=32)
         rows = echo._beat_rows(cfg, 0.3, tau)
         assert np.array_equal(bits(rows), bits(oracle_beat_rows(cfg, 0.3, tau)))
 
 
 def static_scene(x1=3.0):
     # h0 = h1 + 0.15 makes the head's vertical offset vanish: range == x1
-    return from_config(SceneParams,
-                       initial_position=(x1, 0.0), initial_velocity=(0.0, 0.0),
-                       radar_height=1.65, through_wall=False)
+    return default_scene(initial_position=(x1, 0.0), initial_velocity=(0.0, 0.0),
+                         radar_height=1.65, through_wall=False)
 
 
 class TestNodeEcho:
     @staticmethod
-    def head_row(p, eta=0.6, cfg=None):
+    def head_row(p, eta=0.6):
         # first PRI of a noise-free, wall-free frame holding only the head
-        cfg = cfg or from_config(RadarConfig)
-        cfg = replace(cfg, reflectivity={NodeId.HEAD: eta}, wall_reflectivity=0.0)
-        return synth_frame(p, S8, cfg, noise=None).data[0]
+        return synth_frame(p, S8, head_radar(eta), noise=None).data[0]
 
     def test_zero_reflectivity_zero_row(self):
         row = self.head_row(static_scene(), eta=0.0)
@@ -118,39 +113,37 @@ class TestNodeEcho:
 
     def test_static_beat_bin(self):
         # one-way 3 m: beat mu*tau -> DFT bin round(N mu tau / fs) = 40
-        cfg = from_config(RadarConfig)
+        cfg = RadarConfig()
         tau = 2.0 * 3.0 / C_LIGHT
         expected_bin = round(cfg.fast_samples * cfg.chirp_rate * tau / cfg.fast_rate)
         assert expected_bin == 40
-        row = self.head_row(static_scene(), cfg=cfg)
+        row = self.head_row(static_scene())
         assert int(np.argmax(np.abs(np.fft.fft(row)))) == expected_bin
 
     def test_wall_shifts_beat_bin(self):
         # extra one-way path 0.12 (sqrt(6) - 1) = 0.174 m
-        cfg = from_config(RadarConfig)
-        p = from_config(SceneParams,
-                        initial_position=(3.0, 0.0), initial_velocity=(0.0, 0.0),
-                        radar_height=1.65, through_wall=True)
-        row = self.head_row(p, cfg=cfg)
+        cfg = RadarConfig()
+        p = default_scene(initial_position=(3.0, 0.0), initial_velocity=(0.0, 0.0),
+                          radar_height=1.65, through_wall=True)
+        row = self.head_row(p)
         shifted = (3.0 + 0.12 * (np.sqrt(6.0) - 1.0)) / cfg.range_bin
         assert int(np.argmax(np.abs(np.fft.fft(row)))) == round(shifted)
 
     def test_unambiguous_range_violation(self):
-        p = from_config(SceneParams,
-                        initial_position=(1e6, 0.0), initial_velocity=(0.0, 0.0),
-                        through_wall=False)
+        p = default_scene(initial_position=(1e6, 0.0), initial_velocity=(0.0, 0.0),
+                          through_wall=False)
         with pytest.raises(RadarConfigError):
             self.head_row(p)
 
 
 class TestWallClutter:
     def test_zero_reflectivity(self):
-        cfg = from_config(RadarConfig, wall_reflectivity=0.0)
+        cfg = RadarConfig(wall_reflectivity=0.0)
         assert np.all(wall_clutter(cfg) == 0)
 
     def test_static_across_pris_and_cancelled(self):
-        cfg = from_config(RadarConfig)
-        p = from_config(SceneParams)
+        cfg = RadarConfig()
+        p = default_scene()
         frame = synth_frame(p, S1, cfg, noise=None)   # wall only
         assert np.array_equal(frame.data[0], frame.data[500])
         diff = frame.data[1:] - frame.data[:-1]
@@ -160,16 +153,16 @@ class TestWallClutter:
 class TestFrame:
     def test_pure_noise_power(self):
         # empty scene, no wall: noise power within 0.1 dB of the unit target
-        cfg = from_config(RadarConfig, wall_reflectivity=0.0)
+        cfg = RadarConfig(wall_reflectivity=0.0)
         noise = NoiseConfig(target_snr=-16.0, seed=3)
-        frame = synth_frame(from_config(SceneParams), S1, cfg, noise)
+        frame = synth_frame(default_scene(), S1, cfg, noise)
         measured = np.mean(np.abs(frame.data) ** 2)
         target = 10.0 ** (1.6)
         assert abs(10 * np.log10(measured / target)) < 0.1
 
     def test_snr_calibration(self):
-        cfg = from_config(RadarConfig)
-        p = from_config(SceneParams)
+        cfg = RadarConfig()
+        p = default_scene()
         noise = NoiseConfig(target_snr=-12.0, seed=11)
         signal = synth_frame(p, S8, cfg, None).data - wall_clutter(cfg)[None, :]
         noisy = synth_frame(p, S8, cfg, noise).data
@@ -178,29 +171,29 @@ class TestFrame:
         assert snr == pytest.approx(-12.0, abs=0.1)
 
     def test_fixed_seed_bit_identical(self):
-        cfg = from_config(RadarConfig)
-        p = from_config(SceneParams)
+        cfg = RadarConfig()
+        p = default_scene()
         noise = NoiseConfig(target_snr=-16.0, seed=42)
         a = synth_frame(p, S8, cfg, noise)
         b = synth_frame(p, S8, cfg, noise)
         assert np.array_equal(a.data, b.data)
 
     def test_linearity_in_reflectivity(self):
-        p = from_config(SceneParams)
-        base = from_config(RadarConfig)
-        doubled = from_config(RadarConfig, reflectivity={k: 2 * v for k, v in
-                                                         base.reflectivity.items()})
+        p = default_scene()
+        base = RadarConfig()
+        doubled = RadarConfig(reflectivity_head=2 * base.reflectivity_head,
+                              reflectivity_torso=2 * base.reflectivity_torso,
+                              reflectivity_hand=2 * base.reflectivity_hand,
+                              reflectivity_foot=2 * base.reflectivity_foot)
         a = synth_frame(p, S8, base, None).data - wall_clutter(base)[None, :]
         b = synth_frame(p, S8, doubled, None).data - wall_clutter(doubled)[None, :]
         assert np.allclose(b, 2.0 * a, rtol=1e-12, atol=1e-12)
 
     def test_doppler_phase_increment(self):
         # constant radial velocity v: inter-PRI phase steps 4 pi fc v Ts / c
-        cfg = from_config(RadarConfig,
-                          reflectivity={NodeId.HEAD: 1.0}, wall_reflectivity=0.0)
-        p = from_config(SceneParams,
-                        initial_position=(3.0, 0.0), initial_velocity=(-0.5, 0.0),
-                        radar_height=1.65, through_wall=False)
+        cfg = head_radar()
+        p = default_scene(initial_position=(3.0, 0.0), initial_velocity=(-0.5, 0.0),
+                          radar_height=1.65, through_wall=False)
         frame = synth_frame(p, S8, cfg, None)
         m0, m1 = 100, 101
         t0, t1 = m0 * cfg.pri, m1 * cfg.pri
@@ -208,17 +201,17 @@ class TestFrame:
         dphi = np.angle(frame.data[m1, 0] * np.conj(frame.data[m0, 0]))
         r0, r1 = 3.0 - 0.5 * t0, 3.0 - 0.5 * t1
         v = (r1 - r0) / cfg.pri
-        expected = 4 * np.pi * cfg.carrier * v * cfg.pri / C_LIGHT
+        expected = 4 * np.pi * cfg.carrier_hz * v * cfg.pri / C_LIGHT
         assert dphi == pytest.approx(expected, rel=0.02)
 
     def test_frame_shape_guard(self):
-        cfg = from_config(RadarConfig)
+        cfg = RadarConfig()
         with pytest.raises(ValueError):
             EchoFrame(np.zeros((3, 3), dtype=complex), cfg)
 
     def test_s1_frame_is_wall_plus_noise(self):
-        cfg = from_config(RadarConfig)
-        p = from_config(SceneParams)
+        cfg = RadarConfig()
+        p = default_scene()
         noise = NoiseConfig(target_snr=-16.0, seed=5)
         frame = synth_frame(p, S1, cfg, noise)
         wall = wall_clutter(cfg)
@@ -229,13 +222,13 @@ class TestFrame:
 
 class TestRadarConfig:
     def test_chirp_rate_exact(self):
-        cfg = from_config(RadarConfig)
-        assert cfg.chirp_rate == cfg.bandwidth / cfg.pri
+        cfg = RadarConfig()
+        assert cfg.chirp_rate == cfg.bandwidth_hz / cfg.pri
 
     def test_defaults_match_uniform_parameters(self):
-        cfg = PipelineConfig().radar_config()
-        assert cfg.carrier == 1.5e9
-        assert cfg.bandwidth == 2.0e9
+        cfg = PipelineConfig().radar
+        assert cfg.carrier_hz == 1.5e9
+        assert cfg.bandwidth_hz == 2.0e9
         assert cfg.slow_samples == cfg.fast_samples == 1024
         assert cfg.window == pytest.approx(4.0)
         assert cfg.range_bin == pytest.approx(C_LIGHT / 4e9)

@@ -17,11 +17,11 @@ from mdcl.activities import activity
 from mdcl.metrics import (add_image_noise, emd_distance, fit_curve_model, psnr,
                           verify_mncp)
 from mdcl.motion import CurveModel, curve_models, node_curve
-from mdcl.scene import NodeId, SceneParams
+from mdcl.scene import NodeId
 
-from conftest import from_config
+from conftest import default_scene
 
-FAMILIES = curve_models(from_config(SceneParams))
+FAMILIES = curve_models(default_scene())
 
 
 def brute_force_emd(a: np.ndarray, b: np.ndarray) -> float:
@@ -101,8 +101,8 @@ def scene_families(gait_frequency, quarter_time, arm_angle, leg_angle):
     walk = dataclasses.replace(walk, nodes=nodes)
     with mock.patch.object(motion, "activity",
                            lambda label: walk if label == "S8" else activity(label)):
-        return curve_models(from_config(SceneParams, gait_frequency=gait_frequency,
-                                        in_situ_quarter_time=quarter_time))
+        return curve_models(default_scene(gait_frequency=gait_frequency,
+                                          in_situ_quarter_time=quarter_time))
 
 
 def pendulum_chi_sq_slope(p, length, theta):
@@ -246,14 +246,14 @@ class TestCurveFitting:
         assert fit.rank == 2
 
     def test_hand_curve_reconstruction(self):
-        model = curve_models(from_config(SceneParams))["walk_hand_r2"]
+        model = curve_models(default_scene())["walk_hand_r2"]
         fit = fit_curve_model(model, [t for t, _ in model.keypoints_detailed()])
         assert fit.grid_rms < 1e-6
 
     def test_noiseless_self_family_property(self):
         # any family refits its own samples whenever enough points are given
         rng = np.random.default_rng(9)
-        for name, model in curve_models(from_config(SceneParams)).items():
+        for name, model in curve_models(default_scene()).items():
             if model.nonlinear_count:
                 continue
             ts = np.sort(rng.random(model.linear_count + 3) * model.window)
@@ -266,14 +266,14 @@ class TestCurveFitting:
 
 class TestVerifyMncp:
     def test_all_families(self):
-        for name, model in curve_models(from_config(SceneParams)).items():
+        for name, model in curve_models(default_scene()).items():
             report = verify_mncp(model)
             assert report.sufficient_at_mncp, name
             if report.deficient_below is not None:
                 assert report.deficient_below, name
 
     def test_linear_families_forced_deficiency(self):
-        models = curve_models(from_config(SceneParams))
+        models = curve_models(default_scene())
         for name in ("walk_head_r2", "walk_torso_r2", "walk_hand_r2",
                      "walk_foot_r2", "walk_head_d2", "walk_torso_d2"):
             report = verify_mncp(models[name])
@@ -293,8 +293,8 @@ class TestVerifyMncp:
         on every scene (the fit can miss, or five key points can fit
         another swing angle), so their verdicts are checked against key
         points from the hand-derived slope instead of the numeric one."""
-        p = from_config(SceneParams, initial_position=position, initial_velocity=velocity,
-                        gait_frequency=gait_frequency)
+        p = default_scene(initial_position=position, initial_velocity=velocity,
+                          gait_frequency=gait_frequency)
         walk = activity("S8")
         for name, model in curve_models(p).items():
             if not name.startswith("walk"):
@@ -330,8 +330,8 @@ class TestVerifyMncp:
         points at any position and quarter time.  Between quarter times of
         about 0.27 and 0.33 s insitu_r2 does not (ROADMAP item 12's two
         causes); the two known failures are kept as strict examples."""
-        models = curve_models(from_config(SceneParams, initial_position=position,
-                                          in_situ_quarter_time=quarter_time))
+        models = curve_models(default_scene(initial_position=position,
+                                            in_situ_quarter_time=quarter_time))
         for name in ("insitu_r2", "insitu_d2"):
             report = verify_mncp(models[name])
             assert report.sufficient_at_mncp, (name, report.fit.grid_rms_rel)
@@ -342,7 +342,7 @@ class TestVerifyMncp:
     def test_in_situ_torso_distance_sufficient(self):
         # S5's torso has the head's family, but two of its five key points
         # are inflections; with the numeric rule it fits to 1.35e-4
-        p = from_config(SceneParams)
+        p = default_scene()
         torso = node_curve(NodeId.TORSO, dataclasses.replace(p, through_wall=False),
                            activity("S5"), "r2")
         model = dataclasses.replace(curve_models(p)["insitu_r2"], value=torso,
@@ -350,7 +350,7 @@ class TestVerifyMncp:
         assert verify_mncp(model).sufficient_at_mncp
 
     def test_nonlinear_families_report_fit_only(self):
-        models = curve_models(from_config(SceneParams))
+        models = curve_models(default_scene())
         for name in ("walk_hand_d2", "walk_foot_d2", "insitu_r2", "insitu_d2"):
             report = verify_mncp(models[name])
             assert report.deficient_below is None

@@ -13,10 +13,10 @@ from mdcl.activities import activity
 from mdcl.motion import (DegenerateCurveError, KeyPoint, activity_keypoints,
                          curve_models, groundtruth_counts, node_curve,
                          select_keypoints_detailed, slope_sign)
-from mdcl.scene import ALL_NODES, NodeId, SceneParams, WallParams
+from mdcl.scene import ALL_NODES, NodeId, WallParams
 from mdcl.activities import ActivityClass
 
-from conftest import from_config
+from conftest import default_scene
 
 S8 = activity("S8")
 S5 = activity("S5")
@@ -46,7 +46,7 @@ def velocity_sq(node, p, act, t):
 def scene(**kw):
     defaults = dict(initial_position=(3.0, 0.0), through_wall=False)
     defaults.update(kw)
-    return from_config(SceneParams, **defaults)
+    return default_scene(**defaults)
 
 
 def scalar_scan_zeros(fn, T, grid=motion._GRID):
@@ -121,7 +121,7 @@ class TestDistanceCurves:
         assert distance_sq(NodeId.HAND_L, p, S8, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_positive_and_continuous(self):
-        p = from_config(SceneParams)
+        p = default_scene()
         t = np.linspace(0.0, p.window, 4096)
         for label in ("S2", "S5", "S8", "S9", "S12"):
             act = activity(label)
@@ -147,8 +147,8 @@ class TestDistanceCurves:
 
     def test_wall_shifts_unsquared_distance_exactly(self):
         wall = WallParams(0.12, 6.0)
-        p_free = from_config(SceneParams, wall=wall, through_wall=False)
-        p_wall = from_config(SceneParams, wall=wall, through_wall=True)
+        p_free = default_scene(wall=wall, through_wall=False)
+        p_wall = default_scene(wall=wall, through_wall=True)
         shift = 0.12 * (math.sqrt(6.0) - 1.0)
         t = np.linspace(0, 4, 64)
         for node in (NodeId.HEAD, NodeId.HAND_R, NodeId.FOOT_L):
@@ -160,8 +160,7 @@ class TestDistanceCurves:
     def test_feet_through_wall_finite_at_the_radar(self, velocity):
         # a foot passing under a radar at the origin has xi^2 near 0, which
         # can round below 0 before the wall's sqrt
-        p = from_config(SceneParams,
-                        initial_position=(0.0, 0.0), initial_velocity=velocity)
+        p = default_scene(initial_position=(0.0, 0.0), initial_velocity=velocity)
         t = np.linspace(0.0, p.window, 400001)
         for label in ("S9", "S10"):
             for node in (NodeId.FOOT_L, NodeId.FOOT_R):
@@ -195,7 +194,7 @@ class TestDistanceCurves:
 
     def test_left_right_phase_swap(self):
         # swapping the pendulum phase reproduces the counterpart limb curve
-        p = from_config(SceneParams)
+        p = default_scene()
         t = np.linspace(0, 4, 512)
         from mdcl.activities import ActivitySpec, NodeMotion, MotionState, ActivityClass
         nodes = dict(S8.nodes)
@@ -219,7 +218,7 @@ class TestVelocityCurves:
             assert velocity_sq(NodeId.HEAD, p, S8, t) == pytest.approx(1.0, abs=1e-14)
 
     def test_hand_at_zero(self):
-        p = from_config(SceneParams)
+        p = default_scene()
         v1 = math.hypot(*p.initial_velocity)
         expected = (v1 - p.arm_length * ARM_ANGLE * p.gait_frequency) ** 2
         assert velocity_sq(NodeId.HAND_L, p, S8, 0.0) == pytest.approx(expected, rel=1e-12)
@@ -227,7 +226,7 @@ class TestVelocityCurves:
     def test_in_situ_velocity_at_quarter_time(self):
         # (pi / 16 t0^2) * drop^2 at t = t0 for the in-place curve; S5 drops
         # head/torso by 0.45 m
-        p = from_config(SceneParams)
+        p = default_scene()
         drop = 0.45
         expected = (np.pi / 16.0) * drop * drop
         assert velocity_sq(NodeId.TORSO, p, S5, 1.0) == pytest.approx(expected, rel=1e-12)
@@ -235,7 +234,7 @@ class TestVelocityCurves:
     def test_exact_mode_bounded_by_undulation_amplitude(self):
         # the unsimplified model adds the head's vertical undulation rate
         # (alpha phi cos(phi t))^2, alpha = 0.05 m, to the constant |v|^2
-        p = from_config(SceneParams)
+        p = default_scene()
         alpha, phi = 0.05, p.gait_frequency
         t = np.linspace(0, 4, 2048)
         approx = velocity_sq(NodeId.HEAD, p, S8, t)
@@ -297,7 +296,7 @@ class TestKeypoints:
 
     def test_hand_velocity_five_points_from_extrema(self):
         # independent oracle: dense sign-change scan of the closed-form derivative
-        p = from_config(SceneParams)
+        p = default_scene()
         model = curve_models(p)["walk_hand_d2"]
         v1 = math.hypot(*p.initial_velocity)
         l, th, phi = p.arm_length, ARM_ANGLE, p.gait_frequency
@@ -323,7 +322,7 @@ class TestKeypoints:
         # t0 = 1 s: d(xi^2)/du = delta cos(u) (-r_off + (delta / 2) sin(u)),
         # u = pi (t - 1) / 2, vanishes at cos(u) = 0 (t = 0, 2, 4) and at
         # sin(u) = -1/3 (t = 1 - (2 / pi) asin(1/3) and 3 + (2 / pi) asin(1/3))
-        model = curve_models(from_config(SceneParams))["insitu_r2"]
+        model = curve_models(default_scene())["insitu_r2"]
         off = (2.0 / np.pi) * np.arcsin(1.0 / 3.0)
         assert model.keypoints_detailed() == [
             (0.0, "edge"), (pytest.approx(1.0 - off, abs=1e-8), "extremum"),
@@ -331,7 +330,7 @@ class TestKeypoints:
             (pytest.approx(3.0 + off, abs=1e-8), "extremum"), (4.0, "edge")]
 
     def test_in_situ_velocity_keypoints_uniform(self):
-        model = curve_models(from_config(SceneParams))["insitu_d2"]
+        model = curve_models(default_scene())["insitu_d2"]
         assert keypoint_times(model) == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0], abs=1e-8)
 
     def test_constant_curve_filled_equispaced(self):
@@ -341,7 +340,7 @@ class TestKeypoints:
         assert set(kinds[1:-1]) == {"fill"}
 
     def test_strictly_increasing_and_count(self):
-        p = from_config(SceneParams)
+        p = default_scene()
         for name, model in curve_models(p).items():
             pts = keypoint_times(model)
             assert len(pts) == model.mncp
@@ -353,7 +352,7 @@ class TestKeypoints:
         # each curve and its Doppler sign are evaluated once, on the array of
         # key-point times; each point evaluated as a one-element array
         # gives the same bits
-        p = from_config(SceneParams)
+        p = default_scene()
         total = 0
         for label in (f"S{i}" for i in range(2, 13)):
             act = activity(label)
@@ -412,8 +411,8 @@ class TestLockstepBisection:
     @example(position=(3.0, 0.0), velocity=(0.0, 0.0), through_wall=False)
     def test_scene_keypoints_match_scalar_oracle(self, position, velocity,
                                                  through_wall):
-        p = from_config(SceneParams, initial_position=position, initial_velocity=velocity,
-                        through_wall=through_wall)
+        p = default_scene(initial_position=position, initial_velocity=velocity,
+                          through_wall=through_wall)
 
         def search():
             acts = {(label, kind): outcome(lambda: activity_keypoints(
@@ -431,7 +430,7 @@ class TestLockstepBisection:
 
 class TestTables:
     def test_mncp_walking(self):
-        models = curve_models(from_config(SceneParams))
+        models = curve_models(default_scene())
         table = {kind: [models[f"walk_{family}_{kind}"].mncp for family in NODE_FAMILIES]
                  for kind in ("r2", "d2")}
         assert table["r2"] == [3, 3, 6, 6, 6, 6]
@@ -440,7 +439,7 @@ class TestTables:
         assert sum(table["d2"]) == 22
 
     def test_mncp_in_situ(self):
-        models = curve_models(from_config(SceneParams))
+        models = curve_models(default_scene())
         table = {kind: [models[f"insitu_{kind}"].mncp] * len(NODE_FAMILIES)
                  for kind in ("r2", "d2")}
         assert table["r2"] == [5] * 6
@@ -479,7 +478,7 @@ class TestTables:
                                   motion._numeric_derivative(curve, p.window)(grid)), name
 
     def test_gram_full_rank(self):
-        for name, model in curve_models(from_config(SceneParams)).items():
+        for name, model in curve_models(default_scene()).items():
             a = model.design_matrix(np.linspace(0.0, model.window, 512))
             assert np.linalg.matrix_rank(a.T @ a) == model.linear_count, name
 
@@ -487,11 +486,11 @@ class TestTables:
 class TestSceneValidation:
     def test_gait_habit_constraint(self):
         with pytest.raises(ValueError):
-            from_config(SceneParams, window=1.0, gait_frequency=math.pi)
+            default_scene(window=1.0, gait_frequency=math.pi)
 
     def test_torso_ordering(self):
         with pytest.raises(ValueError):
-            from_config(SceneParams, torso_upper=0.9, torso_lower=0.95)
+            default_scene(torso_upper=0.9, torso_lower=0.95)
 
     def test_wall_invariants(self):
         with pytest.raises(ValueError):

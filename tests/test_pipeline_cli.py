@@ -168,7 +168,7 @@ class TestRunPipeline:
     def test_s1_placeholder_grid(self, cfg_small):
         from mdcl.activities import activity
         truth = groundtruth_corners(cfg_small.scene_params(), activity("S1"),
-                                    cfg_small.radar_config(),
+                                    cfg_small.radar,
                                     None, None)
         assert truth.cloud_r.shape == (30, 2)
         assert np.array_equal(truth.cloud_r, truth.cloud_d)
@@ -286,7 +286,7 @@ def sweep_case():
     cfg.validate()
     labels = ("S5", "S8", "S12")
     results = {label: run_activity(cfg, label) for label in labels}
-    det = cfg.detector_config()
+    det = cfg.detector
     reference = []
     for label in labels:
         res = results[label]

@@ -5,9 +5,10 @@
 and detection grid, all 12 activities, noise on) made with
 ``MDCL_THREADS=2``, and the numpy and scipy versions that made it.  The test
 reruns it on one thread, so it also checks that no output depends on the
-thread count.  FFT rounding may differ between numpy/scipy releases: with
-other versions installed, only the file list and the metrics (within 1e-6)
-are compared, and a warning says so.
+thread count.  The config text and its digest involve no FFT, so they are
+compared always.  FFT rounding may differ between numpy/scipy releases:
+with other versions installed, only the file list, the config and the
+metrics (within 1e-6) are compared, and a warning says so.
 
 A change that moves outputs on purpose regenerates the reference in the
 same commit: run the command above into an empty directory, copy its
@@ -42,6 +43,11 @@ def run_metrics(root: Path) -> dict[tuple[str, str], float]:
     return values
 
 
+def config_sha256(path: Path) -> str:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return next(line for line in lines if line.startswith("config_sha256 = "))
+
+
 def test_reference_run_reproduced(tmp_path, monkeypatch):
     monkeypatch.setenv("MDCL_THREADS", "1")
     out = tmp_path / "run"
@@ -50,6 +56,9 @@ def test_reference_run_reproduced(tmp_path, monkeypatch):
     want = manifest_artifacts(REFERENCE / "manifest.txt")
     got = manifest_artifacts(out / "manifest.txt")
     assert sorted(got) == sorted(want)
+    # a renamed, reordered or re-defaulted config key changes both
+    assert got["config.txt"] == want["config.txt"]
+    assert config_sha256(out / "manifest.txt") == config_sha256(REFERENCE / "manifest.txt")
     want_metrics, got_metrics = run_metrics(REFERENCE), run_metrics(out)
     assert got_metrics.keys() == want_metrics.keys()
     for key, value in want_metrics.items():
