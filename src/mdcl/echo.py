@@ -3,16 +3,20 @@
 Each PRI freezes the target delay (stop-and-hop) and emits the closed-form
 base-band beat signal; node echoes, a static wall return and complex white
 Gaussian noise sum into the frame, in that order, in one buffer.  A node
-that holds still for some PRIs repeats its delay, and equal delays give
-equal rows, so each distinct delay's row is synthesized once and gathered
-back into PRI order.  The noise is seeded per frame and drawn from one
-spawned stream per PRI, straight into interleaved (real, imaginary) pairs.
-One stream per frame would be faster, but it draws different noise and so
-changes every noisy artifact's digest.
+that holds still for some PRIs repeats its delay, so each distinct delay's
+row is synthesized once and gathered back into PRI order.  A row is the
+outer product of a coarse and a fine phase table over blocks of about
+sqrt(N) fast-time samples, so it costs about 2 sqrt(N) complex ``exp``
+instead of N and is as accurate as one direct ``exp`` per sample
+(``_beat_rows`` states the bound).  The noise is seeded per frame and drawn
+from one spawned stream per PRI, straight into interleaved (real,
+imaginary) pairs.  One stream per frame would be faster, but it draws
+different noise and so changes every noisy artifact's digest.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +79,6 @@ class RadarConfig:
         return self.fast_samples / self.pri
 
     @property
-    def window(self) -> float:
-        """M Ts: ``window_s`` as the PRI grid spans it."""
-        return self.pri * self.slow_samples
-
-    @property
     def range_bin(self) -> float:
         """Range per beat-spectrum bin: c / 2B."""
         return C_LIGHT / (2.0 * self.bandwidth_hz)
@@ -117,8 +116,16 @@ class EchoFrame:
 def _beat_rows(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> np.ndarray:
     """Base-band beat signal rows for per-PRI delays ``tau`` (shape (M,)).
 
-    Each row is a function of its delay alone, so the phase and ``exp`` are
-    taken once per distinct delay and repeated delays share the row.
+    Row d holds amplitude * exp(2 pi i (mu d t_k + fc d - mu d^2 / 2)) over
+    the fast-time samples t_k = k / fs.  Each row is a function of its delay
+    alone, so it is built once per distinct delay and repeated delays share
+    it.  With k = b k1 + k0 and b = isqrt(N), the row is the outer product
+    of a coarse table (the phase at t_{b k1}, times the amplitude; ceil(N/b)
+    columns) and a fine table (exp(2 pi i mu d t_k0); b columns), the
+    twiddle split FFT libraries use: about 2 sqrt(N) ``exp`` and N complex
+    products per row instead of N ``exp``.  Every sample lies within
+    8 (2 pi ulp(max |phase|) + eps) * amplitude of the exact value (phase in
+    cycles, eps the float64 epsilon), as the direct ``exp`` does.
     """
     mu = cfg.chirp_rate
     if np.any(tau >= cfg.pri):
@@ -127,13 +134,17 @@ def _beat_rows(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> np.ndarra
     distinct, pri_order = np.unique(tau, return_inverse=True)
     repeats = distinct.size < tau.size
     d = distinct if repeats else tau        # unique's order is sorted
-    t_fast = np.arange(cfg.fast_samples) / cfg.fast_rate   # within-PRI time
-    phase = mu * d[:, None] * t_fast[None, :]
-    phase += (cfg.carrier_hz * d - 0.5 * mu * d * d)[:, None]
-    rows = 2j * np.pi * phase
-    del phase                   # not held through the gather
-    np.exp(rows, out=rows)
-    rows *= amplitude
+    n = cfg.fast_samples
+    b = math.isqrt(n)
+    k1 = -(-n // b)
+    step = 2j * np.pi * mu * d[:, None]     # phase per second of fast time
+    coarse = step * (np.arange(0, k1 * b, b) / cfg.fast_rate)
+    coarse += (2j * np.pi * (cfg.carrier_hz * d - 0.5 * mu * d * d))[:, None]
+    np.exp(coarse, out=coarse)
+    coarse *= amplitude
+    fine = step * (np.arange(b) / cfg.fast_rate)
+    np.exp(fine, out=fine)
+    rows = (coarse[:, :, None] * fine[:, None, :]).reshape(d.size, k1 * b)[:, :n]
     if repeats:
         rows = rows[pri_order]
     return rows

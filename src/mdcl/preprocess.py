@@ -310,7 +310,7 @@ def preprocess_frame(frame: EchoFrame,
     crop) and the leading-sample series for the DTM.
     """
     rows, range_axis = beat_spectrum(frame)
-    n, window = frame.data.shape[1], frame.config.window
+    n, window = frame.data.shape[1], frame.config.window_s
     rtm = make_rtm(mti_filter(rows), range_axis, window, emd_params)
     dtm = make_dtm(mti_filter(n * frame.data[:, :1].T)[0], window, emd_params)
     return rtm, dtm

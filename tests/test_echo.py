@@ -18,16 +18,40 @@ S8 = activity("S8")
 S1 = activity("S1")
 
 
-def oracle_beat_rows(cfg, amplitude, tau):
-    """Reference for ``echo._beat_rows``: every PRI's row from its own delay."""
-    mu = cfg.chirp_rate
-    t_fast = np.arange(cfg.fast_samples) / cfg.fast_rate
+def oracle_phase(cfg, tau, dtype=float):
+    """Beat phase in cycles, (delay, fast-time sample), evaluated in ``dtype``
+    from the float64 parameters."""
+    mu, fc = dtype(cfg.chirp_rate), dtype(cfg.carrier_hz)
+    tau = np.asarray(tau).astype(dtype)
+    t_fast = np.arange(cfg.fast_samples, dtype=dtype) / dtype(cfg.fast_rate)
     phase = mu * tau[:, None] * t_fast[None, :]
-    phase += (cfg.carrier_hz * tau - 0.5 * mu * tau * tau)[:, None]
-    rows = 2j * np.pi * phase
+    phase += (fc * tau - dtype(0.5) * mu * tau * tau)[:, None]
+    return phase
+
+
+def oracle_beat_rows(cfg, amplitude, tau):
+    """Reference for ``echo._beat_rows``: one direct ``exp`` per sample."""
+    rows = 2j * np.pi * oracle_phase(cfg, tau)
     np.exp(rows, out=rows)
     rows *= amplitude
     return rows
+
+
+def exact_beat_rows(cfg, amplitude, tau):
+    """The rows in long double, as (real, imaginary): the phase is reduced to
+    one cycle before the 2 pi rotation, so only long-double rounding is left."""
+    phase = oracle_phase(cfg, tau, np.longdouble)
+    angle = 8 * np.arctan(np.longdouble(1)) * (phase - np.round(phase))
+    amp = np.longdouble(amplitude)
+    return amp * np.cos(angle), amp * np.sin(angle)
+
+
+def row_bound(cfg, amplitude, tau):
+    """Per-sample error allowed in a beat row: 8 * 2 pi * ulp(max |phase|)
+    (phase in cycles) times the amplitude, plus 8 float64 epsilons of the
+    amplitude, which bound the rounding of the sample itself."""
+    phase = np.max(np.abs(oracle_phase(cfg, tau)))
+    return 8 * abs(amplitude) * (2 * np.pi * np.spacing(phase) + np.finfo(float).eps)
 
 
 def oracle_noise_matrix(m, n, seed):
@@ -40,25 +64,43 @@ def oracle_noise_matrix(m, n, seed):
     return out
 
 
-def oracle_frame(p, act, cfg, noise):
-    """Reference for ``synth_frame`` from the oracles: node sum, plus the
-    wall row into a new array, plus the scaled noise."""
-    signal = np.zeros((cfg.slow_samples, cfg.fast_samples), dtype=complex)
+def node_rows(p, act, cfg):
+    """(amplitude, per-PRI delays) of every reflecting, active node."""
     for node in ALL_NODES:
         eta = cfg.reflectivity.get(node, 0.0)
         if eta == 0.0 or act.node(node).state is MotionState.INACTIVE:
             continue
-        signal += oracle_beat_rows(cfg, 0.5 * eta * cfg.tx_amplitude ** 2,
-                                   node_delays(node, p, act, cfg))
-    wall = oracle_beat_rows(cfg, 0.5 * cfg.wall_reflectivity * cfg.tx_amplitude ** 2,
-                            np.array([2.0 * cfg.wall_range_m / C_LIGHT]))
-    data = signal + wall
+        yield 0.5 * eta * cfg.tx_amplitude ** 2, node_delays(node, p, act, cfg)
+
+
+def wall_row(cfg):
+    """(amplitude, delay) of the wall return."""
+    return (0.5 * cfg.wall_reflectivity * cfg.tx_amplitude ** 2,
+            np.array([2.0 * cfg.wall_range_m / C_LIGHT]))
+
+
+def oracle_frame(p, act, cfg, noise):
+    """Reference for ``synth_frame`` from the oracles: node sum, plus the
+    wall row into a new array, plus the scaled noise."""
+    signal = np.zeros((cfg.slow_samples, cfg.fast_samples), dtype=complex)
+    for amplitude, tau in node_rows(p, act, cfg):
+        signal += oracle_beat_rows(cfg, amplitude, tau)
+    data = signal + oracle_beat_rows(cfg, *wall_row(cfg))
     p_sig = float(np.mean(np.abs(signal) ** 2))
     p_noise = (p_sig if p_sig > 0 else 1.0) * 10.0 ** (-noise.target_snr / 10.0)
     scaled = oracle_noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed)
     scaled *= np.sqrt(p_noise)
     data += scaled
     return data
+
+
+def frame_bound(p, act, cfg, oracle):
+    """Per-sample error allowed in a frame: the sum of its rows' bounds
+    (nodes and wall) plus 8 epsilons of the sample for the sums and the
+    noise scale."""
+    bound = row_bound(cfg, *wall_row(cfg))
+    bound += sum(row_bound(cfg, amplitude, tau) for amplitude, tau in node_rows(p, act, cfg))
+    return bound + 8 * np.finfo(float).eps * np.abs(oracle)
 
 
 def bits(a):
@@ -74,15 +116,17 @@ def delays_with_repeats(draw):
 
 
 class TestExactness:
-    """The deduplicated beat rows, the direct noise draw and the in-place
-    frame equal their references bit for bit."""
+    """The factored beat rows and the in-place frame agree with the direct
+    ``exp`` within the stated bound, and both are that close to the long-double
+    rows; the noise draw equals its reference bit for bit."""
 
     @pytest.mark.parametrize("label", ["S1", "S5", "S8", "S12"])
     def test_frame_matches_oracle(self, label):
         p, act, cfg = default_scene(), activity(label), RadarConfig()
         noise = NoiseConfig(target_snr=-16.0, seed=42)
         frame = synth_frame(p, act, cfg, noise)
-        assert np.array_equal(bits(frame.data), bits(oracle_frame(p, act, cfg, noise)))
+        oracle = oracle_frame(p, act, cfg, noise)
+        assert np.all(np.abs(frame.data - oracle) <= frame_bound(p, act, cfg, oracle))
 
     @settings(max_examples=60, deadline=None)
     @given(tau=delays_with_repeats())
@@ -92,7 +136,30 @@ class TestExactness:
     def test_beat_rows_match_oracle(self, tau):
         cfg = RadarConfig(slow_samples=16, fast_samples=32)
         rows = echo._beat_rows(cfg, 0.3, tau)
-        assert np.array_equal(bits(rows), bits(oracle_beat_rows(cfg, 0.3, tau)))
+        assert rows.shape == (tau.size, 32)
+        assert np.all(np.abs(rows - oracle_beat_rows(cfg, 0.3, tau))
+                      <= row_bound(cfg, 0.3, tau))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tau=delays_with_repeats(),
+           n=st.sampled_from([2, 37, 1000]) | st.integers(2, 300),
+           amplitude=st.floats(1e-3, 10.0))
+    @example(tau=np.full(4, 3.3e-9), n=1024, amplitude=5.0)   # the default wall
+    def test_beat_rows_within_bound_of_long_double(self, tau, n, amplitude):
+        # N = 2, 37, 1000 are not multiples of the block isqrt(N)
+        cfg = RadarConfig(slow_samples=16, fast_samples=n)
+        re, im = exact_beat_rows(cfg, amplitude, tau)
+        bound = row_bound(cfg, amplitude, tau)
+        for rows in (echo._beat_rows(cfg, amplitude, tau),
+                     oracle_beat_rows(cfg, amplitude, tau)):
+            assert rows.shape == (tau.size, n)
+            err = np.hypot((rows.real - re).astype(float), (rows.imag - im).astype(float))
+            assert np.all(err <= bound)
+
+    @pytest.mark.parametrize("m, n, seed", [(1024, 1024, 42), (16, 37, 0), (3, 2, 7)])
+    def test_noise_matrix_matches_oracle(self, m, n, seed):
+        assert np.array_equal(bits(echo._noise_matrix(m, n, seed)),
+                              bits(oracle_noise_matrix(m, n, seed)))
 
 
 def static_scene(x1=3.0):
@@ -230,5 +297,5 @@ class TestRadarConfig:
         assert cfg.carrier_hz == 1.5e9
         assert cfg.bandwidth_hz == 2.0e9
         assert cfg.slow_samples == cfg.fast_samples == 1024
-        assert cfg.window == pytest.approx(4.0)
+        assert cfg.window_s == 4.0
         assert cfg.range_bin == pytest.approx(C_LIGHT / 4e9)

@@ -429,6 +429,18 @@ class TestCli:
         metrics = (run_out / "S8" / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "activity,metric,value"
 
+    def test_axis_window_is_configured_window(self, tmp_path):
+        # 49 PRIs of 1.0 / 49 s span 0.9999999999999999 s in float64
+        _, cfg_path = write_small_config(tmp_path, **{"radar.window_s": 1.0,
+                                                      "radar.slow_samples": 49})
+        out = tmp_path / "out"
+        for command in ("simulate", "preprocess"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out),
+                         "--activity", "S8"]) == 0
+        for name in ("rtm", "dtm"):
+            sidecar = (out / "S8" / f"{name}.axis.txt").read_text().splitlines()
+            assert "window_s = 1.0" in sidecar, name
+
     def test_run_subcommand(self, tmp_path):
         _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S5"})
         out = tmp_path / "out"

@@ -51,7 +51,7 @@ def leading_series(frame):
 
 def oracle_dtm(frame, emd_params):
     """The DTM from the coherent sum of every MTI-filtered beat bin."""
-    return make_dtm(full_mti(frame).sum(axis=0), frame.config.window, emd_params)
+    return make_dtm(full_mti(frame).sum(axis=0), frame.config.window_s, emd_params)
 
 
 class TestRangeCompress:
