@@ -4,8 +4,11 @@ The detector convolves the map with a bank of second-order anisotropic
 Gaussian directional-derivative filters and combines the squared
 orientation responses through their geometric mean, which peaks on blobs
 and vanishes on straight ridges.  The bank runs in float32 on the float64
-spectrum of the mean-removed map.  Its response differs from a float64
-bank's by at most 1e-4 of the peak response, and its corners differ only
+spectrum of the mean-removed map, two orientations per complex inverse
+transform: the map is real, so the inverse of its spectrum times the
+transform of ``k_a + 1j * k_b`` carries orientation a in its real part and
+b in its imaginary part.  The response differs from a float64 bank's by
+at most 1e-4 of the peak response, and its corners differ only
 among maxima whose float64 responses tie within that tolerance (noise-free
 maps repeat features exactly).  Non-maximum suppression finds the
 strongest disk maxima of the response (pixels no neighbour within the NMS
@@ -121,10 +124,15 @@ _KERNEL_FFT_LOCK = threading.Lock()
 
 
 def _kernel_ffts(cfg: DetectorConfig, padded_shape: tuple[int, int]):
-    """The bank's transforms at ``padded_shape``: taken in float64, kept
-    as complex64 (half the memory; the bank runs in float32).  Built once
-    per key under a lock, so concurrent first extractions do not each
-    build it."""
+    """The bank's transforms at ``padded_shape``, two orientations each.
+
+    Pair j holds the full-plane transform of ``k[2j] + 1j * k[2j+1]``, one
+    ``fft2`` by linearity; a zero kernel partners the last orientation
+    when their count is odd.  Taken in float64 and kept as complex64 (the
+    bank runs in float32), one pair at a time so that no two float64
+    spectra are held at once.  Built once per key under a lock, so
+    concurrent first extractions do not each build it.
+    """
     key = (cfg.orientations, cfg.sigma_px, cfg.anisotropy, padded_shape)
     with _KERNEL_FFT_LOCK:
         cached = _KERNEL_FFT_CACHE.get(key)
@@ -133,8 +141,11 @@ def _kernel_ffts(cfg: DetectorConfig, padded_shape: tuple[int, int]):
             k = kernels[0].shape[0]
             full = (padded_shape[0] + k - 1, padded_shape[1] + k - 1)
             fast = (sfft.next_fast_len(full[0]), sfft.next_fast_len(full[1]))
-            ffts = [sfft.rfft2(kern, fast).astype(np.complex64) for kern in kernels]
-            cached = (k, fast, ffts)
+            if len(kernels) % 2:
+                kernels.append(np.zeros_like(kernels[0]))
+            pairs = [sfft.fft2(a + 1j * b, fast).astype(np.complex64)
+                     for a, b in zip(kernels[::2], kernels[1::2])]
+            cached = (k, fast, pairs)
             _KERNEL_FFT_CACHE[key] = cached
     return cached
 
@@ -142,6 +153,19 @@ def _kernel_ffts(cfg: DetectorConfig, padded_shape: tuple[int, int]):
 def filter_support(cfg: DetectorConfig) -> int:
     """Side of the square filter support; smaller maps cannot be filtered."""
     return 2 * _radius(cfg) + 1
+
+
+def _full_spectrum(half: np.ndarray, cols: int) -> np.ndarray:
+    """The complex64 full-plane transform of a real field from its
+    ``rfft2`` half plane ``half`` (``cols`` columns in full), completed
+    by Hermitian symmetry: X[r, c] = conj(X[-r, -c]) modulo the shape."""
+    h = half.shape[1]
+    spec = np.empty((half.shape[0], cols), dtype=np.complex64)
+    spec[:, :h] = half
+    mirror = half[:, cols - h:0:-1]         # columns cols - c for c >= h
+    np.conjugate(mirror[:1], out=spec[:1, h:])
+    np.conjugate(mirror[:0:-1], out=spec[1:, h:])
+    return spec
 
 
 def corner_response(img: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
@@ -153,9 +177,14 @@ def corner_response(img: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
     gradients).  The map's mean is removed and the map transformed in
     float64: every kernel sums to zero, so the mean changes nothing in
     exact arithmetic, and without it a constant map would not respond
-    exactly zero.  The spectrum is then rounded to complex64; the inverse
+    exactly zero.  The half-plane spectrum is completed by Hermitian
+    symmetry and rounded to complex64.  Each cached pair of orientations
+    then costs one complex inverse transform: the map is real, so the
+    real part of the product's inverse is the first orientation's
+    response and the imaginary part the second's.  The inverse
     transforms, squares and geometric mean run in float32, and so does
-    the response returned.
+    the response returned; it differs from a float64 bank's by at most
+    1e-4 of the peak response.
     """
     side = filter_support(cfg)
     if min(img.shape) < side:
@@ -163,18 +192,19 @@ def corner_response(img: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
             f"map {img.shape} smaller than the {side}x{side} filter support")
     pad = _radius(cfg)
     padded = np.pad(img - img.mean(dtype=np.float64), pad, mode="symmetric")
-    _, fast, kernel_ffts = _kernel_ffts(cfg, padded.shape)
-    img_fft = sfft.rfft2(padded, fast).astype(np.complex64)
+    _, fast, pair_ffts = _kernel_ffts(cfg, padded.shape)
+    img_fft = _full_spectrum(sfft.rfft2(padded, fast), fast[1])
     del padded
     r0, r1 = 2 * pad, 2 * pad + img.shape[0]
     c0, c1 = 2 * pad, 2 * pad + img.shape[1]
-    sq_max = np.float32(0.0)
     sq_all = []
-    for kf in kernel_ffts:
-        conv = sfft.irfft2(img_fft * kf, fast, overwrite_x=True)[r0:r1, c0:c1]
-        sq = conv * conv
-        sq_all.append(sq)
-        sq_max = max(sq_max, sq.max(initial=np.float32(0.0)))
+    product = np.empty_like(img_fft)
+    for kf in pair_ffts:
+        np.multiply(img_fft, kf, out=product)
+        conv = sfft.ifft2(product, overwrite_x=True)[r0:r1, c0:c1]
+        sq_all += (conv.real * conv.real, conv.imag * conv.imag)
+    del sq_all[cfg.orientations:]       # the zero partner of an odd count
+    sq_max = max(sq.max(initial=np.float32(0.0)) for sq in sq_all)
     # floored at float32's smallest normal, so a zero map takes no log(0)
     eps = max(np.float32(1e-12) * sq_max, np.finfo(np.float32).tiny)
     # the rest runs in place; the first log term becomes the result

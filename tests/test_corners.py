@@ -134,6 +134,31 @@ class TestResponse:
             assert all(abs(r64[g] - r64[w]) <= tol for g, w in zip(got, want)), name
 
 
+    @pytest.mark.parametrize("orientations", [1, 5, 8])
+    @pytest.mark.parametrize("shape", [(128, 200), (200, 128)])
+    def test_paired_bank_matches_float64_oracle(self, orientations, shape):
+        """Odd orientation counts pair the last kernel with a zero one; at
+        128 x 200 the transform is 189 x 256, odd along one axis only, and
+        the transposed map makes the other axis odd."""
+        cfg = replace(CFG, orientations=orientations)
+        rng = np.random.default_rng(orientations)
+        img = rng.random(shape) + blob_image([(40, 60), (90, 120)], shape)
+        r32 = corner_response(img, cfg)
+        r64 = oracle_response(img, cfg)
+        assert r32.dtype == np.float32
+        assert np.abs(r32 - r64).max() <= RESPONSE_TOL * r64.max()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 2), (6, 7), (189, 256), (216, 189)])
+    def test_full_spectrum_is_fft2(self, shape):
+        """The Hermitian completion equals the full transform to complex64
+        rounding, on odd and even lengths along either axis."""
+        field = np.random.default_rng(0).standard_normal(shape)
+        full = corners._full_spectrum(sfft.rfft2(field), shape[1])
+        want = sfft.fft2(field)
+        assert full.dtype == np.complex64
+        assert np.abs(full - want).max() <= np.finfo(np.float32).eps * np.abs(want).max()
+
+
 class TestExtract:
     def test_thirty_separated_blobs_recovered(self):
         rows = [30 + 28 * i for i in range(5)]
@@ -357,6 +382,15 @@ class TestFusion:
 
 
 class TestKernelCache:
+    @pytest.mark.parametrize("orientations", [1, 5, 8])
+    def test_one_complex64_spectrum_per_orientation_pair(self, orientations):
+        cfg = replace(CFG, orientations=orientations)
+        side = 2 * corners._radius(cfg)
+        _, fast, pairs = corners._kernel_ffts(cfg, (128 + side, 200 + side))
+        assert fast == (189, 256)
+        assert len(pairs) == -(-orientations // 2)
+        assert all(p.dtype == np.complex64 and p.shape == fast for p in pairs)
+
     def test_concurrent_first_calls_build_once(self, monkeypatch):
         builds, real = [], corners._kernels
 
