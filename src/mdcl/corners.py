@@ -7,14 +7,16 @@ and vanishes on straight ridges.  The bank runs in float32 on the float64
 spectrum of the mean-removed map, two orientations per complex inverse
 transform: the map is real, so the inverse of its spectrum times the
 transform of ``k_a + 1j * k_b`` carries orientation a in its real part and
-b in its imaginary part.  The response differs from a float64 bank's by
-at most 1e-4 of the peak response, and its corners differ only
+b in its imaginary part.  The squares, logs and their sum run over row
+blocks that stay in cache, to the bits of a whole-map computation.  The
+response differs from a float64 bank's by at most 1e-4 of the peak
+response, and its corners differ only
 among maxima whose float64 responses tie within that tolerance (noise-free
 maps repeat features exactly).  Non-maximum suppression finds the
 strongest disk maxima of the response (pixels no neighbour within the NMS
-radius exceeds) lazily: 3x3 local maxima are sorted by response and tested
-against the full disk only until a fixed pool is full, so a noisy map
-costs a few array passes, not a full-map disk filter.  A greedy pass over
+radius exceeds) lazily: the strongest 3x3 local maxima are sorted by
+response and tested against the full disk only until a fixed pool is
+full, so a noisy map costs a few array passes, not a full-map disk filter.  A greedy pass over
 the pool keeps the 30 strongest at least the radius apart; degenerate maps
 are padded to keep the fixed cardinality the fused 60x3 cloud requires.
 """
@@ -168,6 +170,25 @@ def _full_spectrum(half: np.ndarray, cols: int) -> np.ndarray:
     return spec
 
 
+def _padded_frame(img: np.ndarray, pad: int, shape: tuple[int, int]) -> np.ndarray:
+    """The mean-removed map, symmetric-padded by ``pad`` on every side, in
+    the leading corner of a zero float64 frame of ``shape``: what
+    ``np.pad(..., mode="symmetric")`` zero-filled to the transform size
+    holds, written once."""
+    nr, nc = img.shape
+    frame = np.zeros(shape)
+    np.subtract(img, img.mean(dtype=np.float64), out=frame[pad:pad + nr, pad:pad + nc])
+    f = frame[:nr + 2 * pad, :nc + 2 * pad]
+    f[:pad, pad:-pad] = f[2 * pad - 1:pad - 1:-1, pad:-pad]
+    f[-pad:, pad:-pad] = f[-pad - 1:-2 * pad - 1:-1, pad:-pad]
+    f[:, :pad] = f[:, 2 * pad - 1:pad - 1:-1]
+    f[:, -pad:] = f[:, -pad - 1:-2 * pad - 1:-1]
+    return frame
+
+
+_TAIL_ROWS = 32     # rows per block of the response tail: 256 KiB at 1024 columns
+
+
 def corner_response(img: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
     """Geometric mean of squared directional second-derivative responses.
 
@@ -184,46 +205,84 @@ def corner_response(img: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
     response and the imaginary part the second's.  The inverse
     transforms, squares and geometric mean run in float32, and so does
     the response returned; it differs from a float64 bank's by at most
-    1e-4 of the peak response.
+    1e-4 of the peak response.  The tail after the transforms runs over
+    blocks of ``_TAIL_ROWS`` rows (see ``_geometric_mean``).
     """
     side = filter_support(cfg)
     if min(img.shape) < side:
         raise ValueError(
             f"map {img.shape} smaller than the {side}x{side} filter support")
     pad = _radius(cfg)
-    padded = np.pad(img - img.mean(dtype=np.float64), pad, mode="symmetric")
-    _, fast, pair_ffts = _kernel_ffts(cfg, padded.shape)
-    img_fft = _full_spectrum(sfft.rfft2(padded, fast), fast[1])
-    del padded
-    r0, r1 = 2 * pad, 2 * pad + img.shape[0]
-    c0, c1 = 2 * pad, 2 * pad + img.shape[1]
-    sq_all = []
-    product = np.empty_like(img_fft)
-    for kf in pair_ffts:
-        np.multiply(img_fft, kf, out=product)
-        conv = sfft.ifft2(product, overwrite_x=True)[r0:r1, c0:c1]
-        sq_all += (conv.real * conv.real, conv.imag * conv.imag)
-    del sq_all[cfg.orientations:]       # the zero partner of an odd count
-    sq_max = max(sq.max(initial=np.float32(0.0)) for sq in sq_all)
-    # floored at float32's smallest normal, so a zero map takes no log(0)
-    eps = max(np.float32(1e-12) * sq_max, np.finfo(np.float32).tiny)
-    # the rest runs in place; the first log term becomes the result
-    for sq in sq_all:
-        sq += eps
-        np.log(sq, out=sq)
-    log_sum = sq_all[0]
-    for term in sq_all[1:]:
-        log_sum += term
-    log_sum /= np.float32(len(sq_all))
-    np.exp(log_sum, out=log_sum)
-    log_sum -= eps
-    return np.clip(log_sum, 0.0, None, out=log_sum)
+    nr, nc = img.shape
+    _, fast, pair_ffts = _kernel_ffts(cfg, (nr + 2 * pad, nc + 2 * pad))
+    img_fft = _full_spectrum(sfft.rfft2(_padded_frame(img, pad, fast)), fast[1])
+    r0, c0 = 2 * pad, 2 * pad
+    convs = []
+    for j, kf in enumerate(pair_ffts):
+        # the last product may overwrite the map's spectrum; each inverse
+        # transform runs in place on its product
+        last = j == len(pair_ffts) - 1
+        product = np.multiply(img_fft, kf, out=img_fft if last else None)
+        convs.append(sfft.ifft2(product, overwrite_x=True)[r0:r0 + nr, c0:c0 + nc])
+    del img_fft, product
+    return _geometric_mean(convs, cfg.orientations)
+
+
+def _geometric_mean(convs: list[np.ndarray], count: int) -> np.ndarray:
+    """``exp(mean_k log(x_k**2 + eps)) - eps``, clipped at zero, over the
+    ``count`` orientation fields ``x_k`` the complex64 ``convs`` carry
+    (orientation 2j in conv j's real part, 2j+1 in its imaginary part).
+
+    ``eps`` is 1e-12 of the largest square, floored at float32's smallest
+    normal so that a zero map takes no log(0).  The squares, logs and the
+    sum run over row blocks small enough to stay in cache: one pass finds
+    the largest square, a second squares each block again into one
+    contiguous scratch buffer, takes its log and adds the terms in
+    orientation order.  Every step is elementwise and in the order of a
+    whole-map computation, so the result is the same to the bit.
+    """
+    # float32 fields whose columns interleave ``width`` orientations each;
+    # an odd count's last pair contributes its real part only
+    fields = [(c.view(np.float32), 2) for c in convs[:count // 2]]
+    if count % 2:
+        fields.append((convs[-1].real, 1))
+    nr, nc = convs[0].shape
+    scratch = np.empty(_TAIL_ROWS * 2 * nc, dtype=np.float32)
+
+    def block(field: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        x = field[start:start + _TAIL_ROWS]
+        return x, scratch[:x.size].reshape(x.shape)
+
+    # rounding is monotone, so the largest square is the largest |x| squared
+    peak = np.float32(0.0)
+    for start in range(0, nr, _TAIL_ROWS):
+        for field, _ in fields:
+            x, buf = block(field, start)
+            peak = max(peak, np.abs(x, out=buf).max())
+    eps = max(np.float32(1e-12) * (peak * peak), np.finfo(np.float32).tiny)
+    out = np.zeros((nr, nc), dtype=np.float32)     # 0 + first term is exact
+    for start in range(0, nr, _TAIL_ROWS):
+        acc = out[start:start + _TAIL_ROWS]
+        for field, width in fields:
+            x, sq = block(field, start)
+            np.multiply(x, x, out=sq)
+            sq += eps
+            np.log(sq, out=sq)
+            for parity in range(width):
+                acc += sq[:, parity::width]
+    out /= np.float32(count)
+    np.exp(out, out=out)
+    out -= eps
+    return np.clip(out, 0.0, None, out=out)
 
 
 def _disk_offsets(radius: int) -> np.ndarray:
     yy, xx = np.mgrid[-radius:radius + 1, -radius:radius + 1]
     inside = (yy * yy + xx * xx) <= radius * radius
     return np.stack([yy[inside], xx[inside]], axis=1)
+
+
+_SORTED_HEAD = 8    # candidates sorted before the disk test, per pool slot
 
 
 def _nms_pool(resp: np.ndarray, radius: int,
@@ -235,10 +294,11 @@ def _nms_pool(resp: np.ndarray, radius: int,
     discards float-epsilon dust in empty map regions; ties order by row,
     then column.  A disk maximum is also a maximum over the part of its
     3x3 neighbourhood inside the disk, so those local maxima are a
-    superset: they are sorted once and the exact disk test runs on them
-    lazily, in growing blocks, until the pool is full.  Blocks keep the
-    worst case, where most local maxima fail the disk test, near one
-    vectorised pass over the candidates.
+    superset: the strongest of them (``_strongest_first``) are sorted and
+    the exact disk test runs on them lazily, in growing blocks, until the
+    pool is full; only when it does not fill are all of them sorted.
+    Blocks keep the worst case, where most local maxima fail the disk
+    test, near one vectorised pass over the candidates.
     """
     floor = 1e-9 * resp.max(initial=0.0)
     offsets = _disk_offsets(radius)
@@ -246,29 +306,51 @@ def _nms_pool(resp: np.ndarray, radius: int,
     pad = max(radius, 1)
     padded = np.zeros((nr + 2 * pad, nc + 2 * pad), dtype=resp.dtype)
     padded[pad:-pad, pad:-pad] = resp
-    mask = resp > floor
-    for dr, dc in offsets[np.abs(offsets).max(axis=1) == 1]:
-        mask &= resp >= padded[pad + dr:pad + dr + nr, pad + dc:pad + dc + nc]
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.nonzero((resp > floor) & (resp >= _near_max(padded, pad, radius)))
     vals = resp[rows, cols]
-    # nonzero yields row-major order, so a stable sort keeps ties by (row, col)
-    order = np.argsort(-vals, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
 
     flat = padded.ravel()
     width = padded.shape[1]
     steps = offsets[:, 0] * width + offsets[:, 1]
-    keep = np.zeros(rows.size, dtype=bool)
-    found, start, block = 0, 0, pool_size
-    while found < pool_size and start < rows.size:
-        stop = min(start + block, rows.size)
-        centre = (rows[start:stop] + pad) * width + (cols[start:stop] + pad)
-        peak = flat[centre[:, None] + steps[None, :]].max(axis=1)
-        keep[start:stop] = vals[start:stop] >= peak
-        found += int(keep[start:stop].sum())
-        start, block = stop, min(2 * block, 4096)
-    picked = np.flatnonzero(keep)[:pool_size]
+    for head in (_SORTED_HEAD * pool_size, rows.size):
+        order = _strongest_first(vals, head)
+        keep = np.zeros(order.size, dtype=bool)
+        found, start, block = 0, 0, pool_size
+        while found < pool_size and start < order.size:
+            stop = min(start + block, order.size)
+            idx = order[start:stop]
+            centre = (rows[idx] + pad) * width + (cols[idx] + pad)
+            peak = flat[centre[:, None] + steps[None, :]].max(axis=1)
+            keep[start:stop] = vals[idx] >= peak
+            found += int(keep[start:stop].sum())
+            start, block = stop, min(2 * block, 4096)
+        if found >= pool_size or order.size == rows.size:
+            break
+    picked = order[np.flatnonzero(keep)[:pool_size]]
     return rows[picked], cols[picked]
+
+
+def _near_max(padded: np.ndarray, pad: int, radius: int) -> np.ndarray:
+    """Per pixel, the maximum over its 3x3 neighbourhood inside the disk
+    (the 4-neighbour cross at radius 1), the pixel itself included, from
+    the map zero-padded by ``pad``: a separable row-then-column maximum."""
+    ring = padded[pad - 1:padded.shape[0] - pad + 1, pad - 1:padded.shape[1] - pad + 1]
+    across = np.maximum(np.maximum(ring[:, :-2], ring[:, 2:]), ring[:, 1:-1])
+    if radius == 1:
+        return np.maximum(across[1:-1], np.maximum(ring[:-2, 1:-1], ring[2:, 1:-1]))
+    return np.maximum(np.maximum(across[:-2], across[2:]), across[1:-1])
+
+
+def _strongest_first(vals: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest ``vals``, with every value tied at
+    the cut, strongest first and ties in index order: a prefix of the
+    stable descending sort of all ``vals``, found by partition."""
+    if count < vals.size:
+        cut = np.partition(vals, vals.size - count)[vals.size - count]
+        idx = np.flatnonzero(vals >= cut)
+    else:
+        idx = np.arange(vals.size)
+    return idx[np.argsort(-vals[idx], kind="stable")]
 
 
 _PAD_OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))

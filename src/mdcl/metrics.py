@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from mdcl.motion import CurveModel
 
@@ -26,6 +25,9 @@ from mdcl.motion import CurveModel
 
 def emd_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Mean matched Euclidean distance between two equal-size clouds."""
+    # imported here, its only use: scipy.optimize adds 0.2 s to every start
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
@@ -58,19 +60,20 @@ def psnr(img: np.ndarray, ref: np.ndarray) -> float:
     return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
 
 
-def add_image_noise(img: np.ndarray, snr_drop_db: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Lower an image's SNR by ``snr_drop_db``.
+def add_image_noise(img: np.ndarray, snr_drop_db: float, noise: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Lower an image's SNR by ``snr_drop_db`` with the unit-normal field
+    ``noise`` (float64, the image's shape), into ``out`` when given.
 
-    Gaussian noise with power Ps*(10^(drop/10) - 1) is added, Ps being the
-    image's mean square, so a zero drop returns the image untouched and the
+    The field is scaled to power Ps*(10^(drop/10) - 1), Ps being the
+    image's mean square, so a zero drop returns the image's values and the
     total power grows by exactly the requested decibels.
     """
-    if snr_drop_db == 0.0:
-        return img.copy()
     p_sig = float(np.mean(img ** 2))
     p_noise = p_sig * (10.0 ** (snr_drop_db / 10.0) - 1.0)
-    return img + rng.standard_normal(img.shape) * np.sqrt(p_noise)
+    out = np.multiply(noise, np.sqrt(p_noise), out=out)
+    out += img
+    return out
 
 
 # ---------------------------------------------------------------------------

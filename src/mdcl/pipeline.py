@@ -4,7 +4,8 @@ fuse -> evaluate, artifact persistence, and the noise-robustness sweep.
 ``STAGES`` defines the chain once: ``run_activity`` folds an activity over
 it in memory and ``run_stage`` (the staged commands) runs one stage between
 artifact files; both pass each output on as its file holds it.  ``run``'s
-activities and the sweep's extractions are tasks on one worker pool,
+activities and the sweep's noise fields (one task per noise field, each
+degrading and re-extracting every map) are tasks on one worker pool,
 ``pool_map`` (MDCL_THREADS); each task owns its outputs and noise stream and
 results keep input order, so no output depends on the thread count.
 """
@@ -31,7 +32,7 @@ from mdcl.config import (ConfigError, PipelineConfig, config_digest, drop_seed_k
 from mdcl.corners import CornerSet, extract_corners, fuse_pc_rd
 from mdcl.echo import synth_frame
 from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
-from mdcl.maps import ProfileMap, normalize
+from mdcl.maps import ProfileMap
 from mdcl.metrics import add_image_noise, emd_distance, psnr
 from mdcl.preprocess import preprocess_frame
 from mdcl.squaring import decimate_rows, render_squared
@@ -341,17 +342,33 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
 # noise-robustness sweep
 # ---------------------------------------------------------------------------
 
-def degrade_map(cfg: PipelineConfig, pm: ProfileMap, drop: float, key: int,
-                seed: int) -> ProfileMap:
-    """``pm`` with its image SNR lowered by ``drop`` dB, renormalised.
+def noise_field(cfg: PipelineConfig, shape: tuple[int, ...], key: int,
+                seed: int) -> np.ndarray:
+    """The sweep's unit-normal noise field for drop key ``key`` and sweep
+    seed ``seed``.
 
-    The noise stream is keyed by (run seed, sweep seed, drop key), so it
-    depends on nothing else in the sweep.
+    Its stream is keyed by (run seed, sweep seed, drop key) only, so it
+    depends on nothing else in the sweep, and every map of one (drop,
+    seed) shares it.
     """
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence((cfg.run.seed, seed, key))))
-    return ProfileMap(normalize(add_image_noise(pm.data, drop, rng)),
-                      pm.axis, pm.window)
+    return rng.standard_normal(shape)
+
+
+def degrade_map(pm: ProfileMap, drop: float, noise: np.ndarray,
+                out: np.ndarray | None = None) -> ProfileMap:
+    """``pm`` with its image SNR lowered by ``drop`` dB with the
+    unit-normal field ``noise``, min-max normalised in one buffer (``out``
+    when given): ``normalize(add_image_noise(...))`` to the bit."""
+    buf = add_image_noise(pm.data, drop, noise, out=out)
+    lo, hi = buf.min(), buf.max()
+    if hi == lo:
+        buf.fill(0.0)
+    else:
+        buf -= lo
+        buf /= hi - lo
+    return ProfileMap(buf, pm.axis, pm.window)
 
 
 def sweep_noise(cfg: PipelineConfig,
@@ -362,11 +379,13 @@ def sweep_noise(cfg: PipelineConfig,
 
     Lowers the image SNR of both squared maps by each configured drop,
     reruns detection and reports the earth mover's distance to the analytic
-    truth per (activity, map, drop, seed).  A zero drop reproduces the
-    baseline exactly.  Drops that would share a noise draw (off the 0.1 dB
-    grid, or repeated) raise ``ValueError``.  Each row (and each missing
-    clean result) is one ``pool_map`` task; the rows do not depend on the
-    thread count.
+    truth per (activity, map, drop, seed), in that order.  A zero drop
+    reproduces the baseline exactly.  Drops that would share a noise draw
+    (off the 0.1 dB grid, or repeated) raise ``ValueError``.  Each noise
+    field, one per (drop, seed), is one ``pool_map`` task that draws the
+    field once and degrades every map with it in one buffer; the zero-drop
+    rows are one more task.  Missing clean results are built first, one
+    task each.  The rows do not depend on the thread count.
     """
     drops = cfg.snr_drops() if drops is None else drops
     if 0.0 not in drops:
@@ -377,21 +396,31 @@ def sweep_noise(cfg: PipelineConfig,
         results = dict(zip(labels, pool_map(lambda label: run_activity(cfg, label),
                                             labels)))
     n_seeds = cfg.evaluation.sweep_seeds if n_seeds is None else n_seeds
-    tasks = [(label, which, cloud, drop, key, seed)
-             for label in labels
-             for which, cloud in (("r2tm", "cloud_r"), ("d2tm", "cloud_d"))
-             for drop, key in zip(drops, keys)
-             for seed in ([0] if drop == 0.0 else range(n_seeds))]
+    maps = [(label, which, cloud) for label in labels
+            for which, cloud in (("r2tm", "cloud_r"), ("d2tm", "cloud_d"))]
+    fields = [(drop, key, seed) for drop, key in zip(drops, keys)
+              for seed in ([0] if drop == 0.0 else range(n_seeds))]
 
-    def row(task) -> dict:
-        label, which, cloud, drop, key, seed = task
-        res = results[label]
-        pm = getattr(res, which)
-        noisy = pm if drop == 0.0 else degrade_map(cfg, pm, drop, key, seed)
-        cs = extract_corners(noisy, f"{label}/{which}", cfg.detector)
-        return {"activity": label, "map": which, "drop_db": drop, "seed": seed,
-                "emd": emd_distance(cs.uv(), getattr(res.truth, cloud))}
-    return pool_map(row, tasks)
+    def field_rows(field) -> list[dict]:
+        drop, key, seed = field
+        noise = buf = None
+        rows = []
+        for label, which, cloud in maps:
+            res = results[label]
+            pm = getattr(res, which)
+            if drop != 0.0:
+                if noise is None:
+                    noise = noise_field(cfg, pm.data.shape, key, seed)
+                    buf = np.empty_like(noise)
+                pm = degrade_map(pm, drop, noise, out=buf)
+            cs = extract_corners(pm, f"{label}/{which}", cfg.detector)
+            rows.append({"activity": label, "map": which, "drop_db": drop,
+                         "seed": seed,
+                         "emd": emd_distance(cs.uv(), getattr(res.truth, cloud))})
+        return rows
+
+    by_field = pool_map(field_rows, fields)
+    return [rows[i] for i in range(len(maps)) for rows in by_field]
 
 
 def sweep_summary(rows: list[dict]) -> dict[float, dict[str, float]]:

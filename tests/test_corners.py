@@ -6,6 +6,7 @@ import threading
 import time
 import warnings
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mdcl.config import drop_seed_keys
 from mdcl.corners import (Corner, CornerSet, DetectorConfig, corner_response,
                           extract_corners, fuse_pc_rd)
 from mdcl.maps import AxisSpec, ProfileMap
-from mdcl.pipeline import degrade_map
+from mdcl.pipeline import degrade_map, noise_field
 
 CFG = DetectorConfig()
 RESPONSE_TOL = 1e-4     # float32 bank against the float64 oracle, of the peak
@@ -59,6 +60,52 @@ def oracle_response(img, cfg):
     eps = 1e-12 * max(sq.max(initial=0.0) for sq in squares) + 1e-300
     log_mean = sum(np.log(sq + eps) for sq in squares) / len(squares)
     return np.clip(np.exp(log_mean) - eps, 0.0, None)
+
+
+def whole_map_response(img, cfg):
+    """``corner_response`` computed whole-map: ``np.pad`` and a zero-padded
+    ``rfft2``, one inverse transform per orientation pair into a reused
+    product buffer, and every square, log and sum over the whole map as
+    its own array.  The detector computes the same values in cache-sized
+    row blocks and must equal this to the bit."""
+    pad = corners._radius(cfg)
+    padded = np.pad(img - img.mean(dtype=np.float64), pad, mode="symmetric")
+    _, fast, pair_ffts = corners._kernel_ffts(cfg, padded.shape)
+    img_fft = corners._full_spectrum(sfft.rfft2(padded, fast), fast[1])
+    r0, r1 = 2 * pad, 2 * pad + img.shape[0]
+    c0, c1 = 2 * pad, 2 * pad + img.shape[1]
+    sq_all = []
+    product = np.empty_like(img_fft)
+    for kf in pair_ffts:
+        np.multiply(img_fft, kf, out=product)
+        conv = sfft.ifft2(product, overwrite_x=True)[r0:r1, c0:c1]
+        sq_all += (conv.real * conv.real, conv.imag * conv.imag)
+    del sq_all[cfg.orientations:]       # the zero partner of an odd count
+    sq_max = max(sq.max(initial=np.float32(0.0)) for sq in sq_all)
+    eps = max(np.float32(1e-12) * sq_max, np.finfo(np.float32).tiny)
+    for sq in sq_all:
+        sq += eps
+        np.log(sq, out=sq)
+    log_sum = sq_all[0]
+    for term in sq_all[1:]:
+        log_sum += term
+    log_sum /= np.float32(len(sq_all))
+    np.exp(log_sum, out=log_sum)
+    log_sum -= eps
+    return np.clip(log_sum, 0.0, None, out=log_sum)
+
+
+def response_map(kind, shape, rng):
+    if kind == "zero":
+        return np.zeros(shape)
+    blobs = blob_image([tuple(rng.integers(0, shape)) for _ in range(4)], shape)
+    if kind == "blobs":
+        return blobs
+    if kind == "float32":
+        return (rng.random(shape) + blobs).astype(np.float32)
+    noise = rng.standard_normal(shape)
+    return degrade_map(as_map(blobs / blobs.max()), float(rng.choice([4.0, 12.0])),
+                       noise).data
 
 
 class TestResponse:
@@ -120,7 +167,8 @@ class TestResponse:
         for drop, key in zip(drops, drop_seed_keys([0.0] + drops)[1:]):
             for which in ("r2tm", "d2tm"):
                 pm = getattr(clean_results["S8"], which)
-                maps[f"S8/{which}/{drop:g}dB"] = degrade_map(cfg, pm, drop, key, 0)
+                noise = noise_field(cfg, pm.data.shape, key, 0)
+                maps[f"S8/{which}/{drop:g}dB"] = degrade_map(pm, drop, noise)
         for name, pm in maps.items():
             r32 = corner_response(pm.data, det)
             r64 = oracle_response(pm.data, det)
@@ -147,6 +195,40 @@ class TestResponse:
         r64 = oracle_response(img, cfg)
         assert r32.dtype == np.float32
         assert np.abs(r32 - r64).max() <= RESPONSE_TOL * r64.max()
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           kind=st.sampled_from(["zero", "blobs", "float32", "degraded"]),
+           extra=st.tuples(st.integers(0, 75), st.integers(0, 75)),
+           orientations=st.sampled_from([1, 5, 7, 8]))
+    def test_blocked_tail_equals_whole_map_response(self, seed, kind, extra,
+                                                    orientations):
+        """Bit for bit on odd and even shapes from the filter support up,
+        row counts that are not a multiple of the block, odd and even
+        orientation counts, and degraded maps."""
+        cfg = replace(CFG, orientations=orientations)
+        side = corners.filter_support(cfg)
+        shape = (side + extra[0], side + extra[1])
+        img = response_map(kind, shape, np.random.default_rng(seed))
+        got = corner_response(img, cfg)
+        want = whole_map_response(img, cfg)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+
+    def test_blocked_tail_equals_whole_map_response_at_full_size(
+            self, clean_full_config, clean_results):
+        """Clean S5, S8 and S12 maps and S8's noisy sweep maps."""
+        cfg = clean_full_config
+        maps = [getattr(clean_results[label], which)
+                for label in ("S5", "S8", "S12") for which in ("r2tm", "d2tm")]
+        drops = [4.0, 8.0, 12.0]
+        for drop, key in zip(drops, drop_seed_keys([0.0] + drops)[1:]):
+            for pm in maps[2:4]:
+                noise = noise_field(cfg, pm.data.shape, key, 0)
+                maps.append(degrade_map(pm, drop, noise))
+        for i, pm in enumerate(maps):
+            assert np.array_equal(corner_response(pm.data, cfg.detector),
+                                  whole_map_response(pm.data, cfg.detector)), i
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 2), (6, 7), (189, 256), (216, 189)])
     def test_full_spectrum_is_fft2(self, shape):
@@ -312,6 +394,24 @@ class TestLazyNms:
         if kind == "zero":
             assert all(c.padded for c in cs.corners)
         assert len(cs) == corners.CORNERS
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           kind=st.sampled_from(["random", "quantised", "ramp", "tied"]),
+           shape=st.tuples(st.integers(3, 48), st.integers(3, 48)),
+           radius=st.integers(1, 9), pool_size=st.integers(1, 40),
+           head=st.integers(1, 3))
+    def test_partial_sort_matches_disk_filter_oracle(self, seed, kind, shape, radius,
+                                                     pool_size, head):
+        """Few candidates sorted per pool slot: the partition's tie cut and
+        the fallback to the full sort, when the pool does not fill, give
+        the oracle's pool."""
+        resp = nms_map(kind, shape, np.random.default_rng(seed))
+        with mock.patch.object(corners, "_SORTED_HEAD", head):
+            pool = corners._nms_pool(resp, radius, pool_size)
+        expected = oracle_pool(resp, radius, pool_size)
+        assert np.array_equal(pool[0], expected[0])
+        assert np.array_equal(pool[1], expected[1])
 
     @pytest.mark.parametrize("kind", ["noisy", "ramp"])
     def test_full_detector_matches_oracle(self, kind):

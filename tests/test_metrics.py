@@ -209,13 +209,13 @@ class TestImageNoise:
     def test_zero_drop_is_identity(self):
         rng = np.random.default_rng(0)
         img = rng.random((32, 32))
-        out = add_image_noise(img, 0.0, rng)
+        out = add_image_noise(img, 0.0, rng.standard_normal(img.shape))
         assert np.array_equal(out, img)
 
     def test_power_increases_by_requested_db(self):
         rng = np.random.default_rng(1)
         img = np.random.default_rng(7).random((256, 256))
-        out = add_image_noise(img, 12.0, rng)
+        out = add_image_noise(img, 12.0, rng.standard_normal(img.shape))
         added = out - img
         ratio = np.mean(added ** 2) / np.mean(img ** 2)
         assert 10 * np.log10(1 + ratio) == pytest.approx(12.0, abs=0.2)

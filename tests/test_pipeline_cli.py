@@ -295,7 +295,7 @@ def sweep_case():
             for drop, key in ((0.0, 0), (4.0, 40), (8.0, 80)):
                 for seed in ([0] if drop == 0.0 else range(2)):
                     noisy = pm if drop == 0.0 else pipeline.degrade_map(
-                        cfg, pm, drop, key, seed)
+                        pm, drop, pipeline.noise_field(cfg, pm.data.shape, key, seed))
                     cs = pipeline.extract_corners(noisy, f"{label}/{which}", det)
                     reference.append({"activity": label, "map": which,
                                       "drop_db": drop, "seed": seed,
@@ -355,6 +355,39 @@ class TestSweep:
         monkeypatch.setenv("MDCL_THREADS", "2")
         assert sweep_noise(cfg, results, drops=[4.0, 8.0], n_seeds=2) == reference
         assert pools == [2]
+
+    def test_one_draw_per_noise_field(self, sweep_case, monkeypatch):
+        """Every map of one (drop, seed) shares its field, drawn once."""
+        cfg, results, reference = sweep_case
+        draws = []
+        real = pipeline.noise_field
+
+        def counted(cfg, shape, key, seed):
+            draws.append((key, seed))
+            return real(cfg, shape, key, seed)
+
+        monkeypatch.setattr(pipeline, "noise_field", counted)
+        monkeypatch.setenv("MDCL_THREADS", "2")
+        assert sweep_noise(cfg, results, drops=[4.0, 8.0], n_seeds=2) == reference
+        assert sorted(draws) == [(40, 0), (40, 1), (80, 0), (80, 1)]
+
+    def test_one_extraction_per_row(self, sweep_case, monkeypatch):
+        """Zero-drop rows included: each row extracts its corners once,
+        through the pipeline module's name."""
+        cfg, results, reference = sweep_case
+        calls = []
+        real = pipeline.extract_corners
+
+        def counted(pm, map_id, det):
+            calls.append(map_id)
+            return real(pm, map_id, det)
+
+        monkeypatch.setattr(pipeline, "extract_corners", counted)
+        monkeypatch.setenv("MDCL_THREADS", "2")
+        rows = sweep_noise(cfg, results, drops=[4.0, 8.0], n_seeds=2)
+        assert rows == reference
+        assert sorted(calls) == sorted(f"{r['activity']}/{r['map']}" for r in rows)
+        assert sum(r["drop_db"] == 0.0 for r in rows) == 6
 
     def test_zero_drop_reproduces_baseline(self, cfg_small):
         cfg = small_config()

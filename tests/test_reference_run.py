@@ -3,18 +3,21 @@
 ``tests/data/reference_run`` holds the manifest and every activity's
 ``metrics.csv`` of ``mdcl run --config run.cfg --seed 42`` (128 x 128 frames
 and detection grid, all 12 activities, noise on) made with
-``MDCL_THREADS=2``, and the numpy and scipy versions that made it.  The test
-reruns it on one thread, so it also checks that no output depends on the
-thread count.  The config text and its digest involve no FFT, so they are
+``MDCL_THREADS=2``, the ``sweep.csv`` of ``mdcl sweep-noise --config
+run.cfg --seed 42`` made with ``MDCL_THREADS=1``, and the numpy and scipy
+versions that made them.  The tests rerun the run on one thread and the
+sweep on two, so they also check that no output depends on the thread
+count.  The config text and its digest involve no FFT, so they are
 compared always.  FFT rounding may differ between numpy/scipy releases:
-with other versions installed, only the file list, the config and the
-metrics (within 1e-6) are compared, and a warning says so.
+with other versions installed, only the file list, the config, the
+metrics and the sweep's EMDs (within 1e-6) are compared, and a warning
+says so.
 
 A change that moves outputs on purpose regenerates the reference in the
-same commit: run the command above into an empty directory, copy its
-``manifest.txt`` and ``S*/metrics.csv`` here and update ``versions.txt``.
+same commit: run both commands above into empty directories, copy the
+run's ``manifest.txt`` and ``S*/metrics.csv`` and the sweep's
+``sweep.csv`` here and update ``versions.txt``.
 """
-
 import csv
 import warnings
 from pathlib import Path
@@ -48,6 +51,24 @@ def config_sha256(path: Path) -> str:
     return next(line for line in lines if line.startswith("config_sha256 = "))
 
 
+def sweep_emds(path: Path) -> dict[tuple[str, ...], float]:
+    with open(path, newline="", encoding="utf-8") as f:
+        return {(row["activity"], row["map"], row["drop_db"], row["seed"]):
+                float(row["emd"]) for row in csv.DictReader(f)}
+
+
+def versions_match(compared: str) -> bool:
+    """Whether the installed numpy and scipy are the reference's; warns
+    with what ``compared`` instead when they are not."""
+    lines = (REFERENCE / "versions.txt").read_text(encoding="utf-8").splitlines()
+    recorded = dict(line.split(" = ") for line in lines)
+    installed = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if recorded != installed:
+        warnings.warn(f"installed {installed} differ from the reference's "
+                      f"{recorded}: {compared}")
+    return recorded == installed
+
+
 def test_reference_run_reproduced(tmp_path, monkeypatch):
     monkeypatch.setenv("MDCL_THREADS", "1")
     out = tmp_path / "run"
@@ -64,13 +85,22 @@ def test_reference_run_reproduced(tmp_path, monkeypatch):
     for key, value in want_metrics.items():
         assert got_metrics[key] == pytest.approx(value, rel=0, abs=1e-6), key
 
-    lines = (REFERENCE / "versions.txt").read_text(encoding="utf-8").splitlines()
-    recorded = dict(line.split(" = ") for line in lines)
-    installed = {"numpy": np.__version__, "scipy": scipy.__version__}
-    if recorded != installed:
-        warnings.warn(f"installed {installed} differ from the reference's "
-                      f"{recorded}: file list and metrics compared, digests not")
+    if not versions_match("file list and metrics compared, digests not"):
         return
     assert sorted(rel for rel in want if got[rel] != want[rel]) == []
     assert ((out / "manifest.txt").read_text(encoding="utf-8")
             == (REFERENCE / "manifest.txt").read_text(encoding="utf-8"))
+
+
+def test_reference_sweep_reproduced(tmp_path, monkeypatch):
+    monkeypatch.setenv("MDCL_THREADS", "2")
+    out = tmp_path / "sweep"
+    assert main(["sweep-noise", "--config", str(REFERENCE / "run.cfg"), "--seed", "42",
+                 "--out", str(out)]) == 0
+    want, got = sweep_emds(REFERENCE / "sweep.csv"), sweep_emds(out / "sweep.csv")
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=0, abs=1e-6), key
+    if not versions_match("sweep EMDs compared within 1e-6, bytes not"):
+        return
+    assert (out / "sweep.csv").read_bytes() == (REFERENCE / "sweep.csv").read_bytes()
