@@ -14,9 +14,9 @@ response, and its corners differ only
 among maxima whose float64 responses tie within that tolerance (noise-free
 maps repeat features exactly).  Non-maximum suppression finds the
 strongest disk maxima of the response (pixels no neighbour within the NMS
-radius exceeds) lazily: the strongest 3x3 local maxima are sorted by
-response and tested against the full disk only until a fixed pool is
-full, so a noisy map costs a few array passes, not a full-map disk filter.  A greedy pass over
+radius exceeds) lazily: 3x3 local maxima are sorted by response and tested
+against the full disk only until a fixed pool is full, so a noisy map
+costs a few array passes, not a full-map disk filter.  A greedy pass over
 the pool keeps the 30 strongest at least the radius apart; degenerate maps
 are padded to keep the fixed cardinality the fused 60x3 cloud requires.
 """
@@ -282,9 +282,6 @@ def _disk_offsets(radius: int) -> np.ndarray:
     return np.stack([yy[inside], xx[inside]], axis=1)
 
 
-_SORTED_HEAD = 8    # candidates sorted before the disk test, per pool slot
-
-
 def _nms_pool(resp: np.ndarray, radius: int,
               pool_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``pool_size`` strongest disk maxima, strongest first.
@@ -294,11 +291,10 @@ def _nms_pool(resp: np.ndarray, radius: int,
     discards float-epsilon dust in empty map regions; ties order by row,
     then column.  A disk maximum is also a maximum over the part of its
     3x3 neighbourhood inside the disk, so those local maxima are a
-    superset: the strongest of them (``_strongest_first``) are sorted and
-    the exact disk test runs on them lazily, in growing blocks, until the
-    pool is full; only when it does not fill are all of them sorted.
-    Blocks keep the worst case, where most local maxima fail the disk
-    test, near one vectorised pass over the candidates.
+    superset: they are sorted once and the exact disk test runs on them
+    lazily, in growing blocks, until the pool is full.  Blocks keep the
+    worst case, where most local maxima fail the disk test, near one
+    vectorised pass over the candidates.
     """
     floor = 1e-9 * resp.max(initial=0.0)
     offsets = _disk_offsets(radius)
@@ -308,49 +304,38 @@ def _nms_pool(resp: np.ndarray, radius: int,
     padded[pad:-pad, pad:-pad] = resp
     rows, cols = np.nonzero((resp > floor) & (resp >= _near_max(padded, pad, radius)))
     vals = resp[rows, cols]
+    # nonzero yields row-major order, so a stable sort keeps ties by (row, col)
+    order = np.argsort(-vals, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
 
     flat = padded.ravel()
     width = padded.shape[1]
     steps = offsets[:, 0] * width + offsets[:, 1]
-    for head in (_SORTED_HEAD * pool_size, rows.size):
-        order = _strongest_first(vals, head)
-        keep = np.zeros(order.size, dtype=bool)
-        found, start, block = 0, 0, pool_size
-        while found < pool_size and start < order.size:
-            stop = min(start + block, order.size)
-            idx = order[start:stop]
-            centre = (rows[idx] + pad) * width + (cols[idx] + pad)
-            peak = flat[centre[:, None] + steps[None, :]].max(axis=1)
-            keep[start:stop] = vals[idx] >= peak
-            found += int(keep[start:stop].sum())
-            start, block = stop, min(2 * block, 4096)
-        if found >= pool_size or order.size == rows.size:
-            break
-    picked = order[np.flatnonzero(keep)[:pool_size]]
+    keep = np.zeros(rows.size, dtype=bool)
+    found, start, block = 0, 0, pool_size
+    while found < pool_size and start < rows.size:
+        stop = min(start + block, rows.size)
+        centre = (rows[start:stop] + pad) * width + (cols[start:stop] + pad)
+        peak = flat[centre[:, None] + steps[None, :]].max(axis=1)
+        keep[start:stop] = vals[start:stop] >= peak
+        found += int(keep[start:stop].sum())
+        start, block = stop, min(2 * block, 4096)
+    picked = np.flatnonzero(keep)[:pool_size]
     return rows[picked], cols[picked]
 
 
 def _near_max(padded: np.ndarray, pad: int, radius: int) -> np.ndarray:
-    """Per pixel, the maximum over its 3x3 neighbourhood inside the disk
-    (the 4-neighbour cross at radius 1), the pixel itself included, from
-    the map zero-padded by ``pad``: a separable row-then-column maximum."""
+    """Per pixel, the maximum over its 3x3 neighbourhood inside the disk,
+    the pixel itself included, from the map zero-padded by ``pad``: the
+    pixel alone at radius 0, the 4-neighbour cross at radius 1, otherwise
+    the full box as a separable row-then-column maximum."""
     ring = padded[pad - 1:padded.shape[0] - pad + 1, pad - 1:padded.shape[1] - pad + 1]
+    if radius == 0:
+        return ring[1:-1, 1:-1]
     across = np.maximum(np.maximum(ring[:, :-2], ring[:, 2:]), ring[:, 1:-1])
     if radius == 1:
         return np.maximum(across[1:-1], np.maximum(ring[:-2, 1:-1], ring[2:, 1:-1]))
     return np.maximum(np.maximum(across[:-2], across[2:]), across[1:-1])
-
-
-def _strongest_first(vals: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest ``vals``, with every value tied at
-    the cut, strongest first and ties in index order: a prefix of the
-    stable descending sort of all ``vals``, found by partition."""
-    if count < vals.size:
-        cut = np.partition(vals, vals.size - count)[vals.size - count]
-        idx = np.flatnonzero(vals >= cut)
-    else:
-        idx = np.arange(vals.size)
-    return idx[np.argsort(-vals[idx], kind="stable")]
 
 
 _PAD_OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))

@@ -52,11 +52,20 @@ class ProfileMap:
         return self.data.shape[1]
 
 
-def normalize(a: np.ndarray) -> np.ndarray:
-    """Min-max normalization onto [0, 1]; constant inputs map to zeros."""
+def normalize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Min-max normalization onto [0, 1]; constant inputs map to zeros.
+
+    The result goes to ``out`` when given (a float64 array of ``a``'s
+    shape, ``a`` itself included), else to a new array.
+    """
     a = np.asarray(a, dtype=float)
     lo = a.min()
     hi = a.max()
     if hi == lo:
-        return np.zeros_like(a)
-    return (a - lo) / (hi - lo)
+        if out is None:
+            return np.zeros_like(a)
+        out.fill(0.0)
+        return out
+    out = np.subtract(a, lo, out=out)
+    out /= hi - lo
+    return out

@@ -32,7 +32,7 @@ from mdcl.config import (ConfigError, PipelineConfig, config_digest, drop_seed_k
 from mdcl.corners import CornerSet, extract_corners, fuse_pc_rd
 from mdcl.echo import synth_frame
 from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
-from mdcl.maps import ProfileMap
+from mdcl.maps import ProfileMap, normalize
 from mdcl.metrics import add_image_noise, emd_distance, psnr
 from mdcl.preprocess import preprocess_frame
 from mdcl.squaring import decimate_rows, render_squared
@@ -360,15 +360,9 @@ def degrade_map(pm: ProfileMap, drop: float, noise: np.ndarray,
                 out: np.ndarray | None = None) -> ProfileMap:
     """``pm`` with its image SNR lowered by ``drop`` dB with the
     unit-normal field ``noise``, min-max normalised in one buffer (``out``
-    when given): ``normalize(add_image_noise(...))`` to the bit."""
+    when given)."""
     buf = add_image_noise(pm.data, drop, noise, out=out)
-    lo, hi = buf.min(), buf.max()
-    if hi == lo:
-        buf.fill(0.0)
-    else:
-        buf -= lo
-        buf /= hi - lo
-    return ProfileMap(buf, pm.axis, pm.window)
+    return ProfileMap(normalize(buf, out=buf), pm.axis, pm.window)
 
 
 def sweep_noise(cfg: PipelineConfig,

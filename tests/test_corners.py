@@ -6,7 +6,6 @@ import threading
 import time
 import warnings
 from dataclasses import astuple, replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -381,12 +380,12 @@ class TestLazyNms:
            kind=st.sampled_from(["random", "quantised", "border", "zero", "ramp",
                                  "tied"]),
            shape=st.tuples(st.integers(3, 48), st.integers(3, 48)),
-           radius=st.integers(1, 9), k=st.sampled_from([1, 30, 64]))
-    def test_matches_disk_filter_oracle(self, seed, kind, shape, radius, k):
+           radius=st.integers(0, 9), pool_size=st.integers(1, 256))
+    def test_matches_disk_filter_oracle(self, seed, kind, shape, radius, pool_size):
         resp = nms_map(kind, shape, np.random.default_rng(seed))
         cfg = replace(CFG, nms_radius_px=radius)
-        pool = corners._nms_pool(resp, radius, max(4 * k, 64))
-        expected = oracle_pool(resp, radius, max(4 * k, 64))
+        pool = corners._nms_pool(resp, radius, pool_size)
+        expected = oracle_pool(resp, radius, pool_size)
         assert np.array_equal(pool[0], expected[0])
         assert np.array_equal(pool[1], expected[1])
         cs = corners._select_corners(resp, "m", cfg)
@@ -394,24 +393,6 @@ class TestLazyNms:
         if kind == "zero":
             assert all(c.padded for c in cs.corners)
         assert len(cs) == corners.CORNERS
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2 ** 31 - 1),
-           kind=st.sampled_from(["random", "quantised", "ramp", "tied"]),
-           shape=st.tuples(st.integers(3, 48), st.integers(3, 48)),
-           radius=st.integers(1, 9), pool_size=st.integers(1, 40),
-           head=st.integers(1, 3))
-    def test_partial_sort_matches_disk_filter_oracle(self, seed, kind, shape, radius,
-                                                     pool_size, head):
-        """Few candidates sorted per pool slot: the partition's tie cut and
-        the fallback to the full sort, when the pool does not fill, give
-        the oracle's pool."""
-        resp = nms_map(kind, shape, np.random.default_rng(seed))
-        with mock.patch.object(corners, "_SORTED_HEAD", head):
-            pool = corners._nms_pool(resp, radius, pool_size)
-        expected = oracle_pool(resp, radius, pool_size)
-        assert np.array_equal(pool[0], expected[0])
-        assert np.array_equal(pool[1], expected[1])
 
     @pytest.mark.parametrize("kind", ["noisy", "ramp"])
     def test_full_detector_matches_oracle(self, kind):

@@ -458,6 +458,19 @@ class TestNormalize:
         x = rng.random((32, 32))
         assert np.argmax(normalize(x)) == np.argmax(x)
 
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_out_buffer_and_in_place_are_bit_identical(self, constant):
+        rng = np.random.default_rng(5)
+        x = np.full((17, 9), 7.0) if constant else 3.0 * rng.standard_normal((17, 9))
+        want = np.zeros_like(x) if constant else (x - x.min()) / (x.max() - x.min())
+        assert np.array_equal(normalize(x), want)
+        out = np.full_like(x, np.nan)
+        assert normalize(x, out=out) is out
+        assert np.array_equal(out, want)
+        y = x.copy()
+        assert normalize(y, out=y) is y
+        assert np.array_equal(y, want)
+
 
 class TestPipelineDeterminism:
     def test_same_frame_same_maps(self, cfg_small):
