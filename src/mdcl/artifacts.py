@@ -1,10 +1,11 @@
 """Per-activity artifact files: one codec per kind, its writer beside its reader.
 
-Matrix payloads are float32 on disk.  A codec's ``stored`` gives a value as
-its file holds it (maps at float32, the echo at complex64, widened back);
-the in-memory chain passes that value on, so ``mdcl run`` and the staged
-commands compute from, and write, the same numbers.  Kinds that no stage
-reads back have no reader.
+Matrix payloads are float32 on disk.  A codec's ``stored`` casts a value
+to what its file holds (maps to float32, the echo to complex64) and the
+readers return that dtype, so the in-memory chain holds exactly the file
+payload, and ``mdcl run`` and the staged commands compute from, and write,
+the same numbers.  A stage widens its input where a float64 or complex128
+computation starts.  Kinds that no stage reads back have no reader.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ class Codec:
 
 
 class EchoFile(Codec):
+    """The echo matrix, held and read back as complex64."""
+
     def stored(self, frame):
-        return EchoFrame(frame.data.astype(np.complex64).astype(complex), frame.config)
+        return EchoFrame(frame.data.astype(np.complex64), frame.config)
 
     def write(self, d, name, values):
         write_matrix(d.file(f"{name}.mdcm"), values[name].data)
@@ -65,10 +68,11 @@ class EchoFile(Codec):
 
 
 class MapFile(Codec):
-    """Matrix file plus an ``.axis.txt`` sidecar holding the map's axis."""
+    """Matrix file plus an ``.axis.txt`` sidecar holding the map's axis; the
+    map is held and read back as float32."""
 
     def stored(self, pm):
-        return ProfileMap(pm.data.astype(np.float32).astype(float), pm.axis, pm.window)
+        return ProfileMap(pm.data.astype(np.float32), pm.axis, pm.window)
 
     def write(self, d, name, values):
         pm = values[name]

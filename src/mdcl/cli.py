@@ -112,7 +112,8 @@ def _cmd_sweep(cfg: PipelineConfig, out: Path) -> None:
 
 def _cmd_render(args) -> None:
     data = read_matrix(args.matrix)
-    img = normalize(np.abs(data) if np.iscomplexobj(data) else data)
+    # widened first: the magnitude of a complex64 value is float32
+    img = normalize(np.abs(data.astype(complex)) if np.iscomplexobj(data) else data)
     corners = (read_corners(args.corners, img.shape).corners
                if args.corners is not None else ())
     write_heatmap(args.output, img, corners)

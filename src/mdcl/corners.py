@@ -174,10 +174,12 @@ def _padded_frame(img: np.ndarray, pad: int, shape: tuple[int, int]) -> np.ndarr
     """The mean-removed map, symmetric-padded by ``pad`` on every side, in
     the leading corner of a zero float64 frame of ``shape``: what
     ``np.pad(..., mode="symmetric")`` zero-filled to the transform size
-    holds, written once."""
+    holds, written once.  A float32 map is widened first: the mean of the
+    float64 map sums in another order than ``mean(dtype=float64)``."""
     nr, nc = img.shape
+    img = np.asarray(img, dtype=np.float64)
     frame = np.zeros(shape)
-    np.subtract(img, img.mean(dtype=np.float64), out=frame[pad:pad + nr, pad:pad + nc])
+    np.subtract(img, img.mean(), out=frame[pad:pad + nr, pad:pad + nc])
     f = frame[:nr + 2 * pad, :nc + 2 * pad]
     f[:pad, pad:-pad] = f[2 * pad - 1:pad - 1:-1, pad:-pad]
     f[-pad:, pad:-pad] = f[-pad - 1:-2 * pad - 1:-1, pad:-pad]

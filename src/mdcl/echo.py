@@ -109,7 +109,7 @@ class EchoFrame:
         m, n = self.data.shape
         if (m, n) != (self.config.slow_samples, self.config.fast_samples):
             raise ValueError("frame shape does not match the radar config")
-        if not np.all(np.isfinite(self.data.view(float))):
+        if not np.all(np.isfinite(self.data)):
             raise ValueError("frame contains non-finite samples")
 
 

@@ -36,14 +36,11 @@ def write_matrix(path: str | Path, a: np.ndarray) -> None:
         f.write(np.ascontiguousarray(a, dtype="<c8" if complex_payload else "<f4"))
 
 
-_READ_BLOCK_BYTES = 2 ** 18
-
-
 def read_matrix(path: str | Path) -> np.ndarray:
-    """The matrix widened to complex128 or float64.
+    """The matrix at the precision its file holds: complex64 or float32.
 
-    The payload is read in row blocks straight into the widened array, so
-    reading holds the result plus one block, not the file's bytes too.
+    The payload is read with one ``readinto`` straight into the result,
+    so reading holds the result alone, not the file's bytes beside it.
     """
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
@@ -54,19 +51,10 @@ def read_matrix(path: str | Path) -> np.ndarray:
             raise MatrixFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise MatrixFormatError(f"{path}: unsupported version {version}")
-        complex_payload = bool(flags & FLAG_COMPLEX)
-        stored = np.dtype("<c8" if complex_payload else "<f4")
-        row_bytes = cols * stored.itemsize
-        if os.fstat(f.fileno()).st_size - _HEADER.size != rows * row_bytes:
+        out = np.empty((rows, cols), dtype="<c8" if flags & FLAG_COMPLEX else "<f4")
+        if (os.fstat(f.fileno()).st_size - _HEADER.size != out.nbytes
+                or f.readinto(out) != out.nbytes):
             raise MatrixFormatError(f"{path}: payload size mismatch")
-        out = np.empty((rows, cols), dtype=complex if complex_payload else float)
-        block_rows = max(1, _READ_BLOCK_BYTES // max(row_bytes, 1))
-        block = np.empty((min(block_rows, rows), cols), dtype=stored)
-        for r0 in range(0, rows, block_rows):
-            part = block[:min(block_rows, rows - r0)]
-            if f.readinto(part) != part.nbytes:
-                raise MatrixFormatError(f"{path}: payload size mismatch")
-            out[r0:r0 + len(part)] = part
     return out
 
 

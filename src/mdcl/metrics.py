@@ -64,12 +64,13 @@ def add_image_noise(img: np.ndarray, snr_drop_db: float, noise: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Lower an image's SNR by ``snr_drop_db`` with the unit-normal field
     ``noise`` (float64, the image's shape), into ``out`` when given.
+    A float32 image is widened to float64 before it is squared or added.
 
     The field is scaled to power Ps*(10^(drop/10) - 1), Ps being the
     image's mean square, so a zero drop returns the image's values and the
     total power grows by exactly the requested decibels.
     """
-    p_sig = float(np.mean(img ** 2))
+    p_sig = float(np.mean(np.square(img, dtype=np.float64)))
     p_noise = p_sig * (10.0 ** (snr_drop_db / 10.0) - 1.0)
     out = np.multiply(noise, np.sqrt(p_noise), out=out)
     out += img

@@ -379,7 +379,8 @@ def sweep_noise(cfg: PipelineConfig,
     field, one per (drop, seed), is one ``pool_map`` task that draws the
     field once and degrades every map with it in one buffer; the zero-drop
     rows are one more task.  Missing clean results are built first, one
-    task each.  The rows do not depend on the thread count.
+    task each, and only their squared maps and truth are kept.  The rows
+    do not depend on the thread count.
     """
     drops = cfg.snr_drops() if drops is None else drops
     if 0.0 not in drops:
@@ -387,8 +388,12 @@ def sweep_noise(cfg: PipelineConfig,
     keys = drop_seed_keys(drops)
     labels = [a for a in cfg.activity_list() if not activity(a).is_empty]
     if results is None:
-        results = dict(zip(labels, pool_map(lambda label: run_activity(cfg, label),
-                                            labels)))
+        def clean(label: str) -> SimpleNamespace:
+            # the sweep reads only the squared maps and the truth
+            res = run_activity(cfg, label)
+            return SimpleNamespace(r2tm=res.r2tm, d2tm=res.d2tm, truth=res.truth)
+
+        results = dict(zip(labels, pool_map(clean, labels)))
     n_seeds = cfg.evaluation.sweep_seeds if n_seeds is None else n_seeds
     maps = [(label, which, cloud) for label in labels
             for which, cloud in (("r2tm", "cloud_r"), ("d2tm", "cloud_d"))]

@@ -30,17 +30,28 @@ from mdcl.maps import AxisSpec, ProfileMap, normalize
 # range compression
 # ---------------------------------------------------------------------------
 
+_FFT_ROWS = 64      # PRIs per block of the beat FFT: 1 MiB widened at 1024 samples
+
+
 def beat_spectrum(frame: EchoFrame) -> tuple[np.ndarray, AxisSpec]:
     """Complex range-compressed rows (range bins x slow time) inside the
     configured maximum range, and their axis.
 
-    Beat-spectrum bin k maps to one-way range k * c / 2B.
+    Beat-spectrum bin k maps to one-way range k * c / 2B.  The fast-time
+    FFT runs in complex128 over blocks of ``_FFT_ROWS`` PRIs, each widened
+    from the frame's own precision, and keeps only the in-range bins of
+    each block; each row's transform is its own, so the result is the
+    whole-frame transform's, cropped, to the bit.
     """
     cfg = frame.config
-    n_keep = min(int(np.floor(cfg.max_range_m / cfg.range_bin)) + 1,
-                 frame.data.shape[1])
+    m, n = frame.data.shape
+    n_keep = min(int(np.floor(cfg.max_range_m / cfg.range_bin)) + 1, n)
     axis = AxisSpec("range", 0.0, n_keep * cfg.range_bin, n_keep)
-    return np.fft.fft(frame.data, axis=1)[:, :n_keep].T, axis
+    rows = np.empty((m, n_keep), dtype=complex)
+    for r0 in range(0, m, _FFT_ROWS):
+        block = frame.data[r0:r0 + _FFT_ROWS].astype(complex)
+        rows[r0:r0 + _FFT_ROWS] = np.fft.fft(block, axis=1)[:, :n_keep]
+    return rows.T, axis
 
 
 def mti_filter(rc_complex: np.ndarray) -> np.ndarray:
@@ -312,5 +323,6 @@ def preprocess_frame(frame: EchoFrame,
     rows, range_axis = beat_spectrum(frame)
     n, window = frame.data.shape[1], frame.config.window_s
     rtm = make_rtm(mti_filter(rows), range_axis, window, emd_params)
-    dtm = make_dtm(mti_filter(n * frame.data[:, :1].T)[0], window, emd_params)
+    dtm = make_dtm(mti_filter(n * frame.data[:, :1].T.astype(complex))[0],
+                   window, emd_params)
     return rtm, dtm

@@ -189,7 +189,8 @@ class TestMatrixFormat:
         write_matrix(path, a)
         back = read_matrix(path)
         assert back.shape == (17, 9)
-        assert np.array_equal(back.astype(np.float32), a)
+        assert back.dtype == np.float32
+        assert np.array_equal(back, a)
 
     def test_complex_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -197,8 +198,8 @@ class TestMatrixFormat:
         path = tmp_path / "m.mdcm"
         write_matrix(path, a)
         back = read_matrix(path)
-        assert np.iscomplexobj(back)
-        assert np.array_equal(back.astype(np.complex64), a)
+        assert back.dtype == np.complex64
+        assert np.array_equal(back, a)
 
     def test_header_contents(self, tmp_path):
         path = tmp_path / "m.mdcm"
@@ -237,10 +238,9 @@ class TestMatrixFormat:
             tracemalloc.stop()
         assert peak <= payload + 2 ** 20
 
-    @pytest.mark.parametrize("dtype, limit_mib", [(np.complex64, 17), (np.float32, 9)])
-    def test_reader_peak_is_result_plus_block(self, tmp_path, dtype, limit_mib):
-        # the widened result is 16 MiB (complex) or 8 MiB (real); the
-        # payload is read into it in blocks, not held whole beside it
+    @pytest.mark.parametrize("dtype", [np.complex64, np.float32])
+    def test_reader_peak_is_one_payload(self, tmp_path, dtype):
+        # the payload is read straight into the result, at the file's dtype
         a = np.ones((1024, 1024), dtype=dtype)
         path = tmp_path / "m.mdcm"
         write_matrix(path, a)
@@ -250,8 +250,9 @@ class TestMatrixFormat:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert back.dtype == dtype
         assert np.array_equal(back, a)
-        assert peak <= limit_mib * 2 ** 20
+        assert peak <= a.nbytes + 2 ** 20
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "m.mdcm"

@@ -66,9 +66,11 @@ def whole_map_response(img, cfg):
     ``rfft2``, one inverse transform per orientation pair into a reused
     product buffer, and every square, log and sum over the whole map as
     its own array.  The detector computes the same values in cache-sized
-    row blocks and must equal this to the bit."""
+    row blocks and must equal this to the bit.  A float32 map is widened
+    first, as the detector widens it."""
     pad = corners._radius(cfg)
-    padded = np.pad(img - img.mean(dtype=np.float64), pad, mode="symmetric")
+    img = np.asarray(img, dtype=np.float64)
+    padded = np.pad(img - img.mean(), pad, mode="symmetric")
     _, fast, pair_ffts = corners._kernel_ffts(cfg, padded.shape)
     img_fft = corners._full_spectrum(sfft.rfft2(padded, fast), fast[1])
     r0, r1 = 2 * pad, 2 * pad + img.shape[0]

@@ -276,6 +276,17 @@ class TestFrame:
         with pytest.raises(ValueError):
             EchoFrame(np.zeros((3, 3), dtype=complex), cfg)
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("value", [complex(np.inf, 0.0), complex(np.nan, 0.0),
+                                       complex(0.0, -np.inf)])
+    def test_non_finite_sample_rejected(self, dtype, value):
+        # either part of any sample, at the stored (complex64) precision too
+        cfg = RadarConfig(slow_samples=4, fast_samples=4)
+        data = np.zeros((4, 4), dtype=dtype)
+        data[2, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            EchoFrame(data, cfg)
+
     def test_s1_frame_is_wall_plus_noise(self):
         cfg = RadarConfig()
         p = default_scene()

@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -403,19 +404,31 @@ class TestSweep:
         assert set(summary) == {0.0, 4.0}
 
     def test_clean_results_only_for_swept_activities(self, monkeypatch):
-        """Without results the sweep runs only the activities it sweeps."""
+        """Without results the sweep runs only the activities it sweeps, and
+        keeps only their squared maps and truth."""
         cfg = small_config()
         cfg.run.activities = "S1,S8"
         cfg.validate()
-        calls = []
+        calls, dropped, draws = [], [], []
+        draw = pipeline.noise_field
 
         def recorded(cfg, label):
             calls.append(label)
-            return run_activity(cfg, label)
+            res = run_activity(cfg, label)
+            dropped.extend(weakref.ref(getattr(res, name).data)
+                           for name in ("echo", "rtm", "dtm", "gt_r2tm", "gt_d2tm"))
+            return res
+
+        def field(*args):
+            # every clean result is built, and trimmed, before a noise draw
+            draws.append(all(ref() is None for ref in dropped))
+            return draw(*args)
 
         monkeypatch.setattr(pipeline, "run_activity", recorded)
+        monkeypatch.setattr(pipeline, "noise_field", field)
         rows = sweep_noise(cfg, drops=[4.0], n_seeds=1)
         assert calls == ["S8"]
+        assert len(dropped) == 5 and draws == [True]
         results = {"S8": run_activity(cfg, "S8")}
         assert rows == sweep_noise(cfg, results, drops=[4.0], n_seeds=1)
 
@@ -441,9 +454,10 @@ class TestSweep:
 
 class TestCli:
     def test_staged_chain(self, tmp_path):
-        """The six stage commands write exactly the files and bytes of ``run``."""
-        _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S5,S8",
-                                                      "noise.enabled": True})
+        """The six stage commands write exactly the files and bytes of ``run``,
+        and ``run_activity`` holds each matrix as the staged reader returns it."""
+        cfg, cfg_path = write_small_config(tmp_path, **{"run.activities": "S5,S8",
+                                                        "noise.enabled": True})
         run_out, staged_out = tmp_path / "run", tmp_path / "staged"
         assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
         for label in ("S5", "S8"):
@@ -457,6 +471,12 @@ class TestCli:
             differ = [name for name in run_files
                       if staged_files[name] != run_files[name]]
             assert differ == [], label
+            res = run_activity(cfg, label)
+            for name in ("echo", "rtm", "dtm", "r2tm", "d2tm", "gt_r2tm", "gt_d2tm"):
+                held = getattr(res, name).data
+                read = artifacts.ARTIFACTS[name].read(staged_out / label, name, cfg).data
+                assert held.dtype == read.dtype, (label, name)
+                assert held.tobytes() == read.tobytes(), (label, name)
         pc_r = (run_out / "S8" / "pc_r.csv").read_text().splitlines()
         assert pc_r[1].startswith("S8/r2tm,")
         metrics = (run_out / "S8" / "metrics.csv").read_text().splitlines()

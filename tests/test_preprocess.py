@@ -11,7 +11,7 @@ from mdcl.artifacts import ARTIFACTS
 from mdcl.config import PipelineConfig
 from mdcl.echo import C_LIGHT, EchoFrame, NoiseConfig, RadarConfig, synth_frame
 from mdcl.maps import normalize
-from mdcl.preprocess import (STFT_HOP, STFT_SIZE, _denoise_block, _first_modes,
+from mdcl.preprocess import (_FFT_ROWS, STFT_HOP, STFT_SIZE, _denoise_block, _first_modes,
                              beat_spectrum, denoise_rows, emd_denoise, make_dtm,
                              mti_filter, preprocess_frame, stft_magnitude)
 
@@ -40,13 +40,13 @@ def range_profile(frame):
 
 
 def full_mti(frame):
-    """MTI over every beat bin of the uncropped spectrum."""
-    return mti_filter(np.fft.fft(frame.data, axis=1).T)
+    """MTI over every beat bin of the uncropped spectrum, in complex128."""
+    return mti_filter(np.fft.fft(frame.data.astype(complex), axis=1).T)
 
 
 def leading_series(frame):
     """The DTM's input: MTI of N times each PRI's leading fast-time sample."""
-    return mti_filter(frame.data.shape[1] * frame.data[:, :1].T)[0]
+    return mti_filter(frame.data.shape[1] * frame.data[:, :1].T.astype(complex))[0]
 
 
 def oracle_dtm(frame, emd_params):
@@ -89,6 +89,22 @@ class TestRangeCompress:
         assert profile[peak_b] > 2 * profile[(peak_a + peak_b) // 2]
         local = np.argsort(profile)[-2:]
         assert set(local) == {peak_a, peak_b}
+
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("m", [1, _FFT_ROWS - 1, _FFT_ROWS, 2 * _FFT_ROWS + 3])
+    def test_blocks_match_whole_frame_fft(self, m, dtype):
+        # the blocked, cropped transform is the widened whole frame's, bit
+        # for bit, for PRI counts that are not a multiple of the block too
+        cfg = RadarConfig(slow_samples=m, fast_samples=256)
+        rng = np.random.default_rng(m)
+        data = (rng.standard_normal((m, 256))
+                + 1j * rng.standard_normal((m, 256))).astype(dtype)
+        rows, axis = beat_spectrum(EchoFrame(data, cfg))
+        whole = np.fft.fft(data.astype(complex), axis=1)[:, :axis.n].T
+        assert rows.dtype == whole.dtype == np.complex128
+        assert rows.shape == whole.shape == (67, m)
+        assert rows.tobytes() == whole.tobytes()
 
 
 class TestMti:
