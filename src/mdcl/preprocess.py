@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from mdcl.echo import EchoFrame
 from mdcl.maps import AxisSpec, ProfileMap, normalize
@@ -101,6 +100,9 @@ def _envelope_means(h: np.ndarray, maxima: np.ndarray,
     ``CubicSpline`` and ``PPoly`` term by term, so the envelopes are the
     ones a per-row ``CubicSpline`` gives, bit for bit.
     """
+    # imported here: only the commands that preprocess pay scipy.linalg's 0.3 s
+    from scipy.linalg import solve_banded
+
     m, n = h.shape
     knots = np.ones((2 * m, n), dtype=bool)
     knots[:m, 1:-1] = maxima

@@ -474,6 +474,20 @@ class TestKernelCache:
         assert len(pairs) == -(-orientations // 2)
         assert all(p.dtype == np.complex64 and p.shape == fast for p in pairs)
 
+    @pytest.mark.parametrize("orientations", [8, 5])
+    @pytest.mark.parametrize("shape", [(1024, 1024), (128, 200), (37, 41)])
+    def test_pairs_equal_fft2_of_the_padded_pair(self, orientations, shape,
+                                                 monkeypatch):
+        monkeypatch.setattr(corners, "_KERNEL_FFT_CACHE", {})
+        cfg = replace(CFG, orientations=orientations)
+        side = 2 * corners._radius(cfg)
+        _, fast, pairs = corners._kernel_ffts(cfg, (shape[0] + side, shape[1] + side))
+        kernels = corners._kernels(cfg)
+        kernels += [np.zeros_like(kernels[0])] * (orientations % 2)
+        for j, pair in enumerate(pairs):
+            want = sfft.fft2(kernels[2 * j] + 1j * kernels[2 * j + 1], fast)
+            assert np.array_equal(pair, want.astype(np.complex64)), j
+
     def test_concurrent_first_calls_build_once(self, monkeypatch):
         builds, real = [], corners._kernels
 

@@ -193,6 +193,15 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros((2, 2)), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("img_dtype, ref_dtype", itertools.product(
+        [np.float32, np.float64], repeat=2))
+    def test_mse_of_the_widened_maps(self, img_dtype, ref_dtype):
+        rng = np.random.default_rng(5)
+        img = rng.random((1024, 1024)).astype(img_dtype)
+        ref = rng.random((1024, 1024)).astype(ref_dtype)
+        mse = np.mean((np.asarray(img, float) - np.asarray(ref, float)) ** 2)
+        assert psnr(img, ref) == min(10.0 * np.log10(1.0 / mse), metrics.PSNR_CAP)
+
     def test_strictly_decreasing_with_noise(self):
         rng = np.random.default_rng(4)
         ref = rng.random((64, 64))

@@ -1,6 +1,9 @@
 """Pipeline orchestration and CLI tests on the reduced-size config."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import fields
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdcl
 from mdcl import artifacts, pipeline
 from mdcl.activities import activity_labels
 from mdcl.cli import main
@@ -567,3 +571,51 @@ class TestCli:
         a = read_matrix(out_a / "S8" / "echo.mdcm")
         b = read_matrix(out_b / "S8" / "echo.mdcm")
         assert not np.array_equal(a, b)
+
+
+REFERENCE_CFG = Path(__file__).parent / "data" / "reference_run" / "run.cfg"
+CLI_MAIN = "import sys\nfrom mdcl.cli import main\n"
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def fresh_python(code, *args, **env):
+    """Run ``code`` in a new interpreter that imports this ``mdcl``."""
+    src = str(Path(mdcl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=600,
+                          env={**os.environ, **env, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+class TestStartup:
+    """Only the stages that use scipy import it, so the other commands
+    start without it."""
+
+    def test_import_loads_no_scipy(self):
+        assert fresh_python(f"import sys, mdcl.cli\nprint({SCIPY_LOADED})") == ["[]"]
+
+    def test_commands_without_scipy_load_none(self, tmp_path):
+        cfg, out = str(REFERENCE_CFG), tmp_path / "out"
+        assert main(["run", "--config", cfg, "--activity", "S8", "--out", str(out)]) == 0
+        s8 = out / "S8"
+        commands = [[command, "--config", cfg, "--activity", "S8", "--out", str(out)]
+                    for command in ("simulate", "square", "fuse")]
+        commands += [["mncp-verify", "--config", cfg],
+                     ["render", str(s8 / "r2tm.mdcm"), str(tmp_path / "r2tm.pgm"),
+                      "--corners", str(s8 / "pc_r.csv")]]
+        lines = fresh_python(CLI_MAIN + f"codes = [main(argv) for argv in {commands!r}]\n"
+                             f"print(codes, {SCIPY_LOADED})")
+        assert lines[-1] == "[0, 0, 0, 0, 0] []"
+
+    def test_concurrent_first_imports(self, tmp_path, monkeypatch):
+        """Both workers of a new process reach the first scipy imports
+        together, and the run writes the bytes of a one-thread run."""
+        args = ["run", "--config", str(REFERENCE_CFG), "--seed", "42", "--out"]
+        fresh_python(CLI_MAIN + "sys.exit(main(sys.argv[1:]))",
+                     *args, str(tmp_path / "two"), MDCL_THREADS="2")
+        monkeypatch.setenv("MDCL_THREADS", "1")
+        assert main(args + [str(tmp_path / "one")]) == 0
+        assert ((tmp_path / "two" / "manifest.txt").read_bytes()
+                == (tmp_path / "one" / "manifest.txt").read_bytes())
