@@ -22,7 +22,7 @@ from pathlib import Path
 
 from mdcl.activities import activity_labels
 from mdcl.corners import DetectorConfig, filter_support
-from mdcl.echo import NoiseConfig, RadarConfig
+from mdcl.echo import C_LIGHT, NoiseConfig, RadarConfig
 from mdcl.preprocess import EMD_MIN_LENGTH, check_emd_params
 from mdcl.scene import SceneParams, WallParams
 
@@ -142,6 +142,7 @@ class PipelineConfig:
                 ("radar.slow_samples", r.slow_samples, 2),
                 ("radar.fast_samples", r.fast_samples, 2),
                 ("radar.max_range_m", r.max_range_m, 0),
+                ("radar.wall_range_m", r.wall_range_m, 0),
                 ("detector.orientations", d.orientations, 1),
                 ("detector.nms_radius_px", d.nms_radius_px, 0),
                 # squaring splits a Doppler map at zero: one row per half at least
@@ -151,6 +152,10 @@ class PipelineConfig:
                 ("run.seed", self.run.seed, 0)):
             if value < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
+        if not 2.0 * r.wall_range_m / C_LIGHT < r.pri:
+            raise ConfigError(f"radar.wall_range_m must be inside the unambiguous "
+                              f"range c * pri / 2 = {C_LIGHT * r.pri / 2} m, "
+                              f"got {r.wall_range_m}")
         try:
             check_emd_params(*pre.emd_params())
         except ValueError as exc:

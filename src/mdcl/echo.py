@@ -2,14 +2,13 @@
 
 Each PRI freezes the target delay (stop-and-hop) and emits the closed-form
 base-band beat signal; node echoes, a static wall return and complex white
-Gaussian noise sum into the frame, in that order, in one buffer.  A node
-that holds still for some PRIs repeats its delay, so each distinct delay's
-row is synthesized once and gathered back into PRI order.  A row is the
-outer product of a coarse and a fine phase table over blocks of about
-sqrt(N) fast-time samples, so it costs about 2 sqrt(N) complex ``exp``
-instead of N and is as accurate as one direct ``exp`` per sample
-(``_beat_rows`` states the bound).  The noise is seeded per frame and drawn
-from one spawned stream per PRI, straight into interleaved (real,
+Gaussian noise sum into the frame, in that order, ``BLOCK_ROWS`` PRIs at a
+time.  Each distinct delay's phase tables are built once (a node that holds
+still repeats its delay) and a row is the outer product of a coarse and a
+fine table over blocks of about sqrt(N) fast-time samples: about 2 sqrt(N)
+complex ``exp`` instead of N, as accurate as one direct ``exp`` per sample
+(``_beat_tables`` states the bound).  The noise is seeded per frame and
+drawn from one spawned stream per PRI, straight into interleaved (real,
 imaginary) pairs.  One stream per frame would be faster, but it draws
 different noise and so changes every noisy artifact's digest.
 """
@@ -26,6 +25,7 @@ from mdcl.motion import node_distance
 from mdcl.scene import ALL_NODES, NodeId, SceneParams
 
 C_LIGHT = 299_792_458.0
+BLOCK_ROWS = 64     # PRIs per synthesis block: 1 MiB of complex128 at N = 1024
 
 
 class RadarConfigError(ValueError):
@@ -113,19 +113,20 @@ class EchoFrame:
             raise ValueError("frame contains non-finite samples")
 
 
-def _beat_rows(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> np.ndarray:
-    """Base-band beat signal rows for per-PRI delays ``tau`` (shape (M,)).
+def _beat_tables(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> tuple:
+    """Beat-row tables for per-PRI delays ``tau`` (shape (M,)): the coarse and
+    fine phase tables and each PRI's row in them (``_beat_rows`` joins them).
 
     Row d holds amplitude * exp(2 pi i (mu d t_k + fc d - mu d^2 / 2)) over
     the fast-time samples t_k = k / fs.  Each row is a function of its delay
-    alone, so it is built once per distinct delay and repeated delays share
-    it.  With k = b k1 + k0 and b = isqrt(N), the row is the outer product
-    of a coarse table (the phase at t_{b k1}, times the amplitude; ceil(N/b)
-    columns) and a fine table (exp(2 pi i mu d t_k0); b columns), the
-    twiddle split FFT libraries use: about 2 sqrt(N) ``exp`` and N complex
-    products per row instead of N ``exp``.  Every sample lies within
-    8 (2 pi ulp(max |phase|) + eps) * amplitude of the exact value (phase in
-    cycles, eps the float64 epsilon), as the direct ``exp`` does.
+    alone, so its tables are built once per distinct delay and repeated
+    delays share them.  With k = b k1 + k0 and b = isqrt(N), the row is the
+    outer product of a coarse table (the phase at t_{b k1}, times the
+    amplitude; ceil(N/b) columns) and a fine table (exp(2 pi i mu d t_k0);
+    b columns), the twiddle split FFT libraries use: about 2 sqrt(N) ``exp``
+    and N complex products per row instead of N ``exp``.  Every sample lies
+    within 8 (2 pi ulp(max |phase|) + eps) * amplitude of the exact value
+    (phase in cycles, eps the float64 epsilon), as the direct ``exp`` does.
     """
     mu = cfg.chirp_rate
     if np.any(tau >= cfg.pri):
@@ -144,10 +145,14 @@ def _beat_rows(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> np.ndarra
     coarse *= amplitude
     fine = step * (np.arange(b) / cfg.fast_rate)
     np.exp(fine, out=fine)
-    rows = (coarse[:, :, None] * fine[:, None, :]).reshape(d.size, k1 * b)[:, :n]
-    if repeats:
-        rows = rows[pri_order]
-    return rows
+    return coarse, fine, pri_order if repeats else np.arange(tau.size)
+
+
+def _beat_rows(tables: tuple, pris: slice, n: int) -> np.ndarray:
+    """Beat rows of the PRIs ``pris``, ``n`` samples each, from ``_beat_tables``."""
+    coarse, fine, row = tables
+    i = row[pris]
+    return (coarse[i][:, :, None] * fine[i][:, None, :]).reshape(i.size, -1)[:, :n]
 
 
 def node_delays(node: NodeId, p: SceneParams, act: ActivitySpec,
@@ -163,45 +168,42 @@ def wall_clutter(cfg: RadarConfig) -> np.ndarray:
         return np.zeros(cfg.fast_samples, dtype=complex)
     tau = np.array([2.0 * cfg.wall_range_m / C_LIGHT])
     amp = 0.5 * cfg.wall_reflectivity * cfg.tx_amplitude ** 2
-    return _beat_rows(cfg, amp, tau)[0]
-
-
-def _node_sum(p: SceneParams, act: ActivitySpec, cfg: RadarConfig) -> np.ndarray:
-    total = np.zeros((cfg.slow_samples, cfg.fast_samples), dtype=complex)
-    for node in ALL_NODES:
-        eta = cfg.reflectivity.get(node, 0.0)
-        if eta == 0.0 or act.node(node).state is MotionState.INACTIVE:
-            continue
-        tau = node_delays(node, p, act, cfg)
-        total += _beat_rows(cfg, 0.5 * eta * cfg.tx_amplitude ** 2, tau)
-    return total
-
-
-def _noise_matrix(m: int, n: int, seed: int) -> np.ndarray:
-    """Unit-power complex Gaussian noise, split deterministically per PRI.
-
-    PRI i's stream fills row i with 2n normals, read as n (real, imaginary)
-    pairs.
-    """
-    children = np.random.SeedSequence(seed).spawn(m)
-    pairs = np.empty((m, 2 * n))
-    for row, child in zip(pairs, children):
-        np.random.Generator(np.random.Philox(child)).standard_normal(out=row)
-    out = pairs.view(complex)
-    out /= np.sqrt(2.0)     # complex division: a real one rounds differently
-    return out
+    return _beat_rows(_beat_tables(cfg, amp, tau), slice(None), cfg.fast_samples)[0]
 
 
 def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
                 noise: NoiseConfig | None = None) -> EchoFrame:
-    """Full frame: node echoes + wall clutter + noise at the target SNR."""
-    data = _node_sum(p, act, cfg)
-    p_sig = float(np.mean(np.abs(data) ** 2)) if noise is not None else 0.0
-    data += wall_clutter(cfg)[None, :]
+    """Full frame: node echoes + wall clutter + noise at the target SNR, built
+    in blocks of ``BLOCK_ROWS`` PRIs with the bits of a whole-frame assembly.
+    At its peak it holds the frame and one float64 frame of sample powers."""
+    m, n = cfg.slow_samples, cfg.fast_samples
+    blocks = [slice(i, i + BLOCK_ROWS) for i in range(0, m, BLOCK_ROWS)]
+    tables = [_beat_tables(cfg, 0.5 * eta * cfg.tx_amplitude ** 2,
+                           node_delays(node, p, act, cfg))
+              for node in ALL_NODES
+              if (eta := cfg.reflectivity.get(node, 0.0)) != 0.0
+              and act.node(node).state is not MotionState.INACTIVE]
+    data = np.zeros((m, n), dtype=complex)
+    for pris in blocks:
+        for node_tables in tables:
+            data[pris] += _beat_rows(node_tables, pris, n)
+    del tables
     if noise is not None:
+        p_sig = float(np.mean(np.abs(data) ** 2))
         reference = p_sig if p_sig > 0 else 1.0
-        p_noise = reference * 10.0 ** (-noise.target_snr / 10.0)
-        scaled = _noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed)
-        scaled *= np.sqrt(p_noise)
-        data += scaled
+        scale = np.sqrt(reference * 10.0 ** (-noise.target_snr / 10.0))
+        streams = np.random.SeedSequence(noise.seed).spawn(m)
+        pairs = np.empty((BLOCK_ROWS, 2 * n))
+    wall = wall_clutter(cfg)
+    for pris in blocks:
+        block = data[pris]
+        block += wall
+        if noise is not None:
+            buffer = pairs[:len(block)]
+            for row, stream in zip(buffer, streams[pris]):
+                np.random.Generator(np.random.Philox(stream)).standard_normal(out=row)
+            scaled = buffer.view(complex)
+            scaled /= np.sqrt(2.0)  # complex division: a real one rounds differently
+            scaled *= scale
+            block += scaled
     return EchoFrame(data=data, config=cfg)

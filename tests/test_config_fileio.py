@@ -95,6 +95,7 @@ class TestConfig:
         ("preprocessing", "predecimate_rows", "0"),
         ("preprocessing", "predecimate_rows", "1"),
         ("radar", "max_range_m", "-1"),
+        ("radar", "wall_range_m", "-3"), ("radar", "wall_range_m", "1e7"),
         ("radar", "slow_samples", "4"), ("radar", "slow_samples", "16"),
         ("detector", "render_rows", "28"),
         ("evaluation", "sweep_seeds", "0"),

@@ -1,5 +1,7 @@
 """Echo synthesis tests: beat physics, SNR calibration, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,12 @@ from conftest import default_scene, head_radar
 
 S8 = activity("S8")
 S1 = activity("S1")
+
+
+def beat_rows(cfg, amplitude, tau):
+    """Every PRI's row of ``echo._beat_rows``, shape (M, N)."""
+    return echo._beat_rows(echo._beat_tables(cfg, amplitude, tau), slice(None),
+                           cfg.fast_samples)
 
 
 def oracle_phase(cfg, tau, dtype=float):
@@ -87,10 +95,31 @@ def oracle_frame(p, act, cfg, noise):
         signal += oracle_beat_rows(cfg, amplitude, tau)
     data = signal + oracle_beat_rows(cfg, *wall_row(cfg))
     p_sig = float(np.mean(np.abs(signal) ** 2))
-    p_noise = (p_sig if p_sig > 0 else 1.0) * 10.0 ** (-noise.target_snr / 10.0)
     scaled = oracle_noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed)
-    scaled *= np.sqrt(p_noise)
+    scaled *= noise_scale(p_sig, noise)
     data += scaled
+    return data
+
+
+def noise_scale(p_sig, noise):
+    """Noise amplitude for signal power ``p_sig`` (unit reference if 0)."""
+    reference = p_sig if p_sig > 0 else 1.0
+    return np.sqrt(reference * 10.0 ** (-noise.target_snr / 10.0))
+
+
+def whole_frame(p, act, cfg, noise):
+    """Reference for ``synth_frame``'s bits: the frame assembled whole, in
+    place.  Node rows from ``echo._beat_rows`` summed in node order, the
+    signal power of that sum, the wall row, then the scaled noise matrix."""
+    data = np.zeros((cfg.slow_samples, cfg.fast_samples), dtype=complex)
+    for amplitude, tau in node_rows(p, act, cfg):
+        data += beat_rows(cfg, amplitude, tau)
+    p_sig = float(np.mean(np.abs(data) ** 2)) if noise is not None else 0.0
+    data += wall_clutter(cfg)[None, :]
+    if noise is not None:
+        scaled = oracle_noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed)
+        scaled *= noise_scale(p_sig, noise)
+        data += scaled
     return data
 
 
@@ -135,7 +164,7 @@ class TestExactness:
     @example(tau=np.linspace(3.0e-8, 1.0e-8, 16))       # distinct, descending
     def test_beat_rows_match_oracle(self, tau):
         cfg = RadarConfig(slow_samples=16, fast_samples=32)
-        rows = echo._beat_rows(cfg, 0.3, tau)
+        rows = beat_rows(cfg, 0.3, tau)
         assert rows.shape == (tau.size, 32)
         assert np.all(np.abs(rows - oracle_beat_rows(cfg, 0.3, tau))
                       <= row_bound(cfg, 0.3, tau))
@@ -150,7 +179,7 @@ class TestExactness:
         cfg = RadarConfig(slow_samples=16, fast_samples=n)
         re, im = exact_beat_rows(cfg, amplitude, tau)
         bound = row_bound(cfg, amplitude, tau)
-        for rows in (echo._beat_rows(cfg, amplitude, tau),
+        for rows in (beat_rows(cfg, amplitude, tau),
                      oracle_beat_rows(cfg, amplitude, tau)):
             assert rows.shape == (tau.size, n)
             err = np.hypot((rows.real - re).astype(float), (rows.imag - im).astype(float))
@@ -158,8 +187,49 @@ class TestExactness:
 
     @pytest.mark.parametrize("m, n, seed", [(1024, 1024, 42), (16, 37, 0), (3, 2, 7)])
     def test_noise_matrix_matches_oracle(self, m, n, seed):
-        assert np.array_equal(bits(echo._noise_matrix(m, n, seed)),
-                              bits(oracle_noise_matrix(m, n, seed)))
+        # S1 without a wall: the frame is its noise alone, at the unit reference
+        cfg = RadarConfig(slow_samples=m, fast_samples=n, wall_reflectivity=0.0)
+        noise = NoiseConfig(target_snr=-16.0, seed=seed)
+        expected = oracle_noise_matrix(m, n, seed)
+        expected *= noise_scale(0.0, noise)
+        assert np.array_equal(bits(synth_frame(default_scene(), S1, cfg, noise).data),
+                              bits(expected))
+
+    @pytest.mark.parametrize("label, radar, snr, block_rows", [
+        ("S1", {}, -16.0, 64), ("S2", {}, -16.0, 64), ("S5", {}, -16.0, 64),
+        ("S8", {}, -16.0, 64), ("S9", {}, -16.0, 64), ("S12", {}, -16.0, 64),
+        ("S8", {}, None, 64),
+        ("S8", {"wall_reflectivity": 0.0}, -16.0, 64),
+        ("S1", {"wall_reflectivity": 0.0}, -12.0, 64),    # no signal: p_sig = 0
+        ("S12", {"slow_samples": 257, "fast_samples": 130}, -16.0, 64),
+        ("S12", {"slow_samples": 257, "fast_samples": 130}, None, 64),
+        ("S2", {"slow_samples": 257, "fast_samples": 130}, -16.0, 1),
+        ("S2", {"slow_samples": 257, "fast_samples": 130}, -16.0, 7),
+        ("S2", {"slow_samples": 257, "fast_samples": 130}, -16.0, 32)])
+    def test_blocks_equal_whole_frame(self, monkeypatch, label, radar, snr, block_rows):
+        """Synthesis in PRI blocks gives the whole-frame assembly's bits
+        (S2 holds 574 distinct delays in 6,144 active rows); 257 PRIs are
+        not a whole number of blocks and 130 samples not a square."""
+        monkeypatch.setattr(echo, "BLOCK_ROWS", block_rows)
+        p, act, cfg = default_scene(), activity(label), RadarConfig(**radar)
+        noise = None if snr is None else NoiseConfig(target_snr=snr, seed=42)
+        assert np.array_equal(bits(synth_frame(p, act, cfg, noise).data),
+                              bits(whole_frame(p, act, cfg, noise)))
+
+    def test_peak_memory(self):
+        """S12 at full size with noise holds at most the complex128 frame,
+        one float64 frame and 8 MiB (32 MiB in all; the whole-frame
+        assembly peaked at 44 MiB)."""
+        p, act, cfg = default_scene(), activity("S12"), RadarConfig()
+        noise = NoiseConfig(target_snr=-16.0, seed=42)
+        frame_bytes = cfg.slow_samples * cfg.fast_samples * 16
+        tracemalloc.start()
+        try:
+            synth_frame(p, act, cfg, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= frame_bytes + frame_bytes // 2 + 8 * 2 ** 20
 
 
 def static_scene(x1=3.0):
