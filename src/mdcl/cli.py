@@ -20,8 +20,7 @@ from mdcl.artifacts import read_corners, write_heatmap
 from mdcl.config import ConfigError, PipelineConfig, load_config
 from mdcl.fileio import read_matrix, write_csv
 from mdcl.maps import normalize
-from mdcl.metrics import fit_criterion, verify_mncp
-from mdcl.motion import curve_models
+from mdcl.mncp import curve_models, verify_mncp
 from mdcl.pipeline import (STAGES, StageError, run_pipeline, run_stage,
                            sweep_noise, sweep_summary)
 
@@ -82,18 +81,15 @@ def _load(args) -> tuple[PipelineConfig, Path]:
 
 
 def _cmd_mncp_verify(cfg: PipelineConfig) -> int:
-    models = curve_models(cfg.scene_params())
     failures = 0
-    for name, model in models.items():
+    for name, model in curve_models(cfg.scene_params()).items():
         report = verify_mncp(model)
+        failures += not report.holds
         deficient = ("n/a" if report.deficient_below is None
                      else str(report.deficient_below).lower())
-        ok = report.sufficient_at_mncp and report.deficient_below in (True, None)
-        failures += 0 if ok else 1
-        field, tol = fit_criterion(model)
         print(f"{name:<16} mncp={model.mncp} sufficient={report.sufficient_at_mncp} "
-              f"deficient_below={deficient} "
-              f"{field}={getattr(report.fit, field):.3e} (tol {tol:.0e})")
+              f"deficient_below={deficient} {report.criterion}="
+              f"{getattr(report.fit, report.criterion):.3e} (tol {report.tolerance:.0e})")
     return failures
 
 

@@ -113,6 +113,14 @@ class EchoFrame:
             raise ValueError("frame contains non-finite samples")
 
 
+def check_delays(cfg: RadarConfig, tau) -> None:
+    """The unambiguous-range rule: every two-way delay lies inside the PRI."""
+    if np.any(np.asarray(tau) >= cfg.pri):
+        raise RadarConfigError(
+            "delay exceeds the PRI: scatterer outside the unambiguous range "
+            f"c * pri / 2 = {C_LIGHT * cfg.pri / 2} m")
+
+
 def _beat_tables(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> tuple:
     """Beat-row tables for per-PRI delays ``tau`` (shape (M,)): the coarse and
     fine phase tables and each PRI's row in them (``_beat_rows`` joins them).
@@ -129,9 +137,7 @@ def _beat_tables(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> tuple:
     (phase in cycles, eps the float64 epsilon), as the direct ``exp`` does.
     """
     mu = cfg.chirp_rate
-    if np.any(tau >= cfg.pri):
-        raise RadarConfigError(
-            "delay exceeds the PRI: scatterer outside the unambiguous range")
+    check_delays(cfg, tau)
     distinct, pri_order = np.unique(tau, return_inverse=True)
     repeats = distinct.size < tau.size
     d = distinct if repeats else tau        # unique's order is sorted
@@ -162,6 +168,16 @@ def node_delays(node: NodeId, p: SceneParams, act: ActivitySpec,
     return 2.0 * node_distance(node, p, act, t_slow) / C_LIGHT
 
 
+def echo_delays(p: SceneParams, act: ActivitySpec,
+                cfg: RadarConfig) -> list[tuple[float, np.ndarray]]:
+    """(amplitude, per-PRI delays) of each node that echoes: active, with a
+    non-zero reflectivity."""
+    return [(0.5 * eta * cfg.tx_amplitude ** 2, node_delays(node, p, act, cfg))
+            for node in ALL_NODES
+            if (eta := cfg.reflectivity.get(node, 0.0)) != 0.0
+            and act.node(node).state is not MotionState.INACTIVE]
+
+
 def wall_clutter(cfg: RadarConfig) -> np.ndarray:
     """Stationary wall return: one fast-time row, identical across PRIs."""
     if cfg.wall_reflectivity == 0.0:
@@ -178,11 +194,7 @@ def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     At its peak it holds the frame and one float64 frame of sample powers."""
     m, n = cfg.slow_samples, cfg.fast_samples
     blocks = [slice(i, i + BLOCK_ROWS) for i in range(0, m, BLOCK_ROWS)]
-    tables = [_beat_tables(cfg, 0.5 * eta * cfg.tx_amplitude ** 2,
-                           node_delays(node, p, act, cfg))
-              for node in ALL_NODES
-              if (eta := cfg.reflectivity.get(node, 0.0)) != 0.0
-              and act.node(node).state is not MotionState.INACTIVE]
+    tables = [_beat_tables(cfg, amp, tau) for amp, tau in echo_delays(p, act, cfg)]
     data = np.zeros((m, n), dtype=complex)
     for pris in blocks:
         for node_tables in tables:

@@ -16,14 +16,13 @@ of the pendulum curves.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from mdcl.activities import ActivityClass, ActivitySpec, MotionState, activity
+from mdcl.activities import ActivityClass, ActivitySpec, MotionState
 from mdcl.scene import ALL_NODES, NodeId, SceneParams
 
 
@@ -363,56 +362,6 @@ def _equispaced_fill(existing: list[float], T: float, n: int) -> list[float]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# curve families and minimum corner-point counts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CurveModel:
-    """A parametric curve family with its reconstruction bookkeeping.
-
-    ``basis_builder`` maps the nonlinear parameter vector to the list of
-    linear basis functions; for purely linear families the nonlinear vector
-    is empty.  ``mncp`` is the minimum number of corner points the family
-    needs for unique reconstruction.  Key points are searched on
-    ``slope``, the first derivative of ``value``.
-    """
-
-    mncp: int
-    nonlinear_truth: tuple[float, ...]
-    nonlinear_bounds: tuple[tuple[float, float], ...]
-    value: Callable
-    basis_builder: Callable
-    window: float
-    slope: Callable
-
-    @property
-    def linear_count(self) -> int:
-        return len(self.basis_builder(self.nonlinear_truth))
-
-    @property
-    def nonlinear_count(self) -> int:
-        return len(self.nonlinear_truth)
-
-    def design_matrix(self, ts, nonlinear=None) -> np.ndarray:
-        """Basis columns at ``ts``: (n, p) for one nonlinear vector (the
-        truth when None), or (K, n, p) for a (K, ndim) stack of them; one
-        vector is built as a one-row stack."""
-        ts = np.asarray(ts, dtype=float)
-        single = np.ndim(nonlinear) != 2
-        stack = np.atleast_2d(np.asarray(
-            self.nonlinear_truth if nonlinear is None else nonlinear, dtype=float))
-        # (K, 1) parameters broadcast against the times in every basis
-        basis = self.basis_builder(tuple(stack.T[:, :, None]))
-        out = np.empty((stack.shape[0], ts.size, len(basis)))
-        for j, b in enumerate(basis):
-            out[..., j] = b(ts)
-        return out[0] if single else out
-
-    def keypoints_detailed(self) -> list[tuple[float, str]]:
-        return select_keypoints_detailed(self.slope, self.window, self.mncp)
-
-
 def groundtruth_counts(activity_class: ActivityClass) -> dict[str, list[int]]:
     """Per-node key-point allocation used for the 30-point ground truth.
 
@@ -423,92 +372,6 @@ def groundtruth_counts(activity_class: ActivityClass) -> dict[str, list[int]]:
     if activity_class is ActivityClass.WALKING:
         return {"r2": [3, 3, 6, 6, 6, 6], "d2": [1, 1, 7, 7, 7, 7]}
     return {"r2": [5] * 6, "d2": [5] * 6}
-
-
-def curve_models(p: SceneParams) -> dict[str, CurveModel]:
-    """Instantiate the canonical curve families for a scene.
-
-    Every family is one node's curve in a catalog activity, evaluated by
-    ``node_curve`` in free space (the wall shifts the distance axis without
-    changing which family a curve belongs to) and searched for key points
-    by the ground truth's numeric derivative.  The eight walking families
-    are S8's (walking) nodes; the two in-situ families are S5's
-    (sitting-down) head, whose key points are all extrema.
-    """
-    phi = p.gait_frequency
-    T = p.window
-    t0 = p.in_situ_quarter_time
-    free_space = dataclasses.replace(p, through_wall=False)
-
-    def const_basis(_):
-        return [lambda t: np.ones_like(t)]
-
-    def quad_basis(_):
-        return [lambda t: np.ones_like(t), lambda t: t, lambda t: t * t]
-
-    def pend_basis(theta):
-        def S(t):
-            return np.sin(theta * np.sin(phi * t))
-
-        return lambda _: [
-            lambda t: np.ones_like(t),
-            lambda t: t,
-            lambda t: t ** 2,
-            S,
-            lambda t: t * S(t),
-            lambda t: np.cos(theta * np.sin(phi * t)),
-        ]
-
-    def vel_basis(nl):
-        w, th = nl
-        return [
-            lambda t: np.ones_like(t),
-            lambda t: np.cos(w * t) ** 2,
-            lambda t: np.cos(w * t) * np.cos(th * np.sin(w * t)),
-        ]
-
-    def insitu_r2_basis(nl):
-        w, ph = nl
-        return [
-            lambda t: np.ones_like(t),
-            lambda t: np.sin(w * t + ph),
-            lambda t: np.cos(2.0 * w * t + 2.0 * ph),
-        ]
-
-    def insitu_d2_basis(nl):
-        w, ph = nl
-        return [lambda t: np.ones_like(t), lambda t: np.cos(w * t + ph)]
-
-    walk = activity("S8")
-    arm = walk.node(NodeId.HAND_L).swing_angle
-    leg = walk.node(NodeId.FOOT_R).swing_angle
-    swing_bounds = ((np.pi, 4 * np.pi), (1e-3, np.pi / 2 - 1e-3))
-    # name: (activity, node, kind, mncp, basis builder, nonlinear truth, bounds)
-    table = {
-        "walk_head_r2": ("S8", NodeId.HEAD, "r2", 3, quad_basis, (), ()),
-        "walk_torso_r2": ("S8", NodeId.TORSO, "r2", 3, quad_basis, (), ()),
-        "walk_head_d2": ("S8", NodeId.HEAD, "d2", 1, const_basis, (), ()),
-        "walk_torso_d2": ("S8", NodeId.TORSO, "d2", 1, const_basis, (), ()),
-        "walk_hand_r2": ("S8", NodeId.HAND_L, "r2", 6, pend_basis(arm), (), ()),
-        "walk_foot_r2": ("S8", NodeId.FOOT_R, "r2", 6, pend_basis(leg), (), ()),
-        "walk_hand_d2": ("S8", NodeId.HAND_L, "d2", 5, vel_basis, (phi, arm),
-                         swing_bounds),
-        "walk_foot_d2": ("S8", NodeId.FOOT_R, "d2", 5, vel_basis, (phi, leg),
-                         swing_bounds),
-        "insitu_r2": ("S5", NodeId.HEAD, "r2", 5, insitu_r2_basis,
-                      (np.pi / (2.0 * t0), -np.pi / 2.0),
-                      ((np.pi / 4.0, 2.0 * np.pi), (-np.pi, np.pi))),
-        "insitu_d2": ("S5", NodeId.HEAD, "d2", 5, insitu_d2_basis,
-                      (np.pi / t0, -np.pi),
-                      ((np.pi / 2.0, 4.0 * np.pi), (-2.0 * np.pi, 2.0 * np.pi))),
-    }
-    models: dict[str, CurveModel] = {}
-    for name, (label, node, kind, mncp, basis, truth, bounds) in table.items():
-        value = node_curve(node, free_space, activity(label), kind)
-        models[name] = CurveModel(mncp, truth, bounds, value=value,
-                                  slope=_numeric_derivative(value, T),
-                                  basis_builder=basis, window=T)
-    return models
 
 
 @dataclass(frozen=True)

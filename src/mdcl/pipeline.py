@@ -197,6 +197,8 @@ def run_stage(cfg: PipelineConfig, out: Path, label: str,
     writers ``run`` uses.  Returns the stage's values and written files.
     """
     stage = next(s for s in STAGES if s.name == name)
+    if name == "simulate":
+        cfg.check_echo_range([label])
     root = Path(out) / label
     values = {n: ARTIFACTS[n].read(root, n, cfg) for n in stage.inputs}
     values.update(_apply(stage, cfg, label, values))
@@ -289,9 +291,10 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     """
     cfg.validate()
     thread_count()      # a malformed MDCL_THREADS fails before any file
+    labels = cfg.activity_list()
+    cfg.check_echo_range(labels)
     out = Path(out_dir if out_dir is not None else cfg.run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    labels = cfg.activity_list()
 
     def one_activity(label: str) -> _JobOutcome:
         outcome, written = _JobOutcome(label), []
@@ -388,6 +391,8 @@ def sweep_noise(cfg: PipelineConfig,
     keys = drop_seed_keys(drops)
     labels = [a for a in cfg.activity_list() if not activity(a).is_empty]
     if results is None:
+        cfg.check_echo_range(labels)
+
         def clean(label: str) -> SimpleNamespace:
             # the sweep reads only the squared maps and the truth
             res = run_activity(cfg, label)

@@ -18,8 +18,9 @@ from mdcl.cli import main
 from mdcl.config import PipelineConfig, serialize_config
 from mdcl.echo import C_LIGHT, EchoFrame, RadarConfig, synth_frame
 from mdcl.maps import AxisSpec, ProfileMap
-from mdcl.metrics import emd_distance, psnr, verify_mncp
-from mdcl.motion import curve_models, node_curve
+from mdcl.metrics import emd_distance, psnr
+from mdcl.mncp import curve_models, verify_mncp
+from mdcl.motion import node_curve
 from mdcl.preprocess import beat_spectrum, mti_filter, preprocess_frame
 from mdcl.scene import NodeId
 from mdcl.squaring import render_squared, squared_source_rows

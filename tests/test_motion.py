@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from mdcl import motion
 from mdcl.activities import activity
+from mdcl.mncp import curve_models
 from mdcl.motion import (DegenerateCurveError, KeyPoint, activity_keypoints,
-                         curve_models, groundtruth_counts, node_curve,
+                         groundtruth_counts, node_curve,
                          select_keypoints_detailed, slope_sign)
 from mdcl.scene import ALL_NODES, NodeId, WallParams
 from mdcl.activities import ActivityClass
@@ -22,8 +23,6 @@ S8 = activity("S8")
 S5 = activity("S5")
 S10 = activity("S10")
 ARM_ANGLE = math.pi / 6     # S8's arm swing angle
-# curve family of each node, in the order head, torso, hands, feet
-NODE_FAMILIES = ("head", "torso", "hand", "hand", "foot", "foot")
 
 
 def keypoint_times(model):
@@ -429,59 +428,12 @@ class TestLockstepBisection:
 
 
 class TestTables:
-    def test_mncp_walking(self):
-        models = curve_models(default_scene())
-        table = {kind: [models[f"walk_{family}_{kind}"].mncp for family in NODE_FAMILIES]
-                 for kind in ("r2", "d2")}
-        assert table["r2"] == [3, 3, 6, 6, 6, 6]
-        assert sum(table["r2"]) == 30
-        assert table["d2"] == [1, 1, 5, 5, 5, 5]
-        assert sum(table["d2"]) == 22
-
-    def test_mncp_in_situ(self):
-        models = curve_models(default_scene())
-        table = {kind: [models[f"insitu_{kind}"].mncp] * len(NODE_FAMILIES)
-                 for kind in ("r2", "d2")}
-        assert table["r2"] == [5] * 6
-        assert table["d2"] == [5] * 6
-        assert sum(table["d2"]) == 30
-
     def test_groundtruth_counts_always_30(self):
         for cls in (ActivityClass.WALKING, ActivityClass.IN_SITU,
                     ActivityClass.COMBINATION):
             counts = groundtruth_counts(cls)
             assert sum(counts["r2"]) == 30
             assert sum(counts["d2"]) == 30
-
-    def test_families_are_node_curves(self):
-        # every family is one catalog node's curve in free space, and its
-        # slope is the ground truth's numeric derivative of that curve
-        rows = {"walk_head_r2": ("S8", NodeId.HEAD, "r2"),
-                "walk_torso_r2": ("S8", NodeId.TORSO, "r2"),
-                "walk_head_d2": ("S8", NodeId.HEAD, "d2"),
-                "walk_torso_d2": ("S8", NodeId.TORSO, "d2"),
-                "walk_hand_r2": ("S8", NodeId.HAND_L, "r2"),
-                "walk_foot_r2": ("S8", NodeId.FOOT_R, "r2"),
-                "walk_hand_d2": ("S8", NodeId.HAND_L, "d2"),
-                "walk_foot_d2": ("S8", NodeId.FOOT_R, "d2"),
-                "insitu_r2": ("S5", NodeId.HEAD, "r2"),
-                "insitu_d2": ("S5", NodeId.HEAD, "d2")}
-        p = scene(through_wall=True, in_situ_quarter_time=0.7)
-        models = curve_models(p)
-        assert set(models) == set(rows)
-        free = scene(in_situ_quarter_time=0.7)
-        grid = np.linspace(0.0, p.window, 1001)
-        for name, (label, node, kind) in rows.items():
-            curve = node_curve(node, free, activity(label), kind)
-            assert np.array_equal(models[name].value(grid), curve(grid)), name
-            assert np.array_equal(models[name].slope(grid),
-                                  motion._numeric_derivative(curve, p.window)(grid)), name
-
-    def test_gram_full_rank(self):
-        for name, model in curve_models(default_scene()).items():
-            a = model.design_matrix(np.linspace(0.0, model.window, 512))
-            assert np.linalg.matrix_rank(a.T @ a) == model.linear_count, name
-
 
 class TestSceneValidation:
     def test_gait_habit_constraint(self):

@@ -509,6 +509,20 @@ class TestCli:
         bad.write_text("[radar]\nbandwidth_hz = 0\n")
         assert main(["run", "--config", str(bad)]) == 2
 
+    def test_scene_outside_unambiguous_range_exits_2_before_any_file(self, tmp_path):
+        """A node of a synthesized activity at or beyond c * pri / 2 is a
+        config error before any file is written.  ``validate`` accepts the
+        scene, and a run that synthesizes no such node (S1 holds no active
+        node) still runs."""
+        _, cfg_path = write_small_config(tmp_path, **{"scene.x1": 1e7})
+        out = tmp_path / "out"
+        for argv in (["run"], ["run", "--activity", "S8"], ["simulate"],
+                     ["simulate", "--activity", "S5"], ["sweep-noise"]):
+            assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert not out.exists()
+        assert main(["run", "--activity", "S1", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+
     def test_unknown_activity_exit_code(self, tmp_path):
         _, cfg_path = write_small_config(tmp_path)
         assert main(["simulate", "--config", str(cfg_path),
