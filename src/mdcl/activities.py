@@ -81,14 +81,17 @@ class ActivitySpec:
         return self.activity_class is ActivityClass.EMPTY
 
 
+_PI = 3.141592653589793
+
+
 def _walking_nodes(swing_arms: float, swing_legs: float) -> dict[NodeId, NodeMotion]:
     # Arm swings pair with the opposite-side leg, as in a natural gait.
     return {
         NodeId.HEAD: NodeMotion(MotionState.ACCEL_FREE),
         NodeId.TORSO: NodeMotion(MotionState.ACCEL_FREE),
         NodeId.HAND_L: NodeMotion(MotionState.PENDULUM, swing_angle=swing_arms, phase=0.0),
-        NodeId.HAND_R: NodeMotion(MotionState.PENDULUM, swing_angle=swing_arms, phase=3.141592653589793),
-        NodeId.FOOT_L: NodeMotion(MotionState.PENDULUM, swing_angle=swing_legs, phase=3.141592653589793),
+        NodeId.HAND_R: NodeMotion(MotionState.PENDULUM, swing_angle=swing_arms, phase=_PI),
+        NodeId.FOOT_L: NodeMotion(MotionState.PENDULUM, swing_angle=swing_legs, phase=_PI),
         NodeId.FOOT_R: NodeMotion(MotionState.PENDULUM, swing_angle=swing_legs, phase=0.0),
     }
 
@@ -101,8 +104,6 @@ def _in_situ_nodes(drops: dict[NodeId, float], rise_first: bool,
         for n in ALL_NODES
     }
 
-
-_PI = 3.141592653589793
 
 # Height change of each node during the vertical episodes, meters.  Feet
 # barely move when sitting or grabbing; hands travel furthest when reaching.
@@ -198,14 +199,7 @@ _ACTIVITIES: dict[str, ActivitySpec] = {
     ),
     "S7": ActivitySpec(
         "S7", "rotating", ActivityClass.WALKING,
-        nodes={
-            NodeId.HEAD: NodeMotion(MotionState.ACCEL_FREE),
-            NodeId.TORSO: NodeMotion(MotionState.ACCEL_FREE),
-            NodeId.HAND_L: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 4, phase=0.0),
-            NodeId.HAND_R: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 4, phase=_PI),
-            NodeId.FOOT_L: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 8, phase=_PI),
-            NodeId.FOOT_R: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 8, phase=0.0),
-        },
+        nodes=_walking_nodes(_PI / 4, _PI / 8),
         velocity=(0.0, 0.0),
     ),
     "S8": ActivitySpec(

@@ -104,13 +104,13 @@ def _read_sidecar(path: Path) -> dict:
 
 
 def read_corners(path: Path, shape: tuple[int, int] | None = None) -> CornerSet:
-    """A corner CSV.  ``shape`` defaults to that of the map its map_id
-    names (``S8/r2tm``), read from that map's sidecar beside the CSV."""
+    """A corner CSV's pixels (its u, v columns derive from them).  ``shape``
+    defaults to that of the map its map_id names (``S8/r2tm``), read from
+    that map's sidecar beside the CSV."""
     corners, map_id = [], ""
     for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-        map_id, row, col, u, v, resp, padded = line.split(",")
-        corners.append(Corner(int(row), int(col), float(resp), float(u),
-                              float(v), bool(int(padded))))
+        map_id, row, col, _, _, resp, padded = line.split(",")
+        corners.append(Corner(int(row), int(col), float(resp), bool(int(padded))))
     if shape is None:
         side = _read_sidecar(path.parent / f"{map_id.rpartition('/')[2]}.axis.txt")
         shape = (side["rows"], side["cols"])
@@ -124,8 +124,8 @@ class CornerCsv(Codec):
         cs = values[name]
         write_csv(d.file(f"{name}.csv"),
                   ["map_id", "row", "col", "u", "v", "response", "padded"],
-                  [[cs.map_id, c.row, c.col, c.u, c.v, c.response, int(c.padded)]
-                   for c in cs.corners])
+                  [[cs.map_id, c.row, c.col, u, v, c.response, int(c.padded)]
+                   for c, (u, v) in zip(cs.corners, cs.uv())])
         source = cs.map_id.rpartition("/")[2]
         write_heatmap(d.file(f"{source}_corners.pgm"), values[source].data,
                       cs.corners)

@@ -100,17 +100,6 @@ class RunSection:
     activities: str = ",".join(activity_labels())
 
 
-_SECTION_TYPES = {
-    "scene": SceneSection,
-    "radar": RadarConfig,
-    "noise": NoiseSection,
-    "preprocessing": PreprocessingSection,
-    "detector": DetectorConfig,
-    "evaluation": EvaluationSection,
-    "run": RunSection,
-}
-
-
 @dataclass
 class PipelineConfig:
     scene: SceneSection = field(default_factory=SceneSection)
@@ -123,7 +112,7 @@ class PipelineConfig:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        for name in _SECTION_TYPES:
+        for name in [f.name for f in fields(self)]:
             section = getattr(self, name)
             for f in fields(section):
                 value = getattr(section, f.name)
@@ -280,7 +269,7 @@ def parse_config(text: str) -> PipelineConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section_name = line[1:-1].strip()
-            if section_name not in _SECTION_TYPES:
+            if section_name not in {f.name for f in fields(cfg)}:
                 raise ConfigError(f"line {lineno}: unknown section [{section_name}]")
             section_obj = getattr(cfg, section_name)
             continue
@@ -304,7 +293,7 @@ def parse_config(text: str) -> PipelineConfig:
 
 def serialize_config(cfg: PipelineConfig) -> str:
     lines: list[str] = []
-    for name in _SECTION_TYPES:
+    for name in [f.name for f in fields(cfg)]:
         obj = getattr(cfg, name)
         lines.append(f"[{name}]")
         for f in fields(obj):

@@ -19,6 +19,9 @@ against the full disk only until a fixed pool is full, so a noisy map
 costs a few array passes, not a full-map disk filter.  A greedy pass over
 the pool keeps the 30 strongest at least the radius apart; degenerate maps
 are padded to keep the fixed cardinality the fused 60x3 cloud requires.
+A corner holds only its pixel: ``CornerSet.uv`` is the one rule that puts
+a pixel on the unit square.  Fusion pairs each corner with the partner
+map's column of the same index, so both maps share their column count.
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class Corner:
+    """A detected pixel; ``CornerSet.uv`` places it on the unit square."""
+
     row: int
     col: int
     response: float
-    u: float            # col / (cols-1)
-    v: float            # row / (rows-1)
     padded: bool = False
 
 
@@ -71,7 +74,11 @@ class CornerSet:
         return len(self.corners)
 
     def uv(self) -> np.ndarray:
-        return np.array([[c.u, c.v] for c in self.corners])
+        """The corners on the unit square: u = col / (cols - 1) along slow
+        time, v = row / (rows - 1) along the value axis."""
+        rc = np.array([(c.row, c.col) for c in self.corners]).reshape(-1, 2)
+        return np.column_stack([rc[:, 1] / (self.shape[1] - 1),
+                                rc[:, 0] / (self.shape[0] - 1)])
 
 
 @dataclass(frozen=True)
@@ -377,7 +384,7 @@ def _select_corners(resp: np.ndarray, map_id: str, cfg: DetectorConfig) -> Corne
             break
 
     nr, nc = resp.shape
-    corners = [Corner(r, c, v, c / (nc - 1), r / (nr - 1)) for r, c, v in accepted]
+    corners = [Corner(r, c, v) for r, c, v in accepted]
     corners += _pad_corners(accepted, CORNERS - len(corners), (nr, nc))
     return CornerSet(tuple(corners[:CORNERS]), map_id, (nr, nc))
 
@@ -392,8 +399,7 @@ def _pad_corners(anchors: list[tuple[int, int, float]], need: int,
     if not anchors:
         grid = [(int(round(v * (nr - 1))), int(round(u * (nc - 1))), 0.0)
                 for u, v in placeholder_lattice()]
-        out = [Corner(row, col, v, col / (nc - 1), row / (nr - 1), padded=True)
-               for row, col, v in grid[:need]]
+        out = [Corner(row, col, v, padded=True) for row, col, v in grid[:need]]
         return out + _pad_corners(grid, need - len(out), shape)
     out: list[Corner] = []
     i = 0
@@ -403,22 +409,18 @@ def _pad_corners(anchors: list[tuple[int, int, float]], need: int,
         step = 1 + i // (len(anchors) * len(_PAD_OFFSETS))
         row = int(np.clip(r0 + dr * step, 0, nr - 1))
         col = int(np.clip(c0 + dc * step, 0, nc - 1))
-        out.append(Corner(row, col, v, col / (nc - 1), row / (nr - 1), padded=True))
+        out.append(Corner(row, col, v, padded=True))
         i += 1
     return out
 
 
-def _column_peak(pm: ProfileMap, col_frac: float) -> tuple[float, bool]:
-    """Normalized argmax row of the column nearest to ``col_frac``.
-
-    All-zero columns answer with the axis center, flagged.  Ties resolve to
-    the lower row index.
-    """
-    col = int(round(col_frac * (pm.cols - 1)))
-    column = pm.data[:, col]
-    if not column.any():
-        return 0.5, True
-    return int(np.argmax(column)) / (pm.rows - 1), False
+def _peak_rows(pm: ProfileMap, cols: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized argmax row of each of the columns ``cols``, and whether
+    the column is all zero: such a column answers with the axis center.
+    Ties resolve to the lower row index."""
+    block = pm.data[:, cols]
+    dead = ~block.any(axis=0)
+    return np.where(dead, 0.5, block.argmax(axis=0) / (pm.rows - 1)), dead
 
 
 def fuse_pc_rd(pc_r: CornerSet, pc_d: CornerSet,
@@ -427,22 +429,19 @@ def fuse_pc_rd(pc_r: CornerSet, pc_d: CornerSet,
 
     Each PC-R corner gains the Doppler of the strongest D2TM cell in its
     slow-time column; each PC-D corner gains the range of the strongest
-    R2TM cell in its column.
+    R2TM cell in its column.  The two maps and both corner sets must
+    share their column count, so a corner's column is the partner's.
     """
     if len(pc_r) != CORNERS or len(pc_d) != CORNERS:
         raise ValueError(f"fusion expects two {CORNERS}-corner sets")
-    rows = []
-    flags = []
-    source = []
-    for c in pc_r.corners:
-        w, flagged = _column_peak(d2tm, c.u)
-        rows.append((c.u, c.v, w))
-        flags.append(flagged)
-        source.append("R")
-    for c in pc_d.corners:
-        v, flagged = _column_peak(r2tm, c.u)
-        rows.append((c.u, v, c.v))      # corner's v is the Doppler coordinate
-        flags.append(flagged)
-        source.append("D")
-    pts = np.asarray(rows, dtype=float)
-    return PointCloudRD(pts, tuple(source), tuple(flags))
+    widths = {pc_r.shape[1], pc_d.shape[1], r2tm.cols, d2tm.cols}
+    if len(widths) != 1:
+        raise ValueError(f"fusion expects one column count, got {sorted(widths)}")
+    uv_r, uv_d = pc_r.uv(), pc_d.uv()
+    w, flag_r = _peak_rows(d2tm, [c.col for c in pc_r.corners])
+    v, flag_d = _peak_rows(r2tm, [c.col for c in pc_d.corners])
+    # a PC-D corner's own v is the Doppler coordinate
+    pts = np.vstack([np.column_stack([uv_r, w]),
+                     np.column_stack([uv_d[:, 0], v, uv_d[:, 1]])])
+    return PointCloudRD(pts, ("R",) * CORNERS + ("D",) * CORNERS,
+                        tuple(np.concatenate([flag_r, flag_d]).tolist()))

@@ -61,6 +61,11 @@ class RadarConfig:
         return self.window_s / self.slow_samples
 
     @property
+    def slow_times(self) -> np.ndarray:
+        """The start of each PRI, seconds: slow-time sample j at j * Ts."""
+        return np.arange(self.slow_samples) * self.pri
+
+    @property
     def reflectivity(self) -> dict[NodeId, float]:
         return {NodeId.HEAD: self.reflectivity_head,
                 NodeId.TORSO: self.reflectivity_torso,
@@ -164,8 +169,7 @@ def _beat_rows(tables: tuple, pris: slice, n: int) -> np.ndarray:
 def node_delays(node: NodeId, p: SceneParams, act: ActivitySpec,
                 cfg: RadarConfig) -> np.ndarray:
     """Stop-and-hop two-way delays, one per PRI."""
-    t_slow = np.arange(cfg.slow_samples) * cfg.pri
-    return 2.0 * node_distance(node, p, act, t_slow) / C_LIGHT
+    return 2.0 * node_distance(node, p, act, cfg.slow_times) / C_LIGHT
 
 
 def echo_delays(p: SceneParams, act: ActivitySpec,

@@ -36,15 +36,13 @@ class GroundTruth:
 
 def _to_cloud(points: list[KeyPoint], window: float, axis: AxisSpec,
               value_scale: float) -> tuple[np.ndarray, int]:
-    uv = np.empty((len(points), 2))
-    clamped = 0
-    for i, kp in enumerate(points):
-        value = kp.sign * kp.value * value_scale
-        if not (axis.lo <= value <= axis.hi):
-            clamped += 1
-        row = int(axis.value_to_row(value))
-        uv[i] = (kp.t / window, row / (axis.n - 1))
-    return uv, clamped
+    """The key points as (u, v) = (t / T, row / (rows - 1)) on the
+    rendered axis, and how many values fell off it and were clamped."""
+    t, sign, value = np.array([(kp.t, kp.sign, kp.value) for kp in points]).T
+    value = sign * value * value_scale
+    rows = axis.value_to_row(value)
+    clamped = int(np.count_nonzero(~((axis.lo <= value) & (value <= axis.hi))))
+    return np.column_stack([t / window, rows / (axis.n - 1)]), clamped
 
 
 def groundtruth_corners(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
@@ -85,11 +83,10 @@ def _rasterize(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     so nodes the measured pipeline cancels (static ones) stay dark here
     too.
     """
-    m = cfg.slow_samples
-    t = np.arange(m) * cfg.pri
-    img = np.zeros((axis.n, m))
+    t = cfg.slow_times
+    img = np.zeros((axis.n, t.size))
     bin_width = (axis.hi - axis.lo) / axis.n
-    cols = np.arange(m)
+    cols = np.arange(t.size)
     if not act.is_empty:
         for node in ALL_NODES:
             eta = cfg.reflectivity.get(node, 0.0)

@@ -224,11 +224,7 @@ def node_distance(node: NodeId, p: SceneParams, act: ActivitySpec, t):
 def slope_sign(xi_sq: Callable, T: float, t) -> np.ndarray:
     """Sign of d(xi^2)/dt at the times ``t`` on [0, T], used to place
     velocity points on the signed Doppler axis.  Ties resolve to +1."""
-    t = np.asarray(t, dtype=float)
-    h = min(1e-5, T * 1e-6)
-    lo = np.clip(t - h, 0.0, T)
-    hi = np.clip(t + h, 0.0, T)
-    return np.where(xi_sq(hi) - xi_sq(lo) < 0, -1.0, 1.0)
+    return np.where(_numeric_derivative(xi_sq, T)(t) < 0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ def oracle_extract(resp, map_id, cfg, k):
         if len(accepted) >= k:
             break
     nr, nc = resp.shape
-    found = [Corner(r, c, v, c / (nc - 1), r / (nr - 1)) for r, c, v in accepted]
+    found = [Corner(r, c, v) for r, c, v in accepted]
     found += corners._pad_corners(accepted, k - len(found), (nr, nc))
     return CornerSet(tuple(found), map_id, (nr, nc))
 
@@ -391,7 +391,11 @@ class TestLazyNms:
         assert np.array_equal(pool[0], expected[0])
         assert np.array_equal(pool[1], expected[1])
         cs = corners._select_corners(resp, "m", cfg)
-        assert cs == oracle_extract(resp, "m", cfg, corners.CORNERS)
+        expected = oracle_extract(resp, "m", cfg, corners.CORNERS)
+        assert cs == expected
+        nr, nc = resp.shape
+        assert cs.uv().tolist() == [[c.col / (nc - 1), c.row / (nr - 1)]
+                                    for c in expected.corners]
         if kind == "zero":
             assert all(c.padded for c in cs.corners)
         assert len(cs) == corners.CORNERS
@@ -427,8 +431,7 @@ class TestFusion:
         pc_r, pc_d, r2, d2 = self._sets()
         cloud = fuse_pc_rd(pc_r, pc_d, r2, d2)
         for i, corner in enumerate(pc_r.corners):
-            col = int(round(corner.u * (d2.cols - 1)))
-            expected = np.argmax(d2.data[:, col]) / (d2.rows - 1)
+            expected = np.argmax(d2.data[:, corner.col]) / (d2.rows - 1)
             assert cloud.points[i, 2] == pytest.approx(expected)
 
     def test_zero_column_flagged_center(self):
@@ -438,8 +441,7 @@ class TestFusion:
         dead = img.copy()
         dead[:, 10] = 0.0
         d2 = as_map(dead, kind="doppler_sq")
-        pc_r = CornerSet(tuple([type(extract_corners(r2, "x", CFG).corners[0])(
-            row=5, col=10, response=1.0, u=10 / 63, v=5 / 63)] * 30), "r", (64, 64))
+        pc_r = CornerSet((Corner(5, 10, 1.0),) * 30, "r", (64, 64))
         pc_d = extract_corners(d2, "d", CFG)
         cloud = fuse_pc_rd(pc_r, pc_d, r2, d2)
         assert cloud.points[0, 2] == pytest.approx(0.5)
@@ -450,10 +452,10 @@ class TestFusion:
         img[20, :] = 1.0
         img[40, :] = 1.0
         d2 = as_map(img, kind="doppler_sq")
-        pc_r = CornerSet(tuple(Corner(1, c, 1.0, c / 63, 1 / 63)
-                               for c in range(0, 60, 2)), "r", (64, 64))
-        pc_d = CornerSet(tuple(Corner(1, c, 1.0, c / 63, 1 / 63)
-                               for c in range(0, 60, 2)), "d", (64, 64))
+        pc_r = CornerSet(tuple(Corner(1, c, 1.0) for c in range(0, 60, 2)),
+                         "r", (64, 64))
+        pc_d = CornerSet(tuple(Corner(1, c, 1.0) for c in range(0, 60, 2)),
+                         "d", (64, 64))
         cloud = fuse_pc_rd(pc_r, pc_d, as_map(img), d2)
         assert np.allclose(cloud.points[:30, 2], 20 / 63)
 
@@ -462,6 +464,16 @@ class TestFusion:
         short = CornerSet(pc_r.corners[:10], "r", pc_r.shape)
         with pytest.raises(ValueError):
             fuse_pc_rd(short, pc_d, r2, d2)
+
+    def test_mismatched_column_counts_rejected(self):
+        # a corner's column indexes the partner map, so every width must agree
+        pc_r, pc_d, r2, d2 = self._sets()
+        narrow = as_map(d2.data[:, :100].copy(), kind="doppler_sq")
+        with pytest.raises(ValueError, match="column count"):
+            fuse_pc_rd(pc_r, pc_d, r2, narrow)
+        wide = CornerSet(pc_d.corners, "d", (128, 200))
+        with pytest.raises(ValueError, match="column count"):
+            fuse_pc_rd(pc_r, wide, r2, d2)
 
 
 class TestKernelCache:
