@@ -1,4 +1,5 @@
-"""Metric tests: EMD against a brute-force oracle, PSNR, image noise."""
+"""Metric tests: EMD against a brute-force and a scipy oracle, PSNR,
+image noise."""
 
 import itertools
 
@@ -6,20 +7,46 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mdcl import metrics
 from mdcl.metrics import add_image_noise, emd_distance, psnr
 
 
+def cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
 def brute_force_emd(a: np.ndarray, b: np.ndarray) -> float:
     """Exhaustive minimum over all assignments (oracle for small clouds)."""
     n = a.shape[0]
-    diff = a[:, None, :] - b[None, :, :]
-    cost = np.sqrt(np.sum(diff * diff, axis=2))
+    cost = cost_matrix(a, b)
     best = min(sum(cost[i, p[i]] for i in range(n))
                for p in itertools.permutations(range(n)))
     return best / n
 
+
+@st.composite
+def cloud_pairs(draw):
+    """Two equal-size clouds: uniform, on a coarse grid (many equal costs),
+    drawn from a few repeated points, or one a permutation of the other."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["uniform", "grid", "repeated", "permuted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "uniform":
+        a, b = rng.random((2, n, dim))
+    elif kind == "grid":
+        steps = draw(st.integers(1, 4))
+        a, b = rng.integers(0, steps + 1, (2, n, dim)) / steps
+    elif kind == "repeated":
+        pool = rng.random((draw(st.integers(1, 3)), dim))
+        a, b = pool[rng.integers(0, len(pool), (2, n))]
+    else:
+        a = rng.integers(0, 3, (n, dim)).astype(float)
+        b = a[rng.permutation(n)]
+    return a, b
 
 
 class TestEmd:
@@ -61,6 +88,31 @@ class TestEmd:
             emd_distance(np.zeros((0, 2)), np.zeros((0, 2)))
         with pytest.raises(ValueError):
             emd_distance(np.zeros((3, 2)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cloud", [0, 1])
+    def test_non_finite_rejected_before_assignment(self, monkeypatch, value, cloud):
+        """A NaN or infinite coordinate raises before the solver runs, so it
+        can neither hang it nor return a number."""
+        def never(cost):
+            raise AssertionError("solver ran on a non-finite cost matrix")
+
+        monkeypatch.setattr(metrics, "_assign", never)
+        clouds = [np.random.default_rng(6).random((30, 2)) for _ in range(2)]
+        clouds[cloud][7, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            emd_distance(*clouds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cloud_pairs())
+    def test_matches_scipy_assignment(self, clouds):
+        """The port returns scipy's columns, ties included, and the EMD of
+        scipy's assignment to the last bit."""
+        a, b = clouds
+        cost = cost_matrix(a, b)
+        rows, cols = linear_sum_assignment(cost)
+        assert metrics._assign(cost.tolist()) == cols.tolist()
+        assert emd_distance(a, b) == float(cost[rows, cols].sum()) / len(a)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))

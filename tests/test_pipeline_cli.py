@@ -610,18 +610,24 @@ class TestStartup:
     def test_import_loads_no_scipy(self):
         assert fresh_python(f"import sys, mdcl.cli\nprint({SCIPY_LOADED})") == ["[]"]
 
+    def test_emd_loads_no_scipy(self):
+        code = ("import sys\nimport numpy as np\nfrom mdcl.metrics import emd_distance\n"
+                "a, b = np.random.default_rng(0).random((2, 30, 2))\n"
+                f"print(emd_distance(a, b) > 0, {SCIPY_LOADED})")
+        assert fresh_python(code) == ["True []"]
+
     def test_commands_without_scipy_load_none(self, tmp_path):
         cfg, out = str(REFERENCE_CFG), tmp_path / "out"
         assert main(["run", "--config", cfg, "--activity", "S8", "--out", str(out)]) == 0
         s8 = out / "S8"
         commands = [[command, "--config", cfg, "--activity", "S8", "--out", str(out)]
-                    for command in ("simulate", "square", "fuse")]
+                    for command in ("simulate", "square", "fuse", "evaluate")]
         commands += [["mncp-verify", "--config", cfg],
                      ["render", str(s8 / "r2tm.mdcm"), str(tmp_path / "r2tm.pgm"),
                       "--corners", str(s8 / "pc_r.csv")]]
         lines = fresh_python(CLI_MAIN + f"codes = [main(argv) for argv in {commands!r}]\n"
                              f"print(codes, {SCIPY_LOADED})")
-        assert lines[-1] == "[0, 0, 0, 0, 0] []"
+        assert lines[-1] == "[0, 0, 0, 0, 0, 0] []"
 
     def test_concurrent_first_imports(self, tmp_path, monkeypatch):
         """Both workers of a new process reach the first scipy imports
