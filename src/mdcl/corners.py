@@ -83,15 +83,16 @@ class CornerSet:
 
 @dataclass(frozen=True)
 class PointCloudRD:
-    """60x3 fused cloud: columns (slow-time u, range_sq v, doppler_sq w)."""
+    """(2 * CORNERS)x3 fused cloud: columns (slow-time u, range_sq v,
+    doppler_sq w)."""
 
     points: np.ndarray
     source: tuple[str, ...]                 # "R" or "D" per row
     flagged: tuple[bool, ...] = field(default=())
 
     def __post_init__(self):
-        if self.points.shape != (60, 3):
-            raise ValueError("PC-RD must be 60x3")
+        if self.points.shape != (2 * CORNERS, 3):
+            raise ValueError(f"PC-RD must be {2 * CORNERS}x3")
         if np.any(self.points < 0) or np.any(self.points > 1):
             raise ValueError("PC-RD coordinates must be normalized to [0, 1]")
 
@@ -371,36 +372,28 @@ def _select_corners(resp: np.ndarray, map_id: str, cfg: DetectorConfig) -> Corne
     rows, cols = _nms_pool(resp, cfg.nms_radius_px, 4 * CORNERS)
 
     accepted: list[tuple[int, int, float]] = []
-    acc_rc = np.empty((0, 2))
     r2 = cfg.nms_radius_px ** 2
     for r, c in zip(rows.tolist(), cols.tolist()):
-        if acc_rc.size:
-            d2 = (acc_rc[:, 0] - r) ** 2 + (acc_rc[:, 1] - c) ** 2
-            if d2.min() < r2:
-                continue
+        if any((r - ar) ** 2 + (c - ac) ** 2 < r2 for ar, ac, _ in accepted):
+            continue
         accepted.append((r, c, float(resp[r, c])))
-        acc_rc = np.vstack([acc_rc, [r, c]])
         if len(accepted) >= CORNERS:
             break
 
-    nr, nc = resp.shape
     corners = [Corner(r, c, v) for r, c, v in accepted]
-    corners += _pad_corners(accepted, CORNERS - len(corners), (nr, nc))
-    return CornerSet(tuple(corners[:CORNERS]), map_id, (nr, nc))
+    corners += _pad_corners(accepted, CORNERS - len(corners), resp.shape)
+    return CornerSet(tuple(corners), map_id, resp.shape)
 
 
 def _pad_corners(anchors: list[tuple[int, int, float]], need: int,
                  shape: tuple[int, int]) -> list[Corner]:
-    """Deterministic jittered duplicates; the placeholder lattice when the
-    map yielded no maxima at all (flat input), jittered past 30."""
-    if need <= 0:
-        return []
+    """``need`` <= ``CORNERS`` deterministic jittered duplicates; the
+    placeholder lattice, which has ``CORNERS`` points, when the map yielded
+    no maxima at all (flat input)."""
     nr, nc = shape
     if not anchors:
-        grid = [(int(round(v * (nr - 1))), int(round(u * (nc - 1))), 0.0)
-                for u, v in placeholder_lattice()]
-        out = [Corner(row, col, v, padded=True) for row, col, v in grid[:need]]
-        return out + _pad_corners(grid, need - len(out), shape)
+        return [Corner(int(round(v * (nr - 1))), int(round(u * (nc - 1))), 0.0,
+                       padded=True) for u, v in placeholder_lattice()[:need]]
     out: list[Corner] = []
     i = 0
     while len(out) < need:

@@ -143,9 +143,7 @@ def _beat_tables(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> tuple:
     """
     mu = cfg.chirp_rate
     check_delays(cfg, tau)
-    distinct, pri_order = np.unique(tau, return_inverse=True)
-    repeats = distinct.size < tau.size
-    d = distinct if repeats else tau        # unique's order is sorted
+    d, pri_order = np.unique(tau, return_inverse=True)
     n = cfg.fast_samples
     b = math.isqrt(n)
     k1 = -(-n // b)
@@ -156,7 +154,7 @@ def _beat_tables(cfg: RadarConfig, amplitude: float, tau: np.ndarray) -> tuple:
     coarse *= amplitude
     fine = step * (np.arange(b) / cfg.fast_rate)
     np.exp(fine, out=fine)
-    return coarse, fine, pri_order if repeats else np.arange(tau.size)
+    return coarse, fine, pri_order
 
 
 def _beat_rows(tables: tuple, pris: slice, n: int) -> np.ndarray:
@@ -184,8 +182,6 @@ def echo_delays(p: SceneParams, act: ActivitySpec,
 
 def wall_clutter(cfg: RadarConfig) -> np.ndarray:
     """Stationary wall return: one fast-time row, identical across PRIs."""
-    if cfg.wall_reflectivity == 0.0:
-        return np.zeros(cfg.fast_samples, dtype=complex)
     tau = np.array([2.0 * cfg.wall_range_m / C_LIGHT])
     amp = 0.5 * cfg.wall_reflectivity * cfg.tx_amplitude ** 2
     return _beat_rows(_beat_tables(cfg, amp, tau), slice(None), cfg.fast_samples)[0]

@@ -89,11 +89,8 @@ def _rasterize(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
     cols = np.arange(t.size)
     if not act.is_empty:
         for node in ALL_NODES:
-            eta = cfg.reflectivity.get(node, 0.0)
-            if eta == 0.0:
-                continue
             value, doppler = node_track(node, t)
-            amp = eta * _mti_gain(doppler, cfg.pri)
+            amp = cfg.reflectivity[node] * _mti_gain(doppler, cfg.pri)
             frac = (value - axis.lo) / bin_width
             lo = np.floor(frac).astype(int)
             w_hi = frac - lo

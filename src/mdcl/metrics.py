@@ -115,7 +115,8 @@ def psnr(img: np.ndarray, ref: np.ndarray) -> float:
     mse = float(np.mean(np.square(sq, out=sq)))
     if mse == 0.0:
         return PSNR_CAP
-    return min(10.0 * np.log10(1.0 / mse), PSNR_CAP)
+    # libm's log, not numpy's: numpy's float64 log10 rounds by SIMD level
+    return min(10.0 * math.log10(1.0 / mse), PSNR_CAP)
 
 
 def add_image_noise(img: np.ndarray, snr_drop_db: float, noise: np.ndarray,

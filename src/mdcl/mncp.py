@@ -27,8 +27,8 @@ class CurveModel:
     ``basis_builder`` maps the nonlinear parameter vector to the list of
     linear basis functions; for purely linear families the nonlinear vector
     is empty.  ``mncp`` is the minimum number of corner points the family
-    needs for unique reconstruction.  Key points are searched on
-    ``slope``, the first derivative of ``value``.
+    needs for unique reconstruction.  Key points are searched on the
+    ground truth's numeric first derivative of ``value``.
     """
 
     mncp: int
@@ -37,7 +37,6 @@ class CurveModel:
     value: Callable
     basis_builder: Callable
     window: float
-    slope: Callable
 
     @property
     def linear_count(self) -> int:
@@ -63,7 +62,8 @@ class CurveModel:
         return out[0] if single else out
 
     def keypoints_detailed(self) -> list[tuple[float, str]]:
-        return select_keypoints_detailed(self.slope, self.window, self.mncp)
+        return select_keypoints_detailed(_numeric_derivative(self.value, self.window),
+                                         self.window, self.mncp)
 
 
 
@@ -148,7 +148,6 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
     for name, (label, node, kind, mncp, basis, truth, bounds) in table.items():
         value = node_curve(node, free_space, activity(label), kind)
         models[name] = CurveModel(mncp, truth, bounds, value=value,
-                                  slope=_numeric_derivative(value, T),
                                   basis_builder=basis, window=T)
     return models
 
@@ -370,10 +369,8 @@ def fit_curve_model(model: CurveModel, ts, kinds=None) -> FitReport:
                                if kind == "extremum"], dtype=float)
         inflection_ts = np.asarray([t for t, kind in zip(ts, kinds)
                                     if kind == "inflection"], dtype=float)
-    if model.nonlinear_count and ts.size >= model.linear_count + model.nonlinear_count:
-        nonlinear = _multistart_fit(model, ts, ys, slope_ts, inflection_ts)
-    else:
-        nonlinear = tuple(model.nonlinear_truth)
+    nonlinear = (_multistart_fit(model, ts, ys, slope_ts, inflection_ts)
+                 if model.nonlinear_count else ())
     coef, rms, rank = _lin_fit(model, ts, ys, nonlinear, slope_ts, inflection_ts)
     grid = np.linspace(0.0, model.window, _GRID_POINTS)
     truth = model.value(grid)

@@ -35,16 +35,6 @@ def _check_window(t: np.ndarray, T: float):
         raise ValueError(f"t out of observation window [0, {T}]")
 
 
-def _rest_z_eff(node: NodeId, p: SceneParams) -> float:
-    """Vertical offset entering the static distance, per-node reference."""
-    if node is NodeId.HEAD:
-        return p.torso_upper - p.radar_height + 0.15
-    if node is NodeId.TORSO:
-        return 0.5 * (p.torso_upper + p.torso_lower) - p.radar_height
-    # hands and feet are referenced to the ground
-    return p.node_rest_height(node)
-
-
 def _vertical_ref(node: NodeId, p: SceneParams) -> float:
     return p.radar_height if node in (NodeId.HEAD, NodeId.TORSO) else 0.0
 
@@ -149,6 +139,7 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
     vx, vy = act.velocity if act.velocity is not None else p.initial_velocity
     speed = math.hypot(vx, vy)
     dirx, diry = _swing_direction(x1, y1, vx, vy)
+    z_rest = p.node_rest_height(node) - _vertical_ref(node, p)
 
     def walking(x0, y0):
         """The translation phase from (x0, y0), in local time."""
@@ -161,8 +152,7 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
                                                  l, h, theta, phi, phase, s)
             return lambda s: _pendulum_chi_sq(speed, l, theta, phi, phase, s)
         if r2:
-            z_eff = _rest_z_eff(node, p)
-            return lambda s: _translate_xi_sq(x0, y0, z_eff, vx, vy, s)
+            return lambda s: _translate_xi_sq(x0, y0, z_rest, vx, vy, s)
         return lambda s: np.full_like(s, vx ** 2 + vy ** 2)
 
     def vertical(x0, y0, t0):
@@ -176,8 +166,7 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
         return lambda s: _vertical_xi_sq(x0, y0, z_center, ref, drop, t0, sign, s)
 
     if motion.state is MotionState.INACTIVE:
-        z = _rest_z_eff(node, p)
-        rest = x1 ** 2 + y1 ** 2 + z * z if r2 else 0.0
+        rest = x1 ** 2 + y1 ** 2 + z_rest * z_rest if r2 else 0.0
         free = lambda t: np.full_like(t, rest)
     elif act.activity_class is ActivityClass.COMBINATION:
         walk_start, walk_stop = act.walk_span[0] * T, act.walk_span[1] * T

@@ -2,11 +2,12 @@
 
 Source row j (0-based) fills squared rows j^2 .. (j+1)^2-1, i.e. 2j+1
 nearest-neighbor copies, which stretches the value axis onto squared
-coordinates.  The Doppler map is split at zero into two halves that are
-stretched outward, the negative half mirrored back, preserving the sign
-symmetry of the axis.  ``squared_source_rows`` is that rule;
-``render_squared`` gathers the squared map straight onto the detection
-grid without materialising the stretch.
+coordinates.  The Doppler map, always of even height, is split at zero
+into two equal halves that are stretched outward, the negative half
+mirrored back, preserving the sign symmetry of the axis.
+``squared_source_rows`` is that rule; ``render_squared`` gathers the
+squared map straight onto the detection grid without materialising the
+stretch.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ def _stretch(n: int) -> np.ndarray:
 def squared_source_rows(q: int, kind: str) -> np.ndarray:
     """Source row of every squared row of a ``q``-row map of axis ``kind``.
 
-    A range map has q^2 squared rows.  A Doppler map has 2*ceil(q/2)^2:
-    with odd q the center row joins the positive half and the outermost
-    negative ring, marked -1, stays zero.  The index is non-decreasing and
-    steps by at most one row.
+    A range map has q^2 squared rows.  A Doppler map has an even height
+    (the STFT's, kept even by ``decimate_rows``) and q^2 / 2 squared rows,
+    q / 2 per half.  The index is non-decreasing and steps by at most one
+    row.
     """
     if kind == "range":
         if q < 1:
@@ -36,13 +37,10 @@ def squared_source_rows(q: int, kind: str) -> np.ndarray:
         return _stretch(q)
     if kind != "doppler":
         raise ValueError(f"cannot square a {kind!r} axis")
-    if q < 2:
-        raise ValueError("need at least two Doppler rows")
-    half = (q + 1) // 2
-    center = q - half                     # first row of the positive half
-    neg = np.full(half * half, -1)
-    neg[:center * center] = center - 1 - _stretch(center)
-    return np.concatenate([neg[::-1], center + _stretch(half)])
+    if q < 2 or q % 2:
+        raise ValueError(f"need an even number of Doppler rows, got {q}")
+    half = q // 2                         # first row of the positive half
+    return np.concatenate([(half - 1 - _stretch(half))[::-1], half + _stretch(half)])
 
 
 def render_squared(pm: ProfileMap, n_rows: int) -> ProfileMap:
@@ -51,16 +49,10 @@ def render_squared(pm: ProfileMap, n_rows: int) -> ProfileMap:
     Each render row is the max over its block of squared rows (rows repeat
     when upsampling).  The squared index is monotone, so a block is one
     contiguous run of source rows; normalisation is monotone and commutes
-    with the max, so the source rows are normalised once, together with
-    the zero ring when there is one.
+    with the max, so the source rows are normalised once.
     """
     src = squared_source_rows(pm.rows, pm.axis.kind)
-    ring = int(src[0] < 0)
-    rows = pm.data
-    if ring:
-        rows = np.concatenate([np.zeros((1, pm.cols)), rows], axis=0)
-    rows = normalize(rows)
-    src = src + ring
+    rows = normalize(pm.data)
     edges = (np.arange(n_rows + 1) * src.size) // n_rows
     first = src[edges[:-1]]
     last = src[np.maximum(edges[1:], edges[:-1] + 1) - 1]
@@ -76,8 +68,11 @@ def render_squared(pm: ProfileMap, n_rows: int) -> ProfileMap:
 def decimate_rows(pm: ProfileMap, max_rows: int) -> ProfileMap:
     """Block-max decimation of the value axis down to at most ``max_rows``.
 
-    Keeps ridges at full amplitude.  Doppler maps are decimated by an even
-    factor so the zero crossing stays on a row boundary.
+    Keeps ridges at full amplitude.  An even-height Doppler map is
+    decimated by a factor that divides its height into an even number of
+    rows, so the zero crossing stays on a row boundary and the result can
+    be squared; with ``max_rows`` >= 2, ``height / 2`` is always such a
+    factor.
     """
     rows = pm.rows
     if rows <= max_rows:

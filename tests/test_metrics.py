@@ -2,6 +2,7 @@
 image noise."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -149,8 +150,8 @@ class TestPsnr:
         rng = np.random.default_rng(5)
         img = rng.random((1024, 1024)).astype(img_dtype)
         ref = rng.random((1024, 1024)).astype(ref_dtype)
-        mse = np.mean((np.asarray(img, float) - np.asarray(ref, float)) ** 2)
-        assert psnr(img, ref) == min(10.0 * np.log10(1.0 / mse), metrics.PSNR_CAP)
+        mse = float(np.mean((np.asarray(img, float) - np.asarray(ref, float)) ** 2))
+        assert psnr(img, ref) == min(10.0 * math.log10(1.0 / mse), metrics.PSNR_CAP)
 
     def test_strictly_decreasing_with_noise(self):
         rng = np.random.default_rng(4)

@@ -122,7 +122,6 @@ class TestCurveFitting:
         model = CurveModel(
             3, (), (),
             value=lambda t: 1.0 + np.asarray(t, float) + np.asarray(t, float) ** 2,
-            slope=lambda t: 1.0 + 2.0 * np.asarray(t, float),
             basis_builder=lambda _: [lambda t: np.ones_like(t), lambda t: t,
                                      lambda t: t * t],
             window=2.0)
@@ -134,12 +133,22 @@ class TestCurveFitting:
         model = CurveModel(
             3, (), (),
             value=lambda t: np.asarray(t, float) ** 2,
-            slope=lambda t: 2.0 * np.asarray(t, float),
             basis_builder=lambda _: [lambda t: np.ones_like(t), lambda t: t,
                                      lambda t: t * t],
             window=2.0)
         fit = fit_curve_model(model, [0.0, 1.0])
         assert fit.rank == 2
+
+    def test_nonlinear_family_fitted_from_few_points(self):
+        # three points for four unknowns: the parameters still come from the
+        # fit, never from the family's true values
+        model = FAMILIES["insitu_d2"]
+        ts = [t for t, _ in model.keypoints_detailed()][:3]
+        with mock.patch.object(mncp, "_multistart_fit",
+                               wraps=mncp._multistart_fit) as fit:
+            report = fit_curve_model(model, ts)
+        fit.assert_called_once()
+        assert len(report.nonlinear) == model.nonlinear_count
 
     def test_hand_curve_reconstruction(self):
         model = curve_models(default_scene())["walk_hand_r2"]
@@ -200,11 +209,13 @@ class TestVerifyMncp:
                 continue
             node = NodeId.HAND_L if "hand" in name else NodeId.FOOT_R
             length = p.arm_length if node is NodeId.HAND_L else p.leg_length
-            analytic = dataclasses.replace(model, slope=pendulum_chi_sq_slope(
-                p, length, walk.node(node).swing_angle))
-            ref = verify_mncp(analytic)
+            analytic = motion.select_keypoints_detailed(pendulum_chi_sq_slope(
+                p, length, walk.node(node).swing_angle), model.window, model.mncp)
+            with mock.patch.object(CurveModel, "keypoints_detailed",
+                                   lambda _: analytic):
+                ref = verify_mncp(model)
             assert [t for t, _ in model.keypoints_detailed()] == pytest.approx(
-                [t for t, _ in analytic.keypoints_detailed()], abs=1e-8), name
+                [t for t, _ in analytic], abs=1e-8), name
             assert (report.sufficient_at_mncp, report.deficient_below) == (
                 ref.sufficient_at_mncp, ref.deficient_below), name
 
@@ -240,8 +251,7 @@ class TestVerifyMncp:
         p = default_scene()
         torso = node_curve(NodeId.TORSO, dataclasses.replace(p, through_wall=False),
                            activity("S5"), "r2")
-        model = dataclasses.replace(curve_models(p)["insitu_r2"], value=torso,
-                                    slope=motion._numeric_derivative(torso, p.window))
+        model = dataclasses.replace(curve_models(p)["insitu_r2"], value=torso)
         assert verify_mncp(model).sufficient_at_mncp
 
     def test_nonlinear_families_report_fit_only(self):
@@ -419,8 +429,7 @@ class TestFamilies:
         assert sum(table["d2"]) == 30
 
     def test_families_are_node_curves(self):
-        # every family is one catalog node's curve in free space, and its
-        # slope is the ground truth's numeric derivative of that curve
+        # every family is one catalog node's curve in free space
         rows = {"walk_head_r2": ("S8", NodeId.HEAD, "r2"),
                 "walk_torso_r2": ("S8", NodeId.TORSO, "r2"),
                 "walk_head_d2": ("S8", NodeId.HEAD, "d2"),
@@ -439,8 +448,6 @@ class TestFamilies:
         for name, (label, node, kind) in rows.items():
             curve = node_curve(node, free, activity(label), kind)
             assert np.array_equal(models[name].value(grid), curve(grid)), name
-            assert np.array_equal(models[name].slope(grid),
-                                  motion._numeric_derivative(curve, p.window)(grid)), name
 
     def test_gram_full_rank(self):
         for name, model in curve_models(default_scene()).items():

@@ -404,6 +404,15 @@ class TestDtm:
         assert dtm.cols == 512
         assert dtm.rows == 256      # power-of-two transform size
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(8, 2048), seed=st.integers(0, 2 ** 31 - 1))
+    def test_even_height_for_every_length(self, n, seed):
+        # squaring splits the Doppler axis into two equal halves
+        rng = np.random.default_rng(seed)
+        series = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        dtm = make_dtm(series, 1.0, EMD)
+        assert dtm.rows == STFT_SIZE and STFT_SIZE % 2 == 0
+
     @pytest.mark.parametrize("n", [8, 9, 10, 11, 1023, 1024])
     def test_stft_one_column_per_sample(self, n):
         # ceil(n / STFT_HOP) frames, each repeated STFT_HOP times, cover n

@@ -25,9 +25,9 @@ def doppler_map(col, n_cols=1):
 
 
 def stretched(col, kind):
-    """The squared column before normalisation; the zero ring reads 0."""
+    """The squared column before normalisation."""
     col = np.asarray(col, dtype=float)
-    return np.concatenate([[0.0], col])[squared_source_rows(col.size, kind) + 1].tolist()
+    return col[squared_source_rows(col.size, kind)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +45,9 @@ def oracle_square(pm):
     if pm.axis.kind == "range":
         out = oracle_stretch(pm.data)
         return normalize(out), AxisSpec("range_sq", 0.0, pm.axis.hi ** 2, out.shape[0])
-    q = pm.rows
-    half = (q + 1) // 2
-    center = q - half
-    neg_sq = np.zeros((half * half, pm.cols), dtype=float)
-    neg_part = oracle_stretch(pm.data[center - 1::-1])
-    neg_sq[:neg_part.shape[0]] = neg_part
-    out = np.concatenate([neg_sq[::-1], oracle_stretch(pm.data[center:])], axis=0)
+    half = pm.rows // 2
+    out = np.concatenate([oracle_stretch(pm.data[half - 1::-1])[::-1],
+                          oracle_stretch(pm.data[half:])], axis=0)
     hi = pm.axis.hi ** 2
     return normalize(out), AxisSpec("doppler_sq", -hi, hi, out.shape[0])
 
@@ -104,8 +100,8 @@ class TestRangeSquaring:
 
     def test_monotone_source_index(self):
         # the render's contiguous-run gather relies on steps of 0 or 1
-        for q in range(2, 65):
-            for kind in ("range", "doppler"):
+        for kind, heights in (("range", range(2, 65)), ("doppler", range(2, 65, 2))):
+            for q in heights:
                 assert set(np.diff(squared_source_rows(q, kind)).tolist()) <= {0, 1}
 
     def test_argmax_column_preserved(self):
@@ -130,8 +126,8 @@ class TestDopplerSquaring:
             [1.0, 1.0, 1.0, 0.25, 0.5, 0.0, 0.0, 0.0]
 
     def test_row_count_law(self):
-        for q in range(2, 65):
-            assert squared_source_rows(q, "doppler").size == 2 * ((q + 1) // 2) ** 2
+        for q in range(2, 65, 2):
+            assert squared_source_rows(q, "doppler").size == 2 * (q // 2) ** 2
 
     def test_symmetric_input_symmetric_output(self):
         out = stretched([0.1, 0.7, 0.7, 0.1], "doppler")
@@ -145,20 +141,15 @@ class TestDopplerSquaring:
         hot = np.nonzero(out == 1.0)[0]
         assert set(hot) == {n // 2 - 1, n // 2}
 
-    def test_odd_q_outer_negative_ring_zero(self):
-        # q=3: halves of ceil(3/2)^2 = 4 rows; positive half [0.6, 0.9 x3],
-        # negative half [0.3] padded with a zero outer ring
-        assert squared_source_rows(3, "doppler").tolist() == [-1, -1, -1, 0, 1, 2, 2, 2]
-        assert stretched([0.3, 0.6, 0.9], "doppler") == \
-            [0.0, 0.0, 0.0, 0.3, 0.6, 0.9, 0.9, 0.9]
-        # the ring's zero takes part in the min-max normalisation
-        out = render_squared(doppler_map([0.3, 0.6, 0.9]), 8)
-        assert out.data[:, 0].tolist() == [0.0, 0.0, 0.0, 0.3 / 0.9, 0.6 / 0.9,
-                                           1.0, 1.0, 1.0]
+    def test_odd_q_rejected(self):
+        # halves split at zero Doppler need an even height
+        for q in (1, 3, 5, 255):
+            with pytest.raises(ValueError, match="even number of Doppler rows"):
+                squared_source_rows(q, "doppler")
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
-            squared_source_rows(1, "doppler")
+            squared_source_rows(0, "doppler")
 
     def test_unsquarable_axis_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +174,14 @@ class TestRenderGrid:
         out = decimate_rows(pm, 8)
         assert out.rows == 8
         assert np.argmax(out.data[:, 0]) == 4      # still first positive row
+
+    @settings(max_examples=300, deadline=None)
+    @given(half=st.integers(1, 2048), max_rows=st.integers(2, 4200))
+    def test_doppler_decimation_keeps_height_even(self, half, max_rows):
+        # an even-height Doppler map stays even, so it can be squared
+        out = decimate_rows(doppler_map(np.zeros(2 * half)), max_rows)
+        assert out.rows % 2 == 0
+        assert out.rows == 2 * half if 2 * half <= max_rows else out.rows <= max_rows
 
     def test_resample_preserves_normalized_positions(self):
         rng = np.random.default_rng(1)
@@ -211,8 +210,10 @@ class TestRenderOracle:
            pre=st.one_of(st.none(), st.integers(2, 60)),
            ratio=st.one_of(st.just(1.0), st.floats(0.01, 3.0)))
     def test_matches_stretch_resample_oracle(self, seed, kind, q, cols, fill, pre, ratio):
+        # a Doppler map has an even height, at least 2
+        assume(kind == "range" or q % 2 == 0)
         rng = np.random.default_rng(seed)
-        if fill == "random":       # bounded away from 0: the zero ring shows
+        if fill == "random":
             data = rng.uniform(0.5, 1.5, (q, cols))
         elif fill == "sparse":
             data = np.where(rng.random((q, cols)) < 0.1, rng.random((q, cols)), 0.0)
@@ -222,7 +223,6 @@ class TestRenderOracle:
         pm = ProfileMap(data, make(np.zeros(q)).axis, 4.0)
         if pre is not None:
             pm = decimate_rows(pm, pre)
-        assume(kind == "range" or pm.rows >= 2)
         n_sq = squared_source_rows(pm.rows, kind).size
         assert_matches_oracle(pm, max(1, int(ratio * n_sq)))
 
