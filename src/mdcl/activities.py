@@ -96,11 +96,9 @@ def _walking_nodes(swing_arms: float, swing_legs: float) -> dict[NodeId, NodeMot
     }
 
 
-def _in_situ_nodes(drops: dict[NodeId, float], rise_first: bool,
-                   span: tuple[float, float] = (0.0, 1.0)) -> dict[NodeId, NodeMotion]:
+def _in_situ_nodes(drops: dict[NodeId, float], rise_first: bool) -> dict[NodeId, NodeMotion]:
     return {
-        n: NodeMotion(MotionState.SUDDEN_ACCEL, drop=drops[n],
-                      rise_first=rise_first, span=span)
+        n: NodeMotion(MotionState.SUDDEN_ACCEL, drop=drops[n], rise_first=rise_first)
         for n in ALL_NODES
     }
 

@@ -8,9 +8,10 @@ still repeats its delay) and a row is the outer product of a coarse and a
 fine table over blocks of about sqrt(N) fast-time samples: about 2 sqrt(N)
 complex ``exp`` instead of N, as accurate as one direct ``exp`` per sample
 (``_beat_tables`` states the bound).  The noise is seeded per frame and
-drawn from one spawned stream per PRI, straight into interleaved (real,
-imaginary) pairs.  One stream per frame would be faster, but it draws
-different noise and so changes every noisy artifact's digest.
+drawn from one ``noise_generator`` stream per PRI, straight into
+interleaved (real, imaginary) pairs.  One stream per frame would be
+faster, but it draws different noise and so changes every noisy
+artifact's digest.
 """
 
 from __future__ import annotations
@@ -118,6 +119,14 @@ class EchoFrame:
             raise ValueError("frame contains non-finite samples")
 
 
+def noise_generator(entropy, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
+    """Every noise stream's generator: Philox on ``SeedSequence(entropy,
+    spawn_key=spawn_key)``.  Key (i,) gives child i of
+    ``SeedSequence(entropy).spawn(m)``."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy, spawn_key=spawn_key)))
+
+
 def check_delays(cfg: RadarConfig, tau) -> None:
     """The unambiguous-range rule: every two-way delay lies inside the PRI."""
     if np.any(np.asarray(tau) >= cfg.pri):
@@ -204,7 +213,6 @@ def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
         p_sig = float(np.mean(np.abs(data) ** 2))
         reference = p_sig if p_sig > 0 else 1.0
         scale = np.sqrt(reference * 10.0 ** (-noise.target_snr / 10.0))
-        streams = np.random.SeedSequence(noise.seed).spawn(m)
         pairs = np.empty((BLOCK_ROWS, 2 * n))
     wall = wall_clutter(cfg)
     for pris in blocks:
@@ -212,8 +220,8 @@ def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
         block += wall
         if noise is not None:
             buffer = pairs[:len(block)]
-            for row, stream in zip(buffer, streams[pris]):
-                np.random.Generator(np.random.Philox(stream)).standard_normal(out=row)
+            for pri, row in enumerate(buffer, start=pris.start):
+                noise_generator(noise.seed, (pri,)).standard_normal(out=row)
             scaled = buffer.view(complex)
             scaled /= np.sqrt(2.0)  # complex division: a real one rounds differently
             scaled *= scale

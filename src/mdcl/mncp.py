@@ -166,29 +166,25 @@ class FitReport:
     rank: int
 
 
-def _stencil_designs(model: CurveModel, ts: np.ndarray, nonlinear, h: float,
-                     shifts) -> list[np.ndarray]:
-    """Design matrices at ``ts + s * h`` for each shift, from one call."""
+# Fourth-order central differences per derivative order: (step as a window
+# fraction, shifts in steps, weights); the sum is divided by 12 h^order.
+_STENCILS = {1: (1e-4, (2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0)),
+             2: (5e-4, (2.0, 1.0, 0.0, -1.0, -2.0), (-1.0, 16.0, -30.0, 16.0, -1.0))}
+
+
+def _derivative_design(model: CurveModel, ts: np.ndarray, nonlinear,
+                       order: int) -> np.ndarray:
+    """Finite-difference basis derivative of ``order`` (1 or 2) at ``ts``,
+    from one ``design_matrix`` call over every shifted time."""
+    step, shifts, weights = _STENCILS[order]
+    h = model.window * step
     n = ts.size
     d = model.design_matrix(np.concatenate([ts + s * h for s in shifts]),
                             nonlinear)
-    return [d[..., i * n:(i + 1) * n, :] for i in range(len(shifts))]
-
-
-def _slope_design(model: CurveModel, ts: np.ndarray, nonlinear) -> np.ndarray:
-    """Fourth-order finite-difference basis derivative at the given times."""
-    h = model.window * 1e-4
-    p2, p1, m1, m2 = _stencil_designs(model, ts, nonlinear, h,
-                                      (2.0, 1.0, -1.0, -2.0))
-    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
-
-
-def _curvature_design(model: CurveModel, ts: np.ndarray, nonlinear) -> np.ndarray:
-    """Fourth-order finite-difference basis second derivative."""
-    h = model.window * 5e-4
-    p2, p1, z, m1, m2 = _stencil_designs(model, ts, nonlinear, h,
-                                         (2.0, 1.0, 0.0, -1.0, -2.0))
-    return (-p2 + 16.0 * p1 - 30.0 * z + 16.0 * m1 - m2) / (12.0 * h * h)
+    total = weights[0] * d[..., :n, :]
+    for i, w in enumerate(weights[1:], start=1):
+        total = total + w * d[..., i * n:(i + 1) * n, :]
+    return total / (12.0 * h * h ** (order - 1))
 
 
 def _augmented_system(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
@@ -208,10 +204,10 @@ def _augmented_system(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
     rows = [a]
     w = model.window / (2.0 * np.pi)
     if slope_ts is not None and slope_ts.size:
-        rows.append(w * _slope_design(model, slope_ts, nonlinear))
+        rows.append(w * _derivative_design(model, slope_ts, nonlinear, 1))
         y.append(np.zeros(slope_ts.size))
     if inflection_ts is not None and inflection_ts.size:
-        rows.append(w * w * _curvature_design(model, inflection_ts, nonlinear))
+        rows.append(w * w * _derivative_design(model, inflection_ts, nonlinear, 2))
         y.append(np.zeros(inflection_ts.size))
     return np.concatenate(rows, axis=-2), np.concatenate(y)
 

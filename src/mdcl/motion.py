@@ -116,10 +116,10 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
     ``kind`` "r2", ``t -> chi^2(t)`` in (m/s)^2 for "d2".
 
     The curve follows the motion state the activity assigns to the node.
-    Inactive nodes hold their initial-pose distance at zero velocity.  A
-    translating node moves with the body, as a rigid point or as a
-    pendulum limb swinging along the body velocity (toward the radar when
-    the body stands still).  A sudden-acceleration node rises or sinks
+    A translating or inactive node moves with the body, as a rigid point or
+    as a pendulum limb swinging along the body velocity (toward the radar
+    when the body stands still); only the empty scene S1, whose body stands
+    still, has inactive nodes.  A sudden-acceleration node rises or sinks
     through its in-place vertical cycle.  In combination activities the
     body walks inside the walking span; outside it the node follows its
     vertical episode with clamped local time, so the pose holds still
@@ -165,10 +165,7 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
         ref = _vertical_ref(node, p)
         return lambda s: _vertical_xi_sq(x0, y0, z_center, ref, drop, t0, sign, s)
 
-    if motion.state is MotionState.INACTIVE:
-        rest = x1 ** 2 + y1 ** 2 + z_rest * z_rest if r2 else 0.0
-        free = lambda t: np.full_like(t, rest)
-    elif act.activity_class is ActivityClass.COMBINATION:
+    if act.activity_class is ActivityClass.COMBINATION:
         walk_start, walk_stop = act.walk_span[0] * T, act.walk_span[1] * T
         span_lo, span_hi = motion.span[0] * T, motion.span[1] * T
         span_len = span_hi - span_lo

@@ -30,7 +30,7 @@ from mdcl.artifacts import ARTIFACTS, ActivityDir
 from mdcl.config import (ConfigError, PipelineConfig, config_digest, drop_seed_keys,
                          serialize_config)
 from mdcl.corners import CornerSet, extract_corners, fuse_pc_rd
-from mdcl.echo import synth_frame
+from mdcl.echo import noise_generator, synth_frame
 from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
 from mdcl.maps import ProfileMap, normalize
 from mdcl.metrics import add_image_noise, emd_distance, psnr
@@ -354,9 +354,7 @@ def noise_field(cfg: PipelineConfig, shape: tuple[int, ...], key: int,
     depends on nothing else in the sweep, and every map of one (drop,
     seed) shares it.
     """
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((cfg.run.seed, seed, key))))
-    return rng.standard_normal(shape)
+    return noise_generator((cfg.run.seed, seed, key)).standard_normal(shape)
 
 
 def degrade_map(pm: ProfileMap, drop: float, noise: np.ndarray,

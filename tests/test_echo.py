@@ -195,6 +195,15 @@ class TestExactness:
         assert np.array_equal(bits(synth_frame(default_scene(), S1, cfg, noise).data),
                               bits(expected))
 
+    @pytest.mark.parametrize("seed, m", [(42, 1024), (0, 3), (42011, 257)])
+    def test_noise_generator_streams_equal_spawned(self, seed, m):
+        """Key (i,) gives child i of ``SeedSequence(seed).spawn(m)``, the
+        per-PRI streams' first rule."""
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(m)):
+            want = np.random.Generator(np.random.Philox(child)).standard_normal(16)
+            assert np.array_equal(echo.noise_generator(seed, (i,)).standard_normal(16),
+                                  want), i
+
     @pytest.mark.parametrize("label, radar, snr, block_rows", [
         ("S1", {}, -16.0, 64), ("S2", {}, -16.0, 64), ("S5", {}, -16.0, 64),
         ("S8", {}, -16.0, 64), ("S9", {}, -16.0, 64), ("S12", {}, -16.0, 64),

@@ -41,18 +41,27 @@ def column_stack_design(model, ts, nonlinear=None):
 
 
 def shiftwise_slope_design(model, ts, nonlinear):
-    """Oracle for ``mncp._slope_design``: one design matrix per shift."""
+    """Oracle for ``mncp._derivative_design`` at order 1: one design matrix
+    per shift."""
     h = model.window * 1e-4
     d = lambda s: column_stack_design(model, ts + s * h, nonlinear)
     return (-d(2.0) + 8.0 * d(1.0) - 8.0 * d(-1.0) + d(-2.0)) / (12.0 * h)
 
 
 def shiftwise_curvature_design(model, ts, nonlinear):
-    """Oracle for ``mncp._curvature_design``: one design matrix per shift."""
+    """Oracle for ``mncp._derivative_design`` at order 2: one design matrix
+    per shift."""
     h = model.window * 5e-4
     d = lambda s: column_stack_design(model, ts + s * h, nonlinear)
     return (-d(2.0) + 16.0 * d(1.0) - 30.0 * d(0.0) + 16.0 * d(-1.0)
             - d(-2.0)) / (12.0 * h * h)
+
+
+SHIFTWISE_DESIGNS = {1: shiftwise_slope_design, 2: shiftwise_curvature_design}
+
+
+def shiftwise_derivative_design(model, ts, nonlinear, order):
+    return SHIFTWISE_DESIGNS[order](model, ts, nonlinear)
 
 
 def trf_multistart_fit(model, ts, ys, slope_ts, inflection_ts):
@@ -281,10 +290,12 @@ class TestDesignOracles:
             got = model.design_matrix(ts, nl)
             assert got.shape == (n, model.linear_count)
             assert np.array_equal(got, column_stack_design(model, ts, nl))
-        assert np.array_equal(mncp._slope_design(model, ts, nonlinear),
-                              shiftwise_slope_design(model, ts, nonlinear))
-        assert np.array_equal(mncp._curvature_design(model, ts, nonlinear),
-                              shiftwise_curvature_design(model, ts, nonlinear))
+        for order, oracle in SHIFTWISE_DESIGNS.items():
+            got = mncp._derivative_design(model, ts, nonlinear, order)
+            want = oracle(model, ts, nonlinear)
+            # bit for bit, the signs of zeros included
+            assert np.array_equal(got, want), order
+            assert np.array_equal(np.signbit(got), np.signbit(want)), order
 
     def test_scalar_and_empty_times(self):
         for model in FAMILIES.values():
@@ -312,9 +323,11 @@ class TestDesignOracles:
         got = model.design_matrix(ts, stack)
         assert got.shape == (k, n, model.linear_count)
         assert np.array_equal(got, stacked(lambda nl: model.design_matrix(ts, nl)))
-        for design in (mncp._slope_design, mncp._curvature_design):
-            assert np.array_equal(design(model, ts, stack),
-                                  stacked(lambda nl: design(model, ts, nl)))
+        for order, oracle in SHIFTWISE_DESIGNS.items():
+            got = mncp._derivative_design(model, ts, stack, order)
+            want = stacked(lambda nl: oracle(model, ts, nl))
+            assert np.array_equal(got, want), order
+            assert np.array_equal(np.signbit(got), np.signbit(want)), order
         a, y = mncp._augmented_system(model, ts, ys, stack, slope_ts, inflection_ts)
         assert np.array_equal(a, stacked(lambda nl: mncp._augmented_system(
             model, ts, ys, nl, slope_ts, inflection_ts)[0]))
@@ -333,9 +346,8 @@ class TestDesignOracles:
 
         fast = reports()
         with mock.patch.object(CurveModel, "design_matrix", design_oracle), \
-                mock.patch.object(mncp, "_slope_design", shiftwise_slope_design), \
-                mock.patch.object(mncp, "_curvature_design",
-                                  shiftwise_curvature_design):
+                mock.patch.object(mncp, "_derivative_design",
+                                  shiftwise_derivative_design):
             slow = reports()
         for name, report in fast.items():
             ref = slow[name]
