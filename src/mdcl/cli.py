@@ -39,8 +39,8 @@ def _parser() -> argparse.ArgumentParser:
     def common(p, activity_flag=True):
         p.add_argument("--config", type=Path, default=None,
                        help="pipeline config file (defaults built in)")
-        p.add_argument("--out", type=Path, default=None,
-                       help="output directory (overrides run.out_dir)")
+        p.add_argument("--out", type=Path, default=Path("out"),
+                       help="output directory (default out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed")
         if activity_flag:
@@ -76,8 +76,7 @@ def _load(args) -> tuple[PipelineConfig, Path]:
     if getattr(args, "activity", None) and args.command == "run":
         cfg.run.activities = args.activity
     cfg.validate()
-    out = Path(args.out) if args.out is not None else Path(cfg.run.out_dir)
-    return cfg, out
+    return cfg, args.out
 
 
 def _cmd_mncp_verify(cfg: PipelineConfig) -> int:

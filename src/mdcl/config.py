@@ -95,7 +95,6 @@ class EvaluationSection:
 
 @dataclass
 class RunSection:
-    out_dir: str = "out"
     seed: int = 42
     activities: str = ",".join(activity_labels())
 

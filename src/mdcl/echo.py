@@ -8,10 +8,9 @@ still repeats its delay) and a row is the outer product of a coarse and a
 fine table over blocks of about sqrt(N) fast-time samples: about 2 sqrt(N)
 complex ``exp`` instead of N, as accurate as one direct ``exp`` per sample
 (``_beat_tables`` states the bound).  The noise is seeded per frame and
-drawn from one ``noise_generator`` stream per PRI, straight into
-interleaved (real, imaginary) pairs.  One stream per frame would be
-faster, but it draws different noise and so changes every noisy
-artifact's digest.
+drawn from one ``noise_generator`` stream per PRI, straight into interleaved
+(real, imaginary) pairs.  One stream per frame would be faster, but it draws
+different noise and so changes every noisy artifact's digest.
 """
 
 from __future__ import annotations
@@ -120,9 +119,8 @@ class EchoFrame:
 
 
 def noise_generator(entropy, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
-    """Every noise stream's generator: Philox on ``SeedSequence(entropy,
-    spawn_key=spawn_key)``.  Key (i,) gives child i of
-    ``SeedSequence(entropy).spawn(m)``."""
+    """Every noise stream's generator: Philox on ``SeedSequence(entropy, spawn_key)``;
+    key (i,) gives child i of ``SeedSequence(entropy).spawn(m)``."""
     return np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy, spawn_key=spawn_key)))
 

@@ -166,16 +166,15 @@ class FitReport:
     rank: int
 
 
-# Fourth-order central differences per derivative order: (step as a window
-# fraction, shifts in steps, weights); the sum is divided by 12 h^order.
 _STENCILS = {1: (1e-4, (2.0, 1.0, -1.0, -2.0), (-1.0, 8.0, -8.0, 1.0)),
              2: (5e-4, (2.0, 1.0, 0.0, -1.0, -2.0), (-1.0, 16.0, -30.0, 16.0, -1.0))}
 
 
 def _derivative_design(model: CurveModel, ts: np.ndarray, nonlinear,
                        order: int) -> np.ndarray:
-    """Finite-difference basis derivative of ``order`` (1 or 2) at ``ts``,
-    from one ``design_matrix`` call over every shifted time."""
+    """Fourth-order finite-difference basis derivative of ``order`` at ``ts``
+    from one design matrix: ``_STENCILS`` holds each order's step (a window
+    fraction), shifts and weights; the weighted sum is over 12 h^order."""
     step, shifts, weights = _STENCILS[order]
     h = model.window * step
     n = ts.size

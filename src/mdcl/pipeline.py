@@ -279,8 +279,8 @@ def _summary_report(outcomes: list[_JobOutcome]) -> str:
     return "\n".join(lines)
 
 
-def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunManifest:
-    """Execute all selected activities and persist every artifact.
+def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
+    """Execute all selected activities and persist every artifact in ``out_dir``.
 
     Every activity runs even when another fails; the manifest lists each
     file on disk that the run wrote, and names the first failure in
@@ -293,7 +293,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> RunM
     thread_count()      # a malformed MDCL_THREADS fails before any file
     labels = cfg.activity_list()
     cfg.check_echo_range(labels)
-    out = Path(out_dir if out_dir is not None else cfg.run.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     def one_activity(label: str) -> _JobOutcome:

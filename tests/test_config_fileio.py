@@ -54,11 +54,12 @@ class TestConfig:
         pytest.param("scene", "arm_max_angle", "0.5", id="arm_max_angle"),
         pytest.param("scene", "leg_max_angle", "0.2", id="leg_max_angle"),
         pytest.param("scene", "in_situ_height_drop", "0.4", id="in_situ_height_drop"),
-        pytest.param("run", "stage_dump", "true", id="stage_dump")])
+        pytest.param("run", "stage_dump", "true", id="stage_dump"),
+        pytest.param("run", "out_dir", "x", id="out_dir")])
     def test_removed_stft_keys_rejected(self, tmp_path, section, key, value):
         """Keys that were once accepted (with a value they accepted, or
-        one that never denoised, or that no output depended on) are
-        unknown keys now."""
+        one that never denoised, or that no output depended on, or that
+        only gave ``--out`` its default) are unknown keys now."""
         text = f"[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(text)

@@ -57,11 +57,8 @@ def shiftwise_curvature_design(model, ts, nonlinear):
             - d(-2.0)) / (12.0 * h * h)
 
 
+# the oracle for ``mncp._derivative_design`` at each order
 SHIFTWISE_DESIGNS = {1: shiftwise_slope_design, 2: shiftwise_curvature_design}
-
-
-def shiftwise_derivative_design(model, ts, nonlinear, order):
-    return SHIFTWISE_DESIGNS[order](model, ts, nonlinear)
 
 
 def trf_multistart_fit(model, ts, ys, slope_ts, inflection_ts):
@@ -347,7 +344,8 @@ class TestDesignOracles:
         fast = reports()
         with mock.patch.object(CurveModel, "design_matrix", design_oracle), \
                 mock.patch.object(mncp, "_derivative_design",
-                                  shiftwise_derivative_design):
+                                  lambda model, ts, nl, order:
+                                  SHIFTWISE_DESIGNS[order](model, ts, nl)):
             slow = reports()
         for name, report in fast.items():
             ref = slow[name]

@@ -138,15 +138,15 @@ class TestDistanceCurves:
         with pytest.raises(ValueError):
             distance_sq(NodeId.HEAD, p, S8, -0.1)
 
-    @pytest.mark.parametrize("node", ALL_NODES)
-    def test_inactive_node_static(self, node):
+    def test_inactive_node_static(self):
         """S1's nodes are inactive and its body stands still, so every node
         holds its distance at zero velocity."""
         p = scene()
         s1 = activity("S1")
         t = np.linspace(0, 4, 7)
-        assert np.ptp(distance_sq(node, p, s1, t)) == 0.0
-        assert np.all(velocity_sq(node, p, s1, t) == 0.0)
+        for node in ALL_NODES:
+            assert np.ptp(distance_sq(node, p, s1, t)) == 0.0, node
+            assert np.all(velocity_sq(node, p, s1, t) == 0.0), node
 
     def test_wall_shifts_unsquared_distance_exactly(self):
         wall = WallParams(0.12, 6.0)

@@ -250,8 +250,8 @@ CHAIN_KEY_VALUES = {
     "detector": {"orientations": 6, "sigma_px": 2.5, "anisotropy": 1.2,
                  "nms_radius_px": 5, "render_rows": 96},
 }
-# Sections that set up a run rather than the stage chain: [run] (output
-# path, activity list, seed) and [evaluation] (the noise sweep).
+# Sections that set up a run rather than the stage chain: [run] (activity
+# list, seed) and [evaluation] (the noise sweep).
 CHAIN_EXTERNAL = {"run", "evaluation"}
 
 

@@ -13,12 +13,21 @@ with other versions installed, only the file list, the config, the
 metrics and the sweep's EMDs (within 1e-6) are compared, and a warning
 says so.
 
+The detector's bytes also depend on the SIMD loops numpy dispatches to.
+So both commands run in a fresh interpreter with the environment in
+``numpy_cpu_features.txt``, which disables every loop above numpy's
+baseline (x86-64-v2): the reference is made and checked at that one
+level, whatever the CPU offers.
+
 A change that moves outputs on purpose regenerates the reference in the
-same commit: run both commands above into empty directories, copy the
-run's ``manifest.txt`` and ``S*/metrics.csv`` and the sweep's
-``sweep.csv`` here and update ``versions.txt``.
+same commit: run both commands above into empty directories with that
+environment, copy the run's ``manifest.txt`` and ``S*/metrics.csv`` and
+the sweep's ``sweep.csv`` here and update ``versions.txt``.
 """
 import csv
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -26,9 +35,26 @@ import numpy as np
 import pytest
 import scipy
 
-from mdcl.cli import main
+import mdcl
 
 REFERENCE = Path(__file__).parent / "data" / "reference_run"
+
+
+def settings(name: str) -> dict[str, str]:
+    lines = (REFERENCE / name).read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" = ", 1) for line in lines)
+
+
+def run_mdcl(args: list[str], threads: int) -> None:
+    """``mdcl args`` on ``threads`` threads in a fresh interpreter at the
+    reference's SIMD level (numpy reads it once, as it loads)."""
+    src = str(Path(mdcl.__file__).parents[1])
+    env = dict(os.environ, MDCL_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **settings("numpy_cpu_features.txt"))
+    done = subprocess.run([sys.executable, "-m", "mdcl.cli", *args], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def manifest_artifacts(path: Path) -> dict[str, str]:
@@ -60,8 +86,7 @@ def sweep_emds(path: Path) -> dict[tuple[str, ...], float]:
 def versions_match(compared: str) -> bool:
     """Whether the installed numpy and scipy are the reference's; warns
     with what ``compared`` instead when they are not."""
-    lines = (REFERENCE / "versions.txt").read_text(encoding="utf-8").splitlines()
-    recorded = dict(line.split(" = ") for line in lines)
+    recorded = settings("versions.txt")
     installed = {"numpy": np.__version__, "scipy": scipy.__version__}
     if recorded != installed:
         warnings.warn(f"installed {installed} differ from the reference's "
@@ -69,11 +94,10 @@ def versions_match(compared: str) -> bool:
     return recorded == installed
 
 
-def test_reference_run_reproduced(tmp_path, monkeypatch):
-    monkeypatch.setenv("MDCL_THREADS", "1")
+def test_reference_run_reproduced(tmp_path):
     out = tmp_path / "run"
-    assert main(["run", "--config", str(REFERENCE / "run.cfg"), "--seed", "42",
-                 "--out", str(out)]) == 0
+    run_mdcl(["run", "--config", str(REFERENCE / "run.cfg"), "--seed", "42",
+              "--out", str(out)], threads=1)
     want = manifest_artifacts(REFERENCE / "manifest.txt")
     got = manifest_artifacts(out / "manifest.txt")
     assert sorted(got) == sorted(want)
@@ -92,11 +116,10 @@ def test_reference_run_reproduced(tmp_path, monkeypatch):
             == (REFERENCE / "manifest.txt").read_text(encoding="utf-8"))
 
 
-def test_reference_sweep_reproduced(tmp_path, monkeypatch):
-    monkeypatch.setenv("MDCL_THREADS", "2")
+def test_reference_sweep_reproduced(tmp_path):
     out = tmp_path / "sweep"
-    assert main(["sweep-noise", "--config", str(REFERENCE / "run.cfg"), "--seed", "42",
-                 "--out", str(out)]) == 0
+    run_mdcl(["sweep-noise", "--config", str(REFERENCE / "run.cfg"), "--seed", "42",
+              "--out", str(out)], threads=2)
     want, got = sweep_emds(REFERENCE / "sweep.csv"), sweep_emds(out / "sweep.csv")
     assert list(got) == list(want)
     for key, value in want.items():
