@@ -198,7 +198,7 @@ class TestExactness:
     @pytest.mark.parametrize("seed, m", [(42, 1024), (0, 3), (42011, 257)])
     def test_noise_generator_streams_equal_spawned(self, seed, m):
         """Key (i,) gives child i of ``SeedSequence(seed).spawn(m)``, the
-        per-PRI streams' first rule."""
+        rule the per-PRI streams were first drawn by."""
         for i, child in enumerate(np.random.SeedSequence(seed).spawn(m)):
             want = np.random.Generator(np.random.Philox(child)).standard_normal(16)
             assert np.array_equal(echo.noise_generator(seed, (i,)).standard_normal(16),
