@@ -14,11 +14,13 @@ response, and its corners differ only
 among maxima whose float64 responses tie within that tolerance (noise-free
 maps repeat features exactly).  Non-maximum suppression finds the
 strongest disk maxima of the response (pixels no neighbour within the NMS
-radius exceeds) lazily: 3x3 local maxima are sorted by response and tested
+radius exceeds) lazily: 3x3 local maxima are ordered by response and tested
 against the full disk only until a fixed pool is full, so a noisy map
-costs a few array passes, not a full-map disk filter.  A greedy pass over
-the pool keeps the 30 strongest at least the radius apart; degenerate maps
-are padded to keep the fixed cardinality the fused 60x3 cloud requires.
+costs a few array passes, not a full-map disk filter, and only the
+strongest few hundred of its tens of thousands of local maxima are
+sorted.  A greedy pass over the pool keeps the 30 strongest at least the
+radius apart; degenerate maps are padded to keep the fixed cardinality
+the fused 60x3 cloud requires.
 A corner holds only its pixel: ``CornerSet.uv`` is the one rule that puts
 a pixel on the unit square.  Fusion pairs each corner with the partner
 map's column of the same index, so both maps share their column count.
@@ -295,6 +297,9 @@ def _geometric_mean(convs: list[np.ndarray], count: int) -> np.ndarray:
     return np.clip(out, 0.0, None, out=out)
 
 
+_PREFIX = 8     # candidates sorted per pool entry before the full order is needed
+
+
 def _disk_offsets(radius: int) -> np.ndarray:
     yy, xx = np.mgrid[-radius:radius + 1, -radius:radius + 1]
     inside = (yy * yy + xx * xx) <= radius * radius
@@ -310,10 +315,14 @@ def _nms_pool(resp: np.ndarray, radius: int,
     discards float-epsilon dust in empty map regions; ties order by row,
     then column.  A disk maximum is also a maximum over the part of its
     3x3 neighbourhood inside the disk, so those local maxima are a
-    superset: they are sorted once and the exact disk test runs on them
-    lazily, in growing blocks, until the pool is full.  Blocks keep the
-    worst case, where most local maxima fail the disk test, near one
-    vectorised pass over the candidates.
+    superset.  They are ordered by response, and the exact disk test runs
+    on them lazily, in growing blocks, until the pool is full.  Blocks keep
+    the worst case, where most local maxima fail the disk test, near one
+    vectorised pass over the candidates.  Only a prefix of the order is
+    sorted, every candidate at or above the ``_PREFIX * pool_size``-th
+    largest response: a noisy map has tens of thousands of local maxima
+    and the pool needs a few hundred.  The full order is sorted only if
+    the disk test exhausts the prefix.
     """
     floor = 1e-9 * resp.max(initial=0.0)
     offsets = _disk_offsets(radius)
@@ -321,26 +330,35 @@ def _nms_pool(resp: np.ndarray, radius: int,
     pad = max(radius, 1)
     padded = np.zeros((nr + 2 * pad, nc + 2 * pad), dtype=resp.dtype)
     padded[pad:-pad, pad:-pad] = resp
-    rows, cols = np.nonzero((resp > floor) & (resp >= _near_max(padded, pad, radius)))
-    vals = resp[rows, cols]
-    # nonzero yields row-major order, so a stable sort keeps ties by (row, col)
-    order = np.argsort(-vals, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    cands = np.flatnonzero(resp >= _near_max(padded, pad, radius))
+    vals = resp.ravel()[cands]
+    live = vals > floor
+    cands, vals = cands[live], vals[live]
+    # candidates come in row-major order, so a stable sort keeps ties by
+    # (row, col); the prefix is the first entries of the full stable order
+    rest = vals.size - _PREFIX * pool_size
+    if rest > 0:
+        top = np.flatnonzero(vals >= np.partition(vals, rest)[rest])
+        order = top[np.argsort(-vals[top], kind="stable")]
+    else:
+        order = np.argsort(-vals, kind="stable")
 
     flat = padded.ravel()
     width = padded.shape[1]
     steps = offsets[:, 0] * width + offsets[:, 1]
-    keep = np.zeros(rows.size, dtype=bool)
+    kept = [cands[:0]]
     found, start, block = 0, 0, pool_size
-    while found < pool_size and start < rows.size:
-        stop = min(start + block, rows.size)
-        centre = (rows[start:stop] + pad) * width + (cols[start:stop] + pad)
+    while found < pool_size and start < vals.size:
+        if start == order.size:             # the prefix is used up
+            order = np.argsort(-vals, kind="stable")
+        pick = order[start:min(start + block, order.size)]
+        rows, cols = np.divmod(cands[pick], nc)
+        centre = (rows + pad) * width + (cols + pad)
         peak = flat[centre[:, None] + steps[None, :]].max(axis=1)
-        keep[start:stop] = vals[start:stop] >= peak
-        found += int(keep[start:stop].sum())
-        start, block = stop, min(2 * block, 4096)
-    picked = np.flatnonzero(keep)[:pool_size]
-    return rows[picked], cols[picked]
+        kept.append(cands[pick[vals[pick] >= peak]])
+        found += kept[-1].size
+        start, block = start + pick.size, min(2 * block, 4096)
+    return np.divmod(np.concatenate(kept)[:pool_size], nc)
 
 
 def _near_max(padded: np.ndarray, pad: int, radius: int) -> np.ndarray:

@@ -8,14 +8,20 @@ still repeats its delay) and a row is the outer product of a coarse and a
 fine table over blocks of about sqrt(N) fast-time samples: about 2 sqrt(N)
 complex ``exp`` instead of N, as accurate as one direct ``exp`` per sample
 (``_beat_tables`` states the bound).  The noise is seeded per frame and
-drawn from one ``noise_generator`` stream per PRI, straight into interleaved
-(real, imaginary) pairs.  One stream per frame would be faster, but it draws
-different noise and so changes every noisy artifact's digest.
+drawn from one Philox stream per PRI, straight into interleaved (real,
+imaginary) pairs.  Philox is counter-based (Salmon et al., SC 2011): a
+stream is its key alone, so ``philox_keys`` derives all of a frame's keys
+in one vectorised pass and one generator is re-keyed per PRI, with the
+bits that per-PRI ``SeedSequence`` children give.  One stream per frame
+would be faster still, but it draws different noise and so changes every
+noisy artifact's digest.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,11 +124,87 @@ class EchoFrame:
             raise ValueError("frame contains non-finite samples")
 
 
+# numpy's SeedSequence: pool size in uint32 words, the (initial constant,
+# multiplier) of the hash that mixes entropy in and of the one that hashes
+# the state out, and the multipliers of mix
+_POOL = 4
+_HASH_IN = (0x43B0D7E5, 0x931E8875)
+_HASH_OUT = (0x8B51F9DD, 0x58F38DED)
+_MIX = (0xCA01F9DD, 0x4973F715)
+_WORD = 0xFFFFFFFF
+
+
+def _seed_words(value) -> list[int]:
+    """``SeedSequence``'s uint32 words of a non-negative int, low word first
+    (0 is one word), or of a tuple of such values, concatenated."""
+    if isinstance(value, tuple):
+        return [w for v in value for w in _seed_words(v)]
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {value}")
+    words = [value & _WORD]
+    while value > _WORD:
+        value >>= 32
+        words.append(value & _WORD)
+    return words
+
+
+def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``SeedSequence``'s hash: each call takes the next hash constant,
+    which advances alike for every element."""
+    const = init
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _WORD
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+    return hash_words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(_MIX[0]) * x - np.uint32(_MIX[1]) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def philox_keys(entropy, spawn_keys) -> np.ndarray:
+    """The Philox key of ``SeedSequence(entropy, spawn_key=k)`` for each row
+    ``k`` of ``spawn_keys`` (an (m, words) array of uint32 words), as (m, 2)
+    uint64: ``generate_state(2, np.uint64)``, which seeds ``Philox``.
+
+    numpy's mixing, vectorised over the rows: the run entropy is padded to
+    the pool with zeros when a spawn key follows it, the first pool-size
+    words are hashed into the pool and cross-mixed, every further word is
+    mixed into each pool word, and the pool is hashed out.  uint32
+    arithmetic wraps as numpy's C code does.
+    """
+    spawn = np.asarray(spawn_keys, dtype=np.uint32)
+    run = _seed_words(entropy)
+    if spawn.shape[1] and len(run) < _POOL:
+        run += [0] * (_POOL - len(run))
+    words = [np.full(len(spawn), w, dtype=np.uint32) for w in run] + list(spawn.T)
+    words += [np.zeros(len(spawn), dtype=np.uint32)] * (_POOL - len(words))
+    hash_in = _hasher(*_HASH_IN)
+    pool = [hash_in(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_in(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hash_in(word))
+    hash_out = _hasher(*_HASH_OUT)
+    low0, high0, low1, high1 = (hash_out(w).astype(np.uint64) for w in pool)
+    return np.stack([low0 | high0 << np.uint64(32), low1 | high1 << np.uint64(32)], axis=1)
+
+
 def noise_generator(entropy, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
-    """Every noise stream's generator: Philox on ``SeedSequence(entropy, spawn_key)``;
-    key (i,) gives child i of ``SeedSequence(entropy).spawn(m)``."""
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy, spawn_key=spawn_key)))
+    """Every noise stream's generator: Philox keyed as ``SeedSequence(entropy,
+    spawn_key=spawn_key)`` would key it; key (i,) gives child i of
+    ``SeedSequence(entropy).spawn(m)``."""
+    key = philox_keys(entropy, [_seed_words(spawn_key)])[0]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def check_delays(cfg: RadarConfig, tau) -> None:
@@ -198,7 +280,10 @@ def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
                 noise: NoiseConfig | None = None) -> EchoFrame:
     """Full frame: node echoes + wall clutter + noise at the target SNR, built
     in blocks of ``BLOCK_ROWS`` PRIs with the bits of a whole-frame assembly.
-    At its peak it holds the frame and one float64 frame of sample powers."""
+    PRI i's noise is the stream of ``noise_generator(noise.seed, (i,))``:
+    one generator is re-keyed per PRI (counter 0, empty buffer) from keys
+    derived in one pass.  At its peak it holds the frame and one float64
+    frame of sample powers."""
     m, n = cfg.slow_samples, cfg.fast_samples
     blocks = [slice(i, i + BLOCK_ROWS) for i in range(0, m, BLOCK_ROWS)]
     tables = [_beat_tables(cfg, amp, tau) for amp, tau in echo_delays(p, act, cfg)]
@@ -212,14 +297,20 @@ def synth_frame(p: SceneParams, act: ActivitySpec, cfg: RadarConfig,
         reference = p_sig if p_sig > 0 else 1.0
         scale = np.sqrt(reference * 10.0 ** (-noise.target_snr / 10.0))
         pairs = np.empty((BLOCK_ROWS, 2 * n))
+        keys = philox_keys(noise.seed, np.arange(m)[:, None])
+        bits = np.random.Philox(key=keys[0])
+        fresh = bits.state                  # counter 0, empty buffer
+        gen = np.random.Generator(bits)
     wall = wall_clutter(cfg)
     for pris in blocks:
         block = data[pris]
         block += wall
         if noise is not None:
             buffer = pairs[:len(block)]
-            for pri, row in enumerate(buffer, start=pris.start):
-                noise_generator(noise.seed, (pri,)).standard_normal(out=row)
+            for key, row in zip(keys[pris], buffer):
+                fresh["state"]["key"] = key
+                bits.state = fresh
+                gen.standard_normal(out=row)
             scaled = buffer.view(complex)
             scaled /= np.sqrt(2.0)  # complex division: a real one rounds differently
             scaled *= scale

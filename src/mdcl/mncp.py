@@ -251,8 +251,7 @@ def _multistart_fit(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
     start damping its own step with a multiple of the identity, and a
     step that would leave the box stops short of the bound: clipping it
     onto the bound instead parks starts in boundary minima.  Exact
-    harmonic aliases tie at zero residual; ties resolve to the smallest
-    leading (frequency) parameter so the fundamental wins.
+    harmonic aliases tie at zero residual; ``_pick_alias`` resolves ties.
     """
     bounds = np.asarray(model.nonlinear_bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -319,9 +318,20 @@ def _multistart_fit(model: CurveModel, ts: np.ndarray, ys: np.ndarray,
     if not finite.size:
         raise RuntimeError("nonlinear fit failed from every start")
     tie = 1e-9 * (1.0 + float(np.sqrt(np.mean(ys ** 2))))
-    tied = finite[rms[finite] <= rms[finite].min() + tie]
-    return min((tuple(float(v) for v in theta[i]) for i in tied),
-               key=lambda x: x[0])
+    return _pick_alias(theta[finite], rms[finite], tie)
+
+
+def _pick_alias(theta: np.ndarray, rms: np.ndarray, tie: float) -> tuple[float, ...]:
+    """The fit among converged starts ``theta`` (K, ndim) with residual rms
+    ``rms``: of those within ``tie`` of the lowest rms, the smallest leading
+    (frequency) parameter, so the fundamental wins over its harmonic
+    aliases; of those whose frequency equals that one to a relative 1e-9
+    (aliases in phase), the lowest rms, the first start on a tie."""
+    tied = np.flatnonzero(rms <= rms.min() + tie)
+    freq = theta[tied, 0]
+    low = freq.min()
+    same = tied[freq - low <= 1e-9 * abs(low)]
+    return tuple(float(v) for v in theta[same[np.argmin(rms[same])]])
 
 
 def _halton(n: int, dim: int) -> np.ndarray:

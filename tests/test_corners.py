@@ -376,6 +376,32 @@ def nms_map(kind, shape, rng):
     return ripple_on_ramp(shape)
 
 
+def shadowed_peaks(shape, rng):
+    """Strong peaks (one per 20 rows of the upper half), each ringed by 28
+    weaker 3x3 maxima inside its NMS disk (radius 7), and weak isolated
+    peaks elsewhere on faint noise: most of the strongest local maxima
+    fail the disk test, so a pool larger than the strong peaks' count
+    fills only from maxima far down the order."""
+    img = 0.01 * rng.random(shape)
+    for r0 in range(10, shape[0] // 2, 20):
+        img[r0, 10] = 10.0 + rng.random()
+        for dr in range(-6, 7, 2):
+            for dc in range(-6, 7, 2):
+                if 0 < dr * dr + dc * dc <= 36:
+                    img[r0 + dr, 10 + dc] = 5.0 + rng.random()
+    for r0 in range(shape[0] // 2 + 8, shape[0] - 8, 16):
+        for c0 in range(40, shape[1] - 8, 16):
+            img[r0, c0] = 1.0 + rng.random()
+    return img
+
+
+def candidate_count_above(resp, value):
+    """The 3x3 local maxima above the NMS floor that exceed ``value``."""
+    near = maximum_filter(resp, size=3, mode="constant", cval=0.0)
+    floor = 1e-9 * resp.max(initial=0.0)
+    return int(np.count_nonzero((resp >= near) & (resp > floor) & (resp > value)))
+
+
 class TestLazyNms:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1),
@@ -399,6 +425,40 @@ class TestLazyNms:
         if kind == "zero":
             assert all(c.padded for c in cs.corners)
         assert len(cs) == corners.CORNERS
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           kind=st.sampled_from(["random", "quantised", "border", "ramp", "tied"]),
+           shape=st.tuples(st.integers(128, 192), st.integers(128, 192)),
+           radius=st.integers(2, 9), pool_size=st.integers(1, 16))
+    def test_sorted_prefix_matches_disk_filter_oracle(self, seed, kind, shape,
+                                                      radius, pool_size):
+        """Maps with more local maxima than the sorted prefix holds, so the
+        pool comes from the prefix (the ramp's from the full order)."""
+        resp = nms_map(kind, shape, np.random.default_rng(seed))
+        assert candidate_count_above(resp, -1.0) > corners._PREFIX * pool_size
+        pool = corners._nms_pool(resp, radius, pool_size)
+        expected = oracle_pool(resp, radius, pool_size)
+        assert np.array_equal(pool[0], expected[0])
+        assert np.array_equal(pool[1], expected[1])
+        cfg = replace(CFG, nms_radius_px=radius)
+        assert corners._select_corners(resp, "m", cfg) == \
+            oracle_extract(resp, "m", cfg, corners.CORNERS)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape, pool_size", [((128, 128), 5), ((160, 140), 6),
+                                                  ((200, 128), 9)])
+    def test_used_up_prefix_continues_on_full_order(self, seed, shape, pool_size):
+        """The disk test rejects most of the sorted prefix, so the pool is
+        completed from the full stable order."""
+        resp = shadowed_peaks(shape, np.random.default_rng(seed))
+        pool = corners._nms_pool(resp, 7, pool_size)
+        expected = oracle_pool(resp, 7, pool_size)
+        assert np.array_equal(pool[0], expected[0])
+        assert np.array_equal(pool[1], expected[1])
+        assert len(pool[0]) == pool_size
+        last = resp[pool[0][-1], pool[1][-1]]
+        assert candidate_count_above(resp, last) >= corners._PREFIX * pool_size
 
     @pytest.mark.parametrize("kind", ["noisy", "ramp"])
     def test_full_detector_matches_oracle(self, kind):

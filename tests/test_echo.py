@@ -72,6 +72,18 @@ def oracle_noise_matrix(m, n, seed):
     return out
 
 
+def generator_noise_matrix(m, n, seed):
+    """Reference for ``synth_frame``'s noise draw: one ``noise_generator``
+    built per PRI, its 2n normals drawn straight into the row's
+    (real, imaginary) pairs."""
+    pairs = np.empty((m, 2 * n))
+    for i, row in enumerate(pairs):
+        echo.noise_generator(seed, (i,)).standard_normal(out=row)
+    out = pairs.view(complex)
+    out /= np.sqrt(2.0)
+    return out
+
+
 def node_rows(p, act, cfg):
     """(amplitude, per-PRI delays) of every reflecting, active node."""
     for node in ALL_NODES:
@@ -185,17 +197,48 @@ class TestExactness:
             err = np.hypot((rows.real - re).astype(float), (rows.imag - im).astype(float))
             assert np.all(err <= bound)
 
-    @pytest.mark.parametrize("m, n, seed", [(1024, 1024, 42), (16, 37, 0), (3, 2, 7)])
+    @pytest.mark.parametrize("m, n, seed", [(1024, 1024, 42), (16, 37, 0), (3, 2, 7),
+                                            (70, 5, 2 ** 64 - 1)])
     def test_noise_matrix_matches_oracle(self, m, n, seed):
         # S1 without a wall: the frame is its noise alone, at the unit reference
         cfg = RadarConfig(slow_samples=m, fast_samples=n, wall_reflectivity=0.0)
         noise = NoiseConfig(target_snr=-16.0, seed=seed)
-        expected = oracle_noise_matrix(m, n, seed)
-        expected *= noise_scale(0.0, noise)
-        assert np.array_equal(bits(synth_frame(default_scene(), S1, cfg, noise).data),
-                              bits(expected))
+        frame = bits(synth_frame(default_scene(), S1, cfg, noise).data)
+        for oracle in (oracle_noise_matrix, generator_noise_matrix):
+            expected = oracle(m, n, seed)
+            expected *= noise_scale(0.0, noise)
+            assert np.array_equal(frame, bits(expected)), oracle.__name__
 
-    @pytest.mark.parametrize("seed, m", [(42, 1024), (0, 3), (42011, 257)])
+    @pytest.mark.parametrize("entropy", [
+        0, 42, 42011,                   # one uint32 word
+        2 ** 32 + 7, 2 ** 64 - 1,       # two words
+        2 ** 64 + 3,                    # three words
+        2 ** 160 - 1,                   # six words: more than the pool holds
+        (42, 1, 40), (7, 0, 120)])      # the sweep's (run seed, sweep seed, drop key)
+    def test_philox_keys_equal_seed_sequence(self, entropy):
+        """The keys derived in one pass are ``SeedSequence``'s, for every
+        spawn key (i,) of a full-size frame and for no spawn key (the sweep's
+        noise fields)."""
+        keys = echo.philox_keys(entropy, np.arange(1024)[:, None])
+        want = [np.random.SeedSequence(entropy, spawn_key=(i,)).generate_state(2, np.uint64)
+                for i in range(1024)]
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, want)
+        alone = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+        assert np.array_equal(echo.philox_keys(entropy, np.empty((1, 0)))[0], alone)
+        want = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        assert np.array_equal(echo.noise_generator(entropy).standard_normal(64),
+                              want.standard_normal(64))
+
+    def test_philox_keys_reject_what_seed_sequence_rejects(self):
+        for entropy, error in ((-1, ValueError), ((3, -2), ValueError), (1.5, TypeError)):
+            with pytest.raises(error):
+                np.random.SeedSequence(entropy)
+            with pytest.raises(error):
+                echo.philox_keys(entropy, np.arange(4)[:, None])
+
+    @pytest.mark.parametrize("seed, m", [(42, 1024), (0, 3), (42011, 257),
+                                         (2 ** 64 - 1, 5)])
     def test_noise_generator_streams_equal_spawned(self, seed, m):
         """Key (i,) gives child i of ``SeedSequence(seed).spawn(m)``, the
         rule the per-PRI streams were first drawn by."""

@@ -17,7 +17,10 @@ The detector's bytes also depend on the SIMD loops numpy dispatches to.
 So both commands run in a fresh interpreter with the environment in
 ``numpy_cpu_features.txt``, which disables every loop above numpy's
 baseline (x86-64-v2): the reference is made and checked at that one
-level, whatever the CPU offers.
+level, whatever the CPU offers.  numpy only warns about a name that is
+not one of its dispatch targets (any of them on an arm64 build), so the
+interpreter first checks that each name is a dispatch target that reads
+as disabled, and fails naming the first that is not.
 
 A change that moves outputs on purpose regenerates the reference in the
 same commit: run both commands above into empty directories with that
@@ -45,6 +48,20 @@ def settings(name: str) -> dict[str, str]:
     return dict(line.split(" = ", 1) for line in lines)
 
 
+# run in the child: every disabled feature must be one numpy dispatches and
+# now reads as off, or the digests would be compared at another level
+AT_REFERENCE_LEVEL = """
+import os, sys
+from numpy._core import _multiarray_umath as umath
+for name in os.environ["NPY_DISABLE_CPU_FEATURES"].split():
+    if name not in umath.__cpu_dispatch__ or umath.__cpu_features__.get(name, True):
+        sys.exit(f"numpy did not disable the CPU feature {name} "
+                 f"(its dispatch targets: {umath.__cpu_dispatch__})")
+from mdcl.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 def run_mdcl(args: list[str], threads: int) -> None:
     """``mdcl args`` on ``threads`` threads in a fresh interpreter at the
     reference's SIMD level (numpy reads it once, as it loads)."""
@@ -52,7 +69,7 @@ def run_mdcl(args: list[str], threads: int) -> None:
     env = dict(os.environ, MDCL_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
                **settings("numpy_cpu_features.txt"))
-    done = subprocess.run([sys.executable, "-m", "mdcl.cli", *args], env=env,
+    done = subprocess.run([sys.executable, "-c", AT_REFERENCE_LEVEL, *args], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
