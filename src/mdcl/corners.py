@@ -369,10 +369,12 @@ def _near_max(padded: np.ndarray, pad: int, radius: int) -> np.ndarray:
     ring = padded[pad - 1:padded.shape[0] - pad + 1, pad - 1:padded.shape[1] - pad + 1]
     if radius == 0:
         return ring[1:-1, 1:-1]
-    across = np.maximum(np.maximum(ring[:, :-2], ring[:, 2:]), ring[:, 1:-1])
+    across = np.maximum(ring[:, :-2], ring[:, 2:])
+    np.maximum(across, ring[:, 1:-1], out=across)
     if radius == 1:
         return np.maximum(across[1:-1], np.maximum(ring[:-2, 1:-1], ring[2:, 1:-1]))
-    return np.maximum(np.maximum(across[:-2], across[2:]), across[1:-1])
+    box = np.maximum(across[:-2], across[2:])
+    return np.maximum(box, across[1:-1], out=box)
 
 
 _PAD_OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (-1, -1), (1, -1), (-1, 1))

@@ -69,10 +69,12 @@ def write_pgm(path: str | Path, img: np.ndarray,
     Optional corners are burned in as 3x3 white crosses, clipped at the
     borders.
     """
-    img = np.asarray(img, dtype=float)
-    if img.ndim != 2:
+    level = np.array(img, dtype=float)     # a copy: quantized in place below
+    if level.ndim != 2:
         raise ValueError("heatmap must be 2-D")
-    gray = np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+    np.clip(level, 0.0, 1.0, out=level)
+    level *= 255.0
+    gray = np.round(level, out=level).astype(np.uint8)
     if corners:
         nr, nc = gray.shape
         for r, c in corners:

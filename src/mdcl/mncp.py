@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from mdcl.activities import activity
-from mdcl.motion import _numeric_derivative, node_curve, select_keypoints_detailed
+from mdcl.motion import curve_keypoints, node_curve
 from mdcl.scene import NodeId, SceneParams
 
 
@@ -62,8 +62,7 @@ class CurveModel:
         return out[0] if single else out
 
     def keypoints_detailed(self) -> list[tuple[float, str]]:
-        return select_keypoints_detailed(_numeric_derivative(self.value, self.window),
-                                         self.window, self.mncp)
+        return curve_keypoints(self.value, self.window, self.mncp)
 
 
 

@@ -182,9 +182,11 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
         def free(t):
             in_walk = (t >= walk_start) if to_edge else (
                 (t >= walk_start) & (t < walk_stop))
+            # np.minimum(np.maximum(...)) is np.clip without its dispatch cost
             return np.where(
-                in_walk, walk(np.clip(t - walk_start, 0.0, walk_stop - walk_start)),
-                vert(np.clip(t - span_lo, 0.0, span_len)))
+                in_walk,
+                walk(np.minimum(np.maximum(t - walk_start, 0.0), walk_stop - walk_start)),
+                vert(np.minimum(np.maximum(t - span_lo, 0.0), span_len)))
     elif motion.state is MotionState.SUDDEN_ACCEL:
         free = vertical(x1, y1, p.in_situ_quarter_time)
     else:
@@ -227,8 +229,8 @@ def _numeric_derivative(fn: Callable, T: float) -> Callable:
 
     def deriv(t):
         t = np.asarray(t, dtype=float)
-        lo = np.clip(t - h, 0.0, T)
-        hi = np.clip(t + h, 0.0, T)
+        lo = np.minimum(np.maximum(t - h, 0.0), T)
+        hi = np.minimum(np.maximum(t + h, 0.0), T)
         return (fn(hi) - fn(lo)) / (hi - lo)
 
     return deriv
@@ -333,6 +335,12 @@ def select_keypoints_detailed(slope: Callable, T: float,
     return deduped
 
 
+def curve_keypoints(fn: Callable, T: float, count: int) -> list[tuple[float, str]]:
+    """``select_keypoints_detailed`` on the curve ``fn``'s numeric first
+    derivative: the key-point rule of every ground-truth curve."""
+    return select_keypoints_detailed(_numeric_derivative(fn, T), T, count)
+
+
 def _equispaced_fill(existing: list[float], T: float, n: int) -> list[float]:
     out: list[float] = []
     m = n
@@ -372,8 +380,7 @@ def node_keypoints(node: NodeId, p: SceneParams, act: ActivitySpec,
     once, on the array of key-point times.
     """
     fn = node_curve(node, p, act, kind)
-    ts = np.asarray([t for t, _ in select_keypoints_detailed(
-        _numeric_derivative(fn, p.window), p.window, count)])
+    ts = np.asarray([t for t, _ in curve_keypoints(fn, p.window, count)])
     signs = (slope_sign(node_curve(node, p, act, "r2"), p.window, ts)
              if kind == "d2" else np.ones(ts.size))
     return [KeyPoint(node, t, value, sign)

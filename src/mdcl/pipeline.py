@@ -1,13 +1,15 @@
 """End-to-end orchestration: simulate -> preprocess -> square -> extract ->
 fuse -> evaluate, artifact persistence, and the noise-robustness sweep.
 
-``STAGES`` defines the chain once: ``run_activity`` folds an activity over
-it in memory and ``run_stage`` (the staged commands) runs one stage between
-artifact files; both pass each output on as its file holds it.  ``run``'s
-activities and the sweep's noise fields (one task per noise field, each
-degrading and re-extracting every map) are tasks on one worker pool,
-``pool_map`` (MDCL_THREADS); each task owns its outputs and noise stream and
-results keep input order, so no output depends on the thread count.
+``STAGES`` defines the chain once; ``_step`` runs one stage, passes each
+output on as its file holds it and, given a directory, writes the stage's
+files as it ends.  ``run_activity`` folds ``STAGES`` over the step, in
+memory or into ``run``'s directory, and ``run_stage`` (the staged
+commands) steps one stage between artifact files.  ``run``'s activities
+and the sweep's noise fields (one task per noise field, each degrading and
+re-extracting every map) are tasks on one worker pool, ``pool_map``
+(MDCL_THREADS); each task owns its outputs and noise stream and results
+keep input order, so no output depends on the thread count.
 """
 
 from __future__ import annotations
@@ -163,18 +165,28 @@ STAGES = (
 )
 
 
-def _apply(stage: Stage, cfg: PipelineConfig, label: str, values: dict) -> dict:
-    """A stage's outputs, each as its artifact file holds it."""
+def _step(stage: Stage, cfg: PipelineConfig, label: str, values: dict,
+          out: ActivityDir | None) -> None:
+    """Adds ``stage``'s outputs to ``values``, each as its artifact file
+    holds it, and, given ``out``, writes them into it; a failing writer is
+    a ``StageError`` of stage "write"."""
     try:
         outs = stage.fn(cfg, label, *(values[name] for name in stage.inputs))
-        return {name: ARTIFACTS[name].stored(value)
-                for name, value in zip(stage.outputs, outs, strict=True)}
+        values.update({name: ARTIFACTS[name].stored(value)
+                       for name, value in zip(stage.outputs, outs, strict=True)})
     except Exception as exc:
         raise StageError(stage.name, label, exc) from exc
+    try:
+        for name in stage.outputs if out is not None else ():
+            ARTIFACTS[name].write(out, name, values)
+    except Exception as exc:
+        raise StageError("write", label, exc) from exc
 
 
-def run_activity(cfg: PipelineConfig, label: str, _index=None) -> ActivityResult:
-    """Full stage chain for one activity, kept in memory.
+def run_activity(cfg: PipelineConfig, label: str, _index=None, *,
+                 out: ActivityDir | None = None) -> ActivityResult:
+    """Full stage chain for one activity; with ``out``, each stage's files
+    are written into it as the stage ends.
 
     ``_index`` is ignored: an activity's noise depends only on ``run.seed``
     and its label.  It is accepted until ``perfbench/workloads.py`` stops
@@ -184,42 +196,22 @@ def run_activity(cfg: PipelineConfig, label: str, _index=None) -> ActivityResult
     timings: dict[str, float] = {}
     for stage in STAGES:
         start = time.perf_counter()
-        values.update(_apply(stage, cfg, label, values))
+        _step(stage, cfg, label, values, out)
         timings[stage.name] = time.perf_counter() - start
     return ActivityResult(label=label, timings=timings, **values)
 
 
 def run_stage(cfg: PipelineConfig, out: Path, label: str,
               name: str) -> tuple[dict, list[Path]]:
-    """One stage of one activity, from and to ``out/<label>``.
-
-    Inputs come through the artifact readers and outputs go through the
-    writers ``run`` uses.  Returns the stage's values and written files.
-    """
+    """One stage of one activity, from and to ``out/<label>``, through the
+    artifact readers and ``run``'s step; returns its values and files."""
     stage = next(s for s in STAGES if s.name == name)
     if name == "simulate":
         cfg.check_echo_range([label])
-    root = Path(out) / label
-    values = {n: ARTIFACTS[n].read(root, n, cfg) for n in stage.inputs}
-    values.update(_apply(stage, cfg, label, values))
-    d = ActivityDir(root, label)
-    for name in stage.outputs:
-        ARTIFACTS[name].write(d, name, values)
+    d = ActivityDir(Path(out) / label, label)
+    values = {n: ARTIFACTS[n].read(d.root, n, cfg) for n in stage.inputs}
+    _step(stage, cfg, label, values, d)
     return values, d.written
-
-
-def write_activity_artifacts(outdir: Path, res: ActivityResult,
-                             written: list[Path] | None = None) -> list[Path]:
-    """Every stage's outputs through their writers.
-
-    Each file is appended to ``written`` before it is written, so the
-    caller knows what is on disk even when a write fails.
-    """
-    d = ActivityDir(Path(outdir), res.label, [] if written is None else written)
-    for stage in STAGES:
-        for name in stage.outputs:
-            ARTIFACTS[name].write(d, name, vars(res))
-    return d.written
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +274,13 @@ def _summary_report(outcomes: list[_JobOutcome]) -> str:
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
     """Execute all selected activities and persist every artifact in ``out_dir``.
 
-    Every activity runs even when another fails; the manifest lists each
-    file on disk that the run wrote, and names the first failure in
-    activity order.  The worker that wrote an activity's files hashes them,
-    whether or not the activity failed.  Per-stage wall-clock timings and
-    failure messages go to ``run.log`` (not part of the manifest, which
-    must be bit-identical across reruns of one config).
+    Every activity runs even when another fails, and a failed one keeps
+    the files of the stages it finished; the manifest lists each file on
+    disk that the run wrote, and names the first failure in activity
+    order.  The worker that wrote an activity's files hashes them, whether
+    or not the activity failed.  Per-stage wall-clock timings and failure
+    messages go to ``run.log`` (not part of the manifest, which must be
+    bit-identical across reruns of one config).
     """
     cfg.validate()
     thread_count()      # a malformed MDCL_THREADS fails before any file
@@ -297,18 +290,14 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
 
     def one_activity(label: str) -> _JobOutcome:
-        outcome, written = _JobOutcome(label), []
+        outcome, d = _JobOutcome(label), ActivityDir(out / label, label)
         try:
-            res = run_activity(cfg, label)
-            try:
-                write_activity_artifacts(out / label, res, written)
-            except Exception as exc:
-                raise StageError("write", label, exc) from exc
+            res = run_activity(cfg, label, out=d)
             outcome.metrics, outcome.timings = res.metrics, res.timings
         except StageError as exc:
             outcome.error = exc
         outcome.artifacts = {str(path.relative_to(out)): _sha256(path)
-                             for path in written if path.is_file()}
+                             for path in d.written if path.is_file()}
         return outcome
 
     outcomes = pool_map(one_activity, labels)

@@ -294,6 +294,26 @@ class TestPgm:
         assert header == b"P5\n2 2\n"
         assert list(payload) == [0, 255, 128, 64]
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_equal_clip_scale_round(self, tmp_path, dtype):
+        """The in-place quantization writes the bytes of
+        ``np.round(np.clip(img, 0, 1) * 255)`` at each level and one ulp
+        either side of it, half way between levels and outside [0, 1], and
+        leaves the map as it was."""
+        levels = (np.arange(256) / 255.0).astype(dtype)
+        values = np.concatenate([
+            levels, np.nextafter(levels, dtype(-np.inf)),
+            np.nextafter(levels, dtype(np.inf)),
+            ((np.arange(255) + 0.5) / 255.0).astype(dtype),
+            np.array([-2.0, -1e-30, -0.0, 1.0 + 1e-6, 3.0, 1e30], dtype=dtype)])
+        img = np.flipud(values.reshape(21, 49))
+        before = img.copy()
+        path = tmp_path / "img.pgm"
+        write_pgm(path, img)
+        want = np.round(np.clip(np.asarray(img, dtype=float), 0.0, 1.0) * 255.0)
+        assert path.read_bytes().split(b"255\n", 1)[1] == want.astype(np.uint8).tobytes()
+        assert img.tobytes() == before.tobytes()
+
     def test_corner_overlay_clipped(self, tmp_path):
         path = tmp_path / "img.pgm"
         write_pgm(path, np.zeros((4, 4)), corners=[(0, 0)])

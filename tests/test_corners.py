@@ -469,6 +469,33 @@ class TestLazyNms:
         assert extract_corners(as_map(img), "m", CFG) == oracle_extract(resp, "m", CFG, 30)
 
 
+def four_temporary_near_max(padded, pad, radius):
+    """``corners._near_max`` as written before its maxima went in place."""
+    ring = padded[pad - 1:padded.shape[0] - pad + 1, pad - 1:padded.shape[1] - pad + 1]
+    if radius == 0:
+        return ring[1:-1, 1:-1]
+    across = np.maximum(np.maximum(ring[:, :-2], ring[:, 2:]), ring[:, 1:-1])
+    if radius == 1:
+        return np.maximum(across[1:-1], np.maximum(ring[:-2, 1:-1], ring[2:, 1:-1]))
+    return np.maximum(np.maximum(across[:-2], across[2:]), across[1:-1])
+
+
+class TestNearMax:
+    @pytest.mark.parametrize("radius", [0, 1, 2, 7])
+    @pytest.mark.parametrize("kind", ["random", "tied", "constant"])
+    def test_equals_four_temporary_formula(self, radius, kind):
+        rng = np.random.default_rng(radius)
+        resp = {"random": rng.random((37, 53)),
+                "tied": rng.integers(0, 3, (37, 53)) / 2.0,
+                "constant": np.full((37, 53), 0.25)}[kind].astype(np.float32)
+        pad = max(radius, 1)
+        padded = np.pad(resp, pad)
+        got = corners._near_max(padded, pad, radius)
+        want = four_temporary_near_max(padded, pad, radius)
+        assert got.shape == resp.shape
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestFusion:
     def _sets(self, n_rows=128, n_cols=128):
         img = blob_image([(40 + (17 * k) % 60, (4 * k + 7) % n_cols)

@@ -12,7 +12,7 @@ from mdcl import motion
 from mdcl.activities import activity
 from mdcl.mncp import curve_models
 from mdcl.motion import (DegenerateCurveError, KeyPoint, activity_keypoints,
-                         groundtruth_counts, node_curve,
+                         curve_keypoints, groundtruth_counts, node_curve,
                          select_keypoints_detailed, slope_sign)
 from mdcl.scene import ALL_NODES, NodeId, WallParams
 from mdcl.activities import ActivityClass
@@ -30,8 +30,7 @@ def keypoint_times(model):
 
 
 def select_times(value, T, count):
-    return [t for t, _ in select_keypoints_detailed(
-        motion._numeric_derivative(value, T), T, count)]
+    return [t for t, _ in curve_keypoints(value, T, count)]
 
 
 def distance_sq(node, p, act, t):
@@ -378,6 +377,19 @@ class TestKeypoints:
     def test_degenerate_window(self):
         with pytest.raises(DegenerateCurveError):
             select_times(lambda t: np.asarray(t), 0.0, 3)
+
+    def test_numeric_derivative_equals_clipped_difference(self):
+        """The min/max stencil gives the bits of its ``np.clip`` form on a
+        combination curve, at the window edges and within a step of them."""
+        p = scene(initial_velocity=(-0.5, 0.0))
+        T = p.window
+        fn = node_curve(NodeId.HAND_L, p, S10, "r2")
+        h = T * 2.5e-7
+        t = np.concatenate([np.linspace(0.0, T, 1001),
+                            [h / 2, h, 1.5 * h, T - h / 2, T - h, T - 1.5 * h]])
+        lo, hi = np.clip(t - h, 0.0, T), np.clip(t + h, 0.0, T)
+        want = (fn(hi) - fn(lo)) / (hi - lo)
+        assert motion._numeric_derivative(fn, T)(t).tobytes() == want.tobytes()
 
 
 class TestLockstepBisection:

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 import mdcl
 from mdcl import artifacts, pipeline
 from mdcl.activities import activity_labels
+from mdcl.artifacts import ActivityDir
 from mdcl.cli import main
 from mdcl.config import PipelineConfig, drop_seed_keys, serialize_config
 from mdcl.fileio import read_matrix
 from mdcl.groundtruth import groundtruth_corners
-from mdcl.pipeline import (run_activity, run_pipeline, sweep_noise, sweep_summary,
-                           write_activity_artifacts)
+from mdcl.pipeline import run_activity, run_pipeline, sweep_noise, sweep_summary
 from conftest import small_config
 
 
@@ -44,6 +44,14 @@ EXPECTED_FILES = {
 
 STAGE_COMMANDS = ("simulate", "preprocess", "square", "extract", "fuse",
                   "evaluate")
+
+# an activity's files from simulate through fuse: all but evaluate's
+BEFORE_EVALUATE = {
+    "echo.mdcm", "pc_r.csv", "pc_d.csv", "pc_rd.csv",
+    "r2tm_corners.pgm", "d2tm_corners.pgm",
+    *(f"{m}{ext}" for m in ("rtm", "dtm", "r2tm", "d2tm")
+      for ext in (".mdcm", ".axis.txt")),
+}
 
 
 def files_under(root):
@@ -131,7 +139,12 @@ class TestRunPipeline:
         assert manifest.status == "failed"
         assert manifest.failed_stage == "S8:evaluate"
         assert "S5/metrics.csv" in manifest.artifacts
-        assert not (out / "S8").exists()
+        # the stages S8 finished keep their files, each listed with its digest
+        s8_files = files_under(out / "S8")
+        assert set(s8_files) == BEFORE_EVALUATE
+        for name, data in s8_files.items():
+            assert manifest.artifacts[f"S8/{name}"] == hashlib.sha256(data).hexdigest()
+        assert not (out / "S8" / "metrics.csv").exists()
         assert unlisted_files(out, manifest) == set()
         assert (out / "manifest.txt").read_text() == manifest.text()
         assert_digests_match_disk(out)
@@ -227,7 +240,7 @@ class TestNoiseKey:
         cfg.run.activities = "S8"
         cfg.validate()
         for name, args in (("plain", ()), ("indexed", (5,))):
-            write_activity_artifacts(tmp_path / name, run_activity(cfg, "S8", *args))
+            run_activity(cfg, "S8", *args, out=ActivityDir(tmp_path / name, "S8"))
         assert files_under(tmp_path / "indexed") == files_under(tmp_path / "plain")
 
 
@@ -272,7 +285,7 @@ class TestChainKeys:
             cfg.validate()
             out = tmp_path / f"{section}.{key}"
             for label in ("S5", "S8"):
-                write_activity_artifacts(out / label, run_activity(cfg, label))
+                run_activity(cfg, label, out=ActivityDir(out / label, label))
             return hashlib.sha256(repr(sorted(files_under(out).items()))
                                   .encode()).hexdigest()
 
@@ -527,6 +540,25 @@ class TestCli:
         _, cfg_path = write_small_config(tmp_path)
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o"), "--activity", "S99"]) == 2
+
+    def test_staged_writer_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        """A writer that fails in a staged command is the stage error
+        "write", whatever it raises, and leaves the files written before it."""
+        _, cfg_path = write_small_config(tmp_path)
+        out = tmp_path / "out"
+        args = ["--config", str(cfg_path), "--out", str(out), "--activity", "S8"]
+        for command in ("simulate", "preprocess", "square"):
+            assert main([command, *args]) == 0
+
+        def failing_write_pgm(*_args, **_kwargs):
+            raise RuntimeError("injected writer failure")
+
+        monkeypatch.setattr(artifacts, "write_pgm", failing_write_pgm)
+        capsys.readouterr()
+        assert main(["extract", *args]) == 3
+        assert "stage 'write' failed for S8" in capsys.readouterr().err
+        assert (out / "S8" / "pc_r.csv").exists()
+        assert not (out / "S8" / "pc_d.csv").exists()
 
     def test_missing_stage_input_exit_code(self, tmp_path):
         _, cfg_path = write_small_config(tmp_path)
