@@ -8,7 +8,7 @@ analytic ground truth.
 
 __version__ = "0.1.0"
 
-from mdcl.scene import NodeId, SceneParams, WallParams
+from mdcl.scene import NodeId, SceneParams
 from mdcl.activities import ActivitySpec, MotionState, activity, activity_labels
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "MotionState",
     "NodeId",
     "SceneParams",
-    "WallParams",
     "activity",
     "activity_labels",
     "__version__",

@@ -17,7 +17,7 @@ import numpy as np
 from mdcl import __version__
 from mdcl.activities import activity
 from mdcl.artifacts import read_corners, write_heatmap
-from mdcl.config import ConfigError, PipelineConfig, load_config
+from mdcl.config import ConfigError, PipelineConfig, load_config, serialize_config
 from mdcl.fileio import read_matrix, write_csv
 from mdcl.maps import normalize
 from mdcl.mncp import curve_models, verify_mncp
@@ -99,10 +99,13 @@ def _cmd_sweep(cfg: PipelineConfig, out: Path) -> None:
     write_csv(path, ["activity", "map", "drop_db", "seed", "emd"],
               [[r["activity"], r["map"], r["drop_db"], r["seed"], r["emd"]]
                for r in rows])
+    config_path = out / "config.txt"
+    config_path.write_text(serialize_config(cfg), encoding="utf-8")
     for drop, stats in sweep_summary(rows).items():
         print(f"drop {drop:>5.1f} dB: mean EMD {stats['mean']:.4f} "
               f"(sem {stats['sem']:.4f}, n={stats['count']})")
     print(f"wrote {path}")
+    print(f"wrote {config_path}")
 
 
 def _cmd_render(args) -> None:

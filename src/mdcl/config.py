@@ -9,7 +9,7 @@ Each section is one dataclass whose field defaults are the only defaults:
 ``corners.DetectorConfig``, which the stages take as they are; the other
 sections are defined here.  A runtime object that resolves values from
 more than one section is built from them and has no defaults of its own:
-``SceneParams`` (the scaled lengths and the radar window) and
+``SceneParams`` (the wall's extra path and the radar window) and
 ``NoiseConfig`` (the per-label noise seed).
 """
 
@@ -25,7 +25,7 @@ from mdcl.corners import DetectorConfig, filter_support
 from mdcl.echo import (C_LIGHT, NoiseConfig, RadarConfig, RadarConfigError,
                        check_delays, echo_delays)
 from mdcl.preprocess import EMD_MIN_LENGTH, check_emd_params
-from mdcl.scene import SceneParams, WallParams
+from mdcl.scene import SceneParams
 
 
 class ConfigError(ValueError):
@@ -66,9 +66,7 @@ class SceneSection:
     gait_frequency: float = 2.0 * math.pi
     in_situ_quarter_time: float = 1.0
     wall_thickness: float = 0.12
-    wall_rel_permittivity: float = 6.0
-    through_wall: bool = True
-    height_scale: float = 1.0     # alternate-tester scaling of all lengths
+    wall_rel_permittivity: float = 6.0   # 1 or wall_thickness = 0: free space
 
 
 @dataclass
@@ -122,7 +120,6 @@ class PipelineConfig:
         for name, value in (("radar.carrier_hz", r.carrier_hz),
                             ("radar.bandwidth_hz", r.bandwidth_hz),
                             ("radar.window_s", r.window_s),
-                            ("radar.tx_amplitude", r.tx_amplitude),
                             ("detector.sigma_px", d.sigma_px),
                             ("detector.anisotropy", d.anisotropy)):
             if not value > 0:
@@ -132,6 +129,8 @@ class PipelineConfig:
                 ("radar.fast_samples", r.fast_samples, 2),
                 ("radar.max_range_m", r.max_range_m, 0),
                 ("radar.wall_range_m", r.wall_range_m, 0),
+                ("scene.wall_thickness", self.scene.wall_thickness, 0),
+                ("scene.wall_rel_permittivity", self.scene.wall_rel_permittivity, 1),
                 ("detector.orientations", d.orientations, 1),
                 ("detector.nms_radius_px", d.nms_radius_px, 0),
                 # squaring splits a Doppler map at zero: one row per half at least
@@ -203,20 +202,18 @@ class PipelineConfig:
     # ------------------------------------------------------------------
     def scene_params(self) -> SceneParams:
         s = self.scene
-        k = s.height_scale
         return SceneParams(
             radar_height=s.radar_height,
             initial_position=(s.x1, s.y1),
-            torso_upper=s.torso_upper * k,
-            torso_lower=s.torso_lower * k,
-            arm_length=s.arm_length * k,
-            leg_length=s.leg_length * k,
+            torso_upper=s.torso_upper,
+            torso_lower=s.torso_lower,
+            arm_length=s.arm_length,
+            leg_length=s.leg_length,
             initial_velocity=(s.v1x, s.v1y),
             gait_frequency=s.gait_frequency,
             in_situ_quarter_time=s.in_situ_quarter_time,
             window=self.radar.window_s,
-            wall=WallParams(s.wall_thickness, s.wall_rel_permittivity),
-            through_wall=s.through_wall,
+            wall_path=s.wall_thickness * (math.sqrt(s.wall_rel_permittivity) - 1.0),
         )
 
     def noise_config(self, label: str) -> NoiseConfig | None:

@@ -52,7 +52,6 @@ class RadarConfig:
     slow_samples: int = 1024            # M
     fast_samples: int = 1024            # N
     window_s: float = 4.0               # T = M Ts
-    tx_amplitude: float = 1.0
     reflectivity_head: float = 0.6
     reflectivity_torso: float = 1.0
     reflectivity_hand: float = 0.3
@@ -263,16 +262,16 @@ def echo_delays(p: SceneParams, act: ActivitySpec,
                 cfg: RadarConfig) -> list[tuple[float, np.ndarray]]:
     """(amplitude, per-PRI delays) of each node that echoes: active, with a
     non-zero reflectivity."""
-    return [(0.5 * eta * cfg.tx_amplitude ** 2, node_delays(node, p, act, cfg))
+    return [(0.5 * eta, node_delays(node, p, act, cfg))
             for node in ALL_NODES
-            if (eta := cfg.reflectivity.get(node, 0.0)) != 0.0
+            if (eta := cfg.reflectivity[node]) != 0.0
             and act.node(node).state is not MotionState.INACTIVE]
 
 
 def wall_clutter(cfg: RadarConfig) -> np.ndarray:
     """Stationary wall return: one fast-time row, identical across PRIs."""
     tau = np.array([2.0 * cfg.wall_range_m / C_LIGHT])
-    amp = 0.5 * cfg.wall_reflectivity * cfg.tx_amplitude ** 2
+    amp = 0.5 * cfg.wall_reflectivity
     return _beat_rows(_beat_tables(cfg, amp, tau), slice(None), cfg.fast_samples)[0]
 
 

@@ -79,7 +79,7 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
     phi = p.gait_frequency
     T = p.window
     t0 = p.in_situ_quarter_time
-    free_space = dataclasses.replace(p, through_wall=False)
+    free_space = dataclasses.replace(p, wall_path=0.0)
 
     def const_basis(_):
         return [lambda t: np.ones_like(t)]

@@ -125,10 +125,10 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
     vertical episode with clamped local time, so the pose holds still
     before the episode starts and after it ends.
 
-    Head and torso move at the constant body velocity.  In through-wall
-    scenes (``p.through_wall``) the wall's extra path is added to the
-    unsquared distance before squaring.  ``t`` is an array of times inside
-    [0, window].
+    Head and torso move at the constant body velocity.  The wall's extra
+    path ``p.wall_path`` is added to the unsquared distance before
+    squaring; in free space (0) the squared curve is left as it is.  ``t``
+    is an array of times inside [0, window].
     """
     if kind not in ("r2", "d2"):
         raise ValueError(f"unknown map kind {kind!r}")
@@ -191,7 +191,7 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
         free = vertical(x1, y1, p.in_situ_quarter_time)
     else:
         free = walking(x1, y1)
-    wall = p.wall.extra_path if r2 and p.through_wall else 0.0
+    wall = p.wall_path if r2 else 0.0
 
     def curve(t):
         t = np.asarray(t, dtype=float)

@@ -1,4 +1,4 @@
-"""Scene geometry: radar placement, body dimensions, gait and wall parameters."""
+"""Scene geometry: radar placement, body dimensions, gait and the wall's path."""
 
 from __future__ import annotations
 
@@ -25,38 +25,16 @@ ALL_NODES = tuple(NodeId)
 
 
 @dataclass(frozen=True)
-class WallParams:
-    """Homogeneous wall between radar and target.
-
-    The wall adds ``thickness * (sqrt(rel_permittivity) - 1)`` to every
-    one-way propagation distance.
-    """
-
-    thickness: float
-    rel_permittivity: float
-
-    def __post_init__(self):
-        if self.thickness < 0:
-            raise ValueError(f"wall thickness must be >= 0, got {self.thickness}")
-        if self.rel_permittivity < 1:
-            raise ValueError(
-                f"wall rel_permittivity must be >= 1, got {self.rel_permittivity}"
-            )
-
-    @property
-    def extra_path(self) -> float:
-        """Extra one-way path in meters; 0 for a zero-thickness wall."""
-        return self.thickness * (math.sqrt(self.rel_permittivity) - 1.0)
-
-
-@dataclass(frozen=True)
 class SceneParams:
     """Anthropometric, gait and geometry parameters of the observed scene.
 
     ``config.SceneSection`` holds the defaults.  Head and torso move at the
     constant body velocity (the simplified model drops their vertical
     micro-undulation); limb swing angles and in-place height drops are set
-    per activity in the catalog.
+    per activity in the catalog.  Another tester is another set of the four
+    lengths.  A homogeneous wall of thickness d and relative permittivity
+    eps adds ``wall_path`` = d * (sqrt(eps) - 1) to every one-way distance;
+    it is 0 in free space.
     """
 
     radar_height: float                  # h0, meters above ground
@@ -69,10 +47,11 @@ class SceneParams:
     gait_frequency: float                # phi, rad/s
     in_situ_quarter_time: float          # t0; full in-place cycle lasts 4*t0
     window: float                        # T, observation window seconds
-    wall: WallParams
-    through_wall: bool
+    wall_path: float                     # extra one-way path through the wall, m
 
     def __post_init__(self):
+        if self.wall_path < 0:
+            raise ValueError(f"wall_path must be >= 0, got {self.wall_path}")
         if not (self.torso_upper > self.torso_lower > 0):
             raise ValueError("need torso_upper > torso_lower > 0")
         if self.arm_length <= 0 or self.leg_length <= 0:

@@ -143,7 +143,7 @@ def test_criterion_06_signal_physics():
 
     # DTM ridge of a constant-velocity scatterer at 2 fc v / c
     p = default_scene(initial_position=(3.0, 0.0), initial_velocity=(-1.0, 0.0),
-                      radar_height=1.65, through_wall=False, window=2.0,
+                      radar_height=1.65, wall_path=0.0, window=2.0,
                       gait_frequency=2 * np.pi)
     radar = head_radar(window_s=2.0, slow_samples=512, fast_samples=512)
     _, dtm = preprocess_frame(synth_frame(p, activity("S8"), radar, None),
@@ -156,11 +156,11 @@ def test_criterion_06_signal_physics():
     head_only = head_radar()
     frame_a = synth_frame(default_scene(initial_position=(3.0, 0.0),
                                         initial_velocity=(0.0, 0.0),
-                                        radar_height=1.65, through_wall=False),
+                                        radar_height=1.65, wall_path=0.0),
                           activity("S8"), head_only, None)
     frame_b = synth_frame(default_scene(initial_position=(3.5, 0.0),
                                         initial_velocity=(0.0, 0.0),
-                                        radar_height=1.65, through_wall=False),
+                                        radar_height=1.65, wall_path=0.0),
                           activity("S8"), head_only, None)
     rc_ab, _ = beat_spectrum(EchoFrame(frame_a.data + frame_b.data, head_only))
     profile = np.abs(rc_ab[:, 0])

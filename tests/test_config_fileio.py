@@ -1,7 +1,8 @@
 """Config parsing and file-format tests."""
 
+import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -55,18 +56,23 @@ class TestConfig:
         pytest.param("scene", "leg_max_angle", "0.2", id="leg_max_angle"),
         pytest.param("scene", "in_situ_height_drop", "0.4", id="in_situ_height_drop"),
         pytest.param("run", "stage_dump", "true", id="stage_dump"),
-        pytest.param("run", "out_dir", "x", id="out_dir")])
+        pytest.param("run", "out_dir", "x", id="out_dir"),
+        pytest.param("scene", "through_wall", "false", id="through_wall"),
+        pytest.param("scene", "height_scale", "0.95", id="height_scale"),
+        pytest.param("radar", "tx_amplitude", "2.0", id="tx_amplitude")])
     def test_removed_stft_keys_rejected(self, tmp_path, section, key, value):
         """Keys that were once accepted (with a value they accepted, or
         one that never denoised, or that no output depended on, or that
-        only gave ``--out`` its default) are unknown keys now."""
+        only gave ``--out`` its default, or whose every value wrote the
+        files of other keys' values) are unknown keys now."""
         text = f"[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(text)
         path = tmp_path / "config.txt"
         path.write_text(text)
-        assert main(["simulate", "--config", str(path),
-                     "--out", str(tmp_path / "out")]) == 2
+        for command in ("simulate", "run"):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -97,6 +103,7 @@ class TestConfig:
         ("preprocessing", "predecimate_rows", "1"),
         ("radar", "max_range_m", "-1"),
         ("radar", "wall_range_m", "-3"), ("radar", "wall_range_m", "1e7"),
+        ("scene", "wall_thickness", "-0.1"), ("scene", "wall_rel_permittivity", "0.5"),
         ("radar", "slow_samples", "4"), ("radar", "slow_samples", "16"),
         ("detector", "render_rows", "28"),
         ("evaluation", "sweep_seeds", "0"),
@@ -121,15 +128,30 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_settings_at_their_floors_run(self, tmp_path):
-        """Each floor is the least value its stage runs with: two Doppler
-        rows to square, a zero range crop, and slow time and rendered rows
-        as wide as the 29-pixel filter support."""
+        """Each floor is the least value its stage runs with: a wall of zero
+        thickness and unit permittivity, two Doppler rows to square, a zero
+        range crop, and slow time and rendered rows as wide as the 29-pixel
+        filter support."""
         path = tmp_path / "config.txt"
-        path.write_text("[radar]\nslow_samples = 29\nfast_samples = 64\n"
+        path.write_text("[scene]\nwall_thickness = 0\nwall_rel_permittivity = 1\n"
+                        "[radar]\nslow_samples = 29\nfast_samples = 64\n"
                         "max_range_m = 0\n[preprocessing]\npredecimate_rows = 2\n"
                         "[detector]\nrender_rows = 29\n[run]\nactivities = S5,S8\n")
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 0
+
+    def test_wall_invariants(self):
+        """The wall is one extra one-way path, d * (sqrt(eps) - 1): zero
+        for a zero thickness or a unit permittivity, and never negative
+        (``test_settings_that_cannot_run_rejected`` covers the keys' floors)."""
+        for thickness, permittivity in ((0.0, 6.0), (0.12, 1.0)):
+            cfg = PipelineConfig()
+            cfg.scene.wall_thickness = thickness
+            cfg.scene.wall_rel_permittivity = permittivity
+            assert cfg.scene_params().wall_path == 0.0
+        assert PipelineConfig().scene_params().wall_path == 0.12 * (math.sqrt(6.0) - 1.0)
+        with pytest.raises(ValueError, match="wall_path"):
+            replace(PipelineConfig().scene_params(), wall_path=-0.1)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
@@ -175,13 +197,6 @@ class TestConfig:
         assert cfg.noise.enabled is False
         with pytest.raises(ConfigError):
             parse_config("[noise]\nenabled = maybe\n")
-
-    def test_height_scale_alternate_testers(self):
-        cfg = PipelineConfig()
-        cfg.scene.height_scale = 1.7 / 1.8
-        p = cfg.scene_params()
-        assert p.torso_upper == pytest.approx(1.5 * 1.7 / 1.8)
-        assert p.arm_length == pytest.approx(0.65 * 1.7 / 1.8)
 
 
 class TestMatrixFormat:

@@ -87,15 +87,15 @@ def generator_noise_matrix(m, n, seed):
 def node_rows(p, act, cfg):
     """(amplitude, per-PRI delays) of every reflecting, active node."""
     for node in ALL_NODES:
-        eta = cfg.reflectivity.get(node, 0.0)
+        eta = cfg.reflectivity[node]
         if eta == 0.0 or act.node(node).state is MotionState.INACTIVE:
             continue
-        yield 0.5 * eta * cfg.tx_amplitude ** 2, node_delays(node, p, act, cfg)
+        yield 0.5 * eta, node_delays(node, p, act, cfg)
 
 
 def wall_row(cfg):
     """(amplitude, delay) of the wall return."""
-    return (0.5 * cfg.wall_reflectivity * cfg.tx_amplitude ** 2,
+    return (0.5 * cfg.wall_reflectivity,
             np.array([2.0 * cfg.wall_range_m / C_LIGHT]))
 
 
@@ -287,7 +287,7 @@ class TestExactness:
 def static_scene(x1=3.0):
     # h0 = h1 + 0.15 makes the head's vertical offset vanish: range == x1
     return default_scene(initial_position=(x1, 0.0), initial_velocity=(0.0, 0.0),
-                         radar_height=1.65, through_wall=False)
+                         radar_height=1.65, wall_path=0.0)
 
 
 class TestNodeEcho:
@@ -313,14 +313,14 @@ class TestNodeEcho:
         # extra one-way path 0.12 (sqrt(6) - 1) = 0.174 m
         cfg = RadarConfig()
         p = default_scene(initial_position=(3.0, 0.0), initial_velocity=(0.0, 0.0),
-                          radar_height=1.65, through_wall=True)
+                          radar_height=1.65)
         row = self.head_row(p)
         shifted = (3.0 + 0.12 * (np.sqrt(6.0) - 1.0)) / cfg.range_bin
         assert int(np.argmax(np.abs(np.fft.fft(row)))) == round(shifted)
 
     def test_unambiguous_range_violation(self):
         p = default_scene(initial_position=(1e6, 0.0), initial_velocity=(0.0, 0.0),
-                          through_wall=False)
+                          wall_path=0.0)
         with pytest.raises(RadarConfigError):
             self.head_row(p)
 
@@ -382,7 +382,7 @@ class TestFrame:
         # constant radial velocity v: inter-PRI phase steps 4 pi fc v Ts / c
         cfg = head_radar()
         p = default_scene(initial_position=(3.0, 0.0), initial_velocity=(-0.5, 0.0),
-                          radar_height=1.65, through_wall=False)
+                          radar_height=1.65, wall_path=0.0)
         frame = synth_frame(p, S8, cfg, None)
         m0, m1 = 100, 101
         t0, t1 = m0 * cfg.pri, m1 * cfg.pri

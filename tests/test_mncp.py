@@ -255,7 +255,7 @@ class TestVerifyMncp:
         # S5's torso has the head's family, but two of its five key points
         # are inflections; with the numeric rule it fits to 1.35e-4
         p = default_scene()
-        torso = node_curve(NodeId.TORSO, dataclasses.replace(p, through_wall=False),
+        torso = node_curve(NodeId.TORSO, dataclasses.replace(p, wall_path=0.0),
                            activity("S5"), "r2")
         model = dataclasses.replace(curve_models(p)["insitu_r2"], value=torso)
         assert verify_mncp(model).sufficient_at_mncp
@@ -478,7 +478,7 @@ class TestFamilies:
         p = default_scene(initial_position=(3.0, 0.0), in_situ_quarter_time=0.7)
         models = curve_models(p)
         assert set(models) == set(rows)
-        free = dataclasses.replace(p, through_wall=False)
+        free = dataclasses.replace(p, wall_path=0.0)
         grid = np.linspace(0.0, p.window, 1001)
         for name, (label, node, kind) in rows.items():
             curve = node_curve(node, free, activity(label), kind)

@@ -14,7 +14,7 @@ from mdcl.mncp import curve_models
 from mdcl.motion import (DegenerateCurveError, KeyPoint, activity_keypoints,
                          curve_keypoints, groundtruth_counts, node_curve,
                          select_keypoints_detailed, slope_sign)
-from mdcl.scene import ALL_NODES, NodeId, WallParams
+from mdcl.scene import ALL_NODES, NodeId
 from mdcl.activities import ActivityClass
 
 from conftest import default_scene
@@ -23,6 +23,7 @@ S8 = activity("S8")
 S5 = activity("S5")
 S10 = activity("S10")
 ARM_ANGLE = math.pi / 6     # S8's arm swing angle
+WALL_PATH = default_scene().wall_path   # the default wall's extra path
 
 
 def keypoint_times(model):
@@ -42,7 +43,7 @@ def velocity_sq(node, p, act, t):
 
 
 def scene(**kw):
-    defaults = dict(initial_position=(3.0, 0.0), through_wall=False)
+    defaults = dict(initial_position=(3.0, 0.0), wall_path=0.0)
     defaults.update(kw)
     return default_scene(**defaults)
 
@@ -148,10 +149,9 @@ class TestDistanceCurves:
             assert np.all(velocity_sq(node, p, s1, t) == 0.0), node
 
     def test_wall_shifts_unsquared_distance_exactly(self):
-        wall = WallParams(0.12, 6.0)
-        p_free = default_scene(wall=wall, through_wall=False)
-        p_wall = default_scene(wall=wall, through_wall=True)
         shift = 0.12 * (math.sqrt(6.0) - 1.0)
+        p_free = default_scene(wall_path=0.0)
+        p_wall = default_scene(wall_path=shift)
         t = np.linspace(0, 4, 64)
         for node in (NodeId.HEAD, NodeId.HAND_R, NodeId.FOOT_L):
             d_free = np.sqrt(distance_sq(node, p_free, S8, t))
@@ -421,13 +421,13 @@ class TestLockstepBisection:
     @given(position=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
            velocity=st.one_of(st.just((0.0, 0.0)),
                               st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))),
-           through_wall=st.booleans())
-    @example(position=(3.0, 0.0), velocity=(-0.6, 1.0), through_wall=True)
-    @example(position=(3.0, 0.0), velocity=(0.0, 0.0), through_wall=False)
+           wall_path=st.sampled_from((0.0, WALL_PATH)))
+    @example(position=(3.0, 0.0), velocity=(-0.6, 1.0), wall_path=WALL_PATH)
+    @example(position=(3.0, 0.0), velocity=(0.0, 0.0), wall_path=0.0)
     def test_scene_keypoints_match_scalar_oracle(self, position, velocity,
-                                                 through_wall):
+                                                 wall_path):
         p = default_scene(initial_position=position, initial_velocity=velocity,
-                          through_wall=through_wall)
+                          wall_path=wall_path)
 
         def search():
             acts = {(label, kind): outcome(lambda: activity_keypoints(
@@ -459,10 +459,3 @@ class TestSceneValidation:
     def test_torso_ordering(self):
         with pytest.raises(ValueError):
             default_scene(torso_upper=0.9, torso_lower=0.95)
-
-    def test_wall_invariants(self):
-        with pytest.raises(ValueError):
-            WallParams(-0.1, 6.0)
-        with pytest.raises(ValueError):
-            WallParams(0.1, 0.5)
-        assert WallParams(0.0, 6.0).extra_path == 0.0

@@ -19,7 +19,8 @@ from mdcl import artifacts, pipeline
 from mdcl.activities import activity_labels
 from mdcl.artifacts import ActivityDir
 from mdcl.cli import main
-from mdcl.config import PipelineConfig, drop_seed_keys, serialize_config
+from mdcl.config import (PipelineConfig, drop_seed_keys, parse_config,
+                         serialize_config)
 from mdcl.fileio import read_matrix
 from mdcl.groundtruth import groundtruth_corners
 from mdcl.pipeline import run_activity, run_pipeline, sweep_noise, sweep_summary
@@ -250,10 +251,9 @@ CHAIN_KEY_VALUES = {
               "torso_upper": 1.4, "torso_lower": 0.9, "arm_length": 0.6,
               "leg_length": 0.85, "gait_frequency": 1.5 * np.pi,
               "in_situ_quarter_time": 0.8, "wall_thickness": 0.2,
-              "wall_rel_permittivity": 4.0, "through_wall": False,
-              "height_scale": 0.95},
+              "wall_rel_permittivity": 4.0},
     "radar": {"carrier_hz": 2.0e9, "bandwidth_hz": 1.5e9, "slow_samples": 96,
-              "fast_samples": 96, "window_s": 3.0, "tx_amplitude": 2.0,
+              "fast_samples": 96, "window_s": 3.0,
               "reflectivity_head": 0.5, "reflectivity_torso": 0.8,
               "reflectivity_hand": 0.4, "reflectivity_foot": 0.4,
               "wall_reflectivity": 5.0, "wall_range_m": 0.8, "max_range_m": 4.0},
@@ -266,11 +266,14 @@ CHAIN_KEY_VALUES = {
 # Sections that set up a run rather than the stage chain: [run] (activity
 # list, seed) and [evaluation] (the noise sweep).
 CHAIN_EXTERNAL = {"run", "evaluation"}
+# The files that hold a score or the corners it is computed from.
+SCORED_FILES = ("metrics.csv", "pc_r.csv", "pc_d.csv")
 
 
 class TestChainKeys:
     def test_every_chain_key_changes_the_output(self, tmp_path):
-        """Moving any chain key off its default changes S5's or S8's files."""
+        """Moving any chain key off its default changes S5's or S8's scored
+        files, so no key only rescales intermediate maps."""
         sections = {f.name: fields(f.default_factory) for f in fields(PipelineConfig)}
         assert set(sections) == set(CHAIN_KEY_VALUES) | CHAIN_EXTERNAL
         for section, values in CHAIN_KEY_VALUES.items():
@@ -286,8 +289,10 @@ class TestChainKeys:
             out = tmp_path / f"{section}.{key}"
             for label in ("S5", "S8"):
                 run_activity(cfg, label, out=ActivityDir(out / label, label))
-            return hashlib.sha256(repr(sorted(files_under(out).items()))
-                                  .encode()).hexdigest()
+            scored = sorted((name, data) for name, data in files_under(out).items()
+                            if Path(name).name in SCORED_FILES)
+            assert len(scored) == 2 * len(SCORED_FILES)
+            return hashlib.sha256(repr(scored).encode()).hexdigest()
 
         default = digest()
         inert = [f"{section}.{key}" for section, values in CHAIN_KEY_VALUES.items()
@@ -463,6 +468,19 @@ class TestSweep:
         assert not (tmp_path / "out").exists()
         with pytest.raises(ValueError, match="SNR drops"):
             sweep_noise(small_config(), {}, drops=cfg.snr_drops())
+
+    def test_cli_writes_the_config_beside_the_sweep(self, tmp_path):
+        """``sweep-noise`` writes ``config.txt``, which parses back to the
+        sweep's config, seed override included."""
+        cfg, cfg_path = write_small_config(tmp_path, **{
+            "run.activities": "S1,S8", "evaluation.snr_drops_db": "4",
+            "evaluation.sweep_seeds": 1})
+        out = tmp_path / "out"
+        assert main(["sweep-noise", "--config", str(cfg_path), "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "sweep.csv"]
+        cfg.run.seed = 7
+        assert parse_config((out / "config.txt").read_text(encoding="utf-8")) == cfg
 
     def test_drop_seed_keys_are_tenths_of_a_db(self):
         # the keys of the default drops are those int(drop * 10) gave

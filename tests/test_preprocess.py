@@ -30,7 +30,7 @@ def denoise_sequence(x):
 
 def static_scene(x1=3.0):
     return default_scene(initial_position=(x1, 0.0), initial_velocity=(0.0, 0.0),
-                         radar_height=1.65, through_wall=False)
+                         radar_height=1.65, wall_path=0.0)
 
 
 def range_profile(frame):
@@ -74,12 +74,12 @@ class TestRangeCompress:
         cfg = head_radar(reflectivity_torso=1.0)
         p = default_scene(initial_position=(3.0, 0.0), initial_velocity=(0.0, 0.0),
                           radar_height=1.65, torso_upper=1.5, torso_lower=0.95,
-                          through_wall=False)
+                          wall_path=0.0)
         # place the torso off in range by lowering it: torso z_eff custom via
         # position is awkward; use two frames and add them instead
         frame_a = synth_frame(p, S8, head_radar(), None)
         p_b = default_scene(initial_position=(3.5, 0.0), initial_velocity=(0.0, 0.0),
-                            radar_height=1.65, through_wall=False)
+                            radar_height=1.65, wall_path=0.0)
         frame_b = synth_frame(p_b, S8, head_radar(), None)
         combined = EchoFrame(frame_a.data + frame_b.data, cfg)
         profile = range_profile(combined)[0][:, 0]
@@ -510,7 +510,7 @@ class TestPipelineDeterminism:
     def test_dtm_ridge_at_doppler_of_real_velocity(self):
         # approaching at 1 m/s: ridge magnitude 2 fc v / c within one bin
         p = default_scene(initial_position=(3.0, 0.0), initial_velocity=(-1.0, 0.0),
-                          radar_height=1.65, through_wall=False, window=2.0,
+                          radar_height=1.65, wall_path=0.0, window=2.0,
                           gait_frequency=2 * np.pi)
         radar = head_radar(window_s=2.0, slow_samples=512, fast_samples=512)
         frame = synth_frame(p, S8, radar, None)
