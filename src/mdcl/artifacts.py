@@ -22,21 +22,21 @@ from mdcl.maps import AxisSpec, ProfileMap
 
 
 @dataclass
-class ActivityDir:
-    """One activity's artifact directory and the files written into it.
+class StageRecord:
+    """One stage of one activity: its wall time, writes included, and each
+    file it writes into ``root`` (None in memory), listed by ``file`` before
+    it is written, so that a failed write stays on the record."""
 
-    ``file`` records a path before it is written, so a write that fails
-    part way still leaves every file it created on the record.
-    """
-
-    root: Path
     label: str
-    written: list[Path] = field(default_factory=list)
+    stage: str
+    root: Path | None = None
+    files: list[Path] = field(default_factory=list)
+    wall_s: float = 0.0
 
     def file(self, name: str) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
-        self.written.append(self.root / name)
-        return self.written[-1]
+        self.files.append(self.root / name)
+        return self.files[-1]
 
 
 def write_heatmap(path: Path, img: np.ndarray, corners=()) -> None:
@@ -46,9 +46,9 @@ def write_heatmap(path: Path, img: np.ndarray, corners=()) -> None:
 
 
 class Codec:
-    """``write(d, name, values)`` writes ``values[name]`` into ``d``;
-    ``read(root, name, cfg)``, where a stage reads the kind back, returns
-    the value as that stage sees it."""
+    """``write(rec, name, values)`` writes ``values[name]`` through the
+    stage record ``rec``; ``read(root, name, cfg)``, where a stage reads
+    the kind back, returns the value as that stage sees it."""
 
     def stored(self, value):
         return value
@@ -60,8 +60,8 @@ class EchoFile(Codec):
     def stored(self, frame):
         return EchoFrame(frame.data.astype(np.complex64), frame.config)
 
-    def write(self, d, name, values):
-        write_matrix(d.file(f"{name}.mdcm"), values[name].data)
+    def write(self, rec, name, values):
+        write_matrix(rec.file(f"{name}.mdcm"), values[name].data)
 
     def read(self, root, name, cfg):
         return EchoFrame(read_matrix(root / f"{name}.mdcm"), cfg.radar)
@@ -74,10 +74,10 @@ class MapFile(Codec):
     def stored(self, pm):
         return ProfileMap(pm.data.astype(np.float32), pm.axis, pm.window)
 
-    def write(self, d, name, values):
+    def write(self, rec, name, values):
         pm = values[name]
-        write_matrix(d.file(f"{name}.mdcm"), pm.data)
-        d.file(f"{name}.axis.txt").write_text(
+        write_matrix(rec.file(f"{name}.mdcm"), pm.data)
+        rec.file(f"{name}.axis.txt").write_text(
             f"kind = {pm.axis.kind}\nrows = {pm.rows}\ncols = {pm.cols}\n"
             f"value_lo = {float(pm.axis.lo)!r}\nvalue_hi = {float(pm.axis.hi)!r}\n"
             f"window_s = {float(pm.window)!r}\n", encoding="utf-8")
@@ -120,14 +120,14 @@ def read_corners(path: Path, shape: tuple[int, int] | None = None) -> CornerSet:
 class CornerCsv(Codec):
     """Corner CSV, plus the overlay PGM of the corners on their source map."""
 
-    def write(self, d, name, values):
+    def write(self, rec, name, values):
         cs = values[name]
-        write_csv(d.file(f"{name}.csv"),
+        write_csv(rec.file(f"{name}.csv"),
                   ["map_id", "row", "col", "u", "v", "response", "padded"],
                   [[cs.map_id, c.row, c.col, u, v, c.response, int(c.padded)]
                    for c, (u, v) in zip(cs.corners, cs.uv())])
         source = cs.map_id.rpartition("/")[2]
-        write_heatmap(d.file(f"{source}_corners.pgm"), values[source].data,
+        write_heatmap(rec.file(f"{source}_corners.pgm"), values[source].data,
                       cs.corners)
 
     def read(self, root, name, cfg):
@@ -135,9 +135,9 @@ class CornerCsv(Codec):
 
 
 class PcRdCsv(Codec):
-    def write(self, d, name, values):
+    def write(self, rec, name, values):
         cloud = values[name]
-        write_csv(d.file(f"{name}.csv"), ["index", "u", "v", "w", "source"],
+        write_csv(rec.file(f"{name}.csv"), ["index", "u", "v", "w", "source"],
                   [[i, *map(float, row), src] for i, (row, src) in
                    enumerate(zip(cloud.points, cloud.source))])
 
@@ -145,20 +145,20 @@ class PcRdCsv(Codec):
 class TruthCsvs(Codec):
     """Ground-truth corner clouds and the key points they come from."""
 
-    def write(self, d, name, values):
+    def write(self, rec, name, values):
         truth = values[name]
-        write_csv(d.file("gt_corners.csv"), ["map", "u", "v"],
+        write_csv(rec.file("gt_corners.csv"), ["map", "u", "v"],
                   [["r2", *map(float, row)] for row in truth.cloud_r]
                   + [["d2", *map(float, row)] for row in truth.cloud_d])
-        write_csv(d.file("gt_keypoints.csv"), ["node", "t_seconds", "value", "map"],
+        write_csv(rec.file("gt_keypoints.csv"), ["node", "t_seconds", "value", "map"],
                   [[kp.node.value, kp.t, kp.value, "r2"] for kp in truth.keypoints_r]
                   + [[kp.node.value, kp.t, kp.value, "d2"] for kp in truth.keypoints_d])
 
 
 class MetricsCsv(Codec):
-    def write(self, d, name, values):
-        write_csv(d.file(f"{name}.csv"), ["activity", "metric", "value"],
-                  [[d.label, k, float(v)] for k, v in sorted(values[name].items())])
+    def write(self, rec, name, values):
+        write_csv(rec.file(f"{name}.csv"), ["activity", "metric", "value"],
+                  [[rec.label, k, float(v)] for k, v in sorted(values[name].items())])
 
 
 ARTIFACTS: dict[str, Codec] = {

@@ -136,10 +136,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         label = args.activity
         activity(label)     # validate the label before touching files
-        values, written = run_stage(cfg, out, label, args.command)
-        for path in written:
+        res = run_stage(cfg, out, label, args.command)
+        for path in res.records[0].files:
             print(f"wrote {path}")
-        for k, v in sorted(values.get("metrics", {}).items()):
+        for k, v in sorted(getattr(res, "metrics", {}).items()):
             print(f"{label} {k} = {v:.4f}")
         return EXIT_OK
     except (ConfigError, KeyError) as exc:

@@ -2,14 +2,16 @@
 fuse -> evaluate, artifact persistence, and the noise-robustness sweep.
 
 ``STAGES`` defines the chain once; ``_step`` runs one stage, passes each
-output on as its file holds it and, given a directory, writes the stage's
-files as it ends.  ``run_activity`` folds ``STAGES`` over the step, in
-memory or into ``run``'s directory, and ``run_stage`` (the staged
-commands) steps one stage between artifact files.  ``run``'s activities
-and the sweep's noise fields (one task per noise field, each degrading and
-re-extracting every map) are tasks on one worker pool, ``pool_map``
-(MDCL_THREADS); each task owns its outputs and noise stream and results
-keep input order, so no output depends on the thread count.
+output on as its file holds it, writes the stage's files as it ends when
+given a directory, and leaves a ``StageRecord``, even on failure, from
+which ``run``'s log and manifest and the staged commands' output derive.
+``run_activity`` folds ``STAGES`` over the step, in memory or into
+``run``'s directory, and ``run_stage`` (the staged commands) steps one
+stage between artifact files.  ``run``'s activities and the sweep's noise
+fields (one task per noise field, each degrading and re-extracting every
+map) are tasks on one worker pool, ``pool_map`` (MDCL_THREADS); each task
+owns its outputs and noise stream and results keep input order, so no
+output depends on the thread count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
@@ -28,7 +30,7 @@ import numpy as np
 
 from mdcl import __version__
 from mdcl.activities import activity
-from mdcl.artifacts import ARTIFACTS, ActivityDir
+from mdcl.artifacts import ARTIFACTS, StageRecord
 from mdcl.config import (ConfigError, PipelineConfig, config_digest, drop_seed_keys,
                          serialize_config)
 from mdcl.corners import CornerSet, extract_corners, fuse_pc_rd
@@ -65,15 +67,19 @@ def pool_map(fn: Callable, items: list) -> list:
 
 
 class StageError(RuntimeError):
-    def __init__(self, stage: str, activity_label: str, cause: Exception):
+    """A failed stage, with the activity's ``records`` through its own."""
+
+    def __init__(self, stage: str, activity_label: str, cause: Exception,
+                 records: list[StageRecord]):
         super().__init__(f"stage {stage!r} failed for {activity_label}: {cause}")
         self.stage = stage
         self.activity_label = activity_label
+        self.records = records
 
 
 class ActivityResult(SimpleNamespace):
-    """One activity's ``label``, per-stage ``timings`` and every stage
-    output as an attribute named as in ``STAGES`` (``res.r2tm``)."""
+    """A ``label``, the ``records`` of the stages run and their outputs,
+    each an attribute named as in ``STAGES`` (``res.r2tm``)."""
 
 
 def square_maps(cfg: PipelineConfig, rtm: ProfileMap,
@@ -166,52 +172,55 @@ STAGES = (
 
 
 def _step(stage: Stage, cfg: PipelineConfig, label: str, values: dict,
-          out: ActivityDir | None) -> None:
-    """Adds ``stage``'s outputs to ``values``, each as its artifact file
-    holds it, and, given ``out``, writes them into it; a failing writer is
-    a ``StageError`` of stage "write"."""
+          records: list[StageRecord], root: Path | None) -> None:
+    """Appends the stage's record to ``records``, adds its outputs to
+    ``values`` as their files hold them and writes them into ``root`` when
+    given; a failing writer is a ``StageError`` of stage "write"."""
+    rec = StageRecord(label, stage.name, root)
+    records.append(rec)
+    start, failing = time.perf_counter(), stage.name
     try:
         outs = stage.fn(cfg, label, *(values[name] for name in stage.inputs))
         values.update({name: ARTIFACTS[name].stored(value)
                        for name, value in zip(stage.outputs, outs, strict=True)})
+        failing = "write"
+        for name in stage.outputs if root is not None else ():
+            ARTIFACTS[name].write(rec, name, values)
     except Exception as exc:
-        raise StageError(stage.name, label, exc) from exc
-    try:
-        for name in stage.outputs if out is not None else ():
-            ARTIFACTS[name].write(out, name, values)
-    except Exception as exc:
-        raise StageError("write", label, exc) from exc
+        raise StageError(failing, label, exc, records) from exc
+    finally:
+        rec.wall_s = time.perf_counter() - start
 
 
 def run_activity(cfg: PipelineConfig, label: str, _index=None, *,
-                 out: ActivityDir | None = None) -> ActivityResult:
+                 out: Path | None = None) -> ActivityResult:
     """Full stage chain for one activity; with ``out``, each stage's files
-    are written into it as the stage ends.
+    are written into ``out/<label>`` as the stage ends.
 
     ``_index`` is ignored: an activity's noise depends only on ``run.seed``
     and its label.  It is accepted until ``perfbench/workloads.py`` stops
     passing the activity's list position.
     """
     values: dict = {}
-    timings: dict[str, float] = {}
+    records: list[StageRecord] = []
+    root = None if out is None else Path(out) / label
     for stage in STAGES:
-        start = time.perf_counter()
-        _step(stage, cfg, label, values, out)
-        timings[stage.name] = time.perf_counter() - start
-    return ActivityResult(label=label, timings=timings, **values)
+        _step(stage, cfg, label, values, records, root)
+    return ActivityResult(label=label, records=records, **values)
 
 
 def run_stage(cfg: PipelineConfig, out: Path, label: str,
-              name: str) -> tuple[dict, list[Path]]:
-    """One stage of one activity, from and to ``out/<label>``, through the
-    artifact readers and ``run``'s step; returns its values and files."""
+              name: str) -> ActivityResult:
+    """One stage of one activity read from and written to ``out/<label>``
+    by ``run``'s step; the result holds the stage's outputs and record."""
     stage = next(s for s in STAGES if s.name == name)
     if name == "simulate":
         cfg.check_echo_range([label])
-    d = ActivityDir(Path(out) / label, label)
-    values = {n: ARTIFACTS[n].read(d.root, n, cfg) for n in stage.inputs}
-    _step(stage, cfg, label, values, d)
-    return values, d.written
+    root, records = Path(out) / label, []
+    values = {n: ARTIFACTS[n].read(root, n, cfg) for n in stage.inputs}
+    _step(stage, cfg, label, values, records, root)
+    return ActivityResult(label=label, records=records,
+                          **{n: values[n] for n in stage.outputs})
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +260,12 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class _JobOutcome:
-    label: str
-    artifacts: dict[str, str] = field(default_factory=dict)   # path -> sha256
-    metrics: dict[str, float] | None = None
-    timings: dict[str, float] = field(default_factory=dict)
-    error: StageError | None = None
-
-
-def _summary_report(outcomes: list[_JobOutcome]) -> str:
+def _summary_report(metrics: dict[str, dict[str, float]]) -> str:
     """Per-activity metric table: corner-cloud distances and map PSNRs."""
     lines = ["activity   emd_r   emd_d  psnr_r2tm_db  psnr_d2tm_db"]
-    for o in sorted(outcomes, key=lambda o: int(o.label[1:])):
-        m = o.metrics
-        lines.append(f"{o.label:<8} {m['emd_r']:7.4f} {m['emd_d']:7.4f} "
+    for label in sorted(metrics, key=lambda label: int(label[1:])):
+        m = metrics[label]
+        lines.append(f"{label:<8} {m['emd_r']:7.4f} {m['emd_d']:7.4f} "
                      f"{m['psnr_r2tm_db']:13.2f} {m['psnr_d2tm_db']:13.2f}")
     lines.append("")
     return "\n".join(lines)
@@ -276,10 +276,11 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
 
     Every activity runs even when another fails, and a failed one keeps
     the files of the stages it finished; the manifest lists each file on
-    disk that the run wrote, and names the first failure in activity
-    order.  The worker that wrote an activity's files hashes them, whether
-    or not the activity failed.  Per-stage wall-clock timings and failure
-    messages go to ``run.log`` (not part of the manifest, which must be
+    disk that its stage records name, and names the first failure in
+    activity order.  An activity's worker hashes the files its records
+    name and returns no stage output, so no maps outlive the worker.
+    ``run.log`` has each record's wall time, in run order, then each
+    failure's traceback (not part of the manifest, which must be
     bit-identical across reruns of one config).
     """
     cfg.validate()
@@ -289,40 +290,39 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def one_activity(label: str) -> _JobOutcome:
-        outcome, d = _JobOutcome(label), ActivityDir(out / label, label)
+    def one_activity(label: str):
         try:
-            res = run_activity(cfg, label, out=d)
-            outcome.metrics, outcome.timings = res.metrics, res.timings
+            res = run_activity(cfg, label, out=out)
+            records, metrics, error = res.records, res.metrics, None
         except StageError as exc:
-            outcome.error = exc
-        outcome.artifacts = {str(path.relative_to(out)): _sha256(path)
-                             for path in d.written if path.is_file()}
-        return outcome
+            records, metrics, error = exc.records, None, exc
+        digests = {str(path.relative_to(out)): _sha256(path)
+                   for rec in records for path in rec.files if path.is_file()}
+        return SimpleNamespace(records=records, digests=digests,
+                               metrics=metrics, error=error)
 
-    outcomes = pool_map(one_activity, labels)
-
-    failures = [o.error for o in outcomes if o.error is not None]
+    jobs = pool_map(one_activity, labels)
+    failures = [job.error for job in jobs if job.error is not None]
     status = "failed" if failures else "ok"
     failed_stage = (f"{failures[0].activity_label}:{failures[0].stage}"
                     if failures else None)
-    artifacts = {rel: h for o in outcomes for rel, h in o.artifacts.items()}
+    artifacts = {rel: h for job in jobs for rel, h in job.digests.items()}
 
     config_path = out / "config.txt"
     config_path.write_text(serialize_config(cfg), encoding="utf-8")
     artifacts["config.txt"] = _sha256(config_path)
 
-    if status == "ok" and outcomes:
+    if status == "ok" and jobs:
         report_path = out / "report.txt"
-        report_path.write_text(_summary_report(outcomes), encoding="utf-8")
+        metrics = {label: job.metrics for label, job in zip(labels, jobs)}
+        report_path.write_text(_summary_report(metrics), encoding="utf-8")
         artifacts["report.txt"] = _sha256(report_path)
 
     manifest = RunManifest(config_digest(cfg), __version__, status,
                            artifacts, failed_stage)
     (out / "manifest.txt").write_text(manifest.text(), encoding="utf-8")
-    log_lines = [f"{o.label} {stage} {dt:.3f}s"
-                 for o in sorted(outcomes, key=lambda o: o.label)
-                 for stage, dt in o.timings.items()]
+    log_lines = [f"{rec.label} {rec.stage} {rec.wall_s:.3f}s"
+                 for job in jobs for rec in job.records]
     for e in failures:
         log_lines.append(f"{e.activity_label} {e.stage} failed: {e.__cause__}")
         log_lines.append("".join(traceback.format_exception(e.__cause__)).rstrip())

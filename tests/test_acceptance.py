@@ -111,7 +111,7 @@ def test_criterion_04_corner_fidelity(clean_results):
         for which in ("emd_r", "emd_d"):
             if res.metrics[which] > worst[1]:
                 worst = (f"{label}/{which}", res.metrics[which])
-        per_activity_runtime_ok &= sum(res.timings.values()) < 60.0
+        per_activity_runtime_ok &= sum(rec.wall_s for rec in res.records) < 60.0
     ok = worst[1] < 0.35 and per_activity_runtime_ok
     report(4, "clean-pipeline corner clouds match analytic truth", ok,
            f"(worst EMD {worst[1]:.3f} at {worst[0]}, bound 0.35)")

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 import mdcl
 from mdcl import artifacts, pipeline
 from mdcl.activities import activity_labels
-from mdcl.artifacts import ActivityDir
 from mdcl.cli import main
 from mdcl.config import (PipelineConfig, drop_seed_keys, parse_config,
                          serialize_config)
@@ -55,9 +55,20 @@ BEFORE_EVALUATE = {
 }
 
 
+# the maps an activity result holds
+MAP_NAMES = ("echo", "rtm", "dtm", "r2tm", "d2tm", "gt_r2tm", "gt_d2tm")
+
+
 def files_under(root):
     return {str(p.relative_to(root)): p.read_bytes()
             for p in root.rglob("*") if p.is_file()}
+
+
+def logged_stages(out, label):
+    """The stages ``run.log`` times for ``label``, in log order."""
+    lines = (out / "run.log").read_text().splitlines()
+    return [m[1] for line in lines
+            if (m := re.fullmatch(rf"{label} (\w+) \d+\.\d{{3}}s", line))]
 
 
 def unlisted_files(out, manifest):
@@ -150,26 +161,92 @@ class TestRunPipeline:
         assert (out / "manifest.txt").read_text() == manifest.text()
         assert_digests_match_disk(out)
         assert "S8 evaluate failed: injected failure" in (out / "run.log").read_text()
+        # one line per S8 record, the failed stage's included
+        assert logged_stages(out, "S8") == list(STAGE_COMMANDS)
 
-    def test_write_error_manifest_lists_partial_files(self, tmp_path, monkeypatch):
+    def check_s8_pgm_write_error(self, tmp_path, monkeypatch, partial):
+        """Fail S8's first PGM write, after a partial header when ``partial``
+        and before the file exists otherwise; the failed record lists the
+        path either way, and the manifest lists it only if it is on disk."""
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S5,S8"})
-        real = artifacts.write_pgm
+        real, real_run, errors = artifacts.write_pgm, pipeline.run_activity, []
 
         def write_pgm_failing_s8(path, *args, **kwargs):
             if Path(path).parent.name == "S8":
+                if partial:
+                    Path(path).write_bytes(b"P5\n")
                 raise OSError("disk full")
             return real(path, *args, **kwargs)
 
+        def recording(*args, **kwargs):
+            try:
+                return real_run(*args, **kwargs)
+            except pipeline.StageError as exc:
+                errors.append(exc)
+                raise
+
         monkeypatch.setattr(artifacts, "write_pgm", write_pgm_failing_s8)
+        monkeypatch.setattr(pipeline, "run_activity", recording)
         out = tmp_path / "out"
         manifest = run_pipeline(cfg, out)
         assert manifest.status == "failed"
         assert manifest.failed_stage == "S8:write"
         assert "S8/r2tm.mdcm" in manifest.artifacts
+        assert ("S8/r2tm_corners.pgm" in manifest.artifacts) == partial
         assert "S8/metrics.csv" not in manifest.artifacts
         assert "S5/metrics.csv" in manifest.artifacts
         assert unlisted_files(out, manifest) == set()
         assert_digests_match_disk(out)
+        # the failed record holds the files its stage left on disk, plus
+        # the listed path the failing writer never created
+        [error] = errors
+        *finished, failed = error.records
+        assert failed.stage == "extract"
+        earlier = {path.name for rec in finished for path in rec.files}
+        on_disk = set(files_under(out / "S8")) - earlier
+        never_created = set() if partial else {"r2tm_corners.pgm"}
+        assert on_disk == {"pc_r.csv", "r2tm_corners.pgm"} - never_created
+        assert {path.name for path in failed.files} == on_disk | never_created
+        assert logged_stages(out, "S8") == [rec.stage for rec in error.records]
+
+    def test_write_error_manifest_lists_partial_files(self, tmp_path, monkeypatch):
+        self.check_s8_pgm_write_error(tmp_path, monkeypatch, partial=False)
+
+    def test_write_error_after_partial_header_lists_the_file(self, tmp_path,
+                                                             monkeypatch):
+        self.check_s8_pgm_write_error(tmp_path, monkeypatch, partial=True)
+
+    def test_log_lists_records_in_run_order(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MDCL_THREADS", "2")
+        cfg, _ = write_small_config(tmp_path, **{"run.activities": "S8,S12"})
+        out = tmp_path / "out"
+        assert run_pipeline(cfg, out).status == "ok"
+        lines = (out / "run.log").read_text().splitlines()
+        assert [line.rpartition(" ")[0] for line in lines] == [
+            f"{label} {stage}" for label in ("S8", "S12") for stage in STAGE_COMMANDS]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_no_maps_outlive_their_worker(self, tmp_path, monkeypatch, threads):
+        """Every map of every activity is freed before ``run_pipeline``
+        serializes the config, which it does after the pool returns."""
+        monkeypatch.setenv("MDCL_THREADS", threads)
+        cfg, _ = write_small_config(tmp_path, **{"run.activities": "S5,S8"})
+        real_run, real_serialize = pipeline.run_activity, pipeline.serialize_config
+        refs, alive = [], []
+
+        def recording(*args, **kwargs):
+            res = real_run(*args, **kwargs)
+            refs.extend(weakref.ref(getattr(res, name).data) for name in MAP_NAMES)
+            return res
+
+        def serialize(cfg):
+            alive.extend(ref() is not None for ref in refs)
+            return real_serialize(cfg)
+
+        monkeypatch.setattr(pipeline, "run_activity", recording)
+        monkeypatch.setattr(pipeline, "serialize_config", serialize)
+        assert run_pipeline(cfg, tmp_path / "out").status == "ok"
+        assert alive == [False] * 2 * len(MAP_NAMES)
 
     def test_empty_scene_runs(self, tmp_path):
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S1",
@@ -241,7 +318,7 @@ class TestNoiseKey:
         cfg.run.activities = "S8"
         cfg.validate()
         for name, args in (("plain", ()), ("indexed", (5,))):
-            run_activity(cfg, "S8", *args, out=ActivityDir(tmp_path / name, "S8"))
+            run_activity(cfg, "S8", *args, out=tmp_path / name)
         assert files_under(tmp_path / "indexed") == files_under(tmp_path / "plain")
 
 
@@ -288,7 +365,7 @@ class TestChainKeys:
             cfg.validate()
             out = tmp_path / f"{section}.{key}"
             for label in ("S5", "S8"):
-                run_activity(cfg, label, out=ActivityDir(out / label, label))
+                run_activity(cfg, label, out=out)
             scored = sorted((name, data) for name, data in files_under(out).items()
                             if Path(name).name in SCORED_FILES)
             assert len(scored) == 2 * len(SCORED_FILES)
@@ -507,7 +584,7 @@ class TestCli:
                       if staged_files[name] != run_files[name]]
             assert differ == [], label
             res = run_activity(cfg, label)
-            for name in ("echo", "rtm", "dtm", "r2tm", "d2tm", "gt_r2tm", "gt_d2tm"):
+            for name in MAP_NAMES:
                 held = getattr(res, name).data
                 read = artifacts.ARTIFACTS[name].read(staged_out / label, name, cfg).data
                 assert held.dtype == read.dtype, (label, name)
@@ -516,6 +593,23 @@ class TestCli:
         assert pc_r[1].startswith("S8/r2tm,")
         metrics = (run_out / "S8" / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "activity,metric,value"
+
+    def test_staged_commands_print_their_stage_files(self, tmp_path, capsys):
+        """Each stage command prints exactly the files its stage writes under
+        ``run``, and they are the files it adds."""
+        cfg, cfg_path = write_small_config(tmp_path)
+        ran, out = run_activity(cfg, "S8", out=tmp_path / "run"), tmp_path / "staged"
+        for rec in ran.records:
+            before = set(files_under(out))
+            capsys.readouterr()
+            assert main([rec.stage, "--config", str(cfg_path), "--out", str(out),
+                         "--activity", "S8"]) == 0
+            wrote = [str(Path(line.removeprefix("wrote ")).relative_to(out))
+                     for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("wrote ")]
+            assert wrote == [str(path.relative_to(tmp_path / "run"))
+                             for path in rec.files], rec.stage
+            assert set(files_under(out)) - before == set(wrote), rec.stage
 
     def test_axis_window_is_configured_window(self, tmp_path):
         # 49 PRIs of 1.0 / 49 s span 0.9999999999999999 s in float64
