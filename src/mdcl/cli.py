@@ -36,25 +36,24 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, activity_flag=True):
+    def configured(p):
         p.add_argument("--config", type=Path, default=None,
                        help="pipeline config file (defaults built in)")
-        p.add_argument("--out", type=Path, default=Path("out"),
-                       help="output directory (default out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed")
-        if activity_flag:
-            p.add_argument("--activity", default="S8",
-                           help="activity label S1..S12 (default S8)")
+        return p
+
+    def writing(p):
+        configured(p).add_argument("--out", type=Path, default=Path("out"),
+                                   help="output directory (default out)")
+        return p
 
     for stage in STAGES:
-        common(sub.add_parser(stage.name, help=stage.fn.__doc__))
+        writing(sub.add_parser(stage.name, help=stage.fn.__doc__)).add_argument(
+            "--activity", default="S8", help="activity label S1..S12 (default S8)")
 
-    p = sub.add_parser("mncp-verify", help="verify curve reconstruction counts")
-    common(p, activity_flag=False)
-
-    p = sub.add_parser("sweep-noise", help="noise-robustness sweep")
-    common(p, activity_flag=False)
+    configured(sub.add_parser("mncp-verify", help="verify curve reconstruction counts"))
+    writing(sub.add_parser("sweep-noise", help="noise-robustness sweep"))
 
     p = sub.add_parser("render", help="render a matrix file as a PGM heatmap")
     p.add_argument("matrix", type=Path)
@@ -62,21 +61,20 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--corners", type=Path, default=None,
                    help="corner CSV to overlay")
 
-    p = sub.add_parser("run", help="run every stage for all selected activities")
-    common(p, activity_flag=False)
+    p = writing(sub.add_parser("run", help="run every stage for all selected activities"))
     p.add_argument("--activity", default=None,
                    help="restrict to a comma-separated activity subset")
     return ap
 
 
-def _load(args) -> tuple[PipelineConfig, Path]:
+def _load(args) -> PipelineConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.run.seed = args.seed
     if getattr(args, "activity", None) and args.command == "run":
         cfg.run.activities = args.activity
     cfg.validate()
-    return cfg, args.out
+    return cfg
 
 
 def _cmd_mncp_verify(cfg: PipelineConfig) -> int:
@@ -124,19 +122,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "render":
             _cmd_render(args)
             return EXIT_OK
-        cfg, out = _load(args)
+        cfg = _load(args)
         if args.command == "run":
-            manifest = run_pipeline(cfg, out)
-            print((out / "manifest.txt").resolve())
+            manifest = run_pipeline(cfg, args.out)
+            print((args.out / "manifest.txt").resolve())
             return EXIT_OK if manifest.status == "ok" else EXIT_STAGE
         if args.command == "mncp-verify":
             return EXIT_STAGE if _cmd_mncp_verify(cfg) else EXIT_OK
         if args.command == "sweep-noise":
-            _cmd_sweep(cfg, out)
+            _cmd_sweep(cfg, args.out)
             return EXIT_OK
         label = args.activity
         activity(label)     # validate the label before touching files
-        res = run_stage(cfg, out, label, args.command)
+        res = run_stage(cfg, args.out, label, args.command)
         for path in res.records[0].files:
             print(f"wrote {path}")
         for k, v in sorted(getattr(res, "metrics", {}).items()):

@@ -6,7 +6,8 @@ output on as its file holds it, writes the stage's files as it ends when
 given a directory, and leaves a ``StageRecord``, even on failure, from
 which ``run``'s log and manifest and the staged commands' output derive.
 ``run_activity`` folds ``STAGES`` over the step, in memory or into
-``run``'s directory, and ``run_stage`` (the staged commands) steps one
+``run``'s directory, keeping each value only as long as ``STAGES`` or
+``RESULT`` needs it, and ``run_stage`` (the staged commands) steps one
 stage between artifact files.  ``run``'s activities and the sweep's noise
 fields (one task per noise field, each degrading and re-extracting every
 map) are tasks on one worker pool, ``pool_map`` (MDCL_THREADS); each task
@@ -38,7 +39,7 @@ from mdcl.echo import noise_generator, synth_frame
 from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
 from mdcl.maps import ProfileMap, normalize
 from mdcl.metrics import add_image_noise, emd_distance, psnr
-from mdcl.preprocess import preprocess_frame
+from mdcl.preprocess import doppler_axis, preprocess_frame, range_axis
 from mdcl.squaring import decimate_rows, render_squared
 
 
@@ -73,13 +74,13 @@ class StageError(RuntimeError):
                  records: list[StageRecord]):
         super().__init__(f"stage {stage!r} failed for {activity_label}: {cause}")
         self.stage = stage
-        self.activity_label = activity_label
         self.records = records
 
 
 class ActivityResult(SimpleNamespace):
-    """A ``label``, the ``records`` of the stages run and their outputs,
-    each an attribute named as in ``STAGES`` (``res.r2tm``)."""
+    """A ``label``, the ``records`` of the stages run and stage outputs,
+    each an attribute named as in ``STAGES`` (``res.r2tm``): those of
+    ``RESULT`` from ``run_activity``, the stage's own from ``run_stage``."""
 
 
 def square_maps(cfg: PipelineConfig, rtm: ProfileMap,
@@ -92,14 +93,14 @@ def square_maps(cfg: PipelineConfig, rtm: ProfileMap,
 
 
 def evaluate_activity(cfg: PipelineConfig, label: str,
-                      range_axis, doppler_axis,
                       r2tm: ProfileMap, d2tm: ProfileMap,
                       pc_r: CornerSet, pc_d: CornerSet):
-    """Analytic truth, ground-truth rasters and the per-activity metrics."""
+    """Analytic truth, ground-truth rasters on the ``[radar]`` axes and the
+    per-activity metrics."""
     scene, radar, act = cfg.scene_params(), cfg.radar, activity(label)
     truth = groundtruth_corners(scene, act, radar, r2tm.axis, d2tm.axis)
-    gt_rtm = rasterize_rtm(scene, act, radar, range_axis)
-    gt_dtm = rasterize_dtm(scene, act, radar, doppler_axis)
+    gt_rtm = rasterize_rtm(scene, act, radar, range_axis(radar))
+    gt_dtm = rasterize_dtm(scene, act, radar, doppler_axis(radar))
     gt_r2, gt_d2 = square_maps(cfg, gt_rtm, gt_dtm)
     metrics = {
         "emd_r": emd_distance(pc_r.uv(), truth.cloud_r),
@@ -154,10 +155,9 @@ def _fuse(cfg: PipelineConfig, label: str, r2tm, d2tm, pc_r, pc_d):
     return (fuse_pc_rd(pc_r, pc_d, r2tm, d2tm),)
 
 
-def _evaluate(cfg: PipelineConfig, label: str, rtm, dtm, r2tm, d2tm, pc_r, pc_d):
+def _evaluate(cfg: PipelineConfig, label: str, r2tm, d2tm, pc_r, pc_d):
     """score corners against ground truth"""
-    return evaluate_activity(cfg, label, rtm.axis, dtm.axis,
-                             r2tm, d2tm, pc_r, pc_d)
+    return evaluate_activity(cfg, label, r2tm, d2tm, pc_r, pc_d)
 
 
 STAGES = (
@@ -166,9 +166,13 @@ STAGES = (
     Stage("square", ("rtm", "dtm"), ("r2tm", "d2tm"), _square),
     Stage("extract", ("r2tm", "d2tm"), ("pc_r", "pc_d"), _extract),
     Stage("fuse", ("r2tm", "d2tm", "pc_r", "pc_d"), ("pc_rd",), _fuse),
-    Stage("evaluate", ("rtm", "dtm", "r2tm", "d2tm", "pc_r", "pc_d"),
+    Stage("evaluate", ("r2tm", "d2tm", "pc_r", "pc_d"),
           ("truth", "gt_r2tm", "gt_d2tm", "metrics"), _evaluate),
 )
+
+# what ``run_activity`` returns; every other value is dropped after the
+# last stage that produces or reads it
+RESULT = ("r2tm", "d2tm", "pc_r", "pc_d", "pc_rd", "truth", "metrics")
 
 
 def _step(stage: Stage, cfg: PipelineConfig, label: str, values: dict,
@@ -195,7 +199,9 @@ def _step(stage: Stage, cfg: PipelineConfig, label: str, values: dict,
 def run_activity(cfg: PipelineConfig, label: str, _index=None, *,
                  out: Path | None = None) -> ActivityResult:
     """Full stage chain for one activity; with ``out``, each stage's files
-    are written into ``out/<label>`` as the stage ends.
+    are written into ``out/<label>`` as the stage ends.  The result holds
+    the ``RESULT`` values: the echo is freed after ``preprocess``, the RTM
+    and DTM after ``square`` and the truth rasters after ``evaluate``.
 
     ``_index`` is ignored: an activity's noise depends only on ``run.seed``
     and its label.  It is accepted until ``perfbench/workloads.py`` stops
@@ -204,8 +210,10 @@ def run_activity(cfg: PipelineConfig, label: str, _index=None, *,
     values: dict = {}
     records: list[StageRecord] = []
     root = None if out is None else Path(out) / label
-    for stage in STAGES:
+    for i, stage in enumerate(STAGES):
         _step(stage, cfg, label, values, records, root)
+        for name in set(values).difference(RESULT, *(s.inputs for s in STAGES[i + 1:])):
+            del values[name]
     return ActivityResult(label=label, records=records, **values)
 
 
@@ -278,7 +286,8 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
     the files of the stages it finished; the manifest lists each file on
     disk that its stage records name, and names the first failure in
     activity order.  An activity's worker hashes the files its records
-    name and returns no stage output, so no maps outlive the worker.
+    name and returns neither a stage output nor an exception, so no maps
+    outlive the worker.
     ``run.log`` has each record's wall time, in run order, then each
     failure's traceback (not part of the manifest, which must be
     bit-identical across reruns of one config).
@@ -291,21 +300,23 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
 
     def one_activity(label: str):
+        # a failure leaves its log text, not the exception, whose traceback
+        # would hold the failed stage's values
         try:
             res = run_activity(cfg, label, out=out)
-            records, metrics, error = res.records, res.metrics, None
+            records, metrics, failed, log = res.records, res.metrics, None, []
         except StageError as exc:
-            records, metrics, error = exc.records, None, exc
+            records, metrics, failed = exc.records, None, f"{label}:{exc.stage}"
+            log = [f"{label} {exc.stage} failed: {exc.__cause__}",
+                   "".join(traceback.format_exception(exc.__cause__)).rstrip()]
         digests = {str(path.relative_to(out)): _sha256(path)
                    for rec in records for path in rec.files if path.is_file()}
         return SimpleNamespace(records=records, digests=digests,
-                               metrics=metrics, error=error)
+                               metrics=metrics, failed=failed, log=log)
 
     jobs = pool_map(one_activity, labels)
-    failures = [job.error for job in jobs if job.error is not None]
-    status = "failed" if failures else "ok"
-    failed_stage = (f"{failures[0].activity_label}:{failures[0].stage}"
-                    if failures else None)
+    failed_stage = next((job.failed for job in jobs if job.failed), None)
+    status = "failed" if failed_stage else "ok"
     artifacts = {rel: h for job in jobs for rel, h in job.digests.items()}
 
     config_path = out / "config.txt"
@@ -323,9 +334,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
     (out / "manifest.txt").write_text(manifest.text(), encoding="utf-8")
     log_lines = [f"{rec.label} {rec.stage} {rec.wall_s:.3f}s"
                  for job in jobs for rec in job.records]
-    for e in failures:
-        log_lines.append(f"{e.activity_label} {e.stage} failed: {e.__cause__}")
-        log_lines.append("".join(traceback.format_exception(e.__cause__)).rstrip())
+    log_lines += [line for job in jobs for line in job.log]
     (out / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     return manifest
 
@@ -369,8 +378,8 @@ def sweep_noise(cfg: PipelineConfig,
     field, one per (drop, seed), is one ``pool_map`` task that draws the
     field once and degrades every map with it in one buffer; the zero-drop
     rows are one more task.  Missing clean results are built first, one
-    task each, and only their squared maps and truth are kept.  The rows
-    do not depend on the thread count.
+    task each, as ``run_activity`` returns them.  The rows do not depend
+    on the thread count.
     """
     drops = cfg.snr_drops() if drops is None else drops
     if 0.0 not in drops:
@@ -379,13 +388,8 @@ def sweep_noise(cfg: PipelineConfig,
     labels = [a for a in cfg.activity_list() if not activity(a).is_empty]
     if results is None:
         cfg.check_echo_range(labels)
-
-        def clean(label: str) -> SimpleNamespace:
-            # the sweep reads only the squared maps and the truth
-            res = run_activity(cfg, label)
-            return SimpleNamespace(r2tm=res.r2tm, d2tm=res.d2tm, truth=res.truth)
-
-        results = dict(zip(labels, pool_map(clean, labels)))
+        results = dict(zip(labels, pool_map(lambda label: run_activity(cfg, label),
+                                            labels)))
     n_seeds = cfg.evaluation.sweep_seeds if n_seeds is None else n_seeds
     maps = [(label, which, cloud) for label in labels
             for which, cloud in (("r2tm", "cloud_r"), ("d2tm", "cloud_d"))]

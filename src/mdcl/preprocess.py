@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from mdcl.echo import EchoFrame
+from mdcl.echo import EchoFrame, RadarConfig
 from mdcl.maps import AxisSpec, ProfileMap, normalize
 
 
@@ -32,24 +32,28 @@ from mdcl.maps import AxisSpec, ProfileMap, normalize
 _FFT_ROWS = 64      # PRIs per block of the beat FFT: 1 MiB widened at 1024 samples
 
 
-def beat_spectrum(frame: EchoFrame) -> tuple[np.ndarray, AxisSpec]:
-    """Complex range-compressed rows (range bins x slow time) inside the
-    configured maximum range, and their axis.
+def range_axis(radar: RadarConfig) -> AxisSpec:
+    """The RTM's axis: the beat-spectrum bins inside ``max_range_m``, bin k
+    at one-way range k * c / 2B."""
+    n_keep = min(int(np.floor(radar.max_range_m / radar.range_bin)) + 1,
+                 radar.fast_samples)
+    return AxisSpec("range", 0.0, n_keep * radar.range_bin, n_keep)
 
-    Beat-spectrum bin k maps to one-way range k * c / 2B.  The fast-time
-    FFT runs in complex128 over blocks of ``_FFT_ROWS`` PRIs, each widened
-    from the frame's own precision, and keeps only the in-range bins of
-    each block; each row's transform is its own, so the result is the
-    whole-frame transform's, cropped, to the bit.
+
+def beat_spectrum(frame: EchoFrame) -> tuple[np.ndarray, AxisSpec]:
+    """Complex range-compressed rows (range bins x slow time) on
+    ``range_axis``, and that axis.
+
+    The fast-time FFT runs in complex128 over blocks of ``_FFT_ROWS``
+    PRIs, each widened from the frame's own precision, and keeps only the
+    in-range bins of each block; each row's transform is its own, so the
+    result is the whole-frame transform's, cropped, to the bit.
     """
-    cfg = frame.config
-    m, n = frame.data.shape
-    n_keep = min(int(np.floor(cfg.max_range_m / cfg.range_bin)) + 1, n)
-    axis = AxisSpec("range", 0.0, n_keep * cfg.range_bin, n_keep)
-    rows = np.empty((m, n_keep), dtype=complex)
-    for r0 in range(0, m, _FFT_ROWS):
+    axis = range_axis(frame.config)
+    rows = np.empty((frame.data.shape[0], axis.n), dtype=complex)
+    for r0 in range(0, rows.shape[0], _FFT_ROWS):
         block = frame.data[r0:r0 + _FFT_ROWS].astype(complex)
-        rows[r0:r0 + _FFT_ROWS] = np.fft.fft(block, axis=1)[:, :n_keep]
+        rows[r0:r0 + _FFT_ROWS] = np.fft.fft(block, axis=1)[:, :axis.n]
     return rows.T, axis
 
 
@@ -291,20 +295,24 @@ def stft_magnitude(x: np.ndarray) -> np.ndarray:
     return np.repeat(mag, STFT_HOP, axis=1)[:, :n]
 
 
-def make_dtm(series: np.ndarray, window_s: float,
+def doppler_axis(radar: RadarConfig) -> AxisSpec:
+    """The DTM's axis: ``STFT_SIZE`` rows spanning [-fs/2, fs/2), fs the
+    pulse rate."""
+    fs = radar.slow_samples / radar.window_s
+    return AxisSpec("doppler", -fs / 2.0, fs / 2.0, STFT_SIZE)
+
+
+def make_dtm(series: np.ndarray, radar: RadarConfig,
              emd_params: tuple[float, int]) -> ProfileMap:
     """Doppler-time map of the MTI of N times each PRI's leading fast-time
     sample, which equals the coherent sum of all N range bins.
 
-    Its phase carries the node Doppler 2 fc v / c exactly.  The series is
-    EMD-denoised and short-time Fourier transformed; rows span the
-    symmetric Doppler axis [-fs/2, fs/2).
+    Its phase carries the node Doppler 2 fc v / c exactly.  The series, one
+    sample per PRI, is EMD-denoised and short-time Fourier transformed onto
+    ``doppler_axis``.
     """
-    series = emd_denoise(series, *emd_params)
-    fs = series.size / window_s
-    mag = stft_magnitude(series)
-    axis = AxisSpec("doppler", -fs / 2.0, fs / 2.0, mag.shape[0])
-    return ProfileMap(mag, axis, window_s)
+    mag = stft_magnitude(emd_denoise(series, *emd_params))
+    return ProfileMap(mag, doppler_axis(radar), radar.window_s)
 
 
 def make_rtm(mti_complex: np.ndarray, range_axis: AxisSpec, window_s: float,
@@ -322,9 +330,9 @@ def preprocess_frame(frame: EchoFrame,
     the kept range rows for the RTM (the row-wise MTI commutes with the
     crop) and the leading-sample series for the DTM.
     """
-    rows, range_axis = beat_spectrum(frame)
-    n, window = frame.data.shape[1], frame.config.window_s
-    rtm = make_rtm(mti_filter(rows), range_axis, window, emd_params)
+    rows, axis = beat_spectrum(frame)
+    n, radar = frame.data.shape[1], frame.config
+    rtm = make_rtm(mti_filter(rows), axis, radar.window_s, emd_params)
     dtm = make_dtm(mti_filter(n * frame.data[:, :1].T.astype(complex))[0],
-                   window, emd_params)
+                   radar, emd_params)
     return rtm, dtm

@@ -55,8 +55,22 @@ BEFORE_EVALUATE = {
 }
 
 
-# the maps an activity result holds
+# the maps the stages produce
 MAP_NAMES = ("echo", "rtm", "dtm", "r2tm", "d2tm", "gt_r2tm", "gt_d2tm")
+
+
+def step_maps(monkeypatch, keep=weakref.ref):
+    """``{(label, name): keep(data)}`` for each map a stage leaves in its
+    ``values``, filled while ``pipeline._step`` stays patched."""
+    kept, real = {}, pipeline._step
+
+    def recording(stage, cfg, label, values, *rest):
+        real(stage, cfg, label, values, *rest)
+        kept.update(((label, name), keep(values[name].data))
+                    for name in stage.outputs if name in MAP_NAMES)
+
+    monkeypatch.setattr(pipeline, "_step", recording)
+    return kept
 
 
 def files_under(root):
@@ -225,28 +239,37 @@ class TestRunPipeline:
         assert [line.rpartition(" ")[0] for line in lines] == [
             f"{label} {stage}" for label in ("S8", "S12") for stage in STAGE_COMMANDS]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_no_maps_outlive_their_worker(self, tmp_path, monkeypatch, threads):
-        """Every map of every activity is freed before ``run_pipeline``
-        serializes the config, which it does after the pool returns."""
+    @pytest.mark.parametrize("threads, s8_fails",
+                             [("1", False), ("2", False), ("1", True), ("2", True)],
+                             ids=["1", "2", "1-s8-fails", "2-s8-fails"])
+    def test_no_maps_outlive_their_worker(self, tmp_path, monkeypatch, threads,
+                                          s8_fails):
+        """Every map of every activity, a failed one's included, is freed
+        before ``run_pipeline`` serializes the config, which it does after
+        the pool returns."""
         monkeypatch.setenv("MDCL_THREADS", threads)
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S5,S8"})
-        real_run, real_serialize = pipeline.run_activity, pipeline.serialize_config
-        refs, alive = [], []
+        real_evaluate, real_serialize = (pipeline.evaluate_activity,
+                                         pipeline.serialize_config)
+        alive = []
 
-        def recording(*args, **kwargs):
-            res = real_run(*args, **kwargs)
-            refs.extend(weakref.ref(getattr(res, name).data) for name in MAP_NAMES)
-            return res
+        def evaluate(cfg, label, *args):
+            if s8_fails and label == "S8":
+                raise RuntimeError("injected failure")
+            return real_evaluate(cfg, label, *args)
 
         def serialize(cfg):
-            alive.extend(ref() is not None for ref in refs)
+            alive.extend(key for key, ref in refs.items() if ref() is not None)
             return real_serialize(cfg)
 
-        monkeypatch.setattr(pipeline, "run_activity", recording)
+        refs = step_maps(monkeypatch)
+        monkeypatch.setattr(pipeline, "evaluate_activity", evaluate)
         monkeypatch.setattr(pipeline, "serialize_config", serialize)
-        assert run_pipeline(cfg, tmp_path / "out").status == "ok"
-        assert alive == [False] * 2 * len(MAP_NAMES)
+        manifest = run_pipeline(cfg, tmp_path / "out")
+        assert manifest.status == ("failed" if s8_fails else "ok")
+        # a failed evaluate leaves no truth rasters
+        assert len(refs) == 2 * len(MAP_NAMES) - 2 * s8_fails
+        assert alive == []
 
     def test_empty_scene_runs(self, tmp_path):
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S1",
@@ -256,6 +279,7 @@ class TestRunPipeline:
 
     def test_groundtruth_cardinality(self, cfg_small):
         res = run_activity(cfg_small, "S8")
+        assert vars(res).keys() == {"label", "records", *pipeline.RESULT}
         assert res.truth.cloud_r.shape == (30, 2)
         assert res.truth.cloud_d.shape == (30, 2)
         assert len(res.pc_r) == len(res.pc_d) == 30
@@ -508,26 +532,25 @@ class TestSweep:
         cfg = small_config()
         cfg.run.activities = "S1,S8"
         cfg.validate()
-        calls, dropped, draws = [], [], []
-        draw = pipeline.noise_field
+        calls, draws = [], []
+        draw, real_run = pipeline.noise_field, pipeline.run_activity
 
         def recorded(cfg, label):
             calls.append(label)
-            res = run_activity(cfg, label)
-            dropped.extend(weakref.ref(getattr(res, name).data)
-                           for name in ("echo", "rtm", "dtm", "gt_r2tm", "gt_d2tm"))
-            return res
+            return real_run(cfg, label)
 
         def field(*args):
             # every clean result is built, and trimmed, before a noise draw
-            draws.append(all(ref() is None for ref in dropped))
+            draws.append([name for (_, name), ref in refs.items()
+                          if ref() is not None])
             return draw(*args)
 
+        refs = step_maps(monkeypatch)
         monkeypatch.setattr(pipeline, "run_activity", recorded)
         monkeypatch.setattr(pipeline, "noise_field", field)
         rows = sweep_noise(cfg, drops=[4.0], n_seeds=1)
         assert calls == ["S8"]
-        assert len(dropped) == 5 and draws == [True]
+        assert len(refs) == len(MAP_NAMES) and draws == [["r2tm", "d2tm"]]
         results = {"S8": run_activity(cfg, "S8")}
         assert rows == sweep_noise(cfg, results, drops=[4.0], n_seeds=1)
 
@@ -565,7 +588,7 @@ class TestSweep:
 
 
 class TestCli:
-    def test_staged_chain(self, tmp_path):
+    def test_staged_chain(self, tmp_path, monkeypatch):
         """The six stage commands write exactly the files and bytes of ``run``,
         and ``run_activity`` holds each matrix as the staged reader returns it."""
         cfg, cfg_path = write_small_config(tmp_path, **{"run.activities": "S5,S8",
@@ -583,9 +606,11 @@ class TestCli:
             differ = [name for name in run_files
                       if staged_files[name] != run_files[name]]
             assert differ == [], label
-            res = run_activity(cfg, label)
-            for name in MAP_NAMES:
-                held = getattr(res, name).data
+            with monkeypatch.context() as mp:
+                held_maps = step_maps(mp, keep=lambda data: data)
+                run_activity(cfg, label)
+            assert [name for _, name in held_maps] == list(MAP_NAMES)
+            for (_, name), held in held_maps.items():
                 read = artifacts.ARTIFACTS[name].read(staged_out / label, name, cfg).data
                 assert held.dtype == read.dtype, (label, name)
                 assert held.tobytes() == read.tobytes(), (label, name)
@@ -593,6 +618,24 @@ class TestCli:
         assert pc_r[1].startswith("S8/r2tm,")
         metrics = (run_out / "S8" / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "activity,metric,value"
+
+    def test_staged_evaluate_reads_only_its_inputs(self, tmp_path):
+        """``evaluate`` in a directory that holds only the squared maps and
+        the corner CSVs writes ``run``'s bytes."""
+        _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S8"})
+        run_out, only = tmp_path / "run", tmp_path / "only"
+        assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
+        (only / "S8").mkdir(parents=True)
+        inputs = ["r2tm.mdcm", "r2tm.axis.txt", "d2tm.mdcm", "d2tm.axis.txt",
+                  "pc_r.csv", "pc_d.csv"]
+        for name in inputs:
+            (only / "S8" / name).write_bytes((run_out / "S8" / name).read_bytes())
+        assert main(["evaluate", "--config", str(cfg_path), "--out", str(only),
+                     "--activity", "S8"]) == 0
+        run_files = files_under(run_out / "S8")
+        wrote = set(run_files) - BEFORE_EVALUATE
+        assert files_under(only / "S8") == {name: run_files[name]
+                                             for name in wrote.union(inputs)}
 
     def test_staged_commands_print_their_stage_files(self, tmp_path, capsys):
         """Each stage command prints exactly the files its stage writes under
@@ -713,6 +756,11 @@ class TestCli:
             main(["run", "--stage-dump", "--activity", "S8", "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+    def test_mncp_verify_takes_no_out(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["mncp-verify", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
     def test_mncp_verify_exit(self, tmp_path):
         _, cfg_path = write_small_config(tmp_path)

@@ -12,8 +12,9 @@ from mdcl.config import PipelineConfig
 from mdcl.echo import C_LIGHT, EchoFrame, NoiseConfig, RadarConfig, synth_frame
 from mdcl.maps import normalize
 from mdcl.preprocess import (_FFT_ROWS, STFT_HOP, STFT_SIZE, _denoise_block, _first_modes,
-                             beat_spectrum, denoise_rows, emd_denoise, make_dtm,
-                             mti_filter, preprocess_frame, stft_magnitude)
+                             beat_spectrum, denoise_rows, doppler_axis, emd_denoise,
+                             make_dtm, mti_filter, preprocess_frame, range_axis,
+                             stft_magnitude)
 
 from conftest import default_scene, head_radar, row_value
 
@@ -51,7 +52,7 @@ def leading_series(frame):
 
 def oracle_dtm(frame, emd_params):
     """The DTM from the coherent sum of every MTI-filtered beat bin."""
-    return make_dtm(full_mti(frame).sum(axis=0), frame.config.window_s, emd_params)
+    return make_dtm(full_mti(frame).sum(axis=0), frame.config, emd_params)
 
 
 class TestRangeCompress:
@@ -369,9 +370,15 @@ class TestEmdDenoise:
         assert n_modes[0] == 3 and np.array_equal(first[0], imfs[0])
 
 
+def dtm_of(series, window_s):
+    """The DTM of ``series``, one sample per PRI over ``window_s``."""
+    return make_dtm(series, RadarConfig(slow_samples=series.size, window_s=window_s),
+                    EMD)
+
+
 class TestDtm:
     def test_zero_signal(self):
-        dtm = make_dtm(np.zeros(256, dtype=complex), 1.0, EMD)
+        dtm = dtm_of(np.zeros(256, dtype=complex), 1.0)
         assert np.all(dtm.data == 0)
 
     def test_pure_tone_ridge(self):
@@ -380,7 +387,7 @@ class TestDtm:
         fs = 256.0
         t = np.arange(m) / fs
         series = np.exp(2j * np.pi * 32.0 * t)
-        dtm = make_dtm(series, m / fs, EMD)
+        dtm = dtm_of(series, m / fs)
         interior = dtm.data[:, 150:-150]
         rows = np.argmax(interior, axis=0)
         freq = row_value(dtm.axis, rows)
@@ -392,7 +399,7 @@ class TestDtm:
         fs = 256.0
         t = np.arange(m) / fs
         series = np.exp(2j * np.pi * (64.0 / (2 * 4.0)) * t * t)
-        dtm = make_dtm(series, m / fs, EMD)
+        dtm = dtm_of(series, m / fs)
         cols = np.arange(150, m - 150)
         rows = np.argmax(dtm.data[:, cols], axis=0)
         freqs = np.asarray(row_value(dtm.axis, rows), dtype=float)
@@ -400,7 +407,7 @@ class TestDtm:
         assert slope == pytest.approx(16.0, rel=0.05)
 
     def test_column_count_matches_slow_samples(self):
-        dtm = make_dtm(np.ones(512, dtype=complex), 2.0, EMD)
+        dtm = dtm_of(np.ones(512, dtype=complex), 2.0)
         assert dtm.cols == 512
         assert dtm.rows == 256      # power-of-two transform size
 
@@ -410,7 +417,7 @@ class TestDtm:
         # squaring splits the Doppler axis into two equal halves
         rng = np.random.default_rng(seed)
         series = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        dtm = make_dtm(series, 1.0, EMD)
+        dtm = dtm_of(series, 1.0)
         assert dtm.rows == STFT_SIZE and STFT_SIZE % 2 == 0
 
     @pytest.mark.parametrize("n", [8, 9, 10, 11, 1023, 1024])
@@ -449,6 +456,15 @@ class TestMapInputs:
             summed = full_mti(frame).sum(axis=0)
             err = np.max(np.abs(leading_series(frame) - summed))
             assert err <= 1e-12 * np.max(np.abs(summed))
+
+    @pytest.mark.parametrize("radar", [
+        RadarConfig(),
+        RadarConfig(max_range_m=3.0, slow_samples=300, window_s=2.5)])
+    def test_axes_from_radar(self, radar):
+        shape = (radar.slow_samples, radar.fast_samples)
+        rtm, dtm = preprocess_frame(EchoFrame(np.zeros(shape, np.complex64), radar), EMD)
+        assert rtm.axis == range_axis(radar)
+        assert dtm.axis == doppler_axis(radar)
 
     def test_noisy_dtm_float32_identical(self, cfg_small):
         cfg_small.noise.enabled = True
