@@ -1,11 +1,13 @@
 """Activity catalog: per-node motion-state assignments for S1..S12.
 
-Each activity assigns one of four motion states to every limb node:
-acceleration-free translation, sinusoidal pendulum swing, sudden
-(in-place) vertical acceleration, or inactive.  The per-node parameter
-tables below are the shipped configuration that turns the two canonical
-motion classes (natural walking / in-situ acceleration) plus their
-combinations into the twelve concrete activities.
+Each activity assigns one of three motion states to every limb node:
+acceleration-free translation, sinusoidal pendulum swing, or sudden
+(in-place) vertical acceleration.  The per-node parameter tables below
+are the shipped configuration that turns the two canonical motion
+classes (natural walking / in-situ acceleration) plus their combinations
+into the twelve concrete activities.  The empty scene S1 is a class of
+its own: its nodes translate with a body that stands still, and nothing
+echoes from them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ class MotionState(Enum):
     ACCEL_FREE = "acceleration-free"
     PENDULUM = "sinusoidal-pendulum"
     SUDDEN_ACCEL = "sudden-acceleration"
-    INACTIVE = "inactive"
 
 
 class ActivityClass(Enum):
@@ -69,9 +70,6 @@ class ActivitySpec:
         missing = [n for n in ALL_NODES if n not in self.nodes]
         if missing:
             raise ValueError(f"{self.label}: missing node assignments {missing}")
-        if self.activity_class is ActivityClass.EMPTY:
-            if any(m.state is not MotionState.INACTIVE for m in self.nodes.values()):
-                raise ValueError("empty scene must assign all nodes inactive")
 
     def node(self, node: NodeId) -> NodeMotion:
         return self.nodes[node]
@@ -84,23 +82,32 @@ class ActivitySpec:
 _PI = 3.141592653589793
 
 
-def _walking_nodes(swing_arms: float, swing_legs: float) -> dict[NodeId, NodeMotion]:
-    # Arm swings pair with the opposite-side leg, as in a natural gait.
-    return {
-        NodeId.HEAD: NodeMotion(MotionState.ACCEL_FREE),
-        NodeId.TORSO: NodeMotion(MotionState.ACCEL_FREE),
-        NodeId.HAND_L: NodeMotion(MotionState.PENDULUM, swing_angle=swing_arms, phase=0.0),
-        NodeId.HAND_R: NodeMotion(MotionState.PENDULUM, swing_angle=swing_arms, phase=_PI),
-        NodeId.FOOT_L: NodeMotion(MotionState.PENDULUM, swing_angle=swing_legs, phase=_PI),
-        NodeId.FOOT_R: NodeMotion(MotionState.PENDULUM, swing_angle=swing_legs, phase=0.0),
-    }
+def _nodes(arms: float | None = None, legs: float | None = None,
+           leg_phases: tuple[float, float] = (_PI, 0.0),
+           drops: dict[NodeId, float] | None = None, rise_first: bool = False,
+           span: tuple[float, float] = (0.0, 1.0)) -> dict[NodeId, NodeMotion]:
+    """The six node motions of one activity.
 
-
-def _in_situ_nodes(drops: dict[NodeId, float], rise_first: bool) -> dict[NodeId, NodeMotion]:
-    return {
-        n: NodeMotion(MotionState.SUDDEN_ACCEL, drop=drops[n], rise_first=rise_first)
-        for n in ALL_NODES
-    }
+    The hands swing at ``arms`` with phases 0 and pi, the feet at ``legs``
+    with ``leg_phases``: (pi, 0) pairs each arm with the opposite-side leg,
+    as in a natural gait.  The head, the torso and a limb without an angle
+    translate, at phase 0.  With ``drops`` every node is a sudden
+    acceleration through its drop (``rise_first``, ``span``) and keeps its
+    swing.
+    """
+    swings = {NodeId.HAND_L: (arms, 0.0), NodeId.HAND_R: (arms, _PI),
+              NodeId.FOOT_L: (legs, leg_phases[0]), NodeId.FOOT_R: (legs, leg_phases[1])}
+    nodes = {}
+    for node in ALL_NODES:
+        angle, phase = swings.get(node, (None, 0.0))
+        phase = 0.0 if angle is None else phase
+        if drops is not None:
+            nodes[node] = NodeMotion(MotionState.SUDDEN_ACCEL, angle, phase,
+                                     drops[node], rise_first, span)
+        else:
+            state = MotionState.ACCEL_FREE if angle is None else MotionState.PENDULUM
+            nodes[node] = NodeMotion(state, angle, phase)
+    return nodes
 
 
 # Height change of each node during the vertical episodes, meters.  Feet
@@ -123,9 +130,9 @@ _FALL_DROPS = {
 
 
 def _combo(label: str, name: str, walk_half: int, drops: dict[NodeId, float],
-           rise_first: bool, episode_frac: float = 0.25) -> ActivitySpec:
-    """Combination activity: one half walks, the other holds a brief
-    vertical episode (the body stays put before/after it).
+           rise_first: bool, episode_frac: float) -> ActivitySpec:
+    """Combination activity: one half walks with S8's swings, the other
+    holds a brief vertical episode (the body stays put before/after it).
 
     ``walk_half`` 0 means walking occupies [0, T/2], 1 means [T/2, T];
     ``episode_frac`` is the episode duration as a window fraction.
@@ -136,83 +143,30 @@ def _combo(label: str, name: str, walk_half: int, drops: dict[NodeId, float],
     else:
         walk_span = (0.5, 1.0)
         vert_span = (0.5 - episode_frac, 0.5)
-    nodes = {}
-    for node, walk_motion in _walking_nodes(_PI / 6, _PI / 4).items():
-        nodes[node] = NodeMotion(
-            MotionState.SUDDEN_ACCEL,
-            swing_angle=walk_motion.swing_angle,
-            phase=walk_motion.phase,
-            drop=drops[node],
-            rise_first=rise_first,
-            span=vert_span,
-        )
+    nodes = _nodes(_PI / 6, _PI / 4, drops=drops, rise_first=rise_first, span=vert_span)
     return ActivitySpec(label, name, ActivityClass.COMBINATION,
                         nodes=nodes, walk_span=walk_span)
 
 
-_ACTIVITIES: dict[str, ActivitySpec] = {
-    "S1": ActivitySpec(
-        "S1", "empty", ActivityClass.EMPTY,
-        nodes={n: NodeMotion(MotionState.INACTIVE) for n in ALL_NODES},
-        velocity=(0.0, 0.0),
-    ),
-    "S2": ActivitySpec(
-        "S2", "punching", ActivityClass.WALKING,
-        nodes={
-            NodeId.HEAD: NodeMotion(MotionState.ACCEL_FREE),
-            NodeId.TORSO: NodeMotion(MotionState.ACCEL_FREE),
-            NodeId.HAND_L: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 3, phase=0.0),
-            NodeId.HAND_R: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 3, phase=_PI),
-            NodeId.FOOT_L: NodeMotion(MotionState.ACCEL_FREE),
-            NodeId.FOOT_R: NodeMotion(MotionState.ACCEL_FREE),
-        },
-        velocity=(0.0, 0.0),
-    ),
-    "S3": ActivitySpec(
-        "S3", "kicking", ActivityClass.WALKING,
-        nodes={
-            NodeId.HEAD: NodeMotion(MotionState.ACCEL_FREE),
-            NodeId.TORSO: NodeMotion(MotionState.ACCEL_FREE),
-            NodeId.HAND_L: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 12, phase=0.0),
-            NodeId.HAND_R: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 12, phase=_PI),
-            NodeId.FOOT_L: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 3, phase=0.0),
-            NodeId.FOOT_R: NodeMotion(MotionState.PENDULUM, swing_angle=_PI / 3, phase=_PI),
-        },
-        velocity=(0.0, 0.0),
-    ),
-    "S4": ActivitySpec(
-        "S4", "grabbing", ActivityClass.IN_SITU,
-        nodes=_in_situ_nodes(_GRAB_DROPS, rise_first=False),
-        velocity=(0.0, 0.0),
-    ),
-    "S5": ActivitySpec(
-        "S5", "sitting-down", ActivityClass.IN_SITU,
-        nodes=_in_situ_nodes(_SIT_DROPS, rise_first=False),
-        velocity=(0.0, 0.0),
-    ),
-    "S6": ActivitySpec(
-        "S6", "standing-up", ActivityClass.IN_SITU,
-        nodes=_in_situ_nodes(_SIT_DROPS, rise_first=True),
-        velocity=(0.0, 0.0),
-    ),
-    "S7": ActivitySpec(
-        "S7", "rotating", ActivityClass.WALKING,
-        nodes=_walking_nodes(_PI / 4, _PI / 8),
-        velocity=(0.0, 0.0),
-    ),
-    "S8": ActivitySpec(
-        "S8", "walking", ActivityClass.WALKING,
-        nodes=_walking_nodes(_PI / 6, _PI / 4),
-    ),
-    "S9": _combo("S9", "sitting-to-walking", walk_half=1, drops=_SIT_DROPS,
-                 rise_first=True, episode_frac=0.25),
-    "S10": _combo("S10", "walking-to-sitting", walk_half=0, drops=_SIT_DROPS,
-                  rise_first=False, episode_frac=0.25),
-    "S11": _combo("S11", "falling-to-walking", walk_half=1, drops=_FALL_DROPS,
-                  rise_first=True, episode_frac=0.2),
-    "S12": _combo("S12", "walking-to-falling", walk_half=0, drops=_FALL_DROPS,
-                  rise_first=False, episode_frac=0.2),
-}
+_STILL = (0.0, 0.0)
+_ACTIVITIES: dict[str, ActivitySpec] = {a.label: a for a in (
+    ActivitySpec("S1", "empty", ActivityClass.EMPTY, _nodes(), _STILL),
+    ActivitySpec("S2", "punching", ActivityClass.WALKING, _nodes(_PI / 3), _STILL),
+    ActivitySpec("S3", "kicking", ActivityClass.WALKING,
+                 _nodes(_PI / 12, _PI / 3, leg_phases=(0.0, _PI)), _STILL),
+    ActivitySpec("S4", "grabbing", ActivityClass.IN_SITU,
+                 _nodes(drops=_GRAB_DROPS), _STILL),
+    ActivitySpec("S5", "sitting-down", ActivityClass.IN_SITU,
+                 _nodes(drops=_SIT_DROPS), _STILL),
+    ActivitySpec("S6", "standing-up", ActivityClass.IN_SITU,
+                 _nodes(drops=_SIT_DROPS, rise_first=True), _STILL),
+    ActivitySpec("S7", "rotating", ActivityClass.WALKING, _nodes(_PI / 4, _PI / 8), _STILL),
+    ActivitySpec("S8", "walking", ActivityClass.WALKING, _nodes(_PI / 6, _PI / 4)),
+    _combo("S9", "sitting-to-walking", 1, _SIT_DROPS, rise_first=True, episode_frac=0.25),
+    _combo("S10", "walking-to-sitting", 0, _SIT_DROPS, rise_first=False, episode_frac=0.25),
+    _combo("S11", "falling-to-walking", 1, _FALL_DROPS, rise_first=True, episode_frac=0.2),
+    _combo("S12", "walking-to-falling", 0, _FALL_DROPS, rise_first=False, episode_frac=0.2),
+)}
 
 
 def activity(label: str) -> ActivitySpec:

@@ -259,6 +259,7 @@ def parse_config(text: str) -> PipelineConfig:
     cfg = PipelineConfig()
     section_name = None
     section_obj = None
+    seen: dict[str, int] = {}   # "section.key" -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -278,6 +279,8 @@ def parse_config(text: str) -> PipelineConfig:
         if key not in {f.name for f in fields(section_obj)}:
             raise ConfigError(
                 f"line {lineno}: unknown key {section_name}.{key}")
+        if (first := seen.setdefault(f"{section_name}.{key}", lineno)) != lineno:
+            raise ConfigError(f"lines {first} and {lineno}: {section_name}.{key} given twice")
         try:
             parsed = _parse_value(value, type(getattr(section_obj, key)))
         except ConfigError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mdcl.activities import ActivitySpec, MotionState
+from mdcl.activities import ActivitySpec
 from mdcl.motion import node_distance
 from mdcl.scene import ALL_NODES, NodeId, SceneParams
 
@@ -260,12 +260,12 @@ def node_delays(node: NodeId, p: SceneParams, act: ActivitySpec,
 
 def echo_delays(p: SceneParams, act: ActivitySpec,
                 cfg: RadarConfig) -> list[tuple[float, np.ndarray]]:
-    """(amplitude, per-PRI delays) of each node that echoes: active, with a
-    non-zero reflectivity."""
+    """(amplitude, per-PRI delays) of each node that echoes: one with a
+    non-zero reflectivity, outside the empty scene."""
+    if act.is_empty:
+        return []
     return [(0.5 * eta, node_delays(node, p, act, cfg))
-            for node in ALL_NODES
-            if (eta := cfg.reflectivity[node]) != 0.0
-            and act.node(node).state is not MotionState.INACTIVE]
+            for node in ALL_NODES if (eta := cfg.reflectivity[node]) != 0.0]
 
 
 def wall_clutter(cfg: RadarConfig) -> np.ndarray:

@@ -116,10 +116,10 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
     ``kind`` "r2", ``t -> chi^2(t)`` in (m/s)^2 for "d2".
 
     The curve follows the motion state the activity assigns to the node.
-    A translating or inactive node moves with the body, as a rigid point or
-    as a pendulum limb swinging along the body velocity (toward the radar
-    when the body stands still); only the empty scene S1, whose body stands
-    still, has inactive nodes.  A sudden-acceleration node rises or sinks
+    A translating node moves with the body, as a rigid point or as a
+    pendulum limb swinging along the body velocity (toward the radar when
+    the body stands still); the empty scene S1's nodes translate with a
+    body that stands still.  A sudden-acceleration node rises or sinks
     through its in-place vertical cycle.  In combination activities the
     body walks inside the walking span; outside it the node follows its
     vertical episode with clamped local time, so the pose holds still

@@ -45,8 +45,8 @@ from mdcl.squaring import decimate_rows, render_squared
 
 def thread_count() -> int:
     """Worker threads named by ``MDCL_THREADS``, a non-negative integer
-    (unset, empty or 0: min(4, CPU count)); anything else is a
-    ``ConfigError``."""
+    (unset, empty or 0: min(4, the CPUs this process may run on)); anything
+    else is a ``ConfigError``."""
     raw = os.environ.get("MDCL_THREADS") or "0"
     try:
         workers = int(raw)
@@ -54,7 +54,9 @@ def thread_count() -> int:
         workers = -1
     if workers < 0:
         raise ConfigError(f"MDCL_THREADS must be a non-negative integer, got {raw!r}")
-    return workers or min(4, os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return workers or min(4, cpus)
 
 
 def pool_map(fn: Callable, items: list) -> list:

@@ -153,6 +153,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="wall_path"):
             replace(PipelineConfig().scene_params(), wall_path=-0.1)
 
+    @pytest.mark.parametrize("text, lines", [
+        pytest.param("[radar]\ncarrier_hz = 1e9\ncarrier_hz = 2e9\n", "2 and 3",
+                     id="one_section"),
+        pytest.param("[radar]\ncarrier_hz = 1e9\n[scene]\nx1 = 2.0\n"
+                     "[radar]\ncarrier_hz = 2e9\n", "2 and 6", id="repeated_header")])
+    def test_repeated_key_rejected(self, tmp_path, text, lines):
+        with pytest.raises(ConfigError,
+                           match=f"^lines {lines}: radar.carrier_hz given twice"):
+            parse_config(text)
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[plasma]\nx = 1\n")

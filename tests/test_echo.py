@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdcl import echo
-from mdcl.activities import MotionState, activity
+from mdcl.activities import activity, activity_labels
 from mdcl.echo import (NoiseConfig, RadarConfig, RadarConfigError, EchoFrame,
                        node_delays, synth_frame, wall_clutter, C_LIGHT)
 from mdcl.config import PipelineConfig
@@ -85,10 +85,11 @@ def generator_noise_matrix(m, n, seed):
 
 
 def node_rows(p, act, cfg):
-    """(amplitude, per-PRI delays) of every reflecting, active node."""
+    """(amplitude, per-PRI delays) of every reflecting node outside the
+    empty scene."""
     for node in ALL_NODES:
         eta = cfg.reflectivity[node]
-        if eta == 0.0 or act.node(node).state is MotionState.INACTIVE:
+        if eta == 0.0 or act.is_empty:
             continue
         yield 0.5 * eta, node_delays(node, p, act, cfg)
 
@@ -299,6 +300,15 @@ class TestNodeEcho:
     def test_zero_reflectivity_zero_row(self):
         row = self.head_row(static_scene(), eta=0.0)
         assert np.all(row == 0)
+
+    @pytest.mark.parametrize("label", activity_labels())
+    def test_only_the_empty_scene_is_silent(self, label):
+        # every node reflects at the default reflectivities, so every node of
+        # an activity echoes, and none of the empty scene's
+        p, act, cfg = default_scene(), activity(label), RadarConfig(slow_samples=8)
+        delays = echo.echo_delays(p, act, cfg)
+        assert len(delays) == (0 if label == "S1" else len(ALL_NODES))
+        assert all(tau.shape == (8,) for _, tau in delays)
 
     def test_static_beat_bin(self):
         # one-way 3 m: beat mu*tau -> DFT bin round(N mu tau / fs) = 40

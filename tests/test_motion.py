@@ -139,8 +139,8 @@ class TestDistanceCurves:
             distance_sq(NodeId.HEAD, p, S8, -0.1)
 
     def test_inactive_node_static(self):
-        """S1's nodes are inactive and its body stands still, so every node
-        holds its distance at zero velocity."""
+        """S1's body stands still, so every node holds its distance at zero
+        velocity."""
         p = scene()
         s1 = activity("S1")
         t = np.linspace(0, 4, 7)

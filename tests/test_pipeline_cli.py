@@ -450,6 +450,14 @@ class TestWorkerPool:
             assert pools == expected, threads
         assert pipeline.pool_map(str, []) == []
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        # one usable CPU under an affinity mask, however many the machine has
+        monkeypatch.delenv("MDCL_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert pipeline.thread_count() == 1
+
     @pytest.mark.parametrize("threads", ["abc", "-3", "1.5"])
     def test_malformed_thread_count_exits_2_before_any_file(self, tmp_path,
                                                             monkeypatch, threads):
