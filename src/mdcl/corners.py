@@ -8,19 +8,20 @@ spectrum of the mean-removed map, two orientations per complex inverse
 transform: the map is real, so the inverse of its spectrum times the
 transform of ``k_a + 1j * k_b`` carries orientation a in its real part and
 b in its imaginary part.  The squares, logs and their sum run over row
-blocks that stay in cache, to the bits of a whole-map computation.  The
-response differs from a float64 bank's by at most 1e-4 of the peak
-response, and its corners differ only
-among maxima whose float64 responses tie within that tolerance (noise-free
-maps repeat features exactly).  Non-maximum suppression finds the
-strongest disk maxima of the response (pixels no neighbour within the NMS
-radius exceeds) lazily: 3x3 local maxima are ordered by response and tested
-against the full disk only until a fixed pool is full, so a noisy map
-costs a few array passes, not a full-map disk filter, and only the
-strongest few hundred of its tens of thousands of local maxima are
-sorted.  A greedy pass over the pool keeps the 30 strongest at least the
-radius apart; degenerate maps are padded to keep the fixed cardinality
-the fused 60x3 cloud requires.
+blocks that stay in cache, to the bits of a whole-map computation, and
+the sum goes into the already-read head of the first inverse transform's
+own buffer, so an extraction holds only its transforms.  The response
+differs from a float64 bank's by at most 1e-4 of the peak response, and
+its corners differ only among maxima whose float64 responses tie within
+that tolerance (noise-free maps repeat features exactly).  Non-maximum
+suppression finds the strongest disk maxima of the response (pixels no
+neighbour within the NMS radius exceeds) lazily: 3x3 local maxima are
+ordered by response and tested against the full disk only until a fixed
+pool is full, so a noisy map costs a few array passes, not a full-map
+disk filter, and only the strongest few hundred of its tens of thousands
+of local maxima are sorted.  A greedy pass over the pool keeps the 30
+strongest at least the radius apart; degenerate maps are padded to keep
+the fixed cardinality the fused 60x3 cloud requires.
 A corner holds only its pixel: ``CornerSet.uv`` is the one rule that puts
 a pixel on the unit square.  Fusion pairs each corner with the partner
 map's column of the same index, so both maps share their column count.
@@ -225,7 +226,10 @@ def corner_response(img: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
     transforms, squares and geometric mean run in float32, and so does
     the response returned; it differs from a float64 bank's by at most
     1e-4 of the peak response.  The tail after the transforms runs over
-    blocks of ``_TAIL_ROWS`` rows (see ``_geometric_mean``).
+    blocks of ``_TAIL_ROWS`` rows (see ``_geometric_mean``) and sums into
+    the head of the first transform, so the response is a view into that
+    9.3 MB buffer (at 1024 x 1024): a caller that keeps a response keeps
+    its buffer.
     """
     from scipy import fft as sfft           # see _kernel_ffts
 
@@ -238,18 +242,21 @@ def corner_response(img: np.ndarray, cfg: DetectorConfig) -> np.ndarray:
     _, fast, pair_ffts = _kernel_ffts(cfg, (nr + 2 * pad, nc + 2 * pad))
     img_fft = _full_spectrum(sfft.rfft2(_padded_frame(img, pad, fast)), fast[1])
     r0, c0 = 2 * pad, 2 * pad
-    convs = []
+    transforms = []
     for j, kf in enumerate(pair_ffts):
         # the last product may overwrite the map's spectrum; each inverse
         # transform runs in place on its product
         last = j == len(pair_ffts) - 1
         product = np.multiply(img_fft, kf, out=img_fft if last else None)
-        convs.append(sfft.ifft2(product, overwrite_x=True)[r0:r0 + nr, c0:c0 + nc])
+        transforms.append(sfft.ifft2(product, overwrite_x=True))
     del img_fft, product
-    return _geometric_mean(convs, cfg.orientations)
+    head = transforms[0].reshape(-1).view(np.float32)[:nr * nc].reshape(nr, nc)
+    return _geometric_mean([t[r0:r0 + nr, c0:c0 + nc] for t in transforms],
+                           cfg.orientations, head)
 
 
-def _geometric_mean(convs: list[np.ndarray], count: int) -> np.ndarray:
+def _geometric_mean(convs: list[np.ndarray], count: int,
+                    out: np.ndarray) -> np.ndarray:
     """``exp(mean_k log(x_k**2 + eps)) - eps``, clipped at zero, over the
     ``count`` orientation fields ``x_k`` the complex64 ``convs`` carry
     (orientation 2j in conv j's real part, 2j+1 in its imaginary part).
@@ -261,6 +268,13 @@ def _geometric_mean(convs: list[np.ndarray], count: int) -> np.ndarray:
     contiguous scratch buffer, takes its log and adds the terms in
     orientation order.  Every step is elementwise and in the order of a
     whole-map computation, so the result is the same to the bit.
+
+    The sum goes into ``out``: the first ``nr * nc`` floats of conv 0's
+    own transform buffer, of width ``W >= nc``.  A block at row s zeroes
+    its rows of ``out`` only once field 0's rows are squared into the
+    scratch buffer, and writes below float ``nc * (s + _TAIL_ROWS)``;
+    field 0's row j starts at float ``2 * j * W`` or later, past that for
+    every unread row j >= s + _TAIL_ROWS, so no write reaches one.
     """
     # float32 fields whose columns interleave ``width`` orientations each;
     # an odd count's last pair contributes its real part only
@@ -281,12 +295,13 @@ def _geometric_mean(convs: list[np.ndarray], count: int) -> np.ndarray:
             x, buf = block(field, start)
             peak = max(peak, np.abs(x, out=buf).max())
     eps = max(np.float32(1e-12) * (peak * peak), np.finfo(np.float32).tiny)
-    out = np.zeros((nr, nc), dtype=np.float32)     # 0 + first term is exact
     for start in range(0, nr, _TAIL_ROWS):
         acc = out[start:start + _TAIL_ROWS]
-        for field, width in fields:
+        for i, (field, width) in enumerate(fields):
             x, sq = block(field, start)
             np.multiply(x, x, out=sq)
+            if i == 0:                      # field 0's rows are read: zero their head
+                acc.fill(0.0)
             sq += eps
             np.log(sq, out=sq)
             for parity in range(width):

@@ -4,6 +4,7 @@ import functools
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import astuple, replace
 
@@ -94,6 +95,42 @@ def whole_map_response(img, cfg):
     np.exp(log_sum, out=log_sum)
     log_sum -= eps
     return np.clip(log_sum, 0.0, None, out=log_sum)
+
+
+def oracle_geometric_mean(convs, count):
+    """``corners._geometric_mean`` summing into a fresh zero array instead
+    of the head of conv 0's own transform buffer: the same blocks, steps
+    and term order, with no buffer read after it is written."""
+    fields = [(c.view(np.float32), 2) for c in convs[:count // 2]]
+    if count % 2:
+        fields.append((convs[-1].real, 1))
+    nr, nc = convs[0].shape
+    scratch = np.empty(corners._TAIL_ROWS * 2 * nc, dtype=np.float32)
+
+    def block(field, start):
+        x = field[start:start + corners._TAIL_ROWS]
+        return x, scratch[:x.size].reshape(x.shape)
+
+    peak = np.float32(0.0)
+    for start in range(0, nr, corners._TAIL_ROWS):
+        for field, _ in fields:
+            x, buf = block(field, start)
+            peak = max(peak, np.abs(x, out=buf).max())
+    eps = max(np.float32(1e-12) * (peak * peak), np.finfo(np.float32).tiny)
+    out = np.zeros((nr, nc), dtype=np.float32)
+    for start in range(0, nr, corners._TAIL_ROWS):
+        acc = out[start:start + corners._TAIL_ROWS]
+        for field, width in fields:
+            x, sq = block(field, start)
+            np.multiply(x, x, out=sq)
+            sq += eps
+            np.log(sq, out=sq)
+            for parity in range(width):
+                acc += sq[:, parity::width]
+    out /= np.float32(count)
+    np.exp(out, out=out)
+    out -= eps
+    return np.clip(out, 0.0, None, out=out)
 
 
 def response_map(kind, shape, rng):
@@ -231,6 +268,30 @@ class TestResponse:
             assert np.array_equal(corner_response(pm.data, cfg.detector),
                                   whole_map_response(pm.data, cfg.detector)), i
 
+    @pytest.mark.parametrize("orientations", [1, 2, 5, 7, 8])
+    @pytest.mark.parametrize("sigma_px", [3.0, 0.3])
+    @pytest.mark.parametrize("shape", [(70, 45), (300, 260)])
+    @pytest.mark.parametrize("kind", ["blobs", "zero", "constant"])
+    def test_in_buffer_tail_equals_oracle_tail(self, monkeypatch, orientations,
+                                               sigma_px, shape, kind):
+        """The response summed into the head of the first transform has the
+        bits of the out-of-place tail on the same bank.  ``sigma_px`` 0.3
+        is radius 2, where field 0's unread rows lie closest to the head;
+        neither row count is a whole number of blocks."""
+        cfg = replace(CFG, orientations=orientations, sigma_px=sigma_px)
+        img = {"blobs": blob_image([(20, 15), (50, 30)], shape),
+               "zero": np.zeros(shape), "constant": np.full(shape, 0.7)}[kind]
+        tail, wants = corners._geometric_mean, []
+
+        def checked_tail(convs, count, out):
+            wants.append(oracle_geometric_mean([c.copy() for c in convs], count))
+            return tail(convs, count, out)
+
+        monkeypatch.setattr(corners, "_geometric_mean", checked_tail)
+        got = corner_response(img, cfg)
+        assert got.dtype == np.float32 and got.shape == shape
+        assert np.array_equal(got.view(np.uint32), wants[0].view(np.uint32))
+
     @pytest.mark.parametrize("shape", [(1, 1), (5, 2), (6, 7), (189, 256), (216, 189)])
     def test_full_spectrum_is_fft2(self, shape):
         """The Hermitian completion equals the full transform to complex64
@@ -311,6 +372,23 @@ class TestExtract:
         a = sorted((c.row, c.col) for c in cs_a.corners[:3])
         b = sorted((c.row, c.col) for c in cs_b.corners[:3])
         assert a == b
+
+    def test_full_size_peak_memory(self, clean_full_config, clean_results):
+        """One full-size extraction holds its four complex64 inverse
+        transforms (1080 x 1080 each) and at most 1 MiB more, the cached
+        bank aside: a separate 4 MiB response array would not fit, so the
+        response must be summed in the first transform's head."""
+        det = clean_full_config.detector
+        pm = clean_results["S8"].r2tm
+        assert pm.data.shape == (1024, 1024)
+        extract_corners(pm, "m", det)         # builds the cached bank
+        tracemalloc.start()
+        try:
+            extract_corners(pm, "m", det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1080 * 1080 * 8 + 2 ** 20
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
