@@ -9,11 +9,10 @@ analytic ground truth.
 __version__ = "0.1.0"
 
 from mdcl.scene import NodeId, SceneParams
-from mdcl.activities import ActivitySpec, MotionState, activity, activity_labels
+from mdcl.activities import ActivitySpec, activity, activity_labels
 
 __all__ = [
     "ActivitySpec",
-    "MotionState",
     "NodeId",
     "SceneParams",
     "activity",

@@ -121,8 +121,8 @@ def curve_models(p: SceneParams) -> dict[str, CurveModel]:
         return [lambda t: np.ones_like(t), lambda t: np.cos(w * t + ph)]
 
     walk = activity("S8")
-    arm = walk.node(NodeId.HAND_L).swing_angle
-    leg = walk.node(NodeId.FOOT_R).swing_angle
+    arm = walk.nodes[NodeId.HAND_L].swing_angle
+    leg = walk.nodes[NodeId.FOOT_R].swing_angle
     swing_bounds = ((np.pi, 4 * np.pi), (1e-3, np.pi / 2 - 1e-3))
     # name: (activity, node, kind, mncp, basis builder, nonlinear truth, bounds)
     table = {

@@ -2,16 +2,17 @@
 
 Every node's squared one-way propagation distance xi^2(t) and squared
 radial-model velocity chi^2(t) come from one evaluator, ``node_curve``:
-it resolves the node's motion state for the activity once (body velocity
-and swing direction, the walking/episode split of combination
+it reads the node's motion from its catalog parameters once (body
+velocity and swing direction, the walking/episode split of combination
 activities, the wall's extra path) and returns the curve as a function
 of time.  The same curves drive both the echo synthesizer and the
 analytic ground-truth corner generator, so the two stay consistent by
 construction.
 
-Head and torso distances are referenced to the radar height; hand and
-foot distances are referenced to the ground, matching the closed forms
-of the pendulum curves.
+Each node's height comes from one lookup, ``_node_geometry``.  Head and
+torso are points (limb 0) referenced to the radar height; hand and foot
+distances are referenced to the ground, matching the closed forms of the
+pendulum curves.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from mdcl.activities import ActivityClass, ActivitySpec, MotionState
+from mdcl.activities import ActivityClass, ActivitySpec
 from mdcl.scene import ALL_NODES, NodeId, SceneParams
 
 
@@ -35,17 +36,16 @@ def _check_window(t: np.ndarray, T: float):
         raise ValueError(f"t out of observation window [0, {T}]")
 
 
-def _vertical_ref(node: NodeId, p: SceneParams) -> float:
-    return p.radar_height if node in (NodeId.HEAD, NodeId.TORSO) else 0.0
-
-
-def _pendulum_geometry(node: NodeId, p: SceneParams) -> tuple[float, float]:
-    """(limb length, pivot height) for a pendulum node."""
+def _node_geometry(node: NodeId, p: SceneParams) -> tuple[float, float, float]:
+    """(limb length, pivot height, reference height) of a node, meters; it
+    rests at pivot - limb, and its distance is referenced to the height."""
+    if node is NodeId.HEAD:
+        return 0.0, p.torso_upper + 0.15, p.radar_height
+    if node is NodeId.TORSO:
+        return 0.0, 0.5 * (p.torso_upper + p.torso_lower), p.radar_height
     if node in (NodeId.HAND_L, NodeId.HAND_R):
-        return p.arm_length, p.torso_upper
-    if node in (NodeId.FOOT_L, NodeId.FOOT_R):
-        return p.leg_length, p.torso_lower
-    raise ValueError(f"{node} is not a pendulum node")
+        return p.arm_length, p.torso_upper, 0.0
+    return p.leg_length, p.torso_lower, 0.0
 
 
 def _swing_direction(x1, y1, vx, vy) -> tuple[float, float]:
@@ -115,14 +115,15 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
     """One node's motion curve for an activity: ``t -> xi^2(t)`` in m^2 for
     ``kind`` "r2", ``t -> chi^2(t)`` in (m/s)^2 for "d2".
 
-    The curve follows the motion state the activity assigns to the node.
-    A translating node moves with the body, as a rigid point or as a
-    pendulum limb swinging along the body velocity (toward the radar when
-    the body stands still); the empty scene S1's nodes translate with a
-    body that stands still.  A sudden-acceleration node rises or sinks
-    through its in-place vertical cycle.  In combination activities the
-    body walks inside the walking span; outside it the node follows its
-    vertical episode with clamped local time, so the pose holds still
+    The node's parameters choose the curve.  A node with a ``drop`` rises
+    or sinks through its in-place vertical cycle (``act.rise_first`` says
+    which); any other node moves with the body, as a pendulum limb
+    swinging along the body velocity (toward the radar when the body
+    stands still) if it has a ``swing_angle``, else as a rigid point.  The
+    empty scene S1's nodes translate with a body that stands still.  In
+    combination activities the body walks, and the limbs swing, inside the
+    walking span; outside it the node follows its vertical episode in
+    ``act.episode_span`` with clamped local time, so the pose holds still
     before the episode starts and after it ends.
 
     Head and torso move at the constant body velocity.  The wall's extra
@@ -134,25 +135,24 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
         raise ValueError(f"unknown map kind {kind!r}")
     r2 = kind == "r2"
     T = p.window
-    motion = act.node(node)
+    motion = act.nodes[node]
     x1, y1 = p.initial_position
     vx, vy = act.velocity if act.velocity is not None else p.initial_velocity
     speed = math.hypot(vx, vy)
     dirx, diry = _swing_direction(x1, y1, vx, vy)
-    z_rest = p.node_rest_height(node) - _vertical_ref(node, p)
+    limb, pivot, ref = _node_geometry(node, p)
+    rest = pivot - limb
 
     def walking(x0, y0):
         """The translation phase from (x0, y0), in local time."""
-        if motion.swing_angle is not None and motion.state in (
-                MotionState.PENDULUM, MotionState.SUDDEN_ACCEL):
-            l, h = _pendulum_geometry(node, p)
+        if motion.swing_angle is not None:
             theta, phi, phase = motion.swing_angle, p.gait_frequency, motion.phase
             if r2:
                 return lambda s: _pendulum_xi_sq(x0, y0, vx, vy, dirx, diry,
-                                                 l, h, theta, phi, phase, s)
-            return lambda s: _pendulum_chi_sq(speed, l, theta, phi, phase, s)
+                                                 limb, pivot, theta, phi, phase, s)
+            return lambda s: _pendulum_chi_sq(speed, limb, theta, phi, phase, s)
         if r2:
-            return lambda s: _translate_xi_sq(x0, y0, z_rest, vx, vy, s)
+            return lambda s: _translate_xi_sq(x0, y0, rest - ref, vx, vy, s)
         return lambda s: np.full_like(s, vx ** 2 + vy ** 2)
 
     def vertical(x0, y0, t0):
@@ -160,14 +160,13 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
         drop = motion.drop
         if not r2:
             return lambda s: _vertical_chi_sq(drop, t0, s)
-        sign = 1.0 if motion.rise_first else -1.0
-        z_center = p.node_rest_height(node) - 0.5 * drop
-        ref = _vertical_ref(node, p)
+        sign = 1.0 if act.rise_first else -1.0
+        z_center = rest - 0.5 * drop
         return lambda s: _vertical_xi_sq(x0, y0, z_center, ref, drop, t0, sign, s)
 
     if act.activity_class is ActivityClass.COMBINATION:
         walk_start, walk_stop = act.walk_span[0] * T, act.walk_span[1] * T
-        span_lo, span_hi = motion.span[0] * T, motion.span[1] * T
+        span_lo, span_hi = act.episode_span[0] * T, act.episode_span[1] * T
         span_len = span_hi - span_lo
         if walk_start < span_lo:    # the episode starts where the walk ended
             x_vert = x1 + vx * (walk_stop - walk_start)
@@ -187,7 +186,7 @@ def node_curve(node: NodeId, p: SceneParams, act: ActivitySpec, kind: str) -> Ca
                 in_walk,
                 walk(np.minimum(np.maximum(t - walk_start, 0.0), walk_stop - walk_start)),
                 vert(np.minimum(np.maximum(t - span_lo, 0.0), span_len)))
-    elif motion.state is MotionState.SUDDEN_ACCEL:
+    elif motion.drop is not None:
         free = vertical(x1, y1, p.in_situ_quarter_time)
     else:
         free = walking(x1, y1)

@@ -1,4 +1,5 @@
-"""Scene geometry: radar placement, body dimensions, gait and the wall's path."""
+"""Scene geometry: radar placement, body dimensions, gait and the wall's
+path.  ``motion._node_geometry`` places each node from the body dimensions."""
 
 from __future__ import annotations
 
@@ -64,12 +65,3 @@ class SceneParams:
                 f"= {self.window * self.gait_frequency / math.pi:.3f} < 2"
             )
 
-    def node_rest_height(self, node: NodeId) -> float:
-        """Resting height above ground of a node in the neutral pose."""
-        if node is NodeId.HEAD:
-            return self.torso_upper + 0.15
-        if node is NodeId.TORSO:
-            return 0.5 * (self.torso_upper + self.torso_lower)
-        if node in (NodeId.HAND_L, NodeId.HAND_R):
-            return self.torso_upper - self.arm_length
-        return self.torso_lower - self.leg_length

@@ -15,12 +15,15 @@ from hypothesis import strategies as st
 from scipy import fft as sfft
 from scipy.ndimage import maximum_filter
 
-from mdcl import corners
+from mdcl import corners, groundtruth
 from mdcl.config import drop_seed_keys
 from mdcl.corners import (Corner, CornerSet, DetectorConfig, corner_response,
                           extract_corners, fuse_pc_rd)
+from mdcl.echo import RadarConfig
 from mdcl.maps import AxisSpec, ProfileMap
+from mdcl.motion import KeyPoint
 from mdcl.pipeline import degrade_map, noise_field
+from mdcl.scene import NodeId
 
 CFG = DetectorConfig()
 RESPONSE_TOL = 1e-4     # float32 bank against the float64 oracle, of the peak
@@ -639,6 +642,23 @@ class TestFusion:
         wide = CornerSet(pc_d.corners, "d", (128, 200))
         with pytest.raises(ValueError, match="column count"):
             fuse_pc_rd(pc_r, wide, r2, d2)
+
+
+class TestSlowTimeAxis:
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 15: CornerSet.uv puts column j at u = j / (M - 1), "
+        "groundtruth._to_cloud puts the sample at t = j * pri at u = j / M"))
+    def test_corner_and_truth_share_slow_time_u(self):
+        """A corner at column j and a truth point at that column's sample
+        time lie at one u."""
+        radar = RadarConfig()
+        cols = [1, 100, 512, radar.slow_samples - 1]
+        detected = CornerSet(tuple(Corner(0, j, 1.0) for j in cols), "S8/r2tm",
+                             (64, radar.slow_samples)).uv()[:, 0]
+        points = [KeyPoint(NodeId.HEAD, t, 1.0) for t in radar.slow_times[cols]]
+        truth, _ = groundtruth._to_cloud(points, radar.window_s,
+                                         AxisSpec("range_sq", 0.0, 2.0, 64), 1.0)
+        np.testing.assert_allclose(detected, truth[:, 0], rtol=0, atol=1e-12)
 
 
 class TestKernelCache:

@@ -216,7 +216,7 @@ class TestVerifyMncp:
             node = NodeId.HAND_L if "hand" in name else NodeId.FOOT_R
             length = p.arm_length if node is NodeId.HAND_L else p.leg_length
             analytic = motion.select_keypoints_detailed(pendulum_chi_sq_slope(
-                p, length, walk.node(node).swing_angle), model.window, model.mncp)
+                p, length, walk.nodes[node].swing_angle), model.window, model.mncp)
             with mock.patch.object(CurveModel, "keypoints_detailed",
                                    lambda _: analytic):
                 ref = verify_mncp(model)

@@ -9,13 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdcl import motion
-from mdcl.activities import activity
+from mdcl.activities import (ActivityClass, ActivitySpec, NodeMotion, activity,
+                             activity_labels)
 from mdcl.mncp import curve_models
 from mdcl.motion import (DegenerateCurveError, KeyPoint, activity_keypoints,
                          curve_keypoints, groundtruth_counts, node_curve,
                          select_keypoints_detailed, slope_sign)
 from mdcl.scene import ALL_NODES, NodeId
-from mdcl.activities import ActivityClass
 
 from conftest import default_scene
 
@@ -101,9 +101,8 @@ class TestDistanceCurves:
         # zero swing angle collapses the pendulum onto (x+vx t, y+vy t, h1-l1)
         p = scene(initial_velocity=(-0.5, 0.2))
         act = activity("S8")
-        from mdcl.activities import ActivitySpec, NodeMotion, MotionState, ActivityClass
         nodes = dict(act.nodes)
-        nodes[NodeId.HAND_L] = NodeMotion(MotionState.PENDULUM, swing_angle=0.0)
+        nodes[NodeId.HAND_L] = NodeMotion(swing_angle=0.0)
         frozen = ActivitySpec("S8", "walking", ActivityClass.WALKING, nodes=nodes)
         for t in (0.0, 1.0, 3.7):
             x = 3.0 - 0.5 * t
@@ -147,6 +146,25 @@ class TestDistanceCurves:
         for node in ALL_NODES:
             assert np.ptp(distance_sq(node, p, s1, t)) == 0.0, node
             assert np.all(velocity_sq(node, p, s1, t) == 0.0), node
+
+    def test_node_rest_geometry(self):
+        """At t = 0 each of S1's still nodes lies at x1^2 + y1^2 + (rest -
+        ref)^2: the head 0.15 m above the torso top and the torso at its
+        midpoint, from the radar height; the hands an arm and the feet a
+        leg below their pivots, from the ground."""
+        p = scene(initial_position=(2.5, -1.25), radar_height=1.2)
+        x1, y1 = p.initial_position
+        rest = {
+            NodeId.HEAD: (p.torso_upper + 0.15, p.radar_height),
+            NodeId.TORSO: (0.5 * (p.torso_upper + p.torso_lower), p.radar_height),
+            NodeId.HAND_L: (p.torso_upper - p.arm_length, 0.0),
+            NodeId.HAND_R: (p.torso_upper - p.arm_length, 0.0),
+            NodeId.FOOT_L: (p.torso_lower - p.leg_length, 0.0),
+            NodeId.FOOT_R: (p.torso_lower - p.leg_length, 0.0),
+        }
+        for node, (height, ref) in rest.items():
+            z = height - ref
+            assert distance_sq(node, p, activity("S1"), 0.0) == x1 * x1 + y1 * y1 + z * z, node
 
     def test_wall_shifts_unsquared_distance_exactly(self):
         shift = 0.12 * (math.sqrt(6.0) - 1.0)
@@ -198,7 +216,6 @@ class TestDistanceCurves:
         # swapping the pendulum phase reproduces the counterpart limb curve
         p = default_scene()
         t = np.linspace(0, 4, 512)
-        from mdcl.activities import ActivitySpec, NodeMotion, MotionState, ActivityClass
         nodes = dict(S8.nodes)
         nodes[NodeId.HAND_L] = nodes[NodeId.HAND_R]
         swapped = ActivitySpec("S8", "walking", ActivityClass.WALKING, nodes=nodes)
@@ -441,6 +458,70 @@ class TestLockstepBisection:
         lockstep = search()
         with mock.patch.object(motion, "_scan_zeros", scalar_scan_zeros):
             assert lockstep == search()
+
+
+PI = math.pi
+STILL = (0.0, 0.0)
+WHOLE = (0.0, 1.0)
+TRANSLATE = (None, 0.0, None)
+# label: (class, velocity, walk_span, episode_span, rise_first,
+#         (swing_angle, phase, drop) of N1 head, N2 torso, N3/N4 hands, N5/N6 feet)
+CATALOG = {
+    "S1": (ActivityClass.EMPTY, STILL, WHOLE, WHOLE, False, [TRANSLATE] * 6),
+    "S2": (ActivityClass.WALKING, STILL, WHOLE, WHOLE, False,
+           [TRANSLATE, TRANSLATE, (PI / 3, 0.0, None), (PI / 3, PI, None),
+            TRANSLATE, TRANSLATE]),
+    "S3": (ActivityClass.WALKING, STILL, WHOLE, WHOLE, False,
+           [TRANSLATE, TRANSLATE, (PI / 12, 0.0, None), (PI / 12, PI, None),
+            (PI / 3, 0.0, None), (PI / 3, PI, None)]),
+    "S4": (ActivityClass.IN_SITU, STILL, WHOLE, WHOLE, False,
+           [(None, 0.0, 0.3), (None, 0.0, 0.3), (None, 0.0, 0.6), (None, 0.0, 0.6),
+            (None, 0.0, 0.05), (None, 0.0, 0.05)]),
+    "S5": (ActivityClass.IN_SITU, STILL, WHOLE, WHOLE, False,
+           [(None, 0.0, 0.45), (None, 0.0, 0.45), (None, 0.0, 0.45),
+            (None, 0.0, 0.45), (None, 0.0, 0.05), (None, 0.0, 0.05)]),
+    "S6": (ActivityClass.IN_SITU, STILL, WHOLE, WHOLE, True,
+           [(None, 0.0, 0.45), (None, 0.0, 0.45), (None, 0.0, 0.45),
+            (None, 0.0, 0.45), (None, 0.0, 0.05), (None, 0.0, 0.05)]),
+    "S7": (ActivityClass.WALKING, STILL, WHOLE, WHOLE, False,
+           [TRANSLATE, TRANSLATE, (PI / 4, 0.0, None), (PI / 4, PI, None),
+            (PI / 8, PI, None), (PI / 8, 0.0, None)]),
+    "S8": (ActivityClass.WALKING, None, WHOLE, WHOLE, False,
+           [TRANSLATE, TRANSLATE, (PI / 6, 0.0, None), (PI / 6, PI, None),
+            (PI / 4, PI, None), (PI / 4, 0.0, None)]),
+    "S9": (ActivityClass.COMBINATION, None, (0.5, 1.0), (0.25, 0.5), True,
+           [(None, 0.0, 0.45), (None, 0.0, 0.45), (PI / 6, 0.0, 0.45),
+            (PI / 6, PI, 0.45), (PI / 4, PI, 0.05), (PI / 4, 0.0, 0.05)]),
+    "S10": (ActivityClass.COMBINATION, None, (0.0, 0.5), (0.5, 0.75), False,
+            [(None, 0.0, 0.45), (None, 0.0, 0.45), (PI / 6, 0.0, 0.45),
+             (PI / 6, PI, 0.45), (PI / 4, PI, 0.05), (PI / 4, 0.0, 0.05)]),
+    "S11": (ActivityClass.COMBINATION, None, (0.5, 1.0), (0.3, 0.5), True,
+            [(None, 0.0, 1.1), (None, 0.0, 0.9), (PI / 6, 0.0, 0.7),
+             (PI / 6, PI, 0.7), (PI / 4, PI, 0.1), (PI / 4, 0.0, 0.1)]),
+    "S12": (ActivityClass.COMBINATION, None, (0.0, 0.5), (0.5, 0.7), False,
+            [(None, 0.0, 1.1), (None, 0.0, 0.9), (PI / 6, 0.0, 0.7),
+             (PI / 6, PI, 0.7), (PI / 4, PI, 0.1), (PI / 4, 0.0, 0.1)]),
+}
+
+
+class TestCatalog:
+    def test_labels(self):
+        assert activity_labels() == list(CATALOG)
+
+    @pytest.mark.parametrize("label", list(CATALOG))
+    def test_entry(self, label):
+        act = activity(label)
+        assert (act.activity_class, act.velocity, act.walk_span,
+                act.episode_span, act.rise_first, [
+                    (m.swing_angle, m.phase, m.drop)
+                    for m in (act.nodes[node] for node in ALL_NODES)]) == CATALOG[label]
+
+    @pytest.mark.parametrize("node", [NodeId.HEAD, NodeId.TORSO])
+    def test_swing_rejected_on_head_and_torso(self, node):
+        nodes = dict(S8.nodes)
+        nodes[node] = S8.nodes[NodeId.HAND_L]
+        with pytest.raises(ValueError, match="only hands and feet"):
+            ActivitySpec("S8", "walking", ActivityClass.WALKING, nodes=nodes)
 
 
 class TestTables:
