@@ -27,6 +27,11 @@ class ActivityClass(Enum):
     COMBINATION = "combination"
 
 
+# whether every node of a class has a vertical episode (a ``drop``) or none has
+_DROPS = {ActivityClass.EMPTY: False, ActivityClass.WALKING: False,
+          ActivityClass.IN_SITU: True, ActivityClass.COMBINATION: True}
+
+
 @dataclass(frozen=True)
 class NodeMotion:
     """One node's ``swing_angle`` (max deviation from vertical, rad) and
@@ -44,7 +49,9 @@ class ActivitySpec:
 
     The body translates in the ``walk_span`` and the vertical episode fills
     the ``episode_span``, each a (start, stop) window fraction; a
-    ``rise_first`` episode starts low and rises, otherwise it sinks.
+    ``rise_first`` episode starts low and rises, otherwise it sinks.  Every
+    node of an in-situ or combination activity has a ``drop``, and no node
+    of an empty or walking one.
     """
 
     label: str
@@ -62,6 +69,16 @@ class ActivitySpec:
             raise ValueError(f"{self.label}: missing node assignments {missing}")
         if any(self.nodes[n].swing_angle is not None for n in (NodeId.HEAD, NodeId.TORSO)):
             raise ValueError(f"{self.label}: only hands and feet can swing")
+        drops = _DROPS[self.activity_class]
+        if any((self.nodes[n].drop is not None) != drops for n in ALL_NODES):
+            rule = "every node needs a drop" if drops else "no node may drop"
+            raise ValueError(f"{self.label}: in a {self.activity_class.value} "
+                             f"activity {rule}")
+        for name in ("walk_span", "episode_span"):
+            start, stop = getattr(self, name)
+            if not 0.0 <= start < stop <= 1.0:
+                raise ValueError(f"{self.label}: {name} {(start, stop)} is not "
+                                 "0 <= start < stop <= 1")
 
     @property
     def is_empty(self) -> bool:

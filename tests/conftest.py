@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mdcl.config import PipelineConfig
+from mdcl.config import PipelineConfig, serialize_config
 from mdcl.echo import RadarConfig
 
 
@@ -59,3 +59,21 @@ def clean_results(clean_full_config):
 
     labels = [f"S{i}" for i in range(2, 13)]
     return {label: run_activity(clean_full_config, label) for label in labels}
+
+
+@pytest.fixture(scope="session")
+def full_run(tmp_path_factory):
+    """The full-size default config at seed 42 for S5, S8 and S12 (one
+    in-situ, walking and combination activity each), its file, and the
+    directory ``mdcl run`` wrote for it."""
+    from mdcl.cli import main
+
+    cfg = PipelineConfig()
+    cfg.run.seed = 42
+    cfg.run.activities = "S5,S8,S12"
+    cfg.validate()
+    root = tmp_path_factory.mktemp("full_run")
+    cfg_path = root / "config.txt"
+    cfg_path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(root / "run")]) == 0
+    return cfg, cfg_path, root / "run"

@@ -203,33 +203,35 @@ def test_criterion_09_classifiers_out_of_scope():
            "are not part of this toolkit)")
 
 
-def test_criterion_10_determinism_and_runtime(tmp_path):
+def test_criterion_10_determinism_and_runtime(tmp_path, monkeypatch):
     cfg = PipelineConfig()
     cfg.run.seed = 42
     cfg.validate()
     cfg_path = tmp_path / "config.txt"
     cfg_path.write_text(serialize_config(cfg), encoding="utf-8")
+    names = ["manifest.txt", "S8/echo.mdcm", "S8/pc_rd.csv", "S3/r2tm.mdcm",
+             "S11/metrics.csv"]
 
-    out_a = tmp_path / "run_a"
+    def run(threads):
+        """Exit code, manifest and sampled artifacts, and ``run.log`` line
+        count of a run on ``threads`` workers."""
+        monkeypatch.setenv("MDCL_THREADS", threads)
+        out = tmp_path / f"threads_{threads}"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "42"])
+        files = {name: (out / name).read_bytes() for name in names}
+        log_lines = len((out / "run.log").read_text().splitlines())
+        shutil.rmtree(out)
+        return code, files, log_lines
+
     start = time.perf_counter()
-    code_a = main(["run", "--config", str(cfg_path), "--out", str(out_a),
-                   "--seed", "42"])
+    code_1, files_1, log_1 = run("1")
     elapsed = time.perf_counter() - start
-    manifest_a = (out_a / "manifest.txt").read_bytes()
-    sample_names = ["S8/echo.mdcm", "S8/pc_rd.csv", "S3/r2tm.mdcm",
-                    "S11/metrics.csv"]
-    samples_a = {name: (out_a / name).read_bytes() for name in sample_names}
-    shutil.rmtree(out_a)
-
-    out_b = tmp_path / "run_b"
-    code_b = main(["run", "--config", str(cfg_path), "--out", str(out_b),
-                   "--seed", "42"])
-    manifest_b = (out_b / "manifest.txt").read_bytes()
-    samples_b = {name: (out_b / name).read_bytes() for name in sample_names}
-    identical = manifest_a == manifest_b and all(
-        samples_a[n] == samples_b[n] for n in sample_names)
-    ok = code_a == 0 and code_b == 0 and identical and elapsed < 1200.0
-    shutil.rmtree(out_b)
-    report(10, "seeded runs are bit-identical", ok,
-           f"(12 activities in {elapsed:.0f}s < 1200s; manifests and sampled "
-           f"artifacts byte-equal)")
+    code_2, files_2, log_2 = run("2")
+    # one run.log line per stage record: 12 activities x 6 stages
+    ok = (code_1 == code_2 == 0 and files_1 == files_2 and log_1 == log_2 == 72
+          and elapsed < 1200.0)
+    report(10, "seeded runs are bit-identical on one and two threads", ok,
+           f"(12 activities in {elapsed:.0f}s < 1200s on one thread; manifests "
+           f"and sampled artifacts byte-equal: {files_1 == files_2}; {log_1} and "
+           f"{log_2} log lines)")

@@ -16,6 +16,11 @@ from mdcl.fileio import (MatrixFormatError, read_matrix, write_csv,
 from mdcl.preprocess import denoise_rows
 
 
+# the command-line flags that set a config key, by command
+SETTING_FLAGS = {("run", "seed"): [("run", "--seed"), ("sweep-noise", "--seed")],
+                 ("run", "activities"): [("run", "--activity")]}
+
+
 class TestConfig:
     def test_defaults_match_uniform_parameters(self):
         cfg = PipelineConfig()
@@ -116,15 +121,18 @@ class TestConfig:
         """Values the detector, the squaring or the sweep cannot use,
         numbers that are not finite, a repeated activity (two jobs writing
         one directory) and a negative seed (no noise stream takes it) fail
-        validation before any stage runs."""
+        validation before any stage runs, also when a flag sets them."""
         text = f"[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(text)
         path = tmp_path / "config.txt"
         path.write_text(text)
-        for command in ("run", "sweep-noise"):
-            assert main([command, "--config", str(path),
-                         "--out", str(tmp_path / "out")]) == 2
+        argvs = [[command, "--config", str(path)]
+                 for command in ("run", "simulate", "sweep-noise")]
+        argvs += [[command, flag, value]
+                  for command, flag in SETTING_FLAGS.get((section, key), ())]
+        for argv in argvs:
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 2, argv
         assert not (tmp_path / "out").exists()
 
     def test_settings_at_their_floors_run(self, tmp_path):

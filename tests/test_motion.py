@@ -15,7 +15,7 @@ from mdcl.mncp import curve_models
 from mdcl.motion import (DegenerateCurveError, KeyPoint, activity_keypoints,
                          curve_keypoints, groundtruth_counts, node_curve,
                          select_keypoints_detailed, slope_sign)
-from mdcl.scene import ALL_NODES, NodeId
+from mdcl.scene import ALL_NODES, NodeId, SceneParams
 
 from conftest import default_scene
 
@@ -522,6 +522,82 @@ class TestCatalog:
         nodes[node] = S8.nodes[NodeId.HAND_L]
         with pytest.raises(ValueError, match="only hands and feet"):
             ActivitySpec("S8", "walking", ActivityClass.WALKING, nodes=nodes)
+
+
+def catalog_args(label, *, nodes=(), **changes):
+    """``ActivitySpec`` arguments of catalog ``label`` with ``changes``;
+    ``nodes`` replaces the motions of some nodes."""
+    act = activity(label)
+    return {**vars(act), "nodes": {**act.nodes, **dict(nodes)}, **changes}
+
+
+# an in-place episode drops every node of these classes, and no other node
+IN_PLACE = {ActivityClass.IN_SITU, ActivityClass.COMBINATION}
+
+
+@st.composite
+def drawn_specs(draw):
+    """``ActivitySpec`` arguments whose nodes drop as their class says, but
+    for at most one node: about half break that rule."""
+    activity_class = draw(st.sampled_from(ActivityClass))
+    odd = draw(st.none() | st.sampled_from(ALL_NODES))
+    spans = st.lists(st.integers(0, 8).map(lambda k: k / 8),
+                     min_size=2, max_size=2).map(sorted).map(tuple)
+    nodes = {node: NodeMotion(
+        None if node in (NodeId.HEAD, NodeId.TORSO)
+        else draw(st.none() | st.floats(-1.5, 1.5)),
+        draw(st.floats(0.0, 2 * math.pi)),
+        draw(st.floats(0.0, 1.5)) if (activity_class in IN_PLACE) != (node is odd)
+        else None) for node in ALL_NODES}
+    return dict(label="SX", name="drawn", activity_class=activity_class, nodes=nodes,
+                velocity=draw(st.none() | st.tuples(st.floats(-1.5, 1.5),
+                                                    st.floats(-1.5, 1.5))),
+                walk_span=draw(spans), episode_span=draw(spans),
+                rise_first=draw(st.booleans()))
+
+
+DEFAULT_SCENE = vars(default_scene())
+drawn_scenes = st.fixed_dictionaries(dict(
+    radar_height=st.floats(0.0, 3.0),
+    initial_position=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+    torso_upper=st.floats(0.8, 1.8), torso_lower=st.floats(0.3, 1.0),
+    arm_length=st.floats(0.0, 1.2), leg_length=st.floats(0.0, 1.2),
+    initial_velocity=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    gait_frequency=st.floats(1.0, 10.0), in_situ_quarter_time=st.floats(0.1, 2.0),
+    window=st.floats(1.0, 8.0), wall_path=st.floats(0.0, 0.3)))
+
+
+class TestActivitySpec:
+    @settings(max_examples=100, deadline=None)
+    @given(spec=drawn_specs(), scene=drawn_scenes)
+    @example(spec=catalog_args("S10", nodes={NodeId.HEAD: NodeMotion()}),
+             scene=DEFAULT_SCENE)
+    @example(spec=catalog_args("S8", nodes={NodeId.HEAD: NodeMotion(drop=0.3)}),
+             scene=DEFAULT_SCENE)
+    @example(spec=catalog_args("S10", episode_span=(0.5, 0.5)), scene=DEFAULT_SCENE)
+    def test_a_spec_that_builds_has_finite_curves(self, spec, scene):
+        """A spec or scene that cannot run raises ``ValueError`` when it is
+        built; any other gives finite curves and a full key-point set."""
+        try:
+            act = ActivitySpec(**spec)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{spec['label']}: ")
+            return
+        try:
+            p = SceneParams(**scene)
+        except ValueError:
+            return
+        T = p.window
+        t = np.linspace(0.0, T, 513)
+        for kind in ("r2", "d2"):
+            for node in ALL_NODES:
+                assert np.isfinite(node_curve(node, p, act, kind)(t)).all(), (node, kind)
+            pts = activity_keypoints(p, act, kind)
+            assert [sum(pt.node is node for pt in pts) for node in ALL_NODES] == \
+                groundtruth_counts(act.activity_class)[kind]
+            assert all(0.0 <= pt.t <= T and math.isfinite(pt.value) for pt in pts)
+        assert all((m.drop is not None) == (act.activity_class in IN_PLACE)
+                   for m in act.nodes.values())
 
 
 class TestTables:

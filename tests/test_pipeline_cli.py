@@ -595,15 +595,26 @@ class TestSweep:
         assert drop_seed_keys([0.0, 4.0, 8.0, 12.0, 0.3, 0.7]) == [0, 40, 80, 120, 3, 7]
 
 
+def ran(request, size, **overrides):
+    """A config, its file and the directory ``run`` wrote for it: the small
+    config with ``overrides``, or the session's full-size run."""
+    if size == "full":
+        return request.getfixturevalue("full_run")
+    tmp_path = request.getfixturevalue("tmp_path")
+    cfg, cfg_path = write_small_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    return cfg, cfg_path, tmp_path / "run"
+
+
 class TestCli:
-    def test_staged_chain(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("size", ["small", "full"])
+    def test_staged_chain(self, tmp_path, monkeypatch, request, size):
         """The six stage commands write exactly the files and bytes of ``run``,
         and ``run_activity`` holds each matrix as the staged reader returns it."""
-        cfg, cfg_path = write_small_config(tmp_path, **{"run.activities": "S5,S8",
-                                                        "noise.enabled": True})
-        run_out, staged_out = tmp_path / "run", tmp_path / "staged"
-        assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
-        for label in ("S5", "S8"):
+        cfg, cfg_path, run_out = ran(request, size, **{"run.activities": "S5,S8",
+                                                       "noise.enabled": True})
+        staged_out = tmp_path / "staged"
+        for label in cfg.activity_list():
             for command in STAGE_COMMANDS:
                 code = main([command, "--config", str(cfg_path),
                              "--out", str(staged_out), "--activity", label])
@@ -627,12 +638,12 @@ class TestCli:
         metrics = (run_out / "S8" / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "activity,metric,value"
 
-    def test_staged_evaluate_reads_only_its_inputs(self, tmp_path):
+    @pytest.mark.parametrize("size", ["small", "full"])
+    def test_staged_evaluate_reads_only_its_inputs(self, tmp_path, request, size):
         """``evaluate`` in a directory that holds only the squared maps and
         the corner CSVs writes ``run``'s bytes."""
-        _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S8"})
-        run_out, only = tmp_path / "run", tmp_path / "only"
-        assert main(["run", "--config", str(cfg_path), "--out", str(run_out)]) == 0
+        _, cfg_path, run_out = ran(request, size, **{"run.activities": "S8"})
+        only = tmp_path / "only"
         (only / "S8").mkdir(parents=True)
         inputs = ["r2tm.mdcm", "r2tm.axis.txt", "d2tm.mdcm", "d2tm.axis.txt",
                   "pc_r.csv", "pc_d.csv"]
