@@ -62,26 +62,14 @@ def row_bound(cfg, amplitude, tau):
     return 8 * abs(amplitude) * (2 * np.pi * np.spacing(phase) + np.finfo(float).eps)
 
 
-def oracle_noise_matrix(m, n, seed):
-    """Reference for ``echo._noise_matrix``: each PRI's 2n normals drawn as
-    one block and interleaved into (real, imaginary) pairs."""
-    out = np.empty((m, n), dtype=complex)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(m)):
-        block = np.random.Generator(np.random.Philox(child)).standard_normal(2 * n)
-        out[i] = (block[0::2] + 1j * block[1::2]) / np.sqrt(2.0)
-    return out
-
-
-def generator_noise_matrix(m, n, seed):
-    """Reference for ``synth_frame``'s noise draw: one ``noise_generator``
-    built per PRI, its 2n normals drawn straight into the row's
-    (real, imaginary) pairs."""
-    pairs = np.empty((m, 2 * n))
-    for i, row in enumerate(pairs):
-        echo.noise_generator(seed, (i,)).standard_normal(out=row)
-    out = pairs.view(complex)
-    out /= np.sqrt(2.0)
-    return out
+def oracle_noise_matrix(m, n, seed, scale):
+    """Reference for ``synth_frame``'s noise: (m, 2n) normals drawn whole
+    from one ``SeedSequence(seed)``-seeded SFC64 stream, interleaved into
+    (real, imaginary) pairs and scaled."""
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+    pairs = gen.standard_normal((m, 2 * n))
+    pairs *= scale
+    return pairs.view(complex)
 
 
 def node_rows(p, act, cfg):
@@ -108,16 +96,16 @@ def oracle_frame(p, act, cfg, noise):
         signal += oracle_beat_rows(cfg, amplitude, tau)
     data = signal + oracle_beat_rows(cfg, *wall_row(cfg))
     p_sig = float(np.mean(np.abs(signal) ** 2))
-    scaled = oracle_noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed)
-    scaled *= noise_scale(p_sig, noise)
-    data += scaled
+    data += oracle_noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed,
+                                noise_scale(p_sig, noise))
     return data
 
 
 def noise_scale(p_sig, noise):
-    """Noise amplitude for signal power ``p_sig`` (unit reference if 0)."""
+    """Noise amplitude of each of a sample's two parts for signal power
+    ``p_sig`` (unit reference if 0): half the noise power each."""
     reference = p_sig if p_sig > 0 else 1.0
-    return np.sqrt(reference * 10.0 ** (-noise.target_snr / 10.0))
+    return np.sqrt(reference * 10.0 ** (-noise.target_snr / 10.0) / 2.0)
 
 
 def whole_frame(p, act, cfg, noise):
@@ -130,9 +118,8 @@ def whole_frame(p, act, cfg, noise):
     p_sig = float(np.mean(np.abs(data) ** 2)) if noise is not None else 0.0
     data += wall_clutter(cfg)[None, :]
     if noise is not None:
-        scaled = oracle_noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed)
-        scaled *= noise_scale(p_sig, noise)
-        data += scaled
+        data += oracle_noise_matrix(cfg.slow_samples, cfg.fast_samples, noise.seed,
+                                    noise_scale(p_sig, noise))
     return data
 
 
@@ -205,48 +192,8 @@ class TestExactness:
         cfg = RadarConfig(slow_samples=m, fast_samples=n, wall_reflectivity=0.0)
         noise = NoiseConfig(target_snr=-16.0, seed=seed)
         frame = bits(synth_frame(default_scene(), S1, cfg, noise).data)
-        for oracle in (oracle_noise_matrix, generator_noise_matrix):
-            expected = oracle(m, n, seed)
-            expected *= noise_scale(0.0, noise)
-            assert np.array_equal(frame, bits(expected)), oracle.__name__
-
-    @pytest.mark.parametrize("entropy", [
-        0, 42, 42011,                   # one uint32 word
-        2 ** 32 + 7, 2 ** 64 - 1,       # two words
-        2 ** 64 + 3,                    # three words
-        2 ** 160 - 1,                   # six words: more than the pool holds
-        (42, 1, 40), (7, 0, 120)])      # the sweep's (run seed, sweep seed, drop key)
-    def test_philox_keys_equal_seed_sequence(self, entropy):
-        """The keys derived in one pass are ``SeedSequence``'s, for every
-        spawn key (i,) of a full-size frame and for no spawn key (the sweep's
-        noise fields)."""
-        keys = echo.philox_keys(entropy, np.arange(1024)[:, None])
-        want = [np.random.SeedSequence(entropy, spawn_key=(i,)).generate_state(2, np.uint64)
-                for i in range(1024)]
-        assert keys.dtype == np.uint64
-        assert np.array_equal(keys, want)
-        alone = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-        assert np.array_equal(echo.philox_keys(entropy, np.empty((1, 0)))[0], alone)
-        want = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-        assert np.array_equal(echo.noise_generator(entropy).standard_normal(64),
-                              want.standard_normal(64))
-
-    def test_philox_keys_reject_what_seed_sequence_rejects(self):
-        for entropy, error in ((-1, ValueError), ((3, -2), ValueError), (1.5, TypeError)):
-            with pytest.raises(error):
-                np.random.SeedSequence(entropy)
-            with pytest.raises(error):
-                echo.philox_keys(entropy, np.arange(4)[:, None])
-
-    @pytest.mark.parametrize("seed, m", [(42, 1024), (0, 3), (42011, 257),
-                                         (2 ** 64 - 1, 5)])
-    def test_noise_generator_streams_equal_spawned(self, seed, m):
-        """Key (i,) gives child i of ``SeedSequence(seed).spawn(m)``, the
-        rule the per-PRI streams were first drawn by."""
-        for i, child in enumerate(np.random.SeedSequence(seed).spawn(m)):
-            want = np.random.Generator(np.random.Philox(child)).standard_normal(16)
-            assert np.array_equal(echo.noise_generator(seed, (i,)).standard_normal(16),
-                                  want), i
+        assert np.array_equal(frame, bits(oracle_noise_matrix(m, n, seed,
+                                                              noise_scale(0.0, noise))))
 
     @pytest.mark.parametrize("label, radar, snr, block_rows", [
         ("S1", {}, -16.0, 64), ("S2", {}, -16.0, 64), ("S5", {}, -16.0, 64),

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdcl
-from mdcl import artifacts, pipeline
+from mdcl import artifacts, echo, pipeline
 from mdcl.activities import activity_labels
 from mdcl.cli import main
 from mdcl.config import (PipelineConfig, drop_seed_keys, parse_config,
@@ -344,6 +344,27 @@ class TestNoiseKey:
         for name, args in (("plain", ()), ("indexed", (5,))):
             run_activity(cfg, "S8", *args, out=tmp_path / name)
         assert files_under(tmp_path / "indexed") == files_under(tmp_path / "plain")
+
+    @pytest.mark.parametrize("run_seed", [0, 42])
+    def test_no_two_streams_share_a_state(self, monkeypatch, run_seed):
+        """Every noise stream of a default ``mdcl run`` (one per frame) and
+        ``mdcl sweep-noise`` (one per drop and sweep seed) starts from its own
+        state.  One generator type serves both, and ``SeedSequence`` reads
+        trailing zero entropy words as absent: [5] and [5, 0] share a state."""
+        cfg = PipelineConfig()
+        cfg.run.seed = run_seed
+        entropies = [cfg.noise_config(label).seed for label in activity_labels()]
+
+        def recorded(entropy):
+            entropies.append(entropy)
+            return echo.noise_generator(entropy)
+        monkeypatch.setattr(pipeline, "noise_generator", recorded)
+        for key in drop_seed_keys(cfg.snr_drops()):
+            for seed in range(cfg.evaluation.sweep_seeds):
+                pipeline.noise_field(cfg, (1,), key, seed)
+        states = {tuple(np.random.SeedSequence(e).generate_state(4)) for e in entropies}
+        assert len(entropies) == 12 + 3 * 10
+        assert len(states) == len(entropies)
 
 
 # A valid value off the default for every key the stage chain reads.
