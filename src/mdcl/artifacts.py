@@ -1,4 +1,5 @@
-"""Per-activity artifact files: one codec per kind, its writer beside its reader.
+"""Every file a command writes, each listed on a ``StageRecord`` first: one
+codec per activity file kind, its writer beside its reader, and the run's own.
 
 Matrix payloads are float32 on disk.  A codec's ``stored`` casts a value
 to what its file holds (maps to float32, the echo to complex64) and the
@@ -10,11 +11,15 @@ computation starts.  Kinds that no stage reads back have no reader.
 
 from __future__ import annotations
 
+import hashlib
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from mdcl import __version__
+from mdcl.config import PipelineConfig, config_digest, serialize_config
 from mdcl.corners import Corner, CornerSet
 from mdcl.echo import EchoFrame
 from mdcl.fileio import read_matrix, write_csv, write_matrix, write_pgm
@@ -23,20 +28,28 @@ from mdcl.maps import AxisSpec, ProfileMap
 
 @dataclass
 class StageRecord:
-    """One stage of one activity: its wall time, writes included, and each
-    file it writes into ``root`` (None in memory), listed by ``file`` before
-    it is written, so that a failed write stays on the record."""
+    """One stage of one activity, or a command's run-level writes: its wall
+    time, writes included, each file it writes into ``root`` (None in
+    memory), listed by ``file`` before it is written, so that a failed
+    write stays on the record, and its failed step and error as text, not
+    as the exception, whose frames hold the stage's values."""
 
     label: str
     stage: str
     root: Path | None = None
     files: list[Path] = field(default_factory=list)
     wall_s: float = 0.0
+    failed: str | None = None
+    error: str = ""
 
     def file(self, name: str) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
         self.files.append(self.root / name)
         return self.files[-1]
+
+    def fail(self, step: str, exc: Exception) -> None:
+        self.failed = step
+        self.error = f"{exc}\n" + "".join(traceback.format_exception(exc)).rstrip()
 
 
 def write_heatmap(path: Path, img: np.ndarray, corners=()) -> None:
@@ -170,3 +183,76 @@ ARTIFACTS: dict[str, Codec] = {
     "truth": TruthCsvs(),
     "metrics": MetricsCsv(),
 }
+
+
+def on_disk(records: list[StageRecord], root: Path) -> dict[str, str]:
+    """Each file the records name that is on disk, relative to ``root``: its SHA-256."""
+    digests = {}
+    for path in [path for rec in records for path in rec.files if path.is_file()]:
+        h = hashlib.sha256()
+        with open(path, "rb") as f:
+            while chunk := f.read(1 << 20):
+                h.update(chunk)
+        digests[str(path.relative_to(root))] = h.hexdigest()
+    return digests
+
+
+def write_config(rec: StageRecord, cfg: PipelineConfig) -> None:
+    rec.file("config.txt").write_text(serialize_config(cfg), encoding="utf-8")
+
+
+def write_report(rec: StageRecord, metrics: dict[str, dict[str, float]]) -> None:
+    """Per-activity metric table: corner-cloud distances and map PSNRs."""
+    lines = ["activity   emd_r   emd_d  psnr_r2tm_db  psnr_d2tm_db"]
+    lines += [f"{label:<8} {m['emd_r']:7.4f} {m['emd_d']:7.4f} "
+              f"{m['psnr_r2tm_db']:13.2f} {m['psnr_d2tm_db']:13.2f}"
+              for label, m in sorted(metrics.items(), key=lambda lm: int(lm[0][1:]))]
+    rec.file("report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_sweep(cfg: PipelineConfig, out: Path, rows: list[dict]) -> StageRecord:
+    """``sweep.csv`` and the sweep's ``config.txt`` in ``out``."""
+    rec = StageRecord("sweep", "write", out)
+    columns = ["activity", "map", "drop_db", "seed", "emd"]
+    write_csv(rec.file("sweep.csv"), columns, [[r[c] for c in columns] for r in rows])
+    write_config(rec, cfg)
+    return rec
+
+
+@dataclass
+class RunManifest:
+    config_hash: str
+    status: str
+    artifacts: dict[str, str]           # relative path -> sha256
+    failed_stage: str | None = None
+
+    def text(self) -> str:
+        head = [f"tool_version = {__version__}", f"config_sha256 = {self.config_hash}",
+                f"status = {self.status}"]
+        if self.failed_stage:
+            head.append(f"failed_stage = {self.failed_stage}")
+        listed = [f"{rel} = sha256:{h}" for rel, h in sorted(self.artifacts.items())]
+        return "\n".join(["[manifest]", *head, "", "[artifacts]", *listed, ""])
+
+
+def write_run(cfg: PipelineConfig, out: Path, records: list[StageRecord],
+              digests: dict[str, str], metrics: dict[str, dict]) -> RunManifest:
+    """``config.txt``, ``report.txt`` if no activity failed, then, even if
+    those fail the run's record, the manifest of ``digests`` and the run's
+    files, and ``run.log``: each record's time, then each failure (not in
+    the manifest, which is bit-identical across reruns of one config)."""
+    rec = StageRecord("run", "write", out)
+    try:
+        write_config(rec, cfg)
+        if not any(r.failed for r in records):
+            write_report(rec, metrics)
+    except Exception as exc:
+        rec.fail("write", exc)
+    failed = next((f"{r.label}:{r.failed}" for r in [*records, rec] if r.failed), None)
+    manifest = RunManifest(config_digest(cfg), "failed" if failed else "ok",
+                           {**digests, **on_disk([rec], out)}, failed)
+    rec.file("manifest.txt").write_text(manifest.text(), encoding="utf-8")
+    log = [f"{r.label} {r.stage} {r.wall_s:.3f}s" for r in records]
+    log += [f"{r.label} {r.failed} failed: {r.error}" for r in [*records, rec] if r.failed]
+    rec.file("run.log").write_text("\n".join(log) + "\n", encoding="utf-8")
+    return manifest

@@ -16,9 +16,9 @@ import numpy as np
 
 from mdcl import __version__
 from mdcl.activities import activity
-from mdcl.artifacts import read_corners, write_heatmap
-from mdcl.config import ConfigError, PipelineConfig, load_config, serialize_config
-from mdcl.fileio import read_matrix, write_csv
+from mdcl.artifacts import read_corners, write_heatmap, write_sweep
+from mdcl.config import ConfigError, PipelineConfig, load_config
+from mdcl.fileio import read_matrix
 from mdcl.maps import normalize
 from mdcl.mncp import curve_models, verify_mncp
 from mdcl.pipeline import (STAGES, StageError, run_pipeline, run_stage,
@@ -71,7 +71,7 @@ def _load(args) -> PipelineConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.run.seed = args.seed
-    if getattr(args, "activity", None) and args.command == "run":
+    if args.command == "run" and args.activity is not None:
         cfg.run.activities = args.activity
     cfg.validate()
     return cfg
@@ -92,18 +92,12 @@ def _cmd_mncp_verify(cfg: PipelineConfig) -> int:
 
 def _cmd_sweep(cfg: PipelineConfig, out: Path) -> None:
     rows = sweep_noise(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
-    write_csv(path, ["activity", "map", "drop_db", "seed", "emd"],
-              [[r["activity"], r["map"], r["drop_db"], r["seed"], r["emd"]]
-               for r in rows])
-    config_path = out / "config.txt"
-    config_path.write_text(serialize_config(cfg), encoding="utf-8")
+    rec = write_sweep(cfg, out, rows)
     for drop, stats in sweep_summary(rows).items():
         print(f"drop {drop:>5.1f} dB: mean EMD {stats['mean']:.4f} "
               f"(sem {stats['sem']:.4f}, n={stats['count']})")
-    print(f"wrote {path}")
-    print(f"wrote {config_path}")
+    for path in rec.files:
+        print(f"wrote {path}")
 
 
 def _cmd_render(args) -> None:

@@ -164,8 +164,8 @@ class PipelineConfig:
         bad = [a for a in labels if a not in known]
         if bad:
             raise ConfigError(f"run.activities contains unknown labels {bad}")
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"run.activities repeats a label: {labels}")
+        if not labels or len(set(labels)) != len(labels):
+            raise ConfigError(f"run.activities must list activities, each once: {labels}")
         drops = self.snr_drops()
         try:
             drop_seed_keys(drops)

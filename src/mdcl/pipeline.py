@@ -1,5 +1,5 @@
 """End-to-end orchestration: simulate -> preprocess -> square -> extract ->
-fuse -> evaluate, artifact persistence, and the noise-robustness sweep.
+fuse -> evaluate and the noise-robustness sweep; ``mdcl.artifacts`` writes every file.
 
 ``STAGES`` defines the chain once; ``_step`` runs one stage, passes each
 output on as its file holds it, writes the stage's files as it ends when
@@ -17,10 +17,8 @@ output depends on the thread count.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,11 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from mdcl import __version__
 from mdcl.activities import activity
-from mdcl.artifacts import ARTIFACTS, StageRecord
-from mdcl.config import (ConfigError, PipelineConfig, config_digest, drop_seed_keys,
-                         serialize_config)
+from mdcl.artifacts import ARTIFACTS, RunManifest, StageRecord, on_disk, write_run
+from mdcl.config import ConfigError, PipelineConfig, drop_seed_keys
 from mdcl.corners import CornerSet, extract_corners, fuse_pc_rd
 from mdcl.echo import noise_generator, synth_frame
 from mdcl.groundtruth import groundtruth_corners, rasterize_dtm, rasterize_rtm
@@ -72,10 +68,8 @@ def pool_map(fn: Callable, items: list) -> list:
 class StageError(RuntimeError):
     """A failed stage, with the activity's ``records`` through its own."""
 
-    def __init__(self, stage: str, activity_label: str, cause: Exception,
-                 records: list[StageRecord]):
-        super().__init__(f"stage {stage!r} failed for {activity_label}: {cause}")
-        self.stage = stage
+    def __init__(self, message: str, records: list[StageRecord]):
+        super().__init__(message)
         self.records = records
 
 
@@ -181,7 +175,8 @@ def _step(stage: Stage, cfg: PipelineConfig, label: str, values: dict,
           records: list[StageRecord], root: Path | None) -> None:
     """Appends the stage's record to ``records``, adds its outputs to
     ``values`` as their files hold them and writes them into ``root`` when
-    given; a failing writer is a ``StageError`` of stage "write"."""
+    given; a failure, a writer's as step "write", goes on the record and
+    is raised as a ``StageError``."""
     rec = StageRecord(label, stage.name, root)
     records.append(rec)
     start, failing = time.perf_counter(), stage.name
@@ -193,7 +188,8 @@ def _step(stage: Stage, cfg: PipelineConfig, label: str, values: dict,
         for name in stage.outputs if root is not None else ():
             ARTIFACTS[name].write(rec, name, values)
     except Exception as exc:
-        raise StageError(failing, label, exc, records) from exc
+        rec.fail(failing, exc)
+        raise StageError(f"stage {failing!r} failed for {label}: {exc}", records) from exc
     finally:
         rec.wall_s = time.perf_counter() - start
 
@@ -233,66 +229,13 @@ def run_stage(cfg: PipelineConfig, out: Path, label: str,
                           **{n: values[n] for n in stage.outputs})
 
 
-# ---------------------------------------------------------------------------
-# manifest
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RunManifest:
-    config_hash: str
-    version: str
-    status: str
-    artifacts: dict[str, str]           # relative path -> sha256
-    failed_stage: str | None = None
-
-    def text(self) -> str:
-        lines = [
-            "[manifest]",
-            f"tool_version = {self.version}",
-            f"config_sha256 = {self.config_hash}",
-            f"status = {self.status}",
-        ]
-        if self.failed_stage:
-            lines.append(f"failed_stage = {self.failed_stage}")
-        lines.append("")
-        lines.append("[artifacts]")
-        for rel in sorted(self.artifacts):
-            lines.append(f"{rel} = sha256:{self.artifacts[rel]}")
-        lines.append("")
-        return "\n".join(lines)
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        while chunk := f.read(1 << 20):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _summary_report(metrics: dict[str, dict[str, float]]) -> str:
-    """Per-activity metric table: corner-cloud distances and map PSNRs."""
-    lines = ["activity   emd_r   emd_d  psnr_r2tm_db  psnr_d2tm_db"]
-    for label in sorted(metrics, key=lambda label: int(label[1:])):
-        m = metrics[label]
-        lines.append(f"{label:<8} {m['emd_r']:7.4f} {m['emd_d']:7.4f} "
-                     f"{m['psnr_r2tm_db']:13.2f} {m['psnr_d2tm_db']:13.2f}")
-    lines.append("")
-    return "\n".join(lines)
-
-
 def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
     """Execute all selected activities and persist every artifact in ``out_dir``.
 
     Every activity runs even when another fails, and a failed one keeps
-    the files of the stages it finished; the manifest lists each file on
-    disk that its stage records name, and names the first failure in
-    activity order.  An activity's worker hashes the files its records
-    name and returns neither a stage output nor an exception, so no maps
-    outlive the worker.
-    ``run.log`` has each record's wall time, in run order, then each
-    failure's traceback (not part of the manifest, which must be
-    bit-identical across reruns of one config).
+    the files of the stages it finished.  An activity's worker hashes the
+    files its records name and returns neither a stage output nor an
+    exception, so no maps outlive the worker.
     """
     cfg.validate()
     thread_count()      # a malformed MDCL_THREADS fails before any file
@@ -302,43 +245,17 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path) -> RunManifest:
     out.mkdir(parents=True, exist_ok=True)
 
     def one_activity(label: str):
-        # a failure leaves its log text, not the exception, whose traceback
-        # would hold the failed stage's values
         try:
             res = run_activity(cfg, label, out=out)
-            records, metrics, failed, log = res.records, res.metrics, None, []
+            records, metrics = res.records, res.metrics
         except StageError as exc:
-            records, metrics, failed = exc.records, None, f"{label}:{exc.stage}"
-            log = [f"{label} {exc.stage} failed: {exc.__cause__}",
-                   "".join(traceback.format_exception(exc.__cause__)).rstrip()]
-        digests = {str(path.relative_to(out)): _sha256(path)
-                   for rec in records for path in rec.files if path.is_file()}
-        return SimpleNamespace(records=records, digests=digests,
-                               metrics=metrics, failed=failed, log=log)
+            records, metrics = exc.records, None
+        return records, metrics, on_disk(records, out)
 
-    jobs = pool_map(one_activity, labels)
-    failed_stage = next((job.failed for job in jobs if job.failed), None)
-    status = "failed" if failed_stage else "ok"
-    artifacts = {rel: h for job in jobs for rel, h in job.digests.items()}
-
-    config_path = out / "config.txt"
-    config_path.write_text(serialize_config(cfg), encoding="utf-8")
-    artifacts["config.txt"] = _sha256(config_path)
-
-    if status == "ok" and jobs:
-        report_path = out / "report.txt"
-        metrics = {label: job.metrics for label, job in zip(labels, jobs)}
-        report_path.write_text(_summary_report(metrics), encoding="utf-8")
-        artifacts["report.txt"] = _sha256(report_path)
-
-    manifest = RunManifest(config_digest(cfg), __version__, status,
-                           artifacts, failed_stage)
-    (out / "manifest.txt").write_text(manifest.text(), encoding="utf-8")
-    log_lines = [f"{rec.label} {rec.stage} {rec.wall_s:.3f}s"
-                 for job in jobs for rec in job.records]
-    log_lines += [line for job in jobs for line in job.log]
-    (out / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    return manifest
+    records, metrics, digests = zip(*pool_map(one_activity, labels))
+    return write_run(cfg, out, [rec for recs in records for rec in recs],
+                     {rel: h for d in digests for rel, h in d.items()},
+                     dict(zip(labels, metrics)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +293,8 @@ def sweep_noise(cfg: PipelineConfig,
     reruns detection and reports the earth mover's distance to the analytic
     truth per (activity, map, drop, seed), in that order.  A zero drop
     reproduces the baseline exactly.  Drops that would share a noise draw
-    (off the 0.1 dB grid, or repeated) raise ``ValueError``.  Each noise
+    (off the 0.1 dB grid, or repeated) raise ``ValueError``, and activities
+    that are all empty scenes a ``ConfigError``.  Each noise
     field, one per (drop, seed), is one ``pool_map`` task that draws the
     field once and degrades every map with it in one buffer; the zero-drop
     rows are one more task.  Missing clean results are built first, one
@@ -388,6 +306,8 @@ def sweep_noise(cfg: PipelineConfig,
         drops = [0.0] + list(drops)
     keys = drop_seed_keys(drops)
     labels = [a for a in cfg.activity_list() if not activity(a).is_empty]
+    if not labels:
+        raise ConfigError(f"run.activities {cfg.activity_list()}: no map to sweep")
     if results is None:
         cfg.check_echo_range(labels)
         results = dict(zip(labels, pool_map(lambda label: run_activity(cfg, label),

@@ -116,12 +116,14 @@ class TestConfig:
         ("radar", "carrier_hz", "nan"), ("noise", "target_snr_db", "nan"),
         ("evaluation", "snr_drops_db", "nan"), ("evaluation", "snr_drops_db", "inf"),
         ("evaluation", "snr_drops_db", "4,x"),
-        ("run", "activities", "S8,S8"), ("run", "seed", "-1")])
+        ("run", "activities", "S8,S8"), ("run", "activities", ""),
+        ("run", "activities", ","), ("run", "seed", "-1")])
     def test_settings_that_cannot_run_rejected(self, tmp_path, section, key, value):
         """Values the detector, the squaring or the sweep cannot use,
         numbers that are not finite, a repeated activity (two jobs writing
-        one directory) and a negative seed (no noise stream takes it) fail
-        validation before any stage runs, also when a flag sets them."""
+        one directory), an empty activity list (a run of nothing) and a
+        negative seed (no noise stream takes it) fail validation before any
+        stage runs, also when a flag sets them, to "" included."""
         text = f"[{section}]\n{key} = {value}\n"
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             parse_config(text)

@@ -85,19 +85,23 @@ def logged_stages(out, label):
             if (m := re.fullmatch(rf"{label} (\w+) \d+\.\d{{3}}s", line))]
 
 
-def unlisted_files(out, manifest):
+def unlisted_files(out, listed):
     """Files on disk the manifest does not list, and listed files not on disk."""
     on_disk = set(files_under(out)) - {"manifest.txt", "run.log"}
-    return on_disk ^ set(manifest.artifacts)
+    return on_disk ^ set(listed)
+
+
+def manifest_listing(out):
+    """``manifest.txt``'s artifacts: relative path -> sha256."""
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return dict(line.split(" = sha256:") for line in lines if " = sha256:" in line)
 
 
 def assert_digests_match_disk(out):
     """Every ``sha256:`` in ``manifest.txt`` is that of the file on disk."""
-    listed = [line.partition(" = sha256:")
-              for line in (out / "manifest.txt").read_text().splitlines()]
-    listed = [(rel, digest) for rel, sep, digest in listed if sep]
+    listed = manifest_listing(out)
     assert listed
-    for rel, digest in listed:
+    for rel, digest in listed.items():
         assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == digest, rel
 
 
@@ -171,7 +175,7 @@ class TestRunPipeline:
         for name, data in s8_files.items():
             assert manifest.artifacts[f"S8/{name}"] == hashlib.sha256(data).hexdigest()
         assert not (out / "S8" / "metrics.csv").exists()
-        assert unlisted_files(out, manifest) == set()
+        assert unlisted_files(out, manifest.artifacts) == set()
         assert (out / "manifest.txt").read_text() == manifest.text()
         assert_digests_match_disk(out)
         assert "S8 evaluate failed: injected failure" in (out / "run.log").read_text()
@@ -209,7 +213,7 @@ class TestRunPipeline:
         assert ("S8/r2tm_corners.pgm" in manifest.artifacts) == partial
         assert "S8/metrics.csv" not in manifest.artifacts
         assert "S5/metrics.csv" in manifest.artifacts
-        assert unlisted_files(out, manifest) == set()
+        assert unlisted_files(out, manifest.artifacts) == set()
         assert_digests_match_disk(out)
         # the failed record holds the files its stage left on disk, plus
         # the listed path the failing writer never created
@@ -245,31 +249,67 @@ class TestRunPipeline:
     def test_no_maps_outlive_their_worker(self, tmp_path, monkeypatch, threads,
                                           s8_fails):
         """Every map of every activity, a failed one's included, is freed
-        before ``run_pipeline`` serializes the config, which it does after
-        the pool returns."""
+        before the run's own files are written, the config first, which
+        ``artifacts.write_run`` does after the pool returns."""
         monkeypatch.setenv("MDCL_THREADS", threads)
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S5,S8"})
-        real_evaluate, real_serialize = (pipeline.evaluate_activity,
-                                         pipeline.serialize_config)
-        alive = []
+        real_evaluate, real_write = pipeline.evaluate_activity, artifacts.write_config
+        alive, writes = [], []
 
         def evaluate(cfg, label, *args):
             if s8_fails and label == "S8":
                 raise RuntimeError("injected failure")
             return real_evaluate(cfg, label, *args)
 
-        def serialize(cfg):
+        def write_config(rec, cfg):
+            writes.append(rec.root)
             alive.extend(key for key, ref in refs.items() if ref() is not None)
-            return real_serialize(cfg)
+            return real_write(rec, cfg)
 
         refs = step_maps(monkeypatch)
         monkeypatch.setattr(pipeline, "evaluate_activity", evaluate)
-        monkeypatch.setattr(pipeline, "serialize_config", serialize)
+        monkeypatch.setattr(artifacts, "write_config", write_config)
         manifest = run_pipeline(cfg, tmp_path / "out")
         assert manifest.status == ("failed" if s8_fails else "ok")
+        assert writes == [tmp_path / "out"]
         # a failed evaluate leaves no truth rasters
         assert len(refs) == 2 * len(MAP_NAMES) - 2 * s8_fails
         assert alive == []
+
+    @pytest.mark.parametrize("name, partial", [("config.txt", False),
+                                               ("report.txt", True)])
+    def test_run_level_write_error_leaves_manifest_and_log(self, tmp_path,
+                                                           monkeypatch, name,
+                                                           partial):
+        """A run-level file that cannot be written, before any byte or after
+        a partial one, fails the run record like a stage: ``run`` exits 3
+        and still writes a manifest that lists exactly the files on disk,
+        and a log with the failure's message and traceback."""
+        _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S5"})
+        real = Path.write_text
+
+        def write_text(path, text, *args, **kwargs):
+            if path.name == name:
+                if partial:
+                    real(path, text[:len(text) // 2], *args, **kwargs)
+                raise OSError("injected write failure")
+            return real(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 3
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "status = failed" in manifest
+        assert "failed_stage = run:write" in manifest
+        listed = manifest_listing(out)
+        assert unlisted_files(out, listed) == set()
+        assert_digests_match_disk(out)
+        assert (name in listed) == partial
+        assert "S5/metrics.csv" in listed
+        log = (out / "run.log").read_text()
+        assert logged_stages(out, "S5") == list(STAGE_COMMANDS)
+        assert "run write failed: injected write failure\nTraceback" in log
+        assert log.rstrip().endswith("OSError: injected write failure")
 
     def test_empty_scene_runs(self, tmp_path):
         cfg, _ = write_small_config(tmp_path, **{"run.activities": "S1",
@@ -598,18 +638,30 @@ class TestSweep:
         with pytest.raises(ValueError, match="SNR drops"):
             sweep_noise(small_config(), {}, drops=cfg.snr_drops())
 
-    def test_cli_writes_the_config_beside_the_sweep(self, tmp_path):
+    def test_cli_writes_the_config_beside_the_sweep(self, tmp_path, capsys):
         """``sweep-noise`` writes ``config.txt``, which parses back to the
-        sweep's config, seed override included."""
+        sweep's config, seed override included, and prints after its
+        summary a ``wrote`` line for each file it adds, in record order."""
         cfg, cfg_path = write_small_config(tmp_path, **{
             "run.activities": "S1,S8", "evaluation.snr_drops_db": "4",
             "evaluation.sweep_seeds": 1})
         out = tmp_path / "out"
         assert main(["sweep-noise", "--config", str(cfg_path), "--seed", "7",
                      "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["drop   0.0 dB",
+                                                              "drop   4.0 dB"]
+        assert lines[2:] == [f"wrote {out / 'sweep.csv'}", f"wrote {out / 'config.txt'}"]
         assert sorted(p.name for p in out.iterdir()) == ["config.txt", "sweep.csv"]
         cfg.run.seed = 7
         assert parse_config((out / "config.txt").read_text(encoding="utf-8")) == cfg
+
+    def test_cli_rejects_a_sweep_of_empty_scenes(self, tmp_path, capsys):
+        _, cfg_path = write_small_config(tmp_path, **{"run.activities": "S1"})
+        out = tmp_path / "out"
+        assert main(["sweep-noise", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "no map to sweep" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_drop_seed_keys_are_tenths_of_a_db(self):
         # the keys of the default drops are those int(drop * 10) gave
